@@ -18,9 +18,8 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractViolation, NumericOverflow, ParseError
-from .gconv import (ChebFilter, FeatureTransform, cheb_conv,
-                    cheb_conv_backward, first_order_conv,
-                    first_order_conv_backward)
+from .gconv import (ChebFamily, ChebFilter, FeatureTransform, FirstOrderFamily,
+                    cheb_conv, first_order_conv)
 from .graph import LaplacianSet
 
 FAMILIES = ("chebyshev", "first_order", "dense")
@@ -80,14 +79,15 @@ def conv_apply(p: ModelParams, lap: LaplacianSet, x: np.ndarray,
     raise ContractViolation("conv_apply: dense family has no graph convolution")
 
 
-def conv_backward(p: ModelParams, lap: LaplacianSet, x: np.ndarray,
-                  filt: Filter, upstream: np.ndarray):
+def conv_family(p: ModelParams, lap: LaplacianSet):
+    """The basis / combine / coefficient-gradient primitives of p's family."""
     if p.conv_family == "chebyshev":
-        return cheb_conv_backward(lap, x, filt, upstream)
+        # one basis length serves W, U and V, even if their orders differ
+        return ChebFamily(lap, max(f.order for f in (
+            p.input_filter, p.recurrent_filter, p.readout_filter)))
     if p.conv_family == "first_order":
-        return first_order_conv_backward(lap, x, filt, upstream,
-                                         p.use_plain_laplacian)
-    raise ContractViolation("conv_backward: dense family has no graph convolution")
+        return FirstOrderFamily(lap, p.use_plain_laplacian)
+    raise ContractViolation("conv_family: dense family has no graph convolution")
 
 
 def preactivation(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,

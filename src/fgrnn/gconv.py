@@ -9,6 +9,15 @@ Two filter families:
 
 Both operators are symmetric in the node dimension, which is what makes
 the backward formulas below exact.
+
+Each family is written once, as three primitives (ChebFamily,
+FirstOrderFamily): basis(x) holds every sparse product of a convolution
+of x ([T_0 x .. T_{K-1} x], or [L1 x]); combine(filter, basis) gives its
+value and coeff_grad(filter, basis, upstream) its coefficient
+gradient, both without a sparse product. adjoint applies the transposed convolution of
+several upstreams to one input in one stacked product. The convolutions
+below are built on them, and BPTT keeps the bases of its forward pass to
+reuse in reverse (see training.bptt).
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .graph import LaplacianSet
-from .sparse import SparseMatrix, dense_eig_sym, spmm
+from .sparse import dense_eig_sym, spmm
 
 
 @dataclass
@@ -50,17 +59,86 @@ class FeatureTransform:
             raise ContractViolation("FeatureTransform weights must be finite")
 
 
-def _cheb_apply(scaled: SparseMatrix, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    # T_0 x = x, T_1 x = Ls x, T_k x = 2 Ls T_{k-1} x - T_{k-2} x
-    acc = coeffs[0] * x
-    if len(coeffs) == 1:
+class ChebFamily:
+    """Chebyshev primitives on one graph, for filters of order <= K.
+
+    basis(x) is [T_0 x, ..., T_{K-1} x], shape (K, N, F): the only part of
+    the filter that touches the graph, shared by every filter of order up
+    to K (a filter of order k reads the first k terms). A stored basis
+    serves combine (the forward value) and coeff_grad (the coefficient
+    gradient) without another sparse product.
+    """
+
+    def __init__(self, lap: LaplacianSet, order: int):
+        self.scaled = lap.scaled
+        self.order = order
+
+    def basis(self, x: np.ndarray) -> np.ndarray:
+        # T_0 x = x, T_1 x = Ls x, T_k x = 2 Ls T_{k-1} x - T_{k-2} x
+        terms = [x]
+        if self.order > 1:
+            terms.append(spmm(self.scaled, x))
+        for _ in range(2, self.order):
+            terms.append(2.0 * spmm(self.scaled, terms[-1]) - terms[-2])
+        return np.stack(terms)
+
+    @staticmethod
+    def combine(f: ChebFilter, basis: np.ndarray) -> np.ndarray:
+        acc = f.coeffs[0] * basis[0]
+        for k in range(1, f.order):
+            acc = acc + f.coeffs[k] * basis[k]
         return acc
-    t_prev, t_cur = x, spmm(scaled, x)
-    acc = acc + coeffs[1] * t_cur
-    for k in range(2, len(coeffs)):
-        t_prev, t_cur = t_cur, 2.0 * spmm(scaled, t_cur) - t_prev
-        acc = acc + coeffs[k] * t_cur
-    return acc
+
+    @staticmethod
+    def coeff_grad(f: ChebFilter, basis: np.ndarray,
+                   upstream: np.ndarray) -> np.ndarray:
+        """d<upstream, combine(f, basis)>/d coeffs, shape (f.order,)."""
+        return np.tensordot(basis[:f.order], upstream, axes=2)
+
+    def adjoint(self, pairs) -> np.ndarray:
+        """sum_i conv(f_i)^T g_i over (f_i, g_i) pairs, in one stacked product.
+
+        T_k(Ls) is symmetric, so conv^T is the filter itself; the g_i share
+        one basis of their column-stacked concatenation.
+        """
+        stacked = self.basis(np.concatenate([g for _, g in pairs], axis=1))
+        out, col = None, 0
+        for f, g in pairs:
+            part = self.combine(f, stacked[:, :, col:col + g.shape[1]])
+            out = part if out is None else out + part
+            col += g.shape[1]
+        return out
+
+
+class FirstOrderFamily:
+    """First-order primitives: basis(x) is [L1 x], shape (1, N, F).
+
+    With use_plain_laplacian the node operator is L instead of L1.
+    """
+
+    def __init__(self, lap: LaplacianSet, use_plain_laplacian: bool):
+        self.op = lap.laplacian if use_plain_laplacian else lap.first_order
+
+    def basis(self, x: np.ndarray) -> np.ndarray:
+        return spmm(self.op, x)[None]
+
+    @staticmethod
+    def combine(t: FeatureTransform, basis: np.ndarray) -> np.ndarray:
+        return basis[0] @ t.weights
+
+    @staticmethod
+    def coeff_grad(t: FeatureTransform, basis: np.ndarray,
+                   upstream: np.ndarray) -> np.ndarray:
+        """d<upstream, combine(t, basis)>/d weights, shape (F_in, F_out)."""
+        return basis[0].T @ upstream
+
+    def adjoint(self, pairs) -> np.ndarray:
+        """sum_i conv(t_i)^T g_i = op (sum_i g_i W_i^T), one sparse product."""
+        mixed = None
+        for t, g in pairs:
+            part = g @ t.weights.T
+            mixed = part if mixed is None else mixed + part
+        return spmm(self.op, mixed)
 
 
 def cheb_conv(lap: LaplacianSet, x: np.ndarray, f: ChebFilter) -> np.ndarray:
@@ -68,33 +146,19 @@ def cheb_conv(lap: LaplacianSet, x: np.ndarray, f: ChebFilter) -> np.ndarray:
     if x.shape[0] != lap.n_nodes:
         raise ContractViolation(
             f"cheb_conv: {x.shape[0]} rows vs {lap.n_nodes} nodes")
-    return _cheb_apply(lap.scaled, x, f.coeffs)
+    fam = ChebFamily(lap, f.order)
+    return fam.combine(f, fam.basis(x))
 
 
 def cheb_conv_backward(lap: LaplacianSet, x: np.ndarray, f: ChebFilter,
                        upstream: np.ndarray):
-    """Gradients of <upstream, cheb_conv(x)> w.r.t. coefficients and x."""
+    """Gradients of <upstream, cheb_conv(x)> w.r.t. x and coefficients."""
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != x.shape:
         raise ContractViolation("cheb_conv_backward: upstream shape mismatch")
-    k_order = f.order
-    grad_coeffs = np.zeros(k_order)
-    t_prev, t_cur = x, None
-    grad_coeffs[0] = np.sum(x * upstream)
-    if k_order > 1:
-        t_cur = spmm(lap.scaled, x)
-        grad_coeffs[1] = np.sum(t_cur * upstream)
-        for k in range(2, k_order):
-            t_prev, t_cur = t_cur, 2.0 * spmm(lap.scaled, t_cur) - t_prev
-            grad_coeffs[k] = np.sum(t_cur * upstream)
-    # T_k(Ls) is symmetric, so grad_x is the same filter applied to upstream
-    grad_x = _cheb_apply(lap.scaled, upstream, f.coeffs)
-    return grad_x, grad_coeffs
-
-
-def _node_operator(lap: LaplacianSet, use_plain_laplacian: bool) -> SparseMatrix:
-    return lap.laplacian if use_plain_laplacian else lap.first_order
+    fam = ChebFamily(lap, f.order)
+    return fam.adjoint([(f, upstream)]), fam.coeff_grad(f, fam.basis(x), upstream)
 
 
 def first_order_conv(lap: LaplacianSet, x: np.ndarray, t: FeatureTransform,
@@ -106,7 +170,8 @@ def first_order_conv(lap: LaplacianSet, x: np.ndarray, t: FeatureTransform,
         raise ContractViolation(
             f"first_order_conv: {x.shape[1]} features vs "
             f"{t.weights.shape[0]} weight rows")
-    return spmm(_node_operator(lap, use_plain_laplacian), x) @ t.weights
+    fam = FirstOrderFamily(lap, use_plain_laplacian)
+    return fam.combine(t, fam.basis(x))
 
 
 def first_order_conv_backward(lap: LaplacianSet, x: np.ndarray,
@@ -116,10 +181,8 @@ def first_order_conv_backward(lap: LaplacianSet, x: np.ndarray,
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (x.shape[0], t.weights.shape[1]):
         raise ContractViolation("first_order_conv_backward: upstream shape mismatch")
-    op = _node_operator(lap, use_plain_laplacian)
-    grad_w = spmm(op, x).T @ upstream
-    grad_x = spmm(op, upstream) @ t.weights.T
-    return grad_x, grad_w
+    fam = FirstOrderFamily(lap, use_plain_laplacian)
+    return fam.adjoint([(t, upstream)]), fam.coeff_grad(t, fam.basis(x), upstream)
 
 
 def spectral_conv_oracle(lap: LaplacianSet, x: np.ndarray, f: ChebFilter) -> np.ndarray:

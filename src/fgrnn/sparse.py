@@ -29,6 +29,9 @@ class SparseMatrix:
     values: np.ndarray       # float64, length nnz
     # row index of each stored entry, precomputed for vectorized products
     _row_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    # spmm's flat output slots, one array per column count it has seen
+    _slots: dict = field(init=False, repr=False, compare=False,
+                         default_factory=dict)
 
     def __post_init__(self):
         ro = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
@@ -45,11 +48,12 @@ class SparseMatrix:
             raise ContractViolation("col_indices/values length mismatch")
         if len(ci) and (ci.min() < 0 or ci.max() >= self.n_cols):
             raise ContractViolation("column index out of range")
-        for r in range(self.n_rows):
-            cols = ci[ro[r]:ro[r + 1]]
-            if np.any(np.diff(cols) <= 0):
-                raise ContractViolation(f"row {r}: columns not strictly increasing")
         row_ids = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(ro))
+        # a column step is checked only between neighbours in the same row
+        bad = (np.diff(ci) <= 0) & (row_ids[1:] == row_ids[:-1])
+        if bad.any():
+            r = row_ids[1:][bad][0]
+            raise ContractViolation(f"row {r}: columns not strictly increasing")
         object.__setattr__(self, "_row_ids", row_ids)
 
     @property
@@ -106,9 +110,18 @@ def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     if a.n_cols != x.shape[0]:
         raise ContractViolation(
             f"spmm: inner dims {a.n_cols} vs {x.shape[0]}")
-    out = np.zeros((a.n_rows, x.shape[1]))
-    if a.nnz:
-        np.add.at(out, a._row_ids, a.values[:, None] * x[a.col_indices])
+    f = x.shape[1]
+    if a.nnz == 0 or f == 0:
+        out = np.zeros((a.n_rows, f))
+    else:
+        # one segment sum: entry k's j-th product lands in flat slot
+        # row_k * f + j, and bincount adds each slot's terms in stored order
+        slots = a._slots.get(f)
+        if slots is None:
+            slots = a._slots[f] = (a._row_ids[:, None] * f + np.arange(f)).ravel()
+        terms = (a.values[:, None] * x[a.col_indices]).ravel()
+        out = np.bincount(slots, weights=terms,
+                          minlength=a.n_rows * f).reshape(a.n_rows, f)
     return out[:, 0] if squeeze else out
 
 

@@ -6,17 +6,31 @@ including the residual weights alpha and beta (dJ/dalpha sums
 recursive path through h_prev handled by the accumulated hidden-state
 gradient). Every gradient is verified against central finite
 differences in the test suite.
+
+BPTT keeps the graph-convolution bases (gconv) of its forward pass and
+makes each sparse product once:
+  * one product over the column-stacked input frames gives the input
+    bases of every step of the window;
+  * the basis of h_t serves both the readout at step t and the recurrent
+    term at step t+1;
+  * the coefficient gradients of W, U and V are read from these stored
+    bases, with no sparse product;
+  * in reverse, the readout upstream at t and the recurrent upstream from
+    t+1 reach h_t through one stacked product, and dJ/dx of the input
+    branch, which no parameter needs, is never formed.
+A Chebyshev step of order K then makes about 2(K-1) sparse products, a
+first-order step about 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
-from .cells import (ACTIVATIONS, ModelParams, conv_apply, conv_backward,
-                    preactivation, readout)
+from .cells import ACTIVATIONS, ModelParams, conv_family, preactivation, readout
 from .data import FrameSequence, split_train_test
 from .errors import ContractViolation, NumericOverflow, ParseError
 from .gconv import ChebFilter, FeatureTransform
@@ -129,6 +143,23 @@ def _window_loss(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
     return total
 
 
+def _over_steps(fn, frames: np.ndarray) -> np.ndarray:
+    """fn applied to every step of (T, N, F) frames as one product.
+
+    The steps are stacked column-wise into one (N, T*F) matrix, so a node
+    operator runs once per window instead of once per step; the result is
+    returned with the step axis back in front of the node axis.
+    """
+    t, n, f = frames.shape
+    out = fn(frames.transpose(1, 0, 2).reshape(n, t * f))
+    return out.reshape(out.shape[:-2] + (n, t, f)).swapaxes(-3, -2)
+
+
+def _merge_steps(arr: np.ndarray) -> np.ndarray:
+    """(..., T, N, F) -> (..., T*N, F), to sum a gradient over all steps."""
+    return arr.reshape(arr.shape[:-3] + (-1, arr.shape[-1]))
+
+
 def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
          loss_kind: str = "prediction", lambda_reg: float = 0.0):
     """Exact gradients of the summed per-step loss over one window.
@@ -143,19 +174,26 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     n, n_feat = window.shape[1], window.shape[2]
     width = _hidden_width(p, n_feat)
     act, act_deriv = ACTIVATIONS[p.activation]
+    fam = conv_family(p, lap)
+    w_f, u_f, v_f = p.input_filter, p.recurrent_filter, p.readout_filter
 
+    # bx[:, t] is the basis of input frame t; bh[t] that of h_t, which
+    # serves both the readout at step t and the recurrent term at t+1
+    bx = np.ascontiguousarray(_over_steps(fam.basis, window[:-1]))
+    bh, pre, h_tildes, states, x_hats = [], [], [], [], []
     h = np.zeros((n, width))
-    pre, h_tildes, h_prevs, h_states, x_hats = [], [], [], [], []
     total = 0.0
     for t in range(t_w):
-        try:
-            a = preactivation(p, lap, h, window[t])
-        except NumericOverflow as exc:
-            raise NumericOverflow(f"step {t + 1}: {exc}") from None
+        a = fam.combine(w_f, bx[:, t])
+        if t:  # h_0 = 0 adds no recurrent term
+            a = a + fam.combine(u_f, bh[-1])
+        a = a + p.bias[:, None]
+        if not np.all(np.isfinite(a)):
+            raise NumericOverflow(f"step {t + 1}: non-finite pre-activation")
         h_tilde = act(a)
-        h_prevs.append(h)
         h = p.alpha * h_tilde + p.beta * h
-        x_hat = readout(p, lap, h)
+        bh.append(fam.basis(h))
+        x_hat = fam.combine(v_f, bh[-1]) + p.readout_bias[:, None]
         if loss_kind == "graph_regularized":
             step_loss = graph_regularized_loss(x_hat, window[t + 1], lap, lambda_reg)
         else:
@@ -165,37 +203,39 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
         total += step_loss
         pre.append(a)
         h_tildes.append(h_tilde)
-        h_states.append(h)
+        states.append(h)
         x_hats.append(x_hat)
 
-    g_w = np.zeros_like(_filter_array(p.input_filter))
-    g_u = np.zeros_like(_filter_array(p.recurrent_filter))
-    g_v = np.zeros_like(_filter_array(p.readout_filter))
-    g_alpha = 0.0
-    g_beta = 0.0
-    g_b = np.zeros(n)
-    g_z = np.zeros(n)
-    g_h = np.zeros((n, width))  # dJ/dh_t flowing back from later steps
-
+    x_hats = np.stack(x_hats)
+    d_xhat = 2.0 * (x_hats - window[1:])
+    if loss_kind == "graph_regularized" and lambda_reg > 0.0:
+        d_xhat += 2.0 * lambda_reg * _over_steps(partial(spmm, lap.laplacian), x_hats)
+    dact = act_deriv(np.stack(pre))
+    g_h = [None] * t_w  # dJ/dh_t
+    g_a = [None] * t_w  # dJ/da_t
     for t in reversed(range(t_w)):
-        d_xhat = 2.0 * (x_hats[t] - window[t + 1])
-        if loss_kind == "graph_regularized" and lambda_reg > 0.0:
-            d_xhat = d_xhat + 2.0 * lambda_reg * spmm(lap.laplacian, x_hats[t])
-        g_z += d_xhat.sum(axis=1)
-        gh_read, gv_t = conv_backward(p, lap, h_states[t], p.readout_filter, d_xhat)
-        g_v += gv_t
-        g_h_total = g_h + gh_read
-        g_alpha += float(np.sum(g_h_total * h_tildes[t]))
-        g_beta += float(np.sum(g_h_total * h_prevs[t]))
-        g_a = p.alpha * g_h_total * act_deriv(pre[t])
-        g_b += g_a.sum(axis=1)
-        _, gw_t = conv_backward(p, lap, window[t], p.input_filter, g_a)
-        g_w += gw_t
-        gh_prev, gu_t = conv_backward(p, lap, h_prevs[t], p.recurrent_filter, g_a)
-        g_u += gu_t
-        g_h = p.beta * g_h_total + gh_prev
+        if t + 1 < t_w:
+            # readout upstream at t and recurrent upstream from t+1, as one
+            # product, plus the residual path through beta
+            g_h[t] = (fam.adjoint([(v_f, d_xhat[t]), (u_f, g_a[t + 1])])
+                      + p.beta * g_h[t + 1])
+        else:
+            g_h[t] = fam.adjoint([(v_f, d_xhat[t])])
+        g_a[t] = p.alpha * g_h[t] * dact[t]
 
-    grads = GradientSet(g_w, g_u, g_v, g_alpha, g_beta, g_b, g_z)
+    # every coefficient gradient is read from the stored bases
+    g_h, g_a, bh = np.stack(g_h), np.stack(g_a), np.stack(bh, axis=1)
+    h_tildes, states = np.stack(h_tildes), np.stack(states)
+    grads = GradientSet(
+        grad_input=fam.coeff_grad(w_f, _merge_steps(bx), _merge_steps(g_a)),
+        grad_recurrent=fam.coeff_grad(u_f, _merge_steps(bh[:, :-1]),
+                                      _merge_steps(g_a[1:])),
+        grad_readout=fam.coeff_grad(v_f, _merge_steps(bh),
+                                    _merge_steps(d_xhat)),
+        grad_alpha=float(np.sum(g_h * h_tildes)),
+        grad_beta=float(np.sum(g_h[1:] * states[:-1])),
+        grad_bias=g_a.sum(axis=(0, 2)),
+        grad_readout_bias=d_xhat.sum(axis=(0, 2)))
     if not np.all(np.isfinite(grads.to_vector())):
         raise NumericOverflow("non-finite gradient in window")
     return total, grads
@@ -392,18 +432,6 @@ def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
     return losses, h
 
 
-def run_hidden(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
-               h0: np.ndarray | None = None) -> np.ndarray:
-    """Consume frames teacher-forced and return the final hidden state."""
-    act = ACTIVATIONS[p.activation][0]
-    n = frames.shape[1]
-    h = np.zeros((n, _hidden_width(p, frames.shape[2]))) if h0 is None else h0
-    for t in range(frames.shape[0]):
-        a = preactivation(p, lap, h, frames[t])
-        h = p.alpha * act(a) + p.beta * h
-    return h
-
-
 @dataclass
 class TrainRun:
     epoch_losses: list          # (train_loss, test_loss) per epoch
@@ -436,8 +464,8 @@ def evaluate(p: ModelParams, lap: LaplacianSet, train_frames: np.ndarray,
     as a one-step teacher-forced prediction (last train frame included
     as the first input, so every test frame is a target).
     """
-    train_losses, _ = teacher_forced_losses(p, lap, train_frames)
-    h_warm = run_hidden(p, lap, train_frames[:-1])
+    # the final hidden state has consumed every train frame but the last
+    train_losses, h_warm = teacher_forced_losses(p, lap, train_frames)
     tail = np.concatenate([train_frames[-1:], test_frames], axis=0)
     test_losses, _ = teacher_forced_losses(p, lap, tail, h0=h_warm)
     return float(np.mean(train_losses)), float(np.mean(test_losses))

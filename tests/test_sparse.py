@@ -51,6 +51,74 @@ class TestSpmm:
         assert np.allclose(got, a @ x, atol=1e-12)
 
 
+def random_csr(rng, n_rows, n_cols, density):
+    """Random CSR matrix; low densities leave rows with no entries."""
+    a = rng.standard_normal((n_rows, n_cols))
+    a[rng.random((n_rows, n_cols)) > density] = 0.0
+    return SparseMatrix.from_dense(a)
+
+
+def add_at_reference(a, x):
+    """The scatter-add formulation of spmm, one stored entry at a time."""
+    out = np.zeros((a.n_rows, x.shape[1]))
+    if a.nnz:
+        np.add.at(out, a._row_ids, a.values[:, None] * x[a.col_indices])
+    return out
+
+
+class TestSpmmMatchesScatterAdd:
+    """The segment-sum kernel adds every output's terms in stored-entry
+    order, as np.add.at does, so the two agree bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_csr(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n_rows, n_cols = (int(v) for v in rng.integers(1, 40, size=2))
+        a = random_csr(rng, n_rows, n_cols, density=float(rng.uniform(0.02, 0.6)))
+        x = rng.standard_normal((n_cols, int(rng.integers(1, 8))))
+        assert np.array_equal(spmm(a, x), add_at_reference(a, x))
+
+    def test_rows_without_entries(self):
+        rng = np.random.default_rng(1)
+        a = SparseMatrix(5, 4, np.array([0, 0, 2, 2, 3, 3]),
+                         np.array([1, 3, 0]), rng.standard_normal(3))
+        x = rng.standard_normal((4, 3))
+        got = spmm(a, x)
+        assert np.array_equal(got, add_at_reference(a, x))
+        assert np.all(got[[0, 2, 4]] == 0.0)
+
+    def test_no_entries(self):
+        a = SparseMatrix(3, 2, np.zeros(4, dtype=np.int64),
+                         np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert a.nnz == 0
+        x = np.ones((2, 5))
+        assert np.array_equal(spmm(a, x), add_at_reference(a, x))
+        assert np.array_equal(spmm(a, x[:, 0]), np.zeros(3))
+
+    def test_no_columns(self):
+        got = spmm(SparseMatrix.from_dense(np.eye(3)), np.zeros((3, 0)))
+        assert got.shape == (3, 0) and got.dtype == np.float64
+
+    def test_vector_and_single_column(self):
+        rng = np.random.default_rng(2)
+        a = random_csr(rng, 17, 11, 0.3)
+        x = rng.standard_normal(11)
+        expected = add_at_reference(a, x[:, None])
+        assert np.array_equal(spmm(a, x), expected[:, 0])
+        assert np.array_equal(spmm(a, x[:, None]), expected)
+
+    def test_stacked_columns(self):
+        # thirty columns, e.g. ten steps of three features side by side,
+        # give each column exactly its own single product
+        rng = np.random.default_rng(3)
+        a = random_csr(rng, 40, 40, 0.15)
+        x = rng.standard_normal((40, 30))
+        got = spmm(a, x)
+        assert np.array_equal(got, add_at_reference(a, x))
+        for j in (0, 13, 29):
+            assert np.array_equal(got[:, j], spmm(a, x[:, j]))
+
+
 class TestPowerIteration:
     def test_diagonal(self):
         a = SparseMatrix.from_dense(np.diag([1.0, 3.0]))
@@ -126,6 +194,20 @@ class TestCsrInvariants:
     def test_malformed_offsets_rejected(self):
         with pytest.raises(ContractViolation):
             SparseMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("offsets,cols,bad_row", [
+        ([0, 2, 4, 4], [0, 2, 1, 1], 1),  # repeated column
+        ([0, 2, 2, 4], [1, 0, 0, 2], 0),  # decreasing column
+        ([0, 2, 2, 4], [0, 1, 2, 0], 2),  # after an empty row
+    ])
+    def test_unsorted_columns_name_the_row(self, offsets, cols, bad_row):
+        with pytest.raises(ContractViolation, match=f"row {bad_row}: columns"):
+            SparseMatrix(3, 3, np.array(offsets), np.array(cols), np.ones(4))
+
+    def test_column_drop_across_rows_is_valid(self):
+        a = SparseMatrix(3, 3, np.array([0, 2, 3, 4]),
+                         np.array([1, 2, 0, 0]), np.ones(4))
+        assert np.array_equal(a.to_dense(), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
 
     def test_column_out_of_range(self):
         with pytest.raises(ContractViolation):

@@ -1,13 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
+import fgrnn.sparse
 from fgrnn.cells import readout
 from fgrnn.data import FrameSequence
 from fgrnn.errors import ContractViolation
 from fgrnn.gconv import ChebFilter, FeatureTransform
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
-from fgrnn.training import (AdamState, TrainConfig, adam_step, bptt,
-                            count_params, finite_difference_check,
+from fgrnn.training import (AdamState, TrainConfig, _window_loss, adam_step,
+                            bptt, count_params, finite_difference_check,
                             graph_regularized_loss, history_csv, init_params,
                             params_to_vector, parse_config, prediction_loss,
                             train, vector_to_params)
@@ -122,6 +125,76 @@ class TestBptt:
                                       loss_kind="graph_regularized",
                                       lambda_reg=0.4)
         assert err < 1e-6
+
+    def test_finite_differences_regularized_first_order(self):
+        lap = knn_lap(6, n=8)
+        p = make_params("first_order", 8)
+        rng = np.random.default_rng(7)
+        window = 0.5 * rng.standard_normal((4, 8, 3))
+        err = finite_difference_check(p, lap, window,
+                                      loss_kind="graph_regularized",
+                                      lambda_reg=0.4)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("family,k,plain", [
+        ("first_order", 3, True),  # plain Laplacian as node operator
+        ("chebyshev", 1, False),   # order 1: no sparse product at all
+    ])
+    def test_finite_differences_other_branches(self, family, k, plain):
+        lap = knn_lap(12, n=10)
+        cfg = TrainConfig(family=family, k=k, p=3, seed=13,
+                          use_plain_laplacian=plain)
+        p = init_params(cfg, 10, 3)
+        rng = np.random.default_rng(13)
+        window = 0.5 * rng.standard_normal((5, 10, 3))
+        assert finite_difference_check(p, lap, window) < 1e-6
+
+    @pytest.mark.parametrize("family,lambda_reg", [
+        ("chebyshev", 0.0), ("first_order", 0.0), ("chebyshev", 0.3)])
+    def test_loss_matches_forward_only_loss(self, family, lambda_reg):
+        lap = knn_lap(14, n=12)
+        p = make_params(family, 12, seed=14)
+        rng = np.random.default_rng(14)
+        window = rng.standard_normal((8, 12, 3))
+        kind = "graph_regularized" if lambda_reg else "prediction"
+        loss, _ = bptt(p, lap, window, kind, lambda_reg)
+        assert loss == pytest.approx(
+            _window_loss(p, lap, window, kind, lambda_reg), rel=1e-12)
+
+    @pytest.mark.parametrize("family,k,per_transition", [
+        ("chebyshev", 3, 6), ("first_order", 3, 3), ("chebyshev", 1, 0)])
+    def test_sparse_products_per_transition(self, monkeypatch, family, k,
+                                            per_transition):
+        lap = knn_lap(15, n=12)
+        p = make_params(family, 12, k=k, seed=15)
+        window = np.random.default_rng(15).standard_normal((11, 12, 3))
+        real, calls = fgrnn.sparse.spmm, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if ((name == "fgrnn" or name.startswith("fgrnn."))
+                    and getattr(mod, "spmm", None) is real):
+                monkeypatch.setattr(mod, "spmm", counted)
+        bptt(p, lap, window)
+        t_w = len(window) - 1
+        assert len(calls) <= per_transition * t_w
+        # bases kept from the forward pass: one per window for the stacked
+        # inputs, and per step one for h_t and one for the stacked reverse
+        # upstreams
+        per_basis = k - 1 if family == "chebyshev" else 1
+        assert len(calls) == per_basis * (1 + 2 * t_w)
+
+    def test_finite_differences_mixed_chebyshev_orders(self):
+        # W, U and V of different orders share one basis of the largest
+        lap = knn_lap(16, n=8)
+        p = make_params("chebyshev", 8, k=3)
+        p.recurrent_filter = ChebFilter([0.1, 0.2])
+        p.readout_filter = ChebFilter([0.3, -0.2, 0.1, 0.05])
+        window = 0.5 * np.random.default_rng(16).standard_normal((4, 8, 3))
+        assert finite_difference_check(p, lap, window) < 1e-6
 
     def test_relu_active_is_nearly_exact(self):
         # all-positive pre-activations make the loss piecewise quadratic

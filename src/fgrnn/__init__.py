@@ -1,6 +1,6 @@
 """Graph-sequence prediction with a weighted-residual graph RNN."""
 
-from .cells import ModelParams, fgrnn_step, frnn_step, readout
+from .cells import ModelParams, fgrnn_step, readout, unroll
 from .data import FrameSequence, SyntheticConfig, generate_synthetic
 from .gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from .graph import Graph, LaplacianSet, build_knn_graph, build_laplacians
@@ -8,7 +8,7 @@ from .sparse import SparseMatrix, dense_eig_sym, power_iteration, spmm
 from .training import TrainConfig, bptt, count_params, train
 
 __all__ = [
-    "ModelParams", "fgrnn_step", "frnn_step", "readout",
+    "ModelParams", "fgrnn_step", "readout", "unroll",
     "FrameSequence", "SyntheticConfig", "generate_synthetic",
     "ChebFilter", "FeatureTransform", "cheb_conv", "first_order_conv",
     "Graph", "LaplacianSet", "build_knn_graph", "build_laplacians",

@@ -1,4 +1,4 @@
-"""Recurrent cells: graph RNN with weighted residual, dense baseline, readout.
+"""Recurrent cells: graph RNN with weighted residual, readout.
 
 The cell update is
 
@@ -8,12 +8,17 @@ The cell update is
 with alpha = 1, beta = 0 reducing to the standard graph RNN. The readout
 is x_hat = conv(h; V) + z 1^T in the same filter family. Biases b and z
 are per-node and broadcast across feature columns.
+
+unroll is the forward pass: training, evaluation, prediction and the
+stability diagnostics all run the recurrence through it. fgrnn_step is
+the one-step reference on cheb_conv / first_order_conv.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Union
+from itertools import chain, repeat
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -22,7 +27,7 @@ from .gconv import (ChebFamily, ChebFilter, FeatureTransform, FirstOrderFamily,
                     cheb_conv, first_order_conv)
 from .graph import LaplacianSet
 
-FAMILIES = ("chebyshev", "first_order", "dense")
+FAMILIES = ("chebyshev", "first_order")
 
 ACTIVATIONS = {
     "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
@@ -31,7 +36,12 @@ ACTIVATIONS = {
                 lambda a: (s := 1.0 / (1.0 + np.exp(-a))) * (1.0 - s)),
 }
 
-Filter = Union[ChebFilter, FeatureTransform, np.ndarray]
+Filter = Union[ChebFilter, FeatureTransform]
+
+
+def filter_array(filt: Filter) -> np.ndarray:
+    """The trainable array of a filter: Chebyshev coefficients or weights."""
+    return filt.coeffs if isinstance(filt, ChebFilter) else filt.weights
 
 
 @dataclass
@@ -44,7 +54,7 @@ class ModelParams:
     readout_filter: Filter     # V
     alpha: float
     beta: float
-    bias: np.ndarray           # b, length N (length P for the dense baseline)
+    bias: np.ndarray           # b, length N
     readout_bias: np.ndarray   # z, length N
     activation: str = "tanh"
     use_plain_laplacian: bool = field(default=False)
@@ -59,11 +69,7 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         def cp(f):
-            if isinstance(f, ChebFilter):
-                return ChebFilter(f.coeffs.copy())
-            if isinstance(f, FeatureTransform):
-                return FeatureTransform(f.weights.copy())
-            return np.array(f, dtype=np.float64)
+            return type(f)(filter_array(f).copy())
         return replace(self, input_filter=cp(self.input_filter),
                        recurrent_filter=cp(self.recurrent_filter),
                        readout_filter=cp(self.readout_filter),
@@ -74,9 +80,7 @@ def conv_apply(p: ModelParams, lap: LaplacianSet, x: np.ndarray,
                filt: Filter) -> np.ndarray:
     if p.conv_family == "chebyshev":
         return cheb_conv(lap, x, filt)
-    if p.conv_family == "first_order":
-        return first_order_conv(lap, x, filt, p.use_plain_laplacian)
-    raise ContractViolation("conv_apply: dense family has no graph convolution")
+    return first_order_conv(lap, x, filt, p.use_plain_laplacian)
 
 
 def conv_family(p: ModelParams, lap: LaplacianSet):
@@ -85,9 +89,7 @@ def conv_family(p: ModelParams, lap: LaplacianSet):
         # one basis length serves W, U and V, even if their orders differ
         return ChebFamily(lap, max(f.order for f in (
             p.input_filter, p.recurrent_filter, p.readout_filter)))
-    if p.conv_family == "first_order":
-        return FirstOrderFamily(lap, p.use_plain_laplacian)
-    raise ContractViolation("conv_family: dense family has no graph convolution")
+    return FirstOrderFamily(lap, p.use_plain_laplacian)
 
 
 def preactivation(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
@@ -110,20 +112,57 @@ def fgrnn_step(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
     return h_tilde, h
 
 
-def frnn_step(p: ModelParams, h_prev: np.ndarray, x: np.ndarray):
-    """Dense-domain baseline step on vectorized signals (W: PxN, U: PxP)."""
-    if p.conv_family != "dense":
-        raise ContractViolation("frnn_step requires the dense family")
-    a = p.input_filter @ x + p.recurrent_filter @ h_prev + p.bias
-    if not np.all(np.isfinite(a)):
-        raise NumericOverflow("non-finite pre-activation")
-    act = ACTIVATIONS[p.activation][0]
-    h_tilde = act(a)
-    return h_tilde, p.alpha * h_tilde + p.beta * h_prev
-
-
 def readout(p: ModelParams, lap: LaplacianSet, h: np.ndarray) -> np.ndarray:
     return conv_apply(p, lap, h, p.readout_filter) + p.readout_bias[:, None]
+
+
+def _hidden_width(p: ModelParams, n_features: int) -> int:
+    if p.conv_family == "chebyshev":
+        return n_features
+    return p.input_filter.weights.shape[1]
+
+
+class Step(NamedTuple):
+    """One step of unroll."""
+
+    a: np.ndarray        # pre-activation
+    h_tilde: np.ndarray  # act(a)
+    h: np.ndarray        # alpha * h_tilde + beta * h_prev
+    basis: np.ndarray    # basis of h: readout at this step, recurrence at the next
+    x_hat: np.ndarray    # prediction of the next frame
+
+
+def unroll(p: ModelParams, fam, input_bases, h0: np.ndarray | None = None,
+           feedback: int = 0):
+    """The forward recurrence, one Step per input.
+
+    fam is conv_family(p, lap) and input_bases yields fam.basis of each
+    input frame. After them come `feedback` more steps, each fed the
+    previous prediction. The state starts at h0, or at zero when h0 is
+    None; a zero state adds no recurrent term and no sparse product. Each
+    step takes one basis of h_t, which serves both the readout at t and
+    the recurrent term at t+1.
+    """
+    act = ACTIVATIONS[p.activation][0]
+    h, bh, x_hat = h0, (None if h0 is None else fam.basis(h0)), None
+    for t, bx in enumerate(chain(input_bases, repeat(None, feedback))):
+        if bx is None:
+            if x_hat is None:
+                raise ContractViolation("unroll: feedback needs an input step")
+            bx = fam.basis(x_hat)
+        if h is None:
+            h = np.zeros((bx.shape[1], _hidden_width(p, bx.shape[2])))
+        a = fam.combine(p.input_filter, bx)
+        if bh is not None:
+            a = a + fam.combine(p.recurrent_filter, bh)
+        a = a + p.bias[:, None]
+        if not np.all(np.isfinite(a)):
+            raise NumericOverflow(f"step {t + 1}: non-finite pre-activation")
+        h_tilde = act(a)
+        h = p.alpha * h_tilde + p.beta * h
+        bh = fam.basis(h)
+        x_hat = fam.combine(p.readout_filter, bh) + p.readout_bias[:, None]
+        yield Step(a, h_tilde, h, bh, x_hat)
 
 
 # --- checkpoint IO ---------------------------------------------------------
@@ -133,14 +172,6 @@ def _write_array(fh, name, arr):
     fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
     for row in arr:
         fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _filter_payload(filt):
-    if isinstance(filt, ChebFilter):
-        return filt.coeffs
-    if isinstance(filt, FeatureTransform):
-        return filt.weights
-    return filt
 
 
 def save_checkpoint(p: ModelParams, path, graph_checksum: str,
@@ -156,7 +187,7 @@ def save_checkpoint(p: ModelParams, path, graph_checksum: str,
         fh.write(f"beta {p.beta:.17g}\n")
         for name, filt in (("W", p.input_filter), ("U", p.recurrent_filter),
                            ("V", p.readout_filter)):
-            _write_array(fh, name, _filter_payload(filt))
+            _write_array(fh, name, filter_array(filt))
         _write_array(fh, "b", p.bias)
         _write_array(fh, "z", p.readout_bias)
         if train_state is not None:
@@ -190,12 +221,8 @@ def load_checkpoint(path):
             scalars[parts[0]] = parts[1]
             k += 1
     family = scalars["family"]
-    if family == "chebyshev":
-        wrap = lambda a: ChebFilter(a.ravel())
-    elif family == "first_order":
-        wrap = lambda a: FeatureTransform(a)
-    else:
-        wrap = lambda a: a
+    wrap = ((lambda a: ChebFilter(a.ravel())) if family == "chebyshev"
+            else FeatureTransform)
     p = ModelParams(
         conv_family=family,
         input_filter=wrap(arrays["W"]),

@@ -9,18 +9,19 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from itertools import islice
 
 import numpy as np
 
 from . import data as datamod
 from . import training
-from .cells import (ACTIVATIONS, load_checkpoint, preactivation, readout,
-                    save_checkpoint)
+from .cells import (ACTIVATIONS, conv_family, load_checkpoint, save_checkpoint,
+                    unroll)
 from .errors import ConfigError, ContractViolation, NumericOverflow, ParseError
 from .graph import build_laplacians, load_graph, save_graph
 from .stability import scalar_cell_params, stability_sweep, sweep_csv
 from .training import (TrainConfig, count_params, history_csv, parse_config,
-                       prediction_loss, train)
+                       parse_key_values, train)
 
 
 def _parse_overrides(pairs):
@@ -47,16 +48,7 @@ _SYNTH_KEYS = {f.name for f in fields(datamod.SyntheticConfig)}
 
 
 def _synth_config(path, overrides) -> datamod.SyntheticConfig:
-    values = {}
-    if path:
-        for lineno, line in enumerate(open(path).read().splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    values = parse_key_values(open(path).read() if path else "")
     values.update(overrides)
     cfg = datamod.SyntheticConfig()
     for key, val in values.items():
@@ -157,31 +149,22 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
+    if args.horizon < 1:
+        raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
     seq, graph = _load_inputs(args.frames, args.graph)
     p = _load_model(args.checkpoint, graph)
-    lap = build_laplacians(graph)
-    act = ACTIVATIONS[p.activation][0]
-    n = seq.n_nodes
-    h = np.zeros((n, training._hidden_width(p, seq.n_features)))
-    preds = []
-    if args.horizon == 1:
-        # teacher forced: one prediction per input frame except the last
-        for t in range(seq.n_frames - 1):
-            h = p.alpha * act(preactivation(p, lap, h, seq.frames[t])) + p.beta * h
-            preds.append(readout(p, lap, h))
-    elif args.horizon > 1:
-        # consume every input frame, then free-run
-        x = None
-        for t in range(seq.n_frames):
-            h = p.alpha * act(preactivation(p, lap, h, seq.frames[t])) + p.beta * h
-        x = readout(p, lap, h)
-        preds.append(x)
-        for _ in range(args.horizon - 1):
-            h = p.alpha * act(preactivation(p, lap, h, x)) + p.beta * h
-            x = readout(p, lap, h)
-            preds.append(x)
+    fam = conv_family(p, build_laplacians(graph))
+    # horizon 1 is teacher forced: one prediction per input frame but the
+    # last. A longer horizon consumes every frame, then feeds its
+    # predictions back; it keeps the prediction after the last frame and
+    # the fed-back ones.
+    inputs = seq.frames[:-1] if args.horizon == 1 else seq.frames
+    steps = unroll(p, fam, map(fam.basis, inputs), feedback=args.horizon - 1)
+    if args.horizon > 1:
+        steps = islice(steps, max(len(inputs) - 1, 0), None)
+    preds = [step.x_hat for step in steps]
     frames = (np.stack(preds) if preds
-              else np.zeros((0, n, seq.n_features)))
+              else np.zeros((0, seq.n_nodes, seq.n_features)))
     out_seq = datamod.FrameSequence(frames)
     datamod.save_frames(out_seq, args.out)
     print(f"wrote {len(preds)} predicted frames to {args.out}")
@@ -238,6 +221,8 @@ def cmd_sweep_t(args):
     t_list = _parse_grid(args.T, int)
     if len(set(t_list)) != len(t_list):
         raise ConfigError("duplicate T values in sweep list")
+    if min(t_list) < 1:
+        raise ConfigError(f"--T values must be >= 1, got {min(t_list)}")
     overrides = _parse_overrides(args.overrides)
     seq, graph = _load_inputs(args.frames, args.graph)
     lines = ["T,seed,final_alpha,final_beta,test_loss"]

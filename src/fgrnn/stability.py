@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import ACTIVATIONS, ModelParams, preactivation
+from .cells import (ACTIVATIONS, ModelParams, conv_family, filter_array,
+                    preactivation, unroll)
 from .errors import ContractViolation
 from .gconv import FeatureTransform
 from .graph import Graph, LaplacianSet, build_laplacians
-from .training import _filter_array
 
 
 @dataclass
@@ -42,7 +42,7 @@ class StabilityReport:
 def _check_scalar_cell(p: ModelParams, lap: LaplacianSet):
     if p.conv_family != "first_order":
         raise ContractViolation("stability diagnostics need the first_order family")
-    u = _filter_array(p.recurrent_filter)
+    u = filter_array(p.recurrent_filter)
     if u.shape != (1, 1):
         raise ContractViolation("stability diagnostics need hidden width 1")
     if lap.n_nodes > 2048:
@@ -67,17 +67,12 @@ def step_jacobian(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
 
 def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
                                frames: np.ndarray, horizon: int):
-    """Runs the cell over `horizon` frames; returns per-step derivative
-    diagonals d_t (t = 1..horizon) and hidden states."""
-    act, act_deriv = ACTIVATIONS[p.activation]
-    n = frames.shape[1]
-    h = np.zeros((n, 1))
-    d_list = []
-    for t in range(horizon):
-        a = preactivation(p, lap, h, frames[t])
-        d_list.append(act_deriv(a)[:, 0])
-        h = p.alpha * act(a) + p.beta * h
-    return d_list
+    """Runs the cell over `horizon` frames from the zero state; returns the
+    per-step derivative diagonals d_t (t = 1..horizon)."""
+    act_deriv = ACTIVATIONS[p.activation][1]
+    fam = conv_family(p, lap)
+    steps = unroll(p, fam, map(fam.basis, frames[:horizon]))
+    return [act_deriv(step.a)[:, 0] for step in steps]
 
 
 def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
@@ -107,25 +102,18 @@ def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
         raise ContractViolation("jacobian_product: need T >= 2")
     if frames.shape[0] < horizon:
         raise ContractViolation("jacobian_product: window shorter than T")
-    act, act_deriv = ACTIVATIONS[p.activation]
-    n = frames.shape[1]
     op = _node_operator_dense(p, lap)
-    eye = np.eye(n)
+    eye = np.eye(frames.shape[1])
 
-    h = np.zeros((n, 1))
+    d_list = _forward_activation_derivs(p, lap, frames, horizon)
     step_norms = []
-    d_list = []
     product = eye.copy()
-    for t in range(horizon):
-        a = preactivation(p, lap, h, frames[t])
-        d = act_deriv(a)[:, 0]
-        d_list.append(d)
+    for t, d in enumerate(d_list):
         jac = p.alpha * u * (d[:, None] * op) + p.beta * eye
         if t >= 1:
             step_norms.append(float(np.linalg.norm(jac, 2)))
         if t >= 2:  # T-2 factors: steps 3..T in 1-based time
             product = jac @ product
-        h = p.alpha * act(a) + p.beta * h
 
     svals = np.linalg.svd(product, compute_uv=False)
     sigma_max, sigma_min = float(svals[0]), float(svals[-1])
@@ -158,7 +146,7 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
         raise ContractViolation("stability_sweep: grids must be non-empty")
     lap = build_laplacians(g)
     rng = np.random.default_rng(seed)
-    n_feat = _filter_array(base_params.input_filter).shape[0]
+    n_feat = filter_array(base_params.input_filter).shape[0]
     frames = rng.standard_normal((max(t_grid), g.n_nodes, n_feat))
     rows = []
     for alpha in sorted(alpha_grid):

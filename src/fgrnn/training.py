@@ -30,7 +30,8 @@ from functools import partial
 
 import numpy as np
 
-from .cells import ACTIVATIONS, ModelParams, conv_family, preactivation, readout
+from .cells import (ACTIVATIONS, FAMILIES, ModelParams, conv_family,
+                    filter_array, unroll)
 from .data import FrameSequence, split_train_test
 from .errors import ContractViolation, NumericOverflow, ParseError
 from .gconv import ChebFilter, FeatureTransform
@@ -63,20 +64,18 @@ def graph_regularized_loss(x_hat: np.ndarray, x: np.ndarray,
     return base + lambda_reg * float(np.sum(x_hat * spmm(lap.laplacian, x_hat)))
 
 
+def _step_loss(x_hat, x, lap, loss_kind, lambda_reg) -> float:
+    if loss_kind == "graph_regularized":
+        return graph_regularized_loss(x_hat, x, lap, lambda_reg)
+    return prediction_loss(x_hat, x)
+
+
 # --- parameter vectorization -------------------------------------------------
 
-def _filter_array(filt):
-    if isinstance(filt, ChebFilter):
-        return filt.coeffs
-    if isinstance(filt, FeatureTransform):
-        return filt.weights
-    return filt
-
-
 def params_to_vector(p: ModelParams) -> np.ndarray:
-    parts = [_filter_array(p.input_filter).ravel(),
-             _filter_array(p.recurrent_filter).ravel(),
-             _filter_array(p.readout_filter).ravel(),
+    parts = [filter_array(p.input_filter).ravel(),
+             filter_array(p.recurrent_filter).ravel(),
+             filter_array(p.readout_filter).ravel(),
              [p.alpha, p.beta], p.bias.ravel(), p.readout_bias.ravel()]
     return np.concatenate([np.asarray(a, dtype=np.float64) for a in parts])
 
@@ -85,7 +84,7 @@ def vector_to_params(p: ModelParams, vec: np.ndarray):
     """Writes vec back into p in the order used by params_to_vector."""
     off = 0
     for filt in (p.input_filter, p.recurrent_filter, p.readout_filter):
-        arr = _filter_array(filt)
+        arr = filter_array(filt)
         arr.flat[:] = vec[off:off + arr.size]
         off += arr.size
     p.alpha = float(vec[off])
@@ -118,28 +117,13 @@ class GradientSet:
 
 # --- BPTT --------------------------------------------------------------------
 
-def _hidden_width(p: ModelParams, n_features: int) -> int:
-    if p.conv_family == "chebyshev":
-        return n_features
-    return _filter_array(p.input_filter).shape[1]
-
-
 def _window_loss(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
                  loss_kind: str, lambda_reg: float) -> float:
     """Forward-only total loss over a window; used by the FD checker."""
-    n = frames.shape[1]
-    h = np.zeros((n, _hidden_width(p, frames.shape[2])))
-    act = ACTIVATIONS[p.activation][0]
+    fam = conv_family(p, lap)
     total = 0.0
-    for t in range(frames.shape[0] - 1):
-        a = preactivation(p, lap, h, frames[t])
-        h_tilde = act(a)
-        h = p.alpha * h_tilde + p.beta * h
-        x_hat = readout(p, lap, h)
-        if loss_kind == "graph_regularized":
-            total += graph_regularized_loss(x_hat, frames[t + 1], lap, lambda_reg)
-        else:
-            total += prediction_loss(x_hat, frames[t + 1])
+    for t, step in enumerate(unroll(p, fam, map(fam.basis, frames[:-1]))):
+        total += _step_loss(step.x_hat, frames[t + 1], lap, loss_kind, lambda_reg)
     return total
 
 
@@ -171,40 +155,26 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     t_w = window.shape[0] - 1
     if t_w < 1:
         raise ContractViolation("bptt: window needs at least 2 frames")
-    n, n_feat = window.shape[1], window.shape[2]
-    width = _hidden_width(p, n_feat)
-    act, act_deriv = ACTIVATIONS[p.activation]
+    act_deriv = ACTIVATIONS[p.activation][1]
     fam = conv_family(p, lap)
     w_f, u_f, v_f = p.input_filter, p.recurrent_filter, p.readout_filter
 
-    # bx[:, t] is the basis of input frame t; bh[t] that of h_t, which
-    # serves both the readout at step t and the recurrent term at t+1
+    # bx[:, t] is the basis of input frame t, all made in one product;
+    # bh[t] is that of h_t
     bx = np.ascontiguousarray(_over_steps(fam.basis, window[:-1]))
     bh, pre, h_tildes, states, x_hats = [], [], [], [], []
-    h = np.zeros((n, width))
     total = 0.0
-    for t in range(t_w):
-        a = fam.combine(w_f, bx[:, t])
-        if t:  # h_0 = 0 adds no recurrent term
-            a = a + fam.combine(u_f, bh[-1])
-        a = a + p.bias[:, None]
-        if not np.all(np.isfinite(a)):
-            raise NumericOverflow(f"step {t + 1}: non-finite pre-activation")
-        h_tilde = act(a)
-        h = p.alpha * h_tilde + p.beta * h
-        bh.append(fam.basis(h))
-        x_hat = fam.combine(v_f, bh[-1]) + p.readout_bias[:, None]
-        if loss_kind == "graph_regularized":
-            step_loss = graph_regularized_loss(x_hat, window[t + 1], lap, lambda_reg)
-        else:
-            step_loss = prediction_loss(x_hat, window[t + 1])
+    for t, step in enumerate(unroll(p, fam, bx.swapaxes(0, 1))):
+        step_loss = _step_loss(step.x_hat, window[t + 1], lap, loss_kind,
+                               lambda_reg)
         if not math.isfinite(step_loss):
             raise NumericOverflow(f"step {t + 1}: non-finite loss")
         total += step_loss
-        pre.append(a)
-        h_tildes.append(h_tilde)
-        states.append(h)
-        x_hats.append(x_hat)
+        pre.append(step.a)
+        h_tildes.append(step.h_tilde)
+        states.append(step.h)
+        bh.append(step.basis)
+        x_hats.append(step.x_hat)
 
     x_hats = np.stack(x_hats)
     d_xhat = 2.0 * (x_hats - window[1:])
@@ -274,7 +244,6 @@ def finite_difference_check(p: ModelParams, lap: LaplacianSet,
 class AdamState:
     n_params: int
     learning_rate: float = 1e-2
-    lr_decay_per_epoch: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -363,9 +332,22 @@ class TrainConfig:
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
+# (key, test, requirement) for the values a config file may set
+_CONFIG_RANGES = (
+    ("family", lambda v: v in FAMILIES, f"one of {', '.join(FAMILIES)}"),
+    ("k", lambda v: v >= 1, ">= 1"),
+    ("p", lambda v: v >= 1, ">= 1"),
+    ("t_w", lambda v: v >= 1, ">= 1"),
+    ("stride", lambda v: v >= 0, ">= 0 (0 means t_w)"),
+    ("epochs", lambda v: v >= 0, ">= 0"),
+    ("lr", lambda v: v > 0, "> 0"),
+    ("lr_decay", lambda v: v > 0, "> 0"),
+    ("lambda_reg", lambda v: v >= 0, ">= 0"),
+)
 
-def parse_config(text: str, overrides: dict | None = None) -> TrainConfig:
-    """key = value lines; '#' comments; overrides win over file values."""
+
+def parse_key_values(text: str) -> dict:
+    """{key: value} from 'key = value' lines; '#' starts a comment."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -375,6 +357,12 @@ def parse_config(text: str, overrides: dict | None = None) -> TrainConfig:
             raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
+    return values
+
+
+def parse_config(text: str, overrides: dict | None = None) -> TrainConfig:
+    """A validated TrainConfig; overrides win over file values."""
+    values = parse_key_values(text)
     if overrides:
         values.update(overrides)
     cfg = TrainConfig()
@@ -390,6 +378,10 @@ def parse_config(text: str, overrides: dict | None = None) -> TrainConfig:
             setattr(cfg, key, float(val))
         else:
             setattr(cfg, key, val)
+    for key, ok, requirement in _CONFIG_RANGES:
+        if not ok(getattr(cfg, key)):
+            raise ParseError(f"config key {key!r} must be {requirement}, "
+                             f"got {getattr(cfg, key)!r}")
     return cfg
 
 
@@ -404,10 +396,6 @@ def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
         w = FeatureTransform(rng.uniform(-s, s, size=(n_features, cfg.p)))
         u = FeatureTransform(rng.uniform(-s, s, size=(cfg.p, cfg.p)))
         v = FeatureTransform(rng.uniform(-s, s, size=(cfg.p, n_features)))
-    elif cfg.family == "dense":
-        w = rng.uniform(-s, s, size=(n_nodes, n_nodes))
-        u = rng.uniform(-s, s, size=(n_nodes, n_nodes))
-        v = rng.uniform(-s, s, size=(n_nodes, n_nodes))
     else:
         raise ContractViolation(f"init_params: unknown family {cfg.family!r}")
     return ModelParams(
@@ -420,15 +408,16 @@ def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
 def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
                           frames: np.ndarray,
                           h0: np.ndarray | None = None):
-    """Per-transition prediction losses; returns (losses, final hidden)."""
-    act = ACTIVATIONS[p.activation][0]
-    n = frames.shape[1]
-    h = np.zeros((n, _hidden_width(p, frames.shape[2]))) if h0 is None else h0
-    losses = []
-    for t in range(frames.shape[0] - 1):
-        a = preactivation(p, lap, h, frames[t])
-        h = p.alpha * act(a) + p.beta * h
-        losses.append(prediction_loss(readout(p, lap, h), frames[t + 1]))
+    """Per-transition prediction losses from state h0 (None: zero).
+
+    Returns (losses, final hidden state), the state being h0 when frames
+    hold no transition.
+    """
+    fam = conv_family(p, lap)
+    losses, h = [], h0
+    for t, step in enumerate(unroll(p, fam, map(fam.basis, frames[:-1]), h0)):
+        losses.append(prediction_loss(step.x_hat, frames[t + 1]))
+        h = step.h
     return losses, h
 
 
@@ -481,8 +470,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     p = initial if initial is not None else init_params(
         cfg, dataset.n_nodes, dataset.n_features)
     n_params = len(params_to_vector(p))
-    adam = AdamState(n_params, learning_rate=cfg.lr,
-                     lr_decay_per_epoch=cfg.lr_decay)
+    adam = AdamState(n_params, learning_rate=cfg.lr)
     epoch_start = 0
     if resume_state is not None:
         adam.step = resume_state["adam_step"]

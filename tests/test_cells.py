@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fgrnn.cells import (ModelParams, fgrnn_step, frnn_step, load_checkpoint,
-                         readout, save_checkpoint)
+from fgrnn.cells import (conv_family, fgrnn_step, load_checkpoint,
+                         preactivation, readout, save_checkpoint, unroll)
 from fgrnn.errors import ContractViolation
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
@@ -90,39 +90,56 @@ class TestFgrnnStep:
         assert np.allclose(h_p, h[perm], atol=1e-9)
 
 
-class TestFrnnStep:
-    def test_standard_rnn_reduction(self):
-        rng = np.random.default_rng(5)
-        n = 4
-        p = make_params("dense", n, alpha=1.0, beta=0.0)
-        x = rng.standard_normal(n)
-        h_prev = rng.standard_normal(n)
-        h_tilde, h = frnn_step(p, h_prev, x)
-        expected = np.tanh(p.input_filter @ x + p.recurrent_filter @ h_prev + p.bias)
-        assert np.array_equal(h, h_tilde)
-        assert np.allclose(h, expected)
+class TestUnroll:
+    @staticmethod
+    def reference(p, lap, frames, h, feedback):
+        """(a, h_tilde, h, x_hat) per step from a chain of fgrnn_step and
+        readout: every frame, then each prediction fed back."""
+        out, x = [], None
+        for t in range(len(frames) + feedback):
+            x = frames[t] if t < len(frames) else x
+            a = preactivation(p, lap, h, x)
+            h_tilde, h = fgrnn_step(p, lap, h, x)
+            x = readout(p, lap, h)
+            out.append((a, h_tilde, h, x))
+        return out
 
-    def test_zero_weights(self):
-        n = 4
-        p = make_params("dense", n, beta=0.5)
-        p.input_filter[:] = 0.0
-        p.recurrent_filter[:] = 0.0
-        p.bias[:] = 0.0
-        h_prev = np.ones(n)
-        _, h = frnn_step(p, h_prev, np.ones(n))
-        assert np.allclose(h, 0.5 * h_prev)
+    @pytest.mark.parametrize("feedback", [0, 3])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("case", ["chebyshev", "mixed_orders",
+                                      "first_order", "plain_laplacian"])
+    def test_matches_fgrnn_step_chain(self, case, warm, feedback):
+        lap = knn_lap(20, n=12)
+        family = ("first_order" if case in ("first_order", "plain_laplacian")
+                  else "chebyshev")
+        p = make_params(family, 12, seed=20,
+                        use_plain_laplacian=case == "plain_laplacian")
+        if case == "mixed_orders":
+            p.recurrent_filter = ChebFilter([0.4, 0.2])
+            p.readout_filter = ChebFilter([0.3, -0.2, 0.1, 0.05])
+        rng = np.random.default_rng(21)
+        p.bias[:] = 0.1 * rng.standard_normal(12)
+        p.readout_bias[:] = 0.1 * rng.standard_normal(12)
+        frames = rng.standard_normal((5, 12, 3))
+        h0 = rng.standard_normal((12, 3)) if warm else None
+        fam = conv_family(p, lap)
+        got = list(unroll(p, fam, map(fam.basis, frames), h0, feedback))
+        want = self.reference(p, lap, frames,
+                              h0 if warm else np.zeros((12, 3)), feedback)
+        assert len(got) == len(want) == 5 + feedback
+        for step, (a, h_tilde, h, x_hat) in zip(got, want):
+            assert np.array_equal(step.a, a)
+            assert np.array_equal(step.h_tilde, h_tilde)
+            assert np.array_equal(step.h, h)
+            assert np.array_equal(step.basis, fam.basis(h))
+            assert np.array_equal(step.x_hat, x_hat)
 
-    def test_scalar_fixed_point(self):
-        p = ModelParams("dense", np.array([[1.0]]), np.array([[1.0]]),
-                        np.array([[1.0]]), alpha=0.7, beta=0.3,
-                        bias=np.zeros(1), readout_bias=np.zeros(1))
-        _, h = frnn_step(p, np.zeros(1), np.zeros(1))
-        assert np.all(h == 0.0)
-
-    def test_family_guard(self):
-        p = make_params("chebyshev", 4)
+    def test_feedback_needs_an_input_step(self):
+        lap = knn_lap(22)
+        p = make_params("first_order", 10)
+        fam = conv_family(p, lap)
         with pytest.raises(ContractViolation):
-            frnn_step(p, np.zeros(4), np.zeros(4))
+            list(unroll(p, fam, [], feedback=2))
 
 
 class TestReadout:

@@ -34,6 +34,14 @@ def _train(frames, graph, out_dir, name, *extra):
     return rc, ckpt, hist
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(small_dataset, tmp_path_factory):
+    rc, ckpt, _ = _train(*small_dataset, tmp_path_factory.mktemp("model"), "m",
+                         "epochs=1")
+    assert rc == 0
+    return ckpt
+
+
 def test_gen_data_deterministic(tmp_path):
     paths = []
     for tag in ("a", "b"):
@@ -52,6 +60,15 @@ def test_gen_data_rejects_unknown_key(tmp_path):
     rc = cli.main(["gen-data", "--out-frames", str(tmp_path / "f"),
                    "--out-graph", str(tmp_path / "g"), "bogus=1"])
     assert rc == 2
+
+
+def test_gen_data_rejects_bad_line(tmp_path, capsys):
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text("# synthetic data\nn_nodes 12\n")
+    rc = cli.main(["gen-data", "--config", str(cfg), "--out-frames",
+                   str(tmp_path / "f"), "--out-graph", str(tmp_path / "g")])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_params_command(capsys):
@@ -192,6 +209,41 @@ def test_train_bad_override_syntax(small_dataset, tmp_path):
                    "--out-checkpoint", str(tmp_path / "c"),
                    "--out-history", str(tmp_path / "h"), "epochs"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command,extra,fragment", [
+    ("train", ["family=dense"], "'family'"),
+    ("train", ["family=lstm_gcn"], "'family'"),
+    ("train", ["family=chebyshev", "k=0"], "'k'"),
+    ("train", ["p=0"], "'p'"),
+    ("train", ["t_w=0"], "'t_w'"),
+    ("train", ["stride=-3", "t_w=4"], "'stride'"),
+    ("train", ["epochs=-1"], "'epochs'"),
+    ("train", ["lr=0"], "'lr'"),
+    ("train", ["lr=-1"], "'lr'"),
+    ("train", ["lr=nan"], "'lr'"),
+    ("train", ["lambda_reg=-0.5"], "'lambda_reg'"),
+    ("train", ["lr_decay=-1"], "'lr_decay'"),
+    ("sweep-T", ["--T", "3,5", "stride=-1"], "'stride'"),
+    ("sweep-T", ["--T", "0,3"], "--T"),
+    ("sweep-T", ["--T", "-2"], "--T"),
+    ("predict", ["--horizon", "0"], "--horizon"),
+    ("predict", ["--horizon", "-2"], "--horizon"),
+])
+def test_bad_input_exit_code(small_dataset, small_checkpoint, tmp_path, capsys,
+                             command, extra, fragment):
+    frames, graph = small_dataset
+    inputs = ["--frames", frames, "--graph", graph]
+    argv = {
+        "train": ["train", *inputs, "--out-checkpoint", str(tmp_path / "c"),
+                  "--out-history", str(tmp_path / "h")],
+        "sweep-T": ["sweep-T", *inputs, "--out", str(tmp_path / "s")],
+        "predict": ["predict", *inputs, "--checkpoint", small_checkpoint,
+                    "--out", str(tmp_path / "p")],
+    }[command]
+    assert cli.main(argv + extra) == 2
+    assert fragment in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fgrnn.sparse
-from fgrnn.cells import readout
+from fgrnn.cells import fgrnn_step, readout
 from fgrnn.data import FrameSequence
 from fgrnn.errors import ContractViolation
 from fgrnn.gconv import ChebFilter, FeatureTransform
@@ -13,7 +13,7 @@ from fgrnn.training import (AdamState, TrainConfig, _window_loss, adam_step,
                             bptt, count_params, finite_difference_check,
                             graph_regularized_loss, history_csv, init_params,
                             params_to_vector, parse_config, prediction_loss,
-                            train, vector_to_params)
+                            teacher_forced_losses, train, vector_to_params)
 
 
 def knn_lap(seed, n=10, k=3):
@@ -78,12 +78,10 @@ class TestBptt:
         rng = np.random.default_rng(3)
         window = rng.standard_normal((4, 10, 3))
         # engineer targets equal to the model's own forward outputs
-        from fgrnn.cells import ACTIVATIONS, preactivation
-        act = ACTIVATIONS[p.activation][0]
         h = np.zeros((10, 3))
         frames = [window[0]]
         for t in range(3):
-            h = p.alpha * act(preactivation(p, lap, h, frames[t])) + p.beta * h
+            _, h = fgrnn_step(p, lap, h, frames[t])
             frames.append(readout(p, lap, h))
         loss, grads = bptt(p, lap, np.stack(frames))
         assert loss == pytest.approx(0.0, abs=1e-20)
@@ -186,6 +184,11 @@ class TestBptt:
         # upstreams
         per_basis = k - 1 if family == "chebyshev" else 1
         assert len(calls) == per_basis * (1 + 2 * t_w)
+        # forward only, from the zero state: per step the input basis and
+        # the basis of h_t, which also serves the next step's recurrence
+        calls.clear()
+        teacher_forced_losses(p, lap, window)
+        assert len(calls) == per_basis * 2 * t_w
 
     def test_finite_differences_mixed_chebyshev_orders(self):
         # W, U and V of different orders share one basis of the largest
@@ -296,10 +299,8 @@ class TestCountParams:
         k = int(rng.integers(1, 6))
         p_dim = int(rng.integers(1, 6))
         for family, kwargs in [("chebyshev", dict(k=k)),
-                               ("first_order", dict(p=p_dim)),
-                               ("dense", dict())]:
-            # Table counts assume F = P for the first-order family and
-            # P = N for the dense baseline
+                               ("first_order", dict(p=p_dim))]:
+            # Table counts assume F = P for the first-order family
             f = p_dim if family == "first_order" else n
             cfg = TrainConfig(family=family, k=k, p=p_dim, seed=seed)
             params = init_params(cfg, n, f)

@@ -16,6 +16,7 @@ the one-step reference on cheb_conv / first_order_conv.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from typing import NamedTuple, Union
@@ -198,28 +199,72 @@ def save_checkpoint(p: ModelParams, path, graph_checksum: str,
             _write_array(fh, "adam_v", train_state["adam_v"])
 
 
+_ARRAY_NAMES = ("W", "U", "V", "b", "z", "adam_m", "adam_v")
+
+
+def _read_array(lines, k):
+    """The array whose 'name rows cols' header is lines[k]."""
+    name, rows, cols = lines[k].split()
+    if not (rows.isdecimal() and cols.isdecimal()):
+        raise ParseError(f"expected '{name} rows cols', got {lines[k]!r}",
+                         line=k + 1)
+    rows, cols = int(rows), int(cols)
+    if k + 1 + rows > len(lines):
+        raise ParseError(f"{name}: header promises {rows} rows, the file ends "
+                         f"after {len(lines) - k - 1}", line=k + 1)
+    try:
+        block = [[float(v) for v in line.split()]
+                 for line in lines[k + 1:k + 1 + rows]]
+        return np.array(block, dtype=np.float64).reshape(rows, cols)
+    except ValueError:
+        raise ParseError(f"{name}: the {rows} lines after the header are not "
+                         f"{rows} x {cols} numbers", line=k + 1) from None
+
+
 def load_checkpoint(path):
-    """Returns (ModelParams, graph_checksum, train_state or None)."""
+    """Returns (ModelParams, graph_checksum, train_state or None).
+
+    Raises ParseError naming the line for a truncated file, an array block
+    that does not match its header, a missing entry, or a non-finite
+    alpha or beta.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "fgrnn-checkpoint 1":
         raise ParseError("not a checkpoint file", line=1)
-    scalars, arrays = {}, {}
+    scalars, arrays, where = {}, {}, {}
     k = 1
     while k < len(lines):
         parts = lines[k].split()
-        if len(parts) == 3 and parts[0] in ("W", "U", "V", "b", "z",
-                                            "adam_m", "adam_v"):
-            rows, cols = int(parts[1]), int(parts[2])
-            block = [
-                [float(v) for v in lines[k + 1 + r].split()]
-                for r in range(rows)
-            ]
-            arrays[parts[0]] = np.array(block, dtype=np.float64).reshape(rows, cols)
-            k += rows + 1
-        else:
+        if len(parts) == 3 and parts[0] in _ARRAY_NAMES:
+            arrays[parts[0]] = _read_array(lines, k)
+            k += arrays[parts[0]].shape[0] + 1
+        elif len(parts) == 2:
             scalars[parts[0]] = parts[1]
+            where[parts[0]] = k + 1
             k += 1
+        else:
+            raise ParseError(f"expected 'key value' or 'name rows cols', "
+                             f"got {lines[k]!r}", line=k + 1)
+
+    def need(keys, found):
+        for key in keys:
+            if key not in found:
+                raise ParseError(f"the file ends without a {key!r} entry",
+                                 line=len(lines))
+
+    def number(key, cast=float):
+        try:
+            value = cast(scalars[key])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"{key} must be a finite number, got "
+                             f"{scalars[key]!r}", line=where[key])
+        return value
+
+    need(("family", "activation", "graph_checksum", "alpha", "beta"), scalars)
+    need(("W", "U", "V", "b", "z"), arrays)
     family = scalars["family"]
     wrap = ((lambda a: ChebFilter(a.ravel())) if family == "chebyshev"
             else FeatureTransform)
@@ -228,19 +273,22 @@ def load_checkpoint(path):
         input_filter=wrap(arrays["W"]),
         recurrent_filter=wrap(arrays["U"]),
         readout_filter=wrap(arrays["V"]),
-        alpha=float(scalars["alpha"]),
-        beta=float(scalars["beta"]),
+        alpha=number("alpha"),
+        beta=number("beta"),
         bias=arrays["b"].ravel(),
         readout_bias=arrays["z"].ravel(),
         activation=scalars["activation"],
-        use_plain_laplacian=bool(int(scalars.get("use_plain_laplacian", "0"))),
+        use_plain_laplacian=("use_plain_laplacian" in scalars
+                             and bool(number("use_plain_laplacian", int))),
     )
     train_state = None
     if "epoch" in scalars:
+        need(("adam_step", "lr"), scalars)
+        need(("adam_m", "adam_v"), arrays)
         train_state = {
-            "epoch": int(scalars["epoch"]),
-            "adam_step": int(scalars["adam_step"]),
-            "lr": float(scalars["lr"]),
+            "epoch": number("epoch", int),
+            "adam_step": number("adam_step", int),
+            "lr": number("lr"),
             "adam_m": arrays["adam_m"].ravel(),
             "adam_v": arrays["adam_v"].ravel(),
         }

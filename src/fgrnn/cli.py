@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config/usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from itertools import islice
@@ -173,17 +174,24 @@ def cmd_predict(args):
 
 # --- stability ------------------------------------------------------------------
 
-def _parse_grid(text, cast=float):
+def _parse_grid(text, flag, cast=float):
     try:
         vals = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}: {exc}") from None
+        raise ConfigError(f"{flag}: bad grid {text!r}: {exc}") from None
     if not vals:
-        raise ConfigError(f"empty grid {text!r}")
+        raise ConfigError(f"{flag}: empty grid {text!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{flag}: grid values must be finite, got {text!r}")
     return vals
 
 
 def cmd_stability(args):
+    alphas = _parse_grid(args.alpha, "--alpha")
+    betas = _parse_grid(args.beta, "--beta")
+    horizons = _parse_grid(args.T, "--T", int)
+    if min(horizons) < 2:
+        raise ConfigError(f"--T values must be >= 2, got {min(horizons)}")
     if args.frames and args.graph:
         _, graph = _load_inputs(args.frames, args.graph)
     elif args.graph:
@@ -194,9 +202,7 @@ def cmd_stability(args):
     base = scalar_cell_params(u=args.u, n_nodes=graph.n_nodes, w=args.w,
                               b=args.bias, activation=args.activation,
                               use_plain_laplacian=args.plain_laplacian)
-    rows = stability_sweep(graph, base, _parse_grid(args.alpha),
-                           _parse_grid(args.beta), _parse_grid(args.T, int),
-                           seed=args.seed)
+    rows = stability_sweep(graph, base, alphas, betas, horizons, seed=args.seed)
     csv = sweep_csv(rows)
     if args.out:
         open(args.out, "w").write(csv)
@@ -218,7 +224,7 @@ def cmd_params(args):
 
 
 def cmd_sweep_t(args):
-    t_list = _parse_grid(args.T, int)
+    t_list = _parse_grid(args.T, "--T", int)
     if len(set(t_list)) != len(t_list):
         raise ConfigError("duplicate T values in sweep list")
     if min(t_list) < 1:

@@ -11,6 +11,7 @@ set bundles the three operators the convolution layers need:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,9 @@ class Graph:
         for i, j, w in self.edges:
             if not (0 <= i < j < self.n_nodes):
                 raise ContractViolation(f"bad edge ({i}, {j})")
-            if w <= 0:
-                raise ContractViolation(f"edge ({i}, {j}) has non-positive weight")
+            if not 0 < w < math.inf:
+                raise ContractViolation(
+                    f"edge ({i}, {j}) weight must be positive and finite, got {w}")
             if (i, j) in seen:
                 raise ContractViolation(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
@@ -144,7 +146,12 @@ def load_graph(path) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ParseError("expected 'N M' header", line=1)
-    n, m = int(head[0]), int(head[1])
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError(f"expected integers 'N M', got {lines[0]!r}", line=1) from None
+    if n < 0 or m < 0:
+        raise ParseError(f"expected non-negative 'N M', got {lines[0]!r}", line=1)
     if len(lines) < m + 1:
         raise ParseError(f"expected {m} edges, found {len(lines) - 1}", line=len(lines))
     edges = []
@@ -152,5 +159,9 @@ def load_graph(path) -> Graph:
         parts = lines[k + 1].split()
         if len(parts) != 3:
             raise ParseError("expected 'i j w'", line=k + 2)
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError:
+            raise ParseError(f"expected integers i j and a number w, got "
+                             f"{lines[k + 1]!r}", line=k + 2) from None
     return Graph(n, tuple(edges))

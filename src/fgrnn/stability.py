@@ -29,7 +29,6 @@ from .graph import Graph, LaplacianSet, build_laplacians
 
 @dataclass
 class StabilityReport:
-    per_step_jacobian_norm: list
     sigma_max: float
     sigma_min: float
     condition_number: float  # inf when the product is singular
@@ -55,14 +54,19 @@ def _node_operator_dense(p: ModelParams, lap: LaplacianSet) -> np.ndarray:
     return op.to_dense()
 
 
+def _step_factor(p: ModelParams, u: float, d: np.ndarray, op: np.ndarray,
+                 eye: np.ndarray) -> np.ndarray:
+    return p.alpha * u * (d[:, None] * op) + p.beta * eye
+
+
 def step_jacobian(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
     """dh_t/dh_{t-1} = alpha * D_t * u * L1 + beta * I as a dense matrix."""
     u = _check_scalar_cell(p, lap)
     a = preactivation(p, lap, h_prev, x)
     d = ACTIVATIONS[p.activation][1](a)[:, 0]
-    op = _node_operator_dense(p, lap)
-    return p.alpha * u * (d[:, None] * op) + p.beta * np.eye(lap.n_nodes)
+    return _step_factor(p, u, d, _node_operator_dense(p, lap),
+                        np.eye(lap.n_nodes))
 
 
 def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
@@ -75,6 +79,18 @@ def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
     return [act_deriv(step.a)[:, 0] for step in steps]
 
 
+def _frobenius_terms(u: float, d_list, op: np.ndarray) -> list:
+    """||D_t u L1||_F^2 for each step t."""
+    return [float(np.sum((d[:, None] * (u * op)) ** 2)) for d in d_list]
+
+
+def _bound(p: ModelParams, worst: float, horizon: int) -> float | None:
+    r = (p.alpha / p.beta) * worst
+    if r >= 1.0:
+        return None
+    return ((1.0 + r) / (1.0 - r)) ** (horizon - 2)
+
+
 def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
                     horizon: int) -> float | None:
     """Closed-form condition-number bound; None when vacuous (r >= 1 or
@@ -84,43 +100,49 @@ def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
         raise ContractViolation("condition_bound: need T >= 2")
     if p.beta == 0.0:
         return None
+    terms = _frobenius_terms(u, d_list, _node_operator_dense(p, lap))
+    return _bound(p, max(terms), horizon)
+
+
+def _reports(p: ModelParams, lap: LaplacianSet, window, horizons) -> list:
+    """One StabilityReport per T in the ascending list `horizons`.
+
+    One forward pass runs to the largest T and one running product
+    left-multiplies the step Jacobians in time order; each T's product
+    of its last T-2 factors is read off on the way, so it is bitwise the
+    product a separate run to that T would make.
+    """
+    u = _check_scalar_cell(p, lap)
+    frames = np.asarray(window, dtype=np.float64)
+    if horizons[0] < 2:
+        raise ContractViolation(f"stability: need T >= 2, got {horizons[0]}")
+    if frames.shape[0] < horizons[-1]:
+        raise ContractViolation("stability: window shorter than T")
     op = _node_operator_dense(p, lap)
-    worst = max(float(np.sum((d[:, None] * (u * op)) ** 2)) for d in d_list)
-    r = (p.alpha / p.beta) * worst
-    if r >= 1.0:
-        return None
-    return ((1.0 + r) / (1.0 - r)) ** (horizon - 2)
+    eye = np.eye(frames.shape[1])
+
+    d_list = _forward_activation_derivs(p, lap, frames, horizons[-1])
+    terms = _frobenius_terms(u, d_list, op) if p.beta != 0.0 else None
+    reports = []
+    product, done = eye.copy(), 2  # T-2 factors: steps 3..T in 1-based time
+    for horizon in horizons:
+        for d in d_list[done:horizon]:
+            product = _step_factor(p, u, d, op, eye) @ product
+        done = horizon
+        svals = np.linalg.svd(product, compute_uv=False)
+        sigma_max, sigma_min = float(svals[0]), float(svals[-1])
+        cond = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
+        bound = None if terms is None else _bound(p, max(terms[:horizon]), horizon)
+        reports.append(StabilityReport(sigma_max, sigma_min, cond, bound,
+                                       p.alpha, p.beta, horizon))
+    return reports
 
 
 def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
                      horizon: int) -> StabilityReport:
     """Product of the last T-2 step Jacobians and its extreme singular
     values; fills a StabilityReport including the closed-form bound."""
-    u = _check_scalar_cell(p, lap)
-    frames = np.asarray(window, dtype=np.float64)
-    if horizon < 2:
-        raise ContractViolation("jacobian_product: need T >= 2")
-    if frames.shape[0] < horizon:
-        raise ContractViolation("jacobian_product: window shorter than T")
-    op = _node_operator_dense(p, lap)
-    eye = np.eye(frames.shape[1])
-
-    d_list = _forward_activation_derivs(p, lap, frames, horizon)
-    step_norms = []
-    product = eye.copy()
-    for t, d in enumerate(d_list):
-        jac = p.alpha * u * (d[:, None] * op) + p.beta * eye
-        if t >= 1:
-            step_norms.append(float(np.linalg.norm(jac, 2)))
-        if t >= 2:  # T-2 factors: steps 3..T in 1-based time
-            product = jac @ product
-
-    svals = np.linalg.svd(product, compute_uv=False)
-    sigma_max, sigma_min = float(svals[0]), float(svals[-1])
-    cond = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
-    bound = condition_bound(p, d_list, lap, horizon)
-    return StabilityReport(step_norms, sigma_max, sigma_min, cond, bound,
-                           p.alpha, p.beta, horizon)
+    return _reports(p, lap, window, [horizon])[0]
 
 
 def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
@@ -148,13 +170,13 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
     rng = np.random.default_rng(seed)
     n_feat = filter_array(base_params.input_filter).shape[0]
     frames = rng.standard_normal((max(t_grid), g.n_nodes, n_feat))
+    horizons = sorted(t_grid)
     rows = []
     for alpha in sorted(alpha_grid):
         for beta in sorted(beta_grid):
-            for horizon in sorted(t_grid):
-                p = base_params.copy()
-                p.alpha, p.beta = float(alpha), float(beta)
-                rows.append(jacobian_product(p, lap, frames, horizon))
+            p = base_params.copy()
+            p.alpha, p.beta = float(alpha), float(beta)
+            rows += _reports(p, lap, frames, horizons)
     return rows
 
 

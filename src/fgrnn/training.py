@@ -343,7 +343,11 @@ _CONFIG_RANGES = (
     ("lr", lambda v: v > 0, "> 0"),
     ("lr_decay", lambda v: v > 0, "> 0"),
     ("lambda_reg", lambda v: v >= 0, ">= 0"),
+    ("init_scale", lambda v: 0 <= v < math.inf, "finite and >= 0"),
 )
+
+_BOOLEANS = {"0": False, "1": True, "true": True, "false": False,
+             "yes": True, "no": False}
 
 
 def parse_key_values(text: str) -> dict:
@@ -371,13 +375,18 @@ def parse_config(text: str, overrides: dict | None = None) -> TrainConfig:
             raise ParseError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
         if isinstance(current, bool):
-            setattr(cfg, key, val.strip().lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(cfg, key, int(val))
-        elif isinstance(current, float):
-            setattr(cfg, key, float(val))
-        else:
-            setattr(cfg, key, val)
+            word = val.strip().lower()
+            if word not in _BOOLEANS:
+                raise ParseError(f"config key {key!r} must be one of "
+                                 f"{'/'.join(_BOOLEANS)}, got {val!r}")
+            setattr(cfg, key, _BOOLEANS[word])
+            continue
+        try:
+            setattr(cfg, key, type(current)(val))
+        except ValueError:
+            kind = "an integer" if isinstance(current, int) else "a number"
+            raise ParseError(f"config key {key!r} must be {kind}, "
+                             f"got {val!r}") from None
     for key, ok, requirement in _CONFIG_RANGES:
         if not ok(getattr(cfg, key)):
             raise ParseError(f"config key {key!r} must be {requirement}, "

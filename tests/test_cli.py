@@ -229,6 +229,11 @@ def test_train_bad_override_syntax(small_dataset, tmp_path):
     ("sweep-T", ["--T", "-2"], "--T"),
     ("predict", ["--horizon", "0"], "--horizon"),
     ("predict", ["--horizon", "-2"], "--horizon"),
+    ("train", ["k=abc"], "'k'"),
+    ("train", ["lr=fast"], "'lr'"),
+    ("train", ["use_plain_laplacian=maybe"], "'use_plain_laplacian'"),
+    ("train", ["use_plain_laplacian=2"], "'use_plain_laplacian'"),
+    ("train", ["init_scale=nan"], "'init_scale'"),
 ])
 def test_bad_input_exit_code(small_dataset, small_checkpoint, tmp_path, capsys,
                              command, extra, fragment):
@@ -269,6 +274,94 @@ def test_stability_csv(tmp_path):
 
 def test_stability_bad_grid():
     assert cli.main(["stability", "--alpha", "0,oops"]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "nan"),
+    ("--alpha", "0,inf"),
+    ("--beta", "0.5,-inf"),
+    ("--beta", "1e999"),
+    ("--T", "1,4"),
+    ("--T", "4,0"),
+    ("--T", "4,x"),
+    ("--T", ","),
+])
+def test_stability_bad_grid_named_before_work(tmp_path, capsys, monkeypatch,
+                                              flag, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the grids were checked")
+
+    monkeypatch.setattr(cli.datamod, "generate_synthetic", no_work)
+    monkeypatch.setattr(cli, "stability_sweep", no_work)
+    out = tmp_path / "s.csv"
+    assert cli.main(["stability", flag, value, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("x 1\n", "line 1: expected integers 'N M'"),
+    ("3 1.5\n0 1 1\n", "line 1: expected integers 'N M'"),
+    ("-3 0\n", "line 1: expected non-negative"),
+    ("3 2\n0 1 1\nx 1 1\n", "line 3: expected integers i j"),
+    ("3 1\n0 2 heavy\n", "line 2: expected integers i j"),
+    ("3 1\n0 1 nan\n", "positive and finite"),
+])
+def test_bad_graph_exit_code(tmp_path, capsys, text, fragment):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert cli.main(["stability", "--graph", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def _mutate_checkpoint(lines, case):
+    """(mutated lines, message fragment) for one kind of bad checkpoint."""
+    at = {line.split()[0]: k for k, line in enumerate(lines)}
+    if case == "truncated":
+        return lines[:at["U"] + 2], f"line {at['U'] + 1}: U: header promises 2 rows"
+    if case == "truncated scalars":
+        return lines[:3], "'graph_checksum'"
+    if case.startswith("no "):
+        key = case[3:]
+        head = lines[at[key]].split()
+        block = 1 + int(head[1]) if len(head) == 3 else 1
+        return lines[:at[key]] + lines[at[key] + block:], f"{key!r}"
+    if case in ("alpha nan", "beta inf", "alpha abc"):
+        key, value = case.split()
+        lines[at[key]] = f"{key} {value}"
+        return lines, f"line {at[key] + 1}: {key} must be a finite number"
+    if case == "rows over header":  # V's block swallows the b header
+        lines[at["V"]] = lines[at["V"]].replace("V 2", "V 3")
+        return lines, f"line {at['V'] + 1}: V: the 3 lines"
+    if case == "ragged row":
+        lines[at["W"] + 1] = lines[at["W"] + 1].rsplit(" ", 1)[0]
+        return lines, f"line {at['W'] + 1}: W:"
+    if case == "cols over header":
+        lines[at["b"]] = lines[at["b"]] + "0"
+        return lines, f"line {at['b'] + 1}: b:"
+    if case == "bad header":
+        lines[at["U"]] = "U two 2"
+        return lines, f"line {at['U'] + 1}: expected 'U rows cols'"
+    if case == "stray line":
+        return lines[:2] + ["hello"] + lines[2:], "line 3: expected 'key value'"
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "truncated", "truncated scalars", "no W", "no U", "no V", "no b", "no z",
+    "no alpha", "no beta", "no family", "alpha nan", "beta inf", "alpha abc",
+    "rows over header", "ragged row", "cols over header", "bad header",
+    "stray line"])
+def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
+                                  capsys, case):
+    frames, graph = small_dataset
+    lines = open(small_checkpoint).read().splitlines()
+    lines, fragment = _mutate_checkpoint(lines, case)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["eval", "--checkpoint", str(bad), "--frames", frames,
+                     "--graph", graph]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_sweep_t_csv(small_dataset, tmp_path):

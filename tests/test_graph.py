@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from fgrnn.errors import ContractViolation
+from fgrnn.errors import ContractViolation, ParseError
 from fgrnn.graph import (Graph, build_knn_graph, build_laplacians, load_graph,
                          save_graph)
 from fgrnn.sparse import dense_eig_sym
@@ -112,3 +114,16 @@ class TestEdgeListIO:
             Graph(2, ((0, 0, 1.0),))
         with pytest.raises(ContractViolation):
             Graph(2, ((0, 1, 1.0), (0, 1, 2.0)))
+        for w in (math.nan, math.inf):
+            with pytest.raises(ContractViolation):
+                Graph(2, ((0, 1, w),))
+
+    @pytest.mark.parametrize("text,line", [
+        ("3 x\n", 1), ("-1 0\n", 1), ("3 2\n0 1 1\nx 1 1\n", 3),
+        ("3 1\n0 1.5 1\n", 2), ("3 1\n0 1 w\n", 2)])
+    def test_non_numeric_field_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_graph(path)
+        assert err.value.line == line

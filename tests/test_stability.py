@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fgrnn.cells import fgrnn_step
+from fgrnn import stability
+from fgrnn.cells import ACTIVATIONS, fgrnn_step, preactivation
 from fgrnn.errors import ContractViolation
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.sparse import dense_eig_sym
@@ -174,3 +175,82 @@ class TestSweep:
         lines = csv.strip().splitlines()
         assert lines[0] == "alpha,beta,T,sigma_max,sigma_min,cond,bound_M"
         assert len(lines) == 5
+
+
+def _reference_rows(g, base, alpha_grid, beta_grid, t_grid, seed):
+    """The sweep as one independent dense run per (alpha, beta, T): its own
+    forward pass, product of the last T-2 step Jacobians, SVD and bound."""
+    lap = build_laplacians(g)
+    frames = np.random.default_rng(seed).standard_normal((max(t_grid), g.n_nodes, 1))
+    op = (lap.laplacian if base.use_plain_laplacian else lap.first_order).to_dense()
+    u = base.recurrent_filter.weights[0, 0]
+    eye = np.eye(g.n_nodes)
+    rows = []
+    for alpha in sorted(alpha_grid):
+        for beta in sorted(beta_grid):
+            p = base.copy()
+            p.alpha, p.beta = alpha, beta
+            for horizon in sorted(t_grid):
+                h, d_list = np.zeros((g.n_nodes, 1)), []
+                for x in frames[:horizon]:
+                    a = preactivation(p, lap, h, x)
+                    d_list.append(ACTIVATIONS[p.activation][1](a)[:, 0])
+                    h = fgrnn_step(p, lap, h, x)[1]
+                product = eye.copy()
+                for d in d_list[2:]:
+                    jac = p.alpha * u * (d[:, None] * op) + p.beta * eye
+                    product = jac @ product
+                svals = np.linalg.svd(product, compute_uv=False)
+                cond = svals[0] / svals[-1] if svals[-1] > 0.0 else math.inf
+                bound = None
+                if beta != 0.0:
+                    worst = max(float(np.sum((d[:, None] * (u * op)) ** 2))
+                                for d in d_list)
+                    r = (alpha / beta) * worst
+                    if r < 1.0:
+                        bound = ((1.0 + r) / (1.0 - r)) ** (horizon - 2)
+                rows.append((alpha, beta, horizon, float(svals[0]),
+                             float(svals[-1]), cond, bound))
+    return rows
+
+
+class TestChain:
+    """The sweep reads every T off one forward pass and one running product
+    per (alpha, beta); it must give the floats of separate runs."""
+
+    grids = ([1.0, 0.0, 0.6], [0.3, 1.0, 0.0], [8, 4, 8])
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_matches_independent_runs(self, activation, plain):
+        g = build_knn_graph(np.random.default_rng(12).standard_normal((14, 3)), 3)
+        base = scalar_cell_params(u=0.2, n_nodes=14, w=1.0, b=0.1,
+                                  activation=activation, use_plain_laplacian=plain)
+        rows = stability_sweep(g, base, *self.grids, seed=4)
+        got = [(r.alpha, r.beta, r.horizon, r.sigma_max, r.sigma_min,
+                r.condition_number, r.bound) for r in rows]
+        want = _reference_rows(g, base, *self.grids, seed=4)
+        assert got == want
+        # the grid reaches finite and vacuous bounds, singular products
+        # (beta = 0 under relu) and T = 8 twice
+        assert any(r.bound is not None for r in rows)
+        assert any(r.bound is None and r.beta != 0.0 for r in rows)
+        assert [r.horizon for r in rows[:3]] == [4, 8, 8]
+
+    def test_one_svd_per_row_and_one_unroll_per_pair(self, monkeypatch):
+        calls = {"svd": 0, "unroll": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(stability, "unroll", counting("unroll", stability.unroll))
+        g = ring_graph(10)
+        base = scalar_cell_params(u=0.5, n_nodes=10, w=1.0)
+        rows = stability_sweep(g, base, [0.0, 0.5, 1.0], [0.5, 1.0], [12, 4, 8, 4],
+                               seed=5)
+        assert len(rows) == 3 * 2 * 4
+        assert calls == {"svd": len(rows), "unroll": 3 * 2}

@@ -366,3 +366,19 @@ class TestConfigParsing:
         from fgrnn.errors import ParseError
         with pytest.raises(ParseError):
             parse_config("bogus = 1\n")
+
+    def test_booleans_are_read_strictly(self):
+        from fgrnn.errors import ParseError
+        for word, value in (("1", True), ("Yes", True), ("TRUE", True),
+                            ("0", False), ("no", False), ("False", False)):
+            cfg = parse_config("", {"use_plain_laplacian": word})
+            assert cfg.use_plain_laplacian is value
+        for word in ("maybe", "2", "", "on"):
+            with pytest.raises(ParseError, match="'use_plain_laplacian'"):
+                parse_config("", {"use_plain_laplacian": word})
+
+    def test_unconvertible_value_names_its_key(self):
+        from fgrnn.errors import ParseError
+        for key, val in (("k", "abc"), ("epochs", "2.5"), ("lr", "fast")):
+            with pytest.raises(ParseError, match=f"'{key}'"):
+                parse_config(f"{key} = {val}\n")

@@ -23,7 +23,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ContractViolation, NumericOverflow, ParseError
+from .errors import ContractViolation, NumericOverflow, ParseError, in_file
 from .gconv import (ChebFamily, ChebFilter, FeatureTransform, FirstOrderFamily,
                     cheb_conv, first_order_conv)
 from .graph import LaplacianSet
@@ -224,12 +224,17 @@ def _read_array(lines, k):
 def load_checkpoint(path):
     """Returns (ModelParams, graph_checksum, train_state or None).
 
-    Raises ParseError naming the line for a truncated file, an array block
-    that does not match its header, a missing entry, or a non-finite
-    alpha or beta.
+    Raises ParseError naming the file and line for a truncated file, an
+    array block that does not match its header, a b or z block of more
+    than one row, a missing entry, or a non-finite alpha or beta.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
+    with in_file(path):
+        return _parse_checkpoint(lines)
+
+
+def _parse_checkpoint(lines):
     if not lines or lines[0] != "fgrnn-checkpoint 1":
         raise ParseError("not a checkpoint file", line=1)
     scalars, arrays, where = {}, {}, {}
@@ -238,6 +243,7 @@ def load_checkpoint(path):
         parts = lines[k].split()
         if len(parts) == 3 and parts[0] in _ARRAY_NAMES:
             arrays[parts[0]] = _read_array(lines, k)
+            where[parts[0]] = k + 1
             k += arrays[parts[0]].shape[0] + 1
         elif len(parts) == 2:
             scalars[parts[0]] = parts[1]
@@ -265,6 +271,10 @@ def load_checkpoint(path):
 
     need(("family", "activation", "graph_checksum", "alpha", "beta"), scalars)
     need(("W", "U", "V", "b", "z"), arrays)
+    for key in ("b", "z"):
+        if arrays[key].shape[0] != 1:
+            raise ParseError(f"{key}: expected 1 row of per-node values, got "
+                             f"{arrays[key].shape[0]}", line=where[key])
     family = scalars["family"]
     wrap = ((lambda a: ChebFilter(a.ravel())) if family == "chebyshev"
             else FeatureTransform)

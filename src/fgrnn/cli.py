@@ -16,8 +16,8 @@ import numpy as np
 
 from . import data as datamod
 from . import training
-from .cells import (ACTIVATIONS, conv_family, load_checkpoint, save_checkpoint,
-                    unroll)
+from .cells import (ACTIVATIONS, conv_family, filter_array, load_checkpoint,
+                    save_checkpoint, unroll)
 from .errors import ConfigError, ContractViolation, NumericOverflow, ParseError
 from .graph import build_laplacians, load_graph, save_graph
 from .stability import scalar_cell_params, stability_sweep, sweep_csv
@@ -100,6 +100,7 @@ def cmd_train(args):
             raise ConfigError("checkpoint was trained on a different graph")
         if resume_state is None:
             raise ConfigError("checkpoint carries no training state to resume")
+        _check_model_shapes(initial, args.resume, graph.n_nodes, seq.n_features)
         epoch_offset = resume_state["epoch"]
     run = train(cfg, seq, graph, initial=initial, resume_state=resume_state)
     state = {"epoch": run.epochs_done,
@@ -127,16 +128,37 @@ def cmd_train(args):
 
 # --- eval / predict ------------------------------------------------------------
 
-def _load_model(checkpoint_path, graph):
+def _check_model_shapes(p, checkpoint_path, n_nodes, n_features):
+    """ConfigError naming the first checkpoint array that does not fit the
+    graph's N nodes and the frames' F features."""
+    got = {"b": (1, p.bias.size), "z": (1, p.readout_bias.size)}
+    need = {"b": (1, n_nodes), "z": (1, n_nodes)}
+    if p.conv_family == "first_order":
+        w, u, v = (filter_array(f) for f in (
+            p.input_filter, p.recurrent_filter, p.readout_filter))
+        width = w.shape[1]
+        got.update(W=w.shape, U=u.shape, V=v.shape)
+        need.update(W=(n_features, width), U=(width, width),
+                    V=(width, n_features))
+    for name, shape in need.items():
+        if got[name] != shape:
+            raise ConfigError(
+                f"{checkpoint_path}: checkpoint {name} is {got[name][0]} x "
+                f"{got[name][1]}, but N={n_nodes} nodes and F={n_features} "
+                f"features need {shape[0]} x {shape[1]}")
+
+
+def _load_model(checkpoint_path, graph, n_features):
     p, checksum, _ = load_checkpoint(checkpoint_path)
     if checksum != graph.checksum():
         raise ConfigError("checkpoint graph checksum does not match graph file")
+    _check_model_shapes(p, checkpoint_path, graph.n_nodes, n_features)
     return p
 
 
 def cmd_eval(args):
     seq, graph = _load_inputs(args.frames, args.graph)
-    p = _load_model(args.checkpoint, graph)
+    p = _load_model(args.checkpoint, graph, seq.n_features)
     lap = build_laplacians(graph)
     losses, _ = training.teacher_forced_losses(p, lap, seq.frames)
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
@@ -153,7 +175,7 @@ def cmd_predict(args):
     if args.horizon < 1:
         raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
     seq, graph = _load_inputs(args.frames, args.graph)
-    p = _load_model(args.checkpoint, graph)
+    p = _load_model(args.checkpoint, graph, seq.n_features)
     fam = conv_family(p, build_laplacians(graph))
     # horizon 1 is teacher forced: one prediction per input frame but the
     # last. A longer horizon consumes every frame, then feeds its

@@ -1,19 +1,31 @@
 """Synthetic dynamic point clouds, frame-sequence file IO, dataset splits.
 
-Frame file format: header line `gfrm 1 N F T`, then T blocks of N lines
-with F space-separated decimals each; lines starting with `#` are
-comments. Values are written with 17 significant digits so a round trip
-is exact.
+Frame file format: header line `gfrm 1 N F T` (N >= 1, F >= 1, T >= 0),
+then T blocks of N lines with F space-separated decimals each; blank
+lines and lines starting with `#` are skipped. Values are written with
+17 significant digits so a round trip is exact.
+
+load_frames reads a file in one of two ways, with the same result. The
+fast path takes an ASCII file whose first line is a valid header and
+that holds no `#` and no line break other than `\n` and `\r\n`: one
+`np.loadtxt` over the file's bytes after the header, used only if it
+yields exactly N*T rows of F values. Anything else, including every
+malformed file and numbers `np.loadtxt` does not read (`1_0`, non-ASCII
+digits), goes to the per-line parser, the only code that raises a
+ParseError naming the line. save_frames writes one frame at a time with
+a repeated `%.17g` format.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, ParseError, in_file
 from .graph import Graph, build_knn_graph
 
 
@@ -110,25 +122,77 @@ def generate_synthetic(cfg: SyntheticConfig):
 
 
 def save_frames(seq: FrameSequence, path):
+    n, f = seq.n_nodes, seq.n_features
+    block = (" ".join(["%.17g"] * f) + "\n") * n
     with open(path, "w") as fh:
-        fh.write(f"gfrm 1 {seq.n_nodes} {seq.n_features} {seq.n_frames}\n")
-        for t in range(seq.n_frames):
-            for row in seq.frames[t]:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(f"gfrm 1 {n} {f} {seq.n_frames}\n")
+        for frame in seq.frames:
+            fh.write(block % tuple(frame.ravel().tolist()))
 
 
 def load_frames(path) -> FrameSequence:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    lines = [(k + 1, ln) for k, ln in enumerate(raw)
+    with open(path, "rb") as fh:
+        frames = _load_frames_fast(fh.read())
+    if frames is None:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with in_file(path):
+            frames = _load_frames_slow(lines)
+    return FrameSequence(frames)
+
+
+def _frame_header(line: str, lineno: int):
+    """(N, F, T) of a `gfrm 1 N F T` line; ParseError at lineno otherwise."""
+    parts = line.split()
+    if len(parts) != 5 or parts[0] != "gfrm" or parts[1] != "1":
+        raise ParseError("expected header 'gfrm 1 N F T'", line=lineno)
+    try:
+        n, f, t_total = (int(v) for v in parts[2:])
+    except ValueError:
+        raise ParseError(f"expected integers N F T, got {line!r}",
+                         line=lineno) from None
+    if n < 1 or f < 1 or t_total < 0:
+        raise ParseError(f"need N >= 1, F >= 1 and T >= 0, got {line!r}",
+                         line=lineno)
+    return n, f, t_total
+
+
+# bytes that the per-line parser reads differently from np.loadtxt:
+# comments, and the line breaks of str.splitlines other than \n and \r
+_SLOW_ONLY = (b"#", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _load_frames_fast(data: bytes):
+    """(T, N, F) frames of a frame file's bytes, or None to leave the file
+    to _load_frames_slow."""
+    end = data.find(b"\n")
+    if end < 0 or not data.isascii() or any(c in data for c in _SLOW_ONLY):
+        return None
+    head = data[:end].decode().splitlines()  # a lone \r makes two lines
+    if len(head) != 1:
+        return None
+    try:
+        n, f, t_total = _frame_header(head[0], 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a body of no rows
+            rows = np.loadtxt(io.BytesIO(data), dtype=np.float64,
+                              comments=None, skiprows=1, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (n * t_total, f):
+        return None
+    return rows.reshape(t_total, n, f)
+
+
+def _load_frames_slow(raw_lines) -> np.ndarray:
+    """(T, N, F) frames of a frame file's lines, parsed one by one;
+    ParseError names the line."""
+    lines = [(k + 1, ln) for k, ln in enumerate(raw_lines)
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ParseError("empty frame file", line=1)
     lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 5 or parts[0] != "gfrm" or parts[1] != "1":
-        raise ParseError("expected header 'gfrm 1 N F T'", line=lineno)
-    n, f, t_total = int(parts[2]), int(parts[3]), int(parts[4])
+    n, f, t_total = _frame_header(head, lineno)
     body = lines[1:]
     expected = n * t_total
     if len(body) != expected:
@@ -141,8 +205,12 @@ def load_frames(path) -> FrameSequence:
         vals = ln.split()
         if len(vals) != f:
             raise ParseError(f"expected {f} values, found {len(vals)}", line=ln_no)
-        frames[k // n, k % n] = [float(v) for v in vals]
-    return FrameSequence(frames)
+        try:
+            frames[k // n, k % n] = [float(v) for v in vals]
+        except ValueError:
+            raise ParseError(f"expected {f} numbers, got {ln!r}",
+                             line=ln_no) from None
+    return frames
 
 
 def split_train_test(seq: FrameSequence, ratio: float):

@@ -16,8 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, ParseError, in_file
 from .sparse import SparseMatrix, power_iteration
+
+
+def _edge_problem(edges, n_nodes):
+    """(position, reason) of the first edge a graph cannot hold, or None."""
+    seen = set()
+    for k, (i, j, w) in enumerate(edges):
+        if not (0 <= i < j < n_nodes):
+            return k, f"bad edge ({i}, {j}): need 0 <= i < j < {n_nodes}"
+        if not 0 < w < math.inf:
+            return k, f"edge ({i}, {j}) weight must be positive and finite, got {w}"
+        if (i, j) in seen:
+            return k, f"duplicate edge ({i}, {j})"
+        seen.add((i, j))
+    return None
 
 
 @dataclass(frozen=True)
@@ -26,16 +40,9 @@ class Graph:
     edges: tuple  # of (i, j, w) with i < j, w > 0
 
     def __post_init__(self):
-        seen = set()
-        for i, j, w in self.edges:
-            if not (0 <= i < j < self.n_nodes):
-                raise ContractViolation(f"bad edge ({i}, {j})")
-            if not 0 < w < math.inf:
-                raise ContractViolation(
-                    f"edge ({i}, {j}) weight must be positive and finite, got {w}")
-            if (i, j) in seen:
-                raise ContractViolation(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        problem = _edge_problem(self.edges, self.n_nodes)
+        if problem:
+            raise ContractViolation(problem[1])
 
     def adjacency(self) -> SparseMatrix:
         rows, cols, vals = [], [], []
@@ -74,6 +81,10 @@ class LaplacianSet:
         return self.laplacian.n_rows
 
 
+# rows of the distance matrix held at once by build_knn_graph
+_KNN_ROWS = 256
+
+
 def build_knn_graph(points: np.ndarray, k: int) -> Graph:
     """k-nearest-neighbor graph, symmetrized by union, binary weights.
 
@@ -86,16 +97,24 @@ def build_knn_graph(points: np.ndarray, k: int) -> Graph:
         raise ContractViolation("build_knn_graph: non-finite coordinates")
     if k < 1 or n <= k:
         raise ContractViolation(f"build_knn_graph: need n > k >= 1, got n={n} k={k}")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff ** 2, axis=2))
-    pairs = set()
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, dist[i]))  # distance, then lower index
-        order = order[order != i][:k]
-        for j in order:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    edges = tuple((i, j, 1.0) for i, j in sorted(pairs))
+    keys = []  # i * n + j for each pair i < j
+    for lo in range(0, n, _KNN_ROWS):
+        hi = min(lo + _KNN_ROWS, n)
+        rows = np.arange(lo, hi)[:, None]
+        diff = points[lo:hi, None, :] - points[None, :, :]
+        dist = np.sqrt(np.sum(diff ** 2, axis=2))
+        # a stable sort breaks distance ties by lower index; a row's own
+        # index is either among its first k+1 or past every kept neighbour
+        head = np.argsort(dist, axis=1, kind="stable")[:, :k + 1]
+        keep = head != rows
+        keep[keep.all(axis=1), k] = False
+        nbrs = head[keep].reshape(hi - lo, k)
+        keys.append((np.minimum(rows, nbrs) * n + np.maximum(rows, nbrs)).ravel())
+    # sorted and deduplicated by hand: np.unique's first call imports numpy.ma
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    edges = tuple(zip((keys // n).tolist(), (keys % n).tolist(),
+                      [1.0] * len(keys)))
     return Graph(n, edges)
 
 
@@ -141,6 +160,17 @@ def save_graph(g: Graph, path):
 def load_graph(path) -> Graph:
     with open(path) as fh:
         lines = fh.read().splitlines()
+    with in_file(path):
+        n, edges = _parse_graph(lines)
+        try:
+            return Graph(n, edges)
+        except ContractViolation:  # name the line of the edge it rejected
+            k, reason = _edge_problem(edges, n)
+            raise ParseError(reason, line=k + 2) from None
+
+
+def _parse_graph(lines):
+    """(N, edges) of an edge-list file; ParseError names the line."""
     if not lines:
         raise ParseError("empty graph file", line=1)
     head = lines[0].split()
@@ -164,4 +194,4 @@ def load_graph(path) -> Graph:
         except ValueError:
             raise ParseError(f"expected integers i j and a number w, got "
                              f"{lines[k + 1]!r}", line=k + 2) from None
-    return Graph(n, tuple(edges))
+    return n, tuple(edges)

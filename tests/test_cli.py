@@ -311,7 +311,28 @@ def test_bad_graph_exit_code(tmp_path, capsys, text, fragment):
     path = tmp_path / "g.txt"
     path.write_text(text)
     assert cli.main(["stability", "--graph", str(path)]) == 2
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert f"error: {path}: line " in err
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("gfrm 1 x 3 1\n0 0 0\n", "line 1: expected integers N F T"),
+    ("# c\ngfrm 1 16 3 1.0\n", "line 2: expected integers N F T"),
+    ("gfrm 1 0 3 1\n", "line 1: need N >= 1"),
+    ("gfrm 1 16 0 1\n", "line 1: need N >= 1, F >= 1"),
+    ("gfrm 1 16 3 1\n" + "0 0 0\n" * 15 + "1 2\n", "line 17: expected 3 values"),
+    ("gfrm 1 16 3 1\n0 0 x\n" + "0 0 0\n" * 15, "line 2: expected 3 numbers"),
+    ("gfrm 1 16 3 2\n" + "0 0 0\n" * 16, "line 17: expected 32 data lines"),
+], ids=["N x", "T 1.0", "N 0", "F 0", "short row", "non-numeric", "short file"])
+def test_bad_frames_exit_code(small_dataset, small_checkpoint, tmp_path, capsys,
+                              text, fragment):
+    _, graph = small_dataset
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    assert cli.main(["eval", "--checkpoint", small_checkpoint, "--frames",
+                     str(path), "--graph", graph]) == 2
+    assert f"error: {path}: {fragment}" in capsys.readouterr().err
 
 
 def _mutate_checkpoint(lines, case):
@@ -344,6 +365,29 @@ def _mutate_checkpoint(lines, case):
         return lines, f"line {at['U'] + 1}: expected 'U rows cols'"
     if case == "stray line":
         return lines[:2] + ["hello"] + lines[2:], "line 3: expected 'key value'"
+    if case in ("b short", "z short"):  # 15 of the graph's 16 nodes
+        key = case[0]
+        lines[at[key]] = f"{key} 1 15"
+        lines[at[key] + 1] = lines[at[key] + 1].rsplit(" ", 1)[0]
+        return lines, f"checkpoint {key} is 1 x 15, but N=16 nodes"
+    if case == "b two rows":
+        values = lines[at["b"] + 1].split()
+        rows = [" ".join(values[:8]), " ".join(values[8:])]
+        lines = lines[:at["b"]] + ["b 2 8"] + rows + lines[at["b"] + 2:]
+        return lines, f"line {at['b'] + 1}: b: expected 1 row"
+    if case == "W rows":  # W is F x p = 3 x 2
+        lines[at["W"]] = "W 2 2"
+        del lines[at["W"] + 3]
+        return lines, "checkpoint W is 2 x 2, but N=16 nodes and F=3 features need 3 x 2"
+    if case == "U rows":
+        lines[at["U"]] = "U 1 2"
+        del lines[at["U"] + 2]
+        return lines, "checkpoint U is 1 x 2"
+    if case == "V cols":  # V is p x F = 2 x 3
+        lines[at["V"]] = "V 2 2"
+        for row in (at["V"] + 1, at["V"] + 2):
+            lines[row] = lines[row].rsplit(" ", 1)[0]
+        return lines, "checkpoint V is 2 x 2"
     raise AssertionError(case)
 
 
@@ -351,7 +395,8 @@ def _mutate_checkpoint(lines, case):
     "truncated", "truncated scalars", "no W", "no U", "no V", "no b", "no z",
     "no alpha", "no beta", "no family", "alpha nan", "beta inf", "alpha abc",
     "rows over header", "ragged row", "cols over header", "bad header",
-    "stray line"])
+    "stray line", "b short", "z short", "b two rows", "W rows", "U rows",
+    "V cols"])
 def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
                                   capsys, case):
     frames, graph = small_dataset
@@ -361,6 +406,24 @@ def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
     bad.write_text("\n".join(lines) + "\n")
     assert cli.main(["eval", "--checkpoint", str(bad), "--frames", frames,
                      "--graph", graph]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert f"error: {bad}: " in err
+
+
+@pytest.mark.parametrize("case", ["b short", "W rows"])
+def test_resume_bad_checkpoint_shape(small_dataset, small_checkpoint, tmp_path,
+                                     capsys, case):
+    frames, graph = small_dataset
+    lines = open(small_checkpoint).read().splitlines()
+    lines, fragment = _mutate_checkpoint(lines, case)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["train", "--frames", frames, "--graph", graph,
+                     "--out-checkpoint", str(tmp_path / "c"),
+                     "--out-history", str(tmp_path / "h"),
+                     "--resume", str(bad), "family=first_order", "p=2",
+                     "epochs=2", "t_w=4"]) == 2
     assert fragment in capsys.readouterr().err
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fgrnn import graph
 from fgrnn.errors import ContractViolation, ParseError
 from fgrnn.graph import (Graph, build_knn_graph, build_laplacians, load_graph,
                          save_graph)
@@ -54,6 +55,37 @@ class TestKnn:
         e1 = {(i, j) for i, j, _ in g1.edges}
         e2 = {tuple(sorted((perm[i], perm[j]))) for i, j, _ in g2.edges}
         assert e1 == e2
+
+
+def knn_reference(points, k):
+    """build_knn_graph's edges, one full distance row and lexsort per node."""
+    n = len(points)
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.sum(diff ** 2, axis=2))
+    pairs = set()
+    for i in range(n):
+        order = np.lexsort((np.arange(n), dist[i]))  # distance, then index
+        order = order[order != i][:k]
+        pairs.update((min(i, j), max(i, j)) for j in order.tolist())
+    return tuple((i, j, 1.0) for i, j in sorted(pairs))
+
+
+ROWS = graph._KNN_ROWS
+
+
+@pytest.mark.parametrize("n", [7, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 88])
+@pytest.mark.parametrize("kind,k", [("random", 6), ("lattice", 6),
+                                    ("duplicates", 3), ("duplicates", 9)])
+def test_knn_matches_per_row_lexsort(n, kind, k):
+    rng = np.random.default_rng(n)
+    if kind == "random":
+        pts = rng.standard_normal((n, 3))
+    elif kind == "lattice":  # many equal distances
+        pts = rng.permutation(np.indices((9, 9, 9)).reshape(3, -1).T)[:n] * 1.0
+    else:  # few distinct points, so a node can have more twins than k
+        pts = rng.integers(0, 3, size=(n, 3)) * 1.0
+    k = min(k, n - 1)
+    assert build_knn_graph(pts, k).edges == knn_reference(pts, k)
 
 
 class TestLaplacians:
@@ -127,3 +159,19 @@ class TestEdgeListIO:
         with pytest.raises(ParseError) as err:
             load_graph(path)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("text,line,fragment", [
+        ("3 1\n0 0 1\n", 2, "bad edge (0, 0)"),
+        ("3 2\n0 1 1\n1 3 1\n", 3, "bad edge (1, 3)"),
+        ("3 1\n2 1 1\n", 2, "bad edge (2, 1)"),
+        ("3 3\n0 1 1\n1 2 1\n0 1 2\n", 4, "duplicate edge (0, 1)"),
+        ("3 2\n0 1 1\n0 2 -1\n", 3, "positive and finite"),
+        ("3 1\n0 2 inf\n", 2, "positive and finite"),
+    ])
+    def test_bad_edge_names_its_line(self, tmp_path, text, line, fragment):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_graph(path)
+        assert (err.value.line, err.value.path) == (line, path)
+        assert fragment in str(err.value)

@@ -7,7 +7,8 @@ The cell update is
 
 with alpha = 1, beta = 0 reducing to the standard graph RNN. The readout
 is x_hat = conv(h; V) + z 1^T in the same filter family. Biases b and z
-are per-node and broadcast across feature columns.
+are per-node and broadcast across feature columns. ModelParams keeps the
+whole trainable set in one flat vector theta, with named views.
 
 unroll is the forward pass: training, evaluation, prediction and the
 stability diagnostics all run the recurrence through it. fgrnn_step is
@@ -16,10 +17,10 @@ the one-step reference on cheb_conv / first_order_conv.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,67 +38,87 @@ ACTIVATIONS = {
                 lambda a: (s := 1.0 / (1.0 + np.exp(-a))) * (1.0 - s)),
 }
 
-Filter = Union[ChebFilter, FeatureTransform]
-
-
-def filter_array(filt: Filter) -> np.ndarray:
-    """The trainable array of a filter: Chebyshev coefficients or weights."""
-    return filt.coeffs if isinstance(filt, ChebFilter) else filt.weights
-
-
-@dataclass
 class ModelParams:
-    """Full trainable set {W, U, V, alpha, beta, b, z} for one filter family."""
+    """The trainable set {W, U, V, alpha, beta, b, z} as one flat vector.
 
-    conv_family: str
-    input_filter: Filter       # W
-    recurrent_filter: Filter   # U
-    readout_filter: Filter     # V
-    alpha: float
-    beta: float
-    bias: np.ndarray           # b, length N
-    readout_bias: np.ndarray   # z, length N
-    activation: str = "tanh"
-    use_plain_laplacian: bool = field(default=False)
+    theta holds W, U, V, alpha, beta, b and z in that order, the order of a
+    checkpoint's Adam moments too. W, U and V are Chebyshev coefficients
+    (length K each) or first-order weights (F x p, p x p, p x F); b and z
+    hold one value per node. They are views into theta, bound once, and
+    alpha and beta read and write their slots as Python floats. like(vec)
+    lays the same views over another vector of theta's size: a gradient,
+    or a copy to perturb.
+    """
 
-    def __post_init__(self):
-        if self.conv_family not in FAMILIES:
-            raise ContractViolation(f"unknown family {self.conv_family!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ContractViolation(f"unknown activation {self.activation!r}")
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        self.readout_bias = np.asarray(self.readout_bias, dtype=np.float64)
+    def __init__(self, conv_family: str, W, U, V, alpha: float, beta: float,
+                 b, z, activation: str = "tanh",
+                 use_plain_laplacian: bool = False):
+        if conv_family not in FAMILIES:
+            raise ContractViolation(f"unknown family {conv_family!r}")
+        if activation not in ACTIVATIONS:
+            raise ContractViolation(f"unknown activation {activation!r}")
+        self.conv_family, self.activation = conv_family, activation
+        self.use_plain_laplacian = use_plain_laplacian
+        filters = [np.asarray(a, dtype=np.float64) for a in (W, U, V)]
+        if conv_family == "chebyshev":
+            filters = [a.ravel() for a in filters]
+            if min(a.size for a in filters) < 1:
+                raise ContractViolation(
+                    "Chebyshev filters need K >= 1 coefficients")
+        elif any(a.ndim != 2 for a in filters):
+            raise ContractViolation("first-order weights must be 2-D")
+        biases = [np.asarray(a, dtype=np.float64).ravel() for a in (b, z)]
+        self._shapes = ([a.shape for a in filters] + [(), ()]
+                        + [a.shape for a in biases])
+        self._bind(np.concatenate([a.ravel() for a in filters]
+                                  + [[alpha, beta]] + biases))
 
-    def copy(self) -> "ModelParams":
-        def cp(f):
-            return type(f)(filter_array(f).copy())
-        return replace(self, input_filter=cp(self.input_filter),
-                       recurrent_filter=cp(self.recurrent_filter),
-                       readout_filter=cp(self.readout_filter),
-                       bias=self.bias.copy(), readout_bias=self.readout_bias.copy())
+    def _bind(self, theta: np.ndarray):
+        self.theta, views, off = theta, [], 0
+        for shape in self._shapes:
+            size = math.prod(shape)
+            views.append(theta[off:off + size].reshape(shape))
+            off += size
+        self.W, self.U, self.V, self._alpha, self._beta, self.b, self.z = views
+
+    def like(self, vec: np.ndarray) -> "ModelParams":
+        """This layout over vec, which it shares rather than copies."""
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != self.theta.shape:
+            raise ContractViolation(f"like: vector of shape {vec.shape}, "
+                                    f"parameters {self.theta.shape}")
+        other = copy.copy(self)
+        other._bind(vec)
+        return other
+
+    alpha = property(lambda self: float(self._alpha),
+                     lambda self, value: self._alpha.fill(value))
+    beta = property(lambda self: float(self._beta),
+                    lambda self, value: self._beta.fill(value))
 
 
 def conv_apply(p: ModelParams, lap: LaplacianSet, x: np.ndarray,
-               filt: Filter) -> np.ndarray:
+               arr: np.ndarray) -> np.ndarray:
+    """The convolution of x with one of p's filter arrays (W, U or V)."""
     if p.conv_family == "chebyshev":
-        return cheb_conv(lap, x, filt)
-    return first_order_conv(lap, x, filt, p.use_plain_laplacian)
+        return cheb_conv(lap, x, ChebFilter(arr))
+    return first_order_conv(lap, x, FeatureTransform(arr),
+                            p.use_plain_laplacian)
 
 
 def conv_family(p: ModelParams, lap: LaplacianSet):
     """The basis / combine / coefficient-gradient primitives of p's family."""
     if p.conv_family == "chebyshev":
         # one basis length serves W, U and V, even if their orders differ
-        return ChebFamily(lap, max(f.order for f in (
-            p.input_filter, p.recurrent_filter, p.readout_filter)))
+        return ChebFamily(lap, max(len(p.W), len(p.U), len(p.V)))
     return FirstOrderFamily(lap, p.use_plain_laplacian)
 
 
 def preactivation(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
-    a = (conv_apply(p, lap, x, p.input_filter)
-         + conv_apply(p, lap, h_prev, p.recurrent_filter)
-         + p.bias[:, None])
+    a = (conv_apply(p, lap, x, p.W)
+         + conv_apply(p, lap, h_prev, p.U)
+         + p.b[:, None])
     if not np.all(np.isfinite(a)):
         raise NumericOverflow("non-finite pre-activation")
     return a
@@ -114,13 +135,13 @@ def fgrnn_step(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
 
 
 def readout(p: ModelParams, lap: LaplacianSet, h: np.ndarray) -> np.ndarray:
-    return conv_apply(p, lap, h, p.readout_filter) + p.readout_bias[:, None]
+    return conv_apply(p, lap, h, p.V) + p.z[:, None]
 
 
 def _hidden_width(p: ModelParams, n_features: int) -> int:
     if p.conv_family == "chebyshev":
         return n_features
-    return p.input_filter.weights.shape[1]
+    return p.W.shape[1]
 
 
 class Step(NamedTuple):
@@ -153,16 +174,16 @@ def unroll(p: ModelParams, fam, input_bases, h0: np.ndarray | None = None,
             bx = fam.basis(x_hat)
         if h is None:
             h = np.zeros((bx.shape[1], _hidden_width(p, bx.shape[2])))
-        a = fam.combine(p.input_filter, bx)
+        a = fam.combine(p.W, bx)
         if bh is not None:
-            a = a + fam.combine(p.recurrent_filter, bh)
-        a = a + p.bias[:, None]
+            a = a + fam.combine(p.U, bh)
+        a = a + p.b[:, None]
         if not np.all(np.isfinite(a)):
             raise NumericOverflow(f"step {t + 1}: non-finite pre-activation")
         h_tilde = act(a)
         h = p.alpha * h_tilde + p.beta * h
         bh = fam.basis(h)
-        x_hat = fam.combine(p.readout_filter, bh) + p.readout_bias[:, None]
+        x_hat = fam.combine(p.V, bh) + p.z[:, None]
         yield Step(a, h_tilde, h, bh, x_hat)
 
 
@@ -186,11 +207,8 @@ def save_checkpoint(p: ModelParams, path, graph_checksum: str,
         fh.write(f"graph_checksum {graph_checksum}\n")
         fh.write(f"alpha {p.alpha:.17g}\n")
         fh.write(f"beta {p.beta:.17g}\n")
-        for name, filt in (("W", p.input_filter), ("U", p.recurrent_filter),
-                           ("V", p.readout_filter)):
-            _write_array(fh, name, filter_array(filt))
-        _write_array(fh, "b", p.bias)
-        _write_array(fh, "z", p.readout_bias)
+        for name in ("W", "U", "V", "b", "z"):
+            _write_array(fh, name, getattr(p, name))
         if train_state is not None:
             fh.write(f"epoch {train_state['epoch']}\n")
             fh.write(f"adam_step {train_state['adam_step']}\n")
@@ -215,26 +233,50 @@ def _read_array(lines, k):
     try:
         block = [[float(v) for v in line.split()]
                  for line in lines[k + 1:k + 1 + rows]]
-        return np.array(block, dtype=np.float64).reshape(rows, cols)
+        arr = np.array(block, dtype=np.float64).reshape(rows, cols)
     except ValueError:
         raise ParseError(f"{name}: the {rows} lines after the header are not "
                          f"{rows} x {cols} numbers", line=k + 1) from None
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{name}: values must be finite", line=k + 1)
+    return arr
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, n_nodes: int | None = None,
+                    n_features: int | None = None):
     """Returns (ModelParams, graph_checksum, train_state or None).
 
     Raises ParseError naming the file and line for a truncated file, an
-    array block that does not match its header, a b or z block of more
-    than one row, a missing entry, or a non-finite alpha or beta.
+    array block that does not match its header or holds a non-finite
+    value, a b or z block of more than one row, a missing entry, a
+    non-finite alpha or beta, or Adam moments of another length than the
+    parameters. Given n_nodes and n_features, b, z and first-order W, U
+    and V must also fit N nodes and F features.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     with in_file(path):
-        return _parse_checkpoint(lines)
+        return _parse_checkpoint(lines, n_nodes, n_features)
 
 
-def _parse_checkpoint(lines):
+def _check_shapes(arrays, where, family, n_nodes, n_features):
+    """ParseError at the first array that does not fit N nodes and F
+    features."""
+    need = {"b": (1, n_nodes), "z": (1, n_nodes)}
+    if family == "first_order":
+        width = arrays["W"].shape[1]
+        need.update(W=(n_features, width), U=(width, width),
+                    V=(width, n_features))
+    for name, shape in need.items():
+        got = arrays[name].shape
+        if got != shape:
+            raise ParseError(
+                f"checkpoint {name} is {got[0]} x {got[1]}, but N={n_nodes} "
+                f"nodes and F={n_features} features need {shape[0]} x "
+                f"{shape[1]}", line=where[name])
+
+
+def _parse_checkpoint(lines, n_nodes=None, n_features=None):
     if not lines or lines[0] != "fgrnn-checkpoint 1":
         raise ParseError("not a checkpoint file", line=1)
     scalars, arrays, where = {}, {}, {}
@@ -275,19 +317,12 @@ def _parse_checkpoint(lines):
         if arrays[key].shape[0] != 1:
             raise ParseError(f"{key}: expected 1 row of per-node values, got "
                              f"{arrays[key].shape[0]}", line=where[key])
-    family = scalars["family"]
-    wrap = ((lambda a: ChebFilter(a.ravel())) if family == "chebyshev"
-            else FeatureTransform)
+    if n_nodes is not None:
+        _check_shapes(arrays, where, scalars["family"], n_nodes, n_features)
     p = ModelParams(
-        conv_family=family,
-        input_filter=wrap(arrays["W"]),
-        recurrent_filter=wrap(arrays["U"]),
-        readout_filter=wrap(arrays["V"]),
-        alpha=number("alpha"),
-        beta=number("beta"),
-        bias=arrays["b"].ravel(),
-        readout_bias=arrays["z"].ravel(),
-        activation=scalars["activation"],
+        scalars["family"], arrays["W"], arrays["U"], arrays["V"],
+        alpha=number("alpha"), beta=number("beta"), b=arrays["b"],
+        z=arrays["z"], activation=scalars["activation"],
         use_plain_laplacian=("use_plain_laplacian" in scalars
                              and bool(number("use_plain_laplacian", int))),
     )
@@ -295,6 +330,10 @@ def _parse_checkpoint(lines):
     if "epoch" in scalars:
         need(("adam_step", "lr"), scalars)
         need(("adam_m", "adam_v"), arrays)
+        for key in ("adam_m", "adam_v"):
+            if arrays[key].size != p.theta.size:
+                raise ParseError(f"{key}: {arrays[key].size} values for "
+                                 f"{p.theta.size} parameters", line=where[key])
         train_state = {
             "epoch": number("epoch", int),
             "adam_step": number("adam_step", int),

@@ -16,9 +16,10 @@ import numpy as np
 
 from . import data as datamod
 from . import training
-from .cells import (ACTIVATIONS, conv_family, filter_array, load_checkpoint,
-                    save_checkpoint, unroll)
-from .errors import ConfigError, ContractViolation, NumericOverflow, ParseError
+from .cells import (ACTIVATIONS, conv_family, load_checkpoint, save_checkpoint,
+                    unroll)
+from .errors import (ConfigError, ContractViolation, NumericOverflow, ParseError,
+                     in_file)
 from .graph import build_laplacians, load_graph, save_graph
 from .stability import scalar_cell_params, stability_sweep, sweep_csv
 from .training import (TrainConfig, count_params, history_csv, parse_config,
@@ -35,10 +36,18 @@ def _parse_overrides(pairs):
     return out
 
 
+def _config_values(path, overrides) -> dict:
+    """The --config file's key = value pairs, then the command line's."""
+    values = {}
+    if path:
+        with in_file(path):
+            values = parse_key_values(open(path).read())
+    return {**values, **overrides}
+
+
 def _load_train_config(path, overrides) -> TrainConfig:
-    text = open(path).read() if path else ""
     try:
-        return parse_config(text, overrides)
+        return parse_config("", _config_values(path, overrides))
     except (ParseError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -49,10 +58,8 @@ _SYNTH_KEYS = {f.name for f in fields(datamod.SyntheticConfig)}
 
 
 def _synth_config(path, overrides) -> datamod.SyntheticConfig:
-    values = parse_key_values(open(path).read() if path else "")
-    values.update(overrides)
     cfg = datamod.SyntheticConfig()
-    for key, val in values.items():
+    for key, val in _config_values(path, overrides).items():
         if key not in _SYNTH_KEYS:
             raise ConfigError(
                 f"unknown data config key {key!r}; valid: {sorted(_SYNTH_KEYS)}")
@@ -95,12 +102,12 @@ def cmd_train(args):
     initial = resume_state = None
     epoch_offset = 0
     if args.resume:
-        initial, checksum, resume_state = load_checkpoint(args.resume)
+        initial, checksum, resume_state = load_checkpoint(
+            args.resume, graph.n_nodes, seq.n_features)
         if checksum != graph.checksum():
             raise ConfigError("checkpoint was trained on a different graph")
         if resume_state is None:
             raise ConfigError("checkpoint carries no training state to resume")
-        _check_model_shapes(initial, args.resume, graph.n_nodes, seq.n_features)
         epoch_offset = resume_state["epoch"]
     run = train(cfg, seq, graph, initial=initial, resume_state=resume_state)
     state = {"epoch": run.epochs_done,
@@ -128,31 +135,10 @@ def cmd_train(args):
 
 # --- eval / predict ------------------------------------------------------------
 
-def _check_model_shapes(p, checkpoint_path, n_nodes, n_features):
-    """ConfigError naming the first checkpoint array that does not fit the
-    graph's N nodes and the frames' F features."""
-    got = {"b": (1, p.bias.size), "z": (1, p.readout_bias.size)}
-    need = {"b": (1, n_nodes), "z": (1, n_nodes)}
-    if p.conv_family == "first_order":
-        w, u, v = (filter_array(f) for f in (
-            p.input_filter, p.recurrent_filter, p.readout_filter))
-        width = w.shape[1]
-        got.update(W=w.shape, U=u.shape, V=v.shape)
-        need.update(W=(n_features, width), U=(width, width),
-                    V=(width, n_features))
-    for name, shape in need.items():
-        if got[name] != shape:
-            raise ConfigError(
-                f"{checkpoint_path}: checkpoint {name} is {got[name][0]} x "
-                f"{got[name][1]}, but N={n_nodes} nodes and F={n_features} "
-                f"features need {shape[0]} x {shape[1]}")
-
-
 def _load_model(checkpoint_path, graph, n_features):
-    p, checksum, _ = load_checkpoint(checkpoint_path)
+    p, checksum, _ = load_checkpoint(checkpoint_path, graph.n_nodes, n_features)
     if checksum != graph.checksum():
         raise ConfigError("checkpoint graph checksum does not match graph file")
-    _check_model_shapes(p, checkpoint_path, graph.n_nodes, n_features)
     return p
 
 

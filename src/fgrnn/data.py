@@ -12,8 +12,9 @@ that holds no `#` and no line break other than `\n` and `\r\n`: one
 yields exactly N*T rows of F values. Anything else, including every
 malformed file and numbers `np.loadtxt` does not read (`1_0`, non-ASCII
 digits), goes to the per-line parser, the only code that raises a
-ParseError naming the line. save_frames writes one frame at a time with
-a repeated `%.17g` format.
+ParseError naming the line. Both read `nan` and `inf`; load_frames then
+rejects a non-finite value, naming its line. save_frames writes one
+frame at a time with a repeated `%.17g` format.
 """
 
 from __future__ import annotations
@@ -133,11 +134,17 @@ def save_frames(seq: FrameSequence, path):
 def load_frames(path) -> FrameSequence:
     with open(path, "rb") as fh:
         frames = _load_frames_fast(fh.read())
-    if frames is None:
+    if frames is None or not np.all(np.isfinite(frames)):
         with open(path) as fh:
             lines = fh.read().splitlines()
         with in_file(path):
             frames = _load_frames_slow(lines)
+            rows = frames.reshape(-1, frames.shape[2])
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                lineno, line = _data_lines(lines)[1 + int(np.argmin(finite))]
+                raise ParseError(f"expected finite values, got {line!r}",
+                                 line=lineno)
     return FrameSequence(frames)
 
 
@@ -184,11 +191,16 @@ def _load_frames_fast(data: bytes):
     return rows.reshape(t_total, n, f)
 
 
+def _data_lines(raw_lines):
+    """(line number, line) of each line that is not blank or a comment."""
+    return [(k + 1, ln) for k, ln in enumerate(raw_lines)
+            if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def _load_frames_slow(raw_lines) -> np.ndarray:
     """(T, N, F) frames of a frame file's lines, parsed one by one;
     ParseError names the line."""
-    lines = [(k + 1, ln) for k, ln in enumerate(raw_lines)
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = _data_lines(raw_lines)
     if not lines:
         raise ParseError("empty frame file", line=1)
     lineno, head = lines[0]

@@ -12,12 +12,13 @@ the backward formulas below exact.
 
 Each family is written once, as three primitives (ChebFamily,
 FirstOrderFamily): basis(x) holds every sparse product of a convolution
-of x ([T_0 x .. T_{K-1} x], or [L1 x]); combine(filter, basis) gives its
-value and coeff_grad(filter, basis, upstream) its coefficient
-gradient, both without a sparse product. adjoint applies the transposed convolution of
-several upstreams to one input in one stacked product. The convolutions
-below are built on them, and BPTT keeps the bases of its forward pass to
-reuse in reverse (see training.bptt).
+of x ([T_0 x .. T_{K-1} x], or [L1 x]); combine(c, basis) gives its value
+and coeff_grad(c, basis, upstream) its coefficient gradient, both without
+a sparse product, where c is the filter's trainable array (Chebyshev
+coefficients or first-order weights). adjoint applies the transposed
+convolution of several upstreams to one input in one stacked product.
+The convolutions below are built on them, and BPTT keeps the bases of
+its forward pass to reuse in reverse (see training.bptt).
 """
 
 from __future__ import annotations
@@ -83,28 +84,28 @@ class ChebFamily:
         return np.stack(terms)
 
     @staticmethod
-    def combine(f: ChebFilter, basis: np.ndarray) -> np.ndarray:
-        acc = f.coeffs[0] * basis[0]
-        for k in range(1, f.order):
-            acc = acc + f.coeffs[k] * basis[k]
+    def combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        acc = coeffs[0] * basis[0]
+        for k in range(1, len(coeffs)):
+            acc = acc + coeffs[k] * basis[k]
         return acc
 
     @staticmethod
-    def coeff_grad(f: ChebFilter, basis: np.ndarray,
+    def coeff_grad(coeffs: np.ndarray, basis: np.ndarray,
                    upstream: np.ndarray) -> np.ndarray:
-        """d<upstream, combine(f, basis)>/d coeffs, shape (f.order,)."""
-        return np.tensordot(basis[:f.order], upstream, axes=2)
+        """d<upstream, combine(coeffs, basis)>/d coeffs, shape (K,)."""
+        return np.tensordot(basis[:len(coeffs)], upstream, axes=2)
 
     def adjoint(self, pairs) -> np.ndarray:
-        """sum_i conv(f_i)^T g_i over (f_i, g_i) pairs, in one stacked product.
+        """sum_i conv(c_i)^T g_i over (c_i, g_i) pairs, in one stacked product.
 
         T_k(Ls) is symmetric, so conv^T is the filter itself; the g_i share
         one basis of their column-stacked concatenation.
         """
         stacked = self.basis(np.concatenate([g for _, g in pairs], axis=1))
         out, col = None, 0
-        for f, g in pairs:
-            part = self.combine(f, stacked[:, :, col:col + g.shape[1]])
+        for c, g in pairs:
+            part = self.combine(c, stacked[:, :, col:col + g.shape[1]])
             out = part if out is None else out + part
             col += g.shape[1]
         return out
@@ -123,20 +124,20 @@ class FirstOrderFamily:
         return spmm(self.op, x)[None]
 
     @staticmethod
-    def combine(t: FeatureTransform, basis: np.ndarray) -> np.ndarray:
-        return basis[0] @ t.weights
+    def combine(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        return basis[0] @ weights
 
     @staticmethod
-    def coeff_grad(t: FeatureTransform, basis: np.ndarray,
+    def coeff_grad(weights: np.ndarray, basis: np.ndarray,
                    upstream: np.ndarray) -> np.ndarray:
-        """d<upstream, combine(t, basis)>/d weights, shape (F_in, F_out)."""
+        """d<upstream, combine(weights, basis)>/d weights, shape (F_in, F_out)."""
         return basis[0].T @ upstream
 
     def adjoint(self, pairs) -> np.ndarray:
-        """sum_i conv(t_i)^T g_i = op (sum_i g_i W_i^T), one sparse product."""
+        """sum_i conv(W_i)^T g_i = op (sum_i g_i W_i^T), one sparse product."""
         mixed = None
-        for t, g in pairs:
-            part = g @ t.weights.T
+        for w, g in pairs:
+            part = g @ w.T
             mixed = part if mixed is None else mixed + part
         return spmm(self.op, mixed)
 
@@ -147,7 +148,7 @@ def cheb_conv(lap: LaplacianSet, x: np.ndarray, f: ChebFilter) -> np.ndarray:
         raise ContractViolation(
             f"cheb_conv: {x.shape[0]} rows vs {lap.n_nodes} nodes")
     fam = ChebFamily(lap, f.order)
-    return fam.combine(f, fam.basis(x))
+    return fam.combine(f.coeffs, fam.basis(x))
 
 
 def cheb_conv_backward(lap: LaplacianSet, x: np.ndarray, f: ChebFilter,
@@ -158,7 +159,8 @@ def cheb_conv_backward(lap: LaplacianSet, x: np.ndarray, f: ChebFilter,
     if upstream.shape != x.shape:
         raise ContractViolation("cheb_conv_backward: upstream shape mismatch")
     fam = ChebFamily(lap, f.order)
-    return fam.adjoint([(f, upstream)]), fam.coeff_grad(f, fam.basis(x), upstream)
+    return (fam.adjoint([(f.coeffs, upstream)]),
+            fam.coeff_grad(f.coeffs, fam.basis(x), upstream))
 
 
 def first_order_conv(lap: LaplacianSet, x: np.ndarray, t: FeatureTransform,
@@ -171,7 +173,7 @@ def first_order_conv(lap: LaplacianSet, x: np.ndarray, t: FeatureTransform,
             f"first_order_conv: {x.shape[1]} features vs "
             f"{t.weights.shape[0]} weight rows")
     fam = FirstOrderFamily(lap, use_plain_laplacian)
-    return fam.combine(t, fam.basis(x))
+    return fam.combine(t.weights, fam.basis(x))
 
 
 def first_order_conv_backward(lap: LaplacianSet, x: np.ndarray,
@@ -182,7 +184,8 @@ def first_order_conv_backward(lap: LaplacianSet, x: np.ndarray,
     if upstream.shape != (x.shape[0], t.weights.shape[1]):
         raise ContractViolation("first_order_conv_backward: upstream shape mismatch")
     fam = FirstOrderFamily(lap, use_plain_laplacian)
-    return fam.adjoint([(t, upstream)]), fam.coeff_grad(t, fam.basis(x), upstream)
+    return (fam.adjoint([(t.weights, upstream)]),
+            fam.coeff_grad(t.weights, fam.basis(x), upstream))
 
 
 def spectral_conv_oracle(lap: LaplacianSet, x: np.ndarray, f: ChebFilter) -> np.ndarray:

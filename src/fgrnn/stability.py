@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import (ACTIVATIONS, ModelParams, conv_family, filter_array,
-                    preactivation, unroll)
+from .cells import ACTIVATIONS, ModelParams, conv_family, preactivation, unroll
 from .errors import ContractViolation
-from .gconv import FeatureTransform
 from .graph import Graph, LaplacianSet, build_laplacians
 
 
@@ -41,12 +39,11 @@ class StabilityReport:
 def _check_scalar_cell(p: ModelParams, lap: LaplacianSet):
     if p.conv_family != "first_order":
         raise ContractViolation("stability diagnostics need the first_order family")
-    u = filter_array(p.recurrent_filter)
-    if u.shape != (1, 1):
+    if p.U.shape != (1, 1):
         raise ContractViolation("stability diagnostics need hidden width 1")
     if lap.n_nodes > 2048:
         raise ContractViolation("stability diagnostics limited to N <= 2048")
-    return float(u[0, 0])
+    return float(p.U[0, 0])
 
 
 def _node_operator_dense(p: ModelParams, lap: LaplacianSet) -> np.ndarray:
@@ -151,13 +148,10 @@ def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
                        use_plain_laplacian: bool = False) -> ModelParams:
     """Convenience constructor for the width-1 diagnostic cell."""
     return ModelParams(
-        conv_family="first_order",
-        input_filter=FeatureTransform(np.full((n_features, 1), w)),
-        recurrent_filter=FeatureTransform(np.array([[u]])),
-        readout_filter=FeatureTransform(np.zeros((1, n_features))),
-        alpha=alpha, beta=beta,
-        bias=np.full(n_nodes, b), readout_bias=np.zeros(n_nodes),
-        activation=activation, use_plain_laplacian=use_plain_laplacian)
+        "first_order", np.full((n_features, 1), w), [[u]],
+        np.zeros((1, n_features)), alpha=alpha, beta=beta,
+        b=np.full(n_nodes, b), z=np.zeros(n_nodes), activation=activation,
+        use_plain_laplacian=use_plain_laplacian)
 
 
 def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
@@ -168,14 +162,14 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
         raise ContractViolation("stability_sweep: grids must be non-empty")
     lap = build_laplacians(g)
     rng = np.random.default_rng(seed)
-    n_feat = filter_array(base_params.input_filter).shape[0]
+    n_feat = base_params.W.shape[0]
     frames = rng.standard_normal((max(t_grid), g.n_nodes, n_feat))
     horizons = sorted(t_grid)
     rows = []
     for alpha in sorted(alpha_grid):
         for beta in sorted(beta_grid):
-            p = base_params.copy()
-            p.alpha, p.beta = float(alpha), float(beta)
+            p = base_params.like(base_params.theta.copy())
+            p.alpha, p.beta = alpha, beta
             rows += _reports(p, lap, frames, horizons)
     return rows
 

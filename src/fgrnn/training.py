@@ -30,11 +30,9 @@ from functools import partial
 
 import numpy as np
 
-from .cells import (ACTIVATIONS, FAMILIES, ModelParams, conv_family,
-                    filter_array, unroll)
+from .cells import ACTIVATIONS, FAMILIES, ModelParams, conv_family, unroll
 from .data import FrameSequence, split_train_test
 from .errors import ContractViolation, NumericOverflow, ParseError
-from .gconv import ChebFilter, FeatureTransform
 from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import spmm
 
@@ -68,51 +66,6 @@ def _step_loss(x_hat, x, lap, loss_kind, lambda_reg) -> float:
     if loss_kind == "graph_regularized":
         return graph_regularized_loss(x_hat, x, lap, lambda_reg)
     return prediction_loss(x_hat, x)
-
-
-# --- parameter vectorization -------------------------------------------------
-
-def params_to_vector(p: ModelParams) -> np.ndarray:
-    parts = [filter_array(p.input_filter).ravel(),
-             filter_array(p.recurrent_filter).ravel(),
-             filter_array(p.readout_filter).ravel(),
-             [p.alpha, p.beta], p.bias.ravel(), p.readout_bias.ravel()]
-    return np.concatenate([np.asarray(a, dtype=np.float64) for a in parts])
-
-
-def vector_to_params(p: ModelParams, vec: np.ndarray):
-    """Writes vec back into p in the order used by params_to_vector."""
-    off = 0
-    for filt in (p.input_filter, p.recurrent_filter, p.readout_filter):
-        arr = filter_array(filt)
-        arr.flat[:] = vec[off:off + arr.size]
-        off += arr.size
-    p.alpha = float(vec[off])
-    p.beta = float(vec[off + 1])
-    off += 2
-    p.bias[:] = vec[off:off + p.bias.size]
-    off += p.bias.size
-    p.readout_bias[:] = vec[off:off + p.readout_bias.size]
-    off += p.readout_bias.size
-    if off != len(vec):
-        raise ContractViolation("vector length does not match parameter count")
-
-
-@dataclass
-class GradientSet:
-    grad_input: np.ndarray      # dJ/dW (filter-shaped)
-    grad_recurrent: np.ndarray  # dJ/dU
-    grad_readout: np.ndarray    # dJ/dV
-    grad_alpha: float
-    grad_beta: float
-    grad_bias: np.ndarray
-    grad_readout_bias: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.grad_input.ravel(), self.grad_recurrent.ravel(),
-            self.grad_readout.ravel(), [self.grad_alpha, self.grad_beta],
-            self.grad_bias.ravel(), self.grad_readout_bias.ravel()])
 
 
 # --- BPTT --------------------------------------------------------------------
@@ -149,7 +102,8 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     """Exact gradients of the summed per-step loss over one window.
 
     window is a (T_w+1, N, F) array; step t consumes frame t and is
-    scored against frame t+1. Returns (loss, GradientSet).
+    scored against frame t+1. Returns (loss, gradient), the gradient laid
+    out as p (p.like): grad.theta is dJ/dtheta, grad.W is dJ/dW, and so on.
     """
     window = np.asarray(window, dtype=np.float64)
     t_w = window.shape[0] - 1
@@ -157,7 +111,6 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
         raise ContractViolation("bptt: window needs at least 2 frames")
     act_deriv = ACTIVATIONS[p.activation][1]
     fam = conv_family(p, lap)
-    w_f, u_f, v_f = p.input_filter, p.recurrent_filter, p.readout_filter
 
     # bx[:, t] is the basis of input frame t, all made in one product;
     # bh[t] is that of h_t
@@ -187,28 +140,27 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
         if t + 1 < t_w:
             # readout upstream at t and recurrent upstream from t+1, as one
             # product, plus the residual path through beta
-            g_h[t] = (fam.adjoint([(v_f, d_xhat[t]), (u_f, g_a[t + 1])])
+            g_h[t] = (fam.adjoint([(p.V, d_xhat[t]), (p.U, g_a[t + 1])])
                       + p.beta * g_h[t + 1])
         else:
-            g_h[t] = fam.adjoint([(v_f, d_xhat[t])])
+            g_h[t] = fam.adjoint([(p.V, d_xhat[t])])
         g_a[t] = p.alpha * g_h[t] * dact[t]
 
     # every coefficient gradient is read from the stored bases
     g_h, g_a, bh = np.stack(g_h), np.stack(g_a), np.stack(bh, axis=1)
     h_tildes, states = np.stack(h_tildes), np.stack(states)
-    grads = GradientSet(
-        grad_input=fam.coeff_grad(w_f, _merge_steps(bx), _merge_steps(g_a)),
-        grad_recurrent=fam.coeff_grad(u_f, _merge_steps(bh[:, :-1]),
-                                      _merge_steps(g_a[1:])),
-        grad_readout=fam.coeff_grad(v_f, _merge_steps(bh),
-                                    _merge_steps(d_xhat)),
-        grad_alpha=float(np.sum(g_h * h_tildes)),
-        grad_beta=float(np.sum(g_h[1:] * states[:-1])),
-        grad_bias=g_a.sum(axis=(0, 2)),
-        grad_readout_bias=d_xhat.sum(axis=(0, 2)))
-    if not np.all(np.isfinite(grads.to_vector())):
+    grad = p.like(np.empty_like(p.theta))
+    grad.W[...] = fam.coeff_grad(p.W, _merge_steps(bx), _merge_steps(g_a))
+    grad.U[...] = fam.coeff_grad(p.U, _merge_steps(bh[:, :-1]),
+                                 _merge_steps(g_a[1:]))
+    grad.V[...] = fam.coeff_grad(p.V, _merge_steps(bh), _merge_steps(d_xhat))
+    grad.alpha = np.sum(g_h * h_tildes)
+    grad.beta = np.sum(g_h[1:] * states[:-1])
+    grad.b[...] = g_a.sum(axis=(0, 2))
+    grad.z[...] = d_xhat.sum(axis=(0, 2))
+    if not np.all(np.isfinite(grad.theta)):
         raise NumericOverflow("non-finite gradient in window")
-    return total, grads
+    return total, grad
 
 
 def finite_difference_check(p: ModelParams, lap: LaplacianSet,
@@ -218,20 +170,16 @@ def finite_difference_check(p: ModelParams, lap: LaplacianSet,
     """Max relative error between BPTT and central finite differences."""
     if step <= 0:
         raise ContractViolation("step must be > 0")
-    _, grads = bptt(p, lap, window, loss_kind, lambda_reg)
-    analytic = grads.to_vector()
-    theta = params_to_vector(p)
+    _, grad = bptt(p, lap, window, loss_kind, lambda_reg)
+    analytic = grad.theta
+    work = p.like(p.theta.copy())
     worst = 0.0
-    work = p.copy()
-    for k in range(len(theta)):
-        for sign, out in ((+1, "plus"), (-1, "minus")):
-            pert = theta.copy()
-            pert[k] += sign * step
-            vector_to_params(work, pert)
-            if sign > 0:
-                j_plus = _window_loss(work, lap, window, loss_kind, lambda_reg)
-            else:
-                j_minus = _window_loss(work, lap, window, loss_kind, lambda_reg)
+    for k in range(p.theta.size):
+        work.theta[k] = p.theta[k] + step
+        j_plus = _window_loss(work, lap, window, loss_kind, lambda_reg)
+        work.theta[k] = p.theta[k] - step
+        j_minus = _window_loss(work, lap, window, loss_kind, lambda_reg)
+        work.theta[k] = p.theta[k]
         numeric = (j_plus - j_minus) / (2.0 * step)
         denom = max(abs(analytic[k]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[k] - numeric) / denom)
@@ -258,10 +206,11 @@ class AdamState:
             self.second_moment = np.zeros(self.n_params)
 
 
-def adam_step(state: AdamState, p: ModelParams, grads: GradientSet,
+def adam_step(state: AdamState, p: ModelParams, grad: ModelParams,
               lr: float | None = None):
-    """One bias-corrected Adam update, in place; returns (state, p)."""
-    g = grads.to_vector()
+    """One bias-corrected Adam update of p.theta, in place; returns
+    (state, p). grad is laid out as p (see bptt)."""
+    g = grad.theta
     if len(g) != state.n_params:
         raise ContractViolation("adam_step: gradient size mismatch")
     state.step += 1
@@ -271,9 +220,7 @@ def adam_step(state: AdamState, p: ModelParams, grads: GradientSet,
     m_hat = state.first_moment / (1.0 - state.beta1 ** state.step)
     v_hat = state.second_moment / (1.0 - state.beta2 ** state.step)
     eta = state.learning_rate if lr is None else lr
-    theta = params_to_vector(p)
-    theta -= eta * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    vector_to_params(p, theta)
+    p.theta -= eta * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return state, p
 
 
@@ -399,19 +346,16 @@ def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
     rng = np.random.default_rng(cfg.seed)
     s = cfg.init_scale
     if cfg.family == "chebyshev":
-        make = lambda shape: ChebFilter(rng.uniform(-s, s, size=cfg.k))
-        w, u, v = make(None), make(None), make(None)
+        shapes = [cfg.k] * 3
     elif cfg.family == "first_order":
-        w = FeatureTransform(rng.uniform(-s, s, size=(n_features, cfg.p)))
-        u = FeatureTransform(rng.uniform(-s, s, size=(cfg.p, cfg.p)))
-        v = FeatureTransform(rng.uniform(-s, s, size=(cfg.p, n_features)))
+        shapes = [(n_features, cfg.p), (cfg.p, cfg.p), (cfg.p, n_features)]
     else:
         raise ContractViolation(f"init_params: unknown family {cfg.family!r}")
+    w, u, v = (rng.uniform(-s, s, size=shape) for shape in shapes)
     return ModelParams(
-        conv_family=cfg.family, input_filter=w, recurrent_filter=u,
-        readout_filter=v, alpha=0.5, beta=0.5,
-        bias=np.zeros(n_nodes), readout_bias=np.zeros(n_nodes),
-        activation=cfg.activation, use_plain_laplacian=cfg.use_plain_laplacian)
+        cfg.family, w, u, v, alpha=0.5, beta=0.5, b=np.zeros(n_nodes),
+        z=np.zeros(n_nodes), activation=cfg.activation,
+        use_plain_laplacian=cfg.use_plain_laplacian)
 
 
 def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
@@ -478,8 +422,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     train_frames, test_frames = train_seq.frames, test_seq.frames
     p = initial if initial is not None else init_params(
         cfg, dataset.n_nodes, dataset.n_features)
-    n_params = len(params_to_vector(p))
-    adam = AdamState(n_params, learning_rate=cfg.lr)
+    adam = AdamState(p.theta.size, learning_rate=cfg.lr)
     epoch_start = 0
     if resume_state is not None:
         adam.step = resume_state["adam_step"]
@@ -494,9 +437,9 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
         for epoch in range(epoch_start, epoch_start + cfg.epochs):
             lr = cfg.lr * cfg.lr_decay ** epoch
             for s, e in windows:
-                _, grads = bptt(p, lap, train_frames[s:e],
-                                cfg.loss_kind, cfg.lambda_reg)
-                adam_step(adam, p, grads, lr=lr)
+                _, grad = bptt(p, lap, train_frames[s:e],
+                               cfg.loss_kind, cfg.lambda_reg)
+                adam_step(adam, p, grad, lr=lr)
             train_loss, test_loss = evaluate(p, lap, train_frames, test_frames)
             epoch_losses.append((train_loss, test_loss))
             alphas.append(p.alpha)

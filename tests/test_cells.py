@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fgrnn.cells import (conv_family, fgrnn_step, load_checkpoint,
+from fgrnn.cells import (ModelParams, conv_family, fgrnn_step, load_checkpoint,
                          preactivation, readout, save_checkpoint, unroll)
 from fgrnn.errors import ContractViolation
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
@@ -22,6 +22,36 @@ def knn_lap(seed, n=10, k=3):
     return build_laplacians(build_knn_graph(rng.standard_normal((n, 3)), k))
 
 
+class TestModelParams:
+    def test_theta_order_and_views(self):
+        w = np.arange(6.0).reshape(3, 2)
+        u = [[6.0, 7], [8, 9]]
+        v = np.arange(10.0, 16).reshape(2, 3)
+        p = ModelParams("first_order", w, u, v, 0.25, 0.75, [1.0, 2, 3, 4],
+                        [5.0, 6, 7, 8])
+        assert np.array_equal(p.theta, np.concatenate(
+            [np.arange(16.0), [0.25, 0.75], [1.0, 2, 3, 4], [5.0, 6, 7, 8]]))
+        assert (p.W.shape, p.U.shape, p.V.shape, p.b.shape, p.z.shape) == (
+            (3, 2), (2, 2), (2, 3), (4,), (4,))
+        assert type(p.alpha) is float and type(p.beta) is float
+        p.theta[:] = -np.arange(p.theta.size)
+        assert p.W[2, 1] == -5 and p.V[0, 0] == -10 and p.z[3] == -25
+        assert (p.alpha, p.beta) == (-16.0, -17.0)
+        p.beta = 0.5
+        assert p.theta[17] == 0.5
+
+    def test_like_shares_the_vector(self):
+        p = make_params("chebyshev", 5, k=2)
+        assert p.W.shape == (2,) and p.theta.size == 3 * 2 + 2 + 2 * 5
+        vec = np.zeros_like(p.theta)
+        g = p.like(vec)
+        g.U[1], g.alpha, g.b[4] = 3.0, 2.0, 1.0
+        assert vec[3] == 3.0 and vec[6] == 2.0 and vec[12] == 1.0
+        assert np.array_equal(p.U, make_params("chebyshev", 5, k=2).U)
+        with pytest.raises(ContractViolation):
+            p.like(np.zeros(p.theta.size + 1))
+
+
 class TestFgrnnStep:
     def test_standard_rnn_reduction(self):
         # alpha=1, beta=0 collapses to conv + bias + activation
@@ -31,9 +61,9 @@ class TestFgrnnStep:
         x = rng.standard_normal((10, 3))
         h_prev = rng.standard_normal((10, 3))
         h_tilde, h = fgrnn_step(p, lap, h_prev, x)
-        expected = np.tanh(cheb_conv(lap, x, p.input_filter)
-                           + cheb_conv(lap, h_prev, p.recurrent_filter)
-                           + p.bias[:, None])
+        expected = np.tanh(cheb_conv(lap, x, ChebFilter(p.W))
+                           + cheb_conv(lap, h_prev, ChebFilter(p.U))
+                           + p.b[:, None])
         assert np.array_equal(h, h_tilde)
         assert np.allclose(h, expected)
 
@@ -48,9 +78,9 @@ class TestFgrnnStep:
     def test_zero_filters(self):
         lap = build_laplacians(Graph(3, ()))
         p = make_params("first_order", 3, beta=0.25)
-        p.input_filter.weights[:] = 0.0
-        p.recurrent_filter.weights[:] = 0.0
-        p.bias[:] = 0.0
+        p.W[:] = 0.0
+        p.U[:] = 0.0
+        p.b[:] = 0.0
         h_prev = np.random.default_rng(3).standard_normal((3, 3))
         h_tilde, h = fgrnn_step(p, lap, h_prev, np.ones((3, 3)))
         assert np.all(h_tilde == 0.0)
@@ -59,14 +89,14 @@ class TestFgrnnStep:
     def test_relu_active_regime_is_linear(self):
         lap = knn_lap(4)
         p = make_params("first_order", 10, activation="relu")
-        p.bias[:] = 10.0  # guarantees positive pre-activations
+        p.b[:] = 10.0  # guarantees positive pre-activations
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10, 3)) * 0.1
         h_prev = rng.standard_normal((10, 3)) * 0.1
         h_tilde, _ = fgrnn_step(p, lap, h_prev, x)
-        pre = (first_order_conv(lap, x, p.input_filter)
-               + first_order_conv(lap, h_prev, p.recurrent_filter)
-               + p.bias[:, None])
+        pre = (first_order_conv(lap, x, FeatureTransform(p.W))
+               + first_order_conv(lap, h_prev, FeatureTransform(p.U))
+               + p.b[:, None])
         assert np.array_equal(h_tilde, pre)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -77,15 +107,15 @@ class TestFgrnnStep:
         x = rng.standard_normal((n, 3))
         h_prev = rng.standard_normal((n, 3))
         p = make_params("chebyshev", n, seed=seed)
-        p.bias[:] = rng.standard_normal(n)
+        p.b[:] = rng.standard_normal(n)
         perm = rng.permutation(n)
 
         lap = build_laplacians(build_knn_graph(pts, 3))
         _, h = fgrnn_step(p, lap, h_prev, x)
 
         lap_p = build_laplacians(build_knn_graph(pts[perm], 3))
-        p_perm = p.copy()
-        p_perm.bias = p.bias[perm]
+        p_perm = p.like(p.theta.copy())
+        p_perm.b[:] = p.b[perm]
         _, h_p = fgrnn_step(p_perm, lap_p, h_prev[perm], x[perm])
         assert np.allclose(h_p, h[perm], atol=1e-9)
 
@@ -115,11 +145,11 @@ class TestUnroll:
         p = make_params(family, 12, seed=20,
                         use_plain_laplacian=case == "plain_laplacian")
         if case == "mixed_orders":
-            p.recurrent_filter = ChebFilter([0.4, 0.2])
-            p.readout_filter = ChebFilter([0.3, -0.2, 0.1, 0.05])
+            p = ModelParams("chebyshev", p.W, [0.4, 0.2],
+                            [0.3, -0.2, 0.1, 0.05], p.alpha, p.beta, p.b, p.z)
         rng = np.random.default_rng(21)
-        p.bias[:] = 0.1 * rng.standard_normal(12)
-        p.readout_bias[:] = 0.1 * rng.standard_normal(12)
+        p.b[:] = 0.1 * rng.standard_normal(12)
+        p.z[:] = 0.1 * rng.standard_normal(12)
         frames = rng.standard_normal((5, 12, 3))
         h0 = rng.standard_normal((12, 3)) if warm else None
         fam = conv_family(p, lap)
@@ -146,24 +176,24 @@ class TestReadout:
     def test_zero_filter_gives_bias_columns(self):
         lap = knn_lap(6)
         p = make_params("first_order", 10)
-        p.readout_filter.weights[:] = 0.0
-        p.readout_bias[:] = np.arange(10.0)
+        p.V[:] = 0.0
+        p.z[:] = np.arange(10.0)
         out = readout(p, lap, np.ones((10, 3)))
         assert np.allclose(out, np.tile(np.arange(10.0)[:, None], (1, 3)))
 
     def test_edgeless_identity(self):
         lap = build_laplacians(Graph(3, ()))
         p = make_params("first_order", 3)
-        p.readout_filter.weights = np.eye(3)
-        p.readout_bias[:] = 0.0
+        p.V[:] = np.eye(3)
+        p.z[:] = 0.0
         h = np.random.default_rng(7).standard_normal((3, 3))
         assert np.allclose(readout(p, lap, h), h)
 
     def test_chebyshev_order_one(self):
         lap = knn_lap(8)
         p = make_params("chebyshev", 10, k=1)
-        p.readout_filter = ChebFilter([2.0])
-        p.readout_bias[:] = 0.0
+        p.V[:] = [2.0]
+        p.z[:] = 0.0
         h = np.random.default_rng(8).standard_normal((10, 3))
         assert np.allclose(readout(p, lap, h), 2.0 * h)
 
@@ -173,24 +203,24 @@ class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path, family):
         p = make_params(family, 10, seed=42, alpha=0.123456789012345,
                         beta=-0.7)
-        p.bias[:] = np.random.default_rng(9).standard_normal(10)
+        p.b[:] = np.random.default_rng(9).standard_normal(10)
         path = tmp_path / "model.ckpt"
         save_checkpoint(p, path, "abc123")
         p2, checksum, state = load_checkpoint(path)
         assert checksum == "abc123" and state is None
         assert p2.conv_family == p.conv_family
         assert p2.alpha == p.alpha and p2.beta == p.beta
-        assert np.array_equal(p2.bias, p.bias)
-        assert np.array_equal(p2.readout_bias, p.readout_bias)
-        if family == "chebyshev":
-            assert np.array_equal(p2.input_filter.coeffs, p.input_filter.coeffs)
-        else:
-            assert np.array_equal(p2.input_filter.weights, p.input_filter.weights)
+        assert np.array_equal(p2.b, p.b)
+        assert np.array_equal(p2.z, p.z)
+        assert p2.W.shape == p.W.shape and np.array_equal(p2.W, p.W)
+        assert np.array_equal(p2.theta, p.theta)
 
     def test_train_state_round_trip(self, tmp_path):
         p = make_params("first_order", 6)
+        # one moment per parameter, in theta's order
+        moments = np.arange(float(p.theta.size))
         state = {"epoch": 5, "adam_step": 40, "lr": 0.0059049,
-                 "adam_m": np.arange(4.0), "adam_v": np.arange(4.0) ** 2}
+                 "adam_m": moments, "adam_v": moments ** 2}
         path = tmp_path / "model.ckpt"
         save_checkpoint(p, path, "deadbeef", train_state=state)
         _, _, loaded = load_checkpoint(path)

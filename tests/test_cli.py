@@ -4,11 +4,13 @@ Everything goes through cli.main(argv) so exit codes and file outputs
 are exercised exactly as a shell user would see them.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fgrnn import cli
-from fgrnn.cells import load_checkpoint
+from fgrnn.cells import load_checkpoint, save_checkpoint
 from fgrnn.data import load_frames
 from fgrnn.graph import build_laplacians, load_graph
 from fgrnn.training import prediction_loss, teacher_forced_losses, train
@@ -68,7 +70,22 @@ def test_gen_data_rejects_bad_line(tmp_path, capsys):
     rc = cli.main(["gen-data", "--config", str(cfg), "--out-frames",
                    str(tmp_path / "f"), "--out-graph", str(tmp_path / "g")])
     assert rc == 2
-    assert "line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert f"error: {cfg}: line 2: expected 'key = value'" in err
+
+
+def test_train_config_bad_line_names_the_file(small_dataset, tmp_path, capsys):
+    frames, graph = small_dataset
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("family = first_order\np 2\n")
+    rc = cli.main(["train", "--config", str(cfg), "--frames", frames,
+                   "--graph", graph, "--out-checkpoint", str(tmp_path / "c"),
+                   "--out-history", str(tmp_path / "h")])
+    assert rc == 2
+    assert (f"error: {cfg}: line 2: expected 'key = value'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "c").exists()
 
 
 def test_params_command(capsys):
@@ -127,8 +144,7 @@ def test_resume_matches_single_run(small_dataset, tmp_path):
     pa, _, _ = load_checkpoint(ckpt_full)
     pb, _, _ = load_checkpoint(ckpt_b)
     assert pa.alpha == pb.alpha and pa.beta == pb.beta
-    np.testing.assert_array_equal(pa.input_filter.weights,
-                                  pb.input_filter.weights)
+    np.testing.assert_array_equal(pa.W, pb.W)
 
 
 def test_resume_wrong_graph_rejected(small_dataset, tmp_path):
@@ -324,7 +340,12 @@ def test_bad_graph_exit_code(tmp_path, capsys, text, fragment):
     ("gfrm 1 16 3 1\n" + "0 0 0\n" * 15 + "1 2\n", "line 17: expected 3 values"),
     ("gfrm 1 16 3 1\n0 0 x\n" + "0 0 0\n" * 15, "line 2: expected 3 numbers"),
     ("gfrm 1 16 3 2\n" + "0 0 0\n" * 16, "line 17: expected 32 data lines"),
-], ids=["N x", "T 1.0", "N 0", "F 0", "short row", "non-numeric", "short file"])
+    ("gfrm 1 16 3 1\n" + "0 0 0\n" * 3 + "0 nan 0\n" + "0 0 0\n" * 12,
+     "line 5: expected finite values"),
+    ("gfrm 1 16 3 1\n# c\n" + "0 0 0\n" * 15 + "-inf 0 0\n",
+     "line 18: expected finite values"),
+], ids=["N x", "T 1.0", "N 0", "F 0", "short row", "non-numeric", "short file",
+        "nan", "inf after a comment"])
 def test_bad_frames_exit_code(small_dataset, small_checkpoint, tmp_path, capsys,
                               text, fragment):
     _, graph = small_dataset
@@ -388,6 +409,16 @@ def _mutate_checkpoint(lines, case):
         for row in (at["V"] + 1, at["V"] + 2):
             lines[row] = lines[row].rsplit(" ", 1)[0]
         return lines, "checkpoint V is 2 x 2"
+    if case in ("W nan", "b nan", "z inf"):
+        key, value = case.split()
+        values = lines[at[key] + 1].split()
+        values[1] = value
+        lines[at[key] + 1] = " ".join(values)
+        return lines, f"line {at[key] + 1}: {key}: values must be finite"
+    if case == "adam_m short":  # 49 moments for 50 parameters
+        lines[at["adam_m"]] = "adam_m 1 49"
+        lines[at["adam_m"] + 1] = lines[at["adam_m"] + 1].rsplit(" ", 1)[0]
+        return lines, f"line {at['adam_m'] + 1}: adam_m: 49 values for 50"
     raise AssertionError(case)
 
 
@@ -396,7 +427,7 @@ def _mutate_checkpoint(lines, case):
     "no alpha", "no beta", "no family", "alpha nan", "beta inf", "alpha abc",
     "rows over header", "ragged row", "cols over header", "bad header",
     "stray line", "b short", "z short", "b two rows", "W rows", "U rows",
-    "V cols"])
+    "V cols", "W nan", "b nan", "z inf", "adam_m short"])
 def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
                                   capsys, case):
     frames, graph = small_dataset
@@ -411,7 +442,7 @@ def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
     assert f"error: {bad}: " in err
 
 
-@pytest.mark.parametrize("case", ["b short", "W rows"])
+@pytest.mark.parametrize("case", ["b short", "W rows", "adam_m short"])
 def test_resume_bad_checkpoint_shape(small_dataset, small_checkpoint, tmp_path,
                                      capsys, case):
     frames, graph = small_dataset
@@ -424,7 +455,32 @@ def test_resume_bad_checkpoint_shape(small_dataset, small_checkpoint, tmp_path,
                      "--out-history", str(tmp_path / "h"),
                      "--resume", str(bad), "family=first_order", "p=2",
                      "epochs=2", "t_w=4"]) == 2
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert f"error: {bad}: " in err
+
+
+COMPAT = Path(__file__).parent / "data"
+
+
+def test_checkpoint_from_before_one_theta_still_resumes(tmp_path):
+    # compat_epoch1.ckpt is one epoch of first-order training (N=8, p=2)
+    # written while parameters lived in separate filter objects, and
+    # compat_epoch2.ckpt the same release's checkpoint after resuming it
+    # for one more epoch; both must come out byte for byte
+    frames = str(COMPAT / "compat_frames.txt")
+    graph = str(COMPAT / "compat_graph.txt")
+    epoch1 = COMPAT / "compat_epoch1.ckpt"
+    p, checksum, state = load_checkpoint(epoch1)
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(p, again, checksum, train_state=state)
+    assert again.read_bytes() == epoch1.read_bytes()
+    out = tmp_path / "epoch2.ckpt"
+    assert cli.main(["train", "--frames", frames, "--graph", graph,
+                     "--resume", str(epoch1), "--out-checkpoint", str(out),
+                     "--out-history", str(tmp_path / "h.csv"),
+                     "family=first_order", "p=2", "t_w=4", "epochs=1"]) == 0
+    assert out.read_bytes() == (COMPAT / "compat_epoch2.ckpt").read_bytes()
 
 
 def test_sweep_t_csv(small_dataset, tmp_path):

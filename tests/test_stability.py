@@ -183,12 +183,12 @@ def _reference_rows(g, base, alpha_grid, beta_grid, t_grid, seed):
     lap = build_laplacians(g)
     frames = np.random.default_rng(seed).standard_normal((max(t_grid), g.n_nodes, 1))
     op = (lap.laplacian if base.use_plain_laplacian else lap.first_order).to_dense()
-    u = base.recurrent_filter.weights[0, 0]
+    u = base.U[0, 0]
     eye = np.eye(g.n_nodes)
     rows = []
     for alpha in sorted(alpha_grid):
         for beta in sorted(beta_grid):
-            p = base.copy()
+            p = base.like(base.theta.copy())
             p.alpha, p.beta = alpha, beta
             for horizon in sorted(t_grid):
                 h, d_list = np.zeros((g.n_nodes, 1)), []

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 import fgrnn.sparse
-from fgrnn.cells import fgrnn_step, readout
+from fgrnn.cells import ModelParams, fgrnn_step, readout
 from fgrnn.data import FrameSequence
 from fgrnn.errors import ContractViolation
-from fgrnn.gconv import ChebFilter, FeatureTransform
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import (AdamState, TrainConfig, _window_loss, adam_step,
                             bptt, count_params, finite_difference_check,
                             graph_regularized_loss, history_csv, init_params,
-                            params_to_vector, parse_config, prediction_loss,
-                            teacher_forced_losses, train, vector_to_params)
+                            parse_config, prediction_loss,
+                            teacher_forced_losses, train)
 
 
 def knn_lap(seed, n=10, k=3):
@@ -85,22 +84,22 @@ class TestBptt:
             frames.append(readout(p, lap, h))
         loss, grads = bptt(p, lap, np.stack(frames))
         assert loss == pytest.approx(0.0, abs=1e-20)
-        assert np.all(grads.to_vector() == 0.0)
+        assert np.all(grads.theta == 0.0)
 
     def test_single_step_grad_z(self):
         lap = knn_lap(4)
         p = make_params("first_order", 10)
-        p.input_filter.weights[:] = 0.0
-        p.recurrent_filter.weights[:] = 0.0
-        p.bias[:] = 0.0
-        p.readout_bias[:] = 0.0
+        p.W[:] = 0.0
+        p.U[:] = 0.0
+        p.b[:] = 0.0
+        p.z[:] = 0.0
         rng = np.random.default_rng(4)
         window = rng.standard_normal((2, 10, 3))
         h = np.zeros((10, 3))  # stays zero through the step (tanh(0) = 0)
         x_hat = readout(p, lap, h)
         _, grads = bptt(p, lap, window)
         expected_z = (2.0 * (x_hat - window[1])).sum(axis=1)
-        assert np.allclose(grads.grad_readout_bias, expected_z, atol=1e-12)
+        assert np.allclose(grads.z, expected_z, atol=1e-12)
 
     @pytest.mark.parametrize("family,act,t_w", [
         ("chebyshev", "tanh", 5), ("first_order", "tanh", 3),
@@ -194,8 +193,8 @@ class TestBptt:
         # W, U and V of different orders share one basis of the largest
         lap = knn_lap(16, n=8)
         p = make_params("chebyshev", 8, k=3)
-        p.recurrent_filter = ChebFilter([0.1, 0.2])
-        p.readout_filter = ChebFilter([0.3, -0.2, 0.1, 0.05])
+        p = ModelParams("chebyshev", p.W, [0.1, 0.2], [0.3, -0.2, 0.1, 0.05],
+                        p.alpha, p.beta, p.b, p.z)
         window = 0.5 * np.random.default_rng(16).standard_normal((4, 8, 3))
         assert finite_difference_check(p, lap, window) < 1e-6
 
@@ -204,7 +203,7 @@ class TestBptt:
         lap = knn_lap(8, n=8)
         p = make_params("first_order", 8)
         p.activation = "relu"
-        p.bias[:] = 5.0
+        p.b[:] = 5.0
         rng = np.random.default_rng(8)
         window = 0.1 * np.abs(rng.standard_normal((3, 8, 3)))
         assert finite_difference_check(p, lap, window, step=1e-4) < 1e-8
@@ -226,8 +225,7 @@ class TestBptt:
         loss0, _ = bptt(p, lap, window)
         for _ in range(50):
             _, grads = bptt(p, lap, window)
-            theta = params_to_vector(p) - 1e-4 * grads.to_vector()
-            vector_to_params(p, theta)
+            p.theta -= 1e-4 * grads.theta
         loss1, _ = bptt(p, lap, window)
         assert loss1 < loss0
 
@@ -239,40 +237,35 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         lap = knn_lap(11)
         p = make_params("first_order", 10)
-        theta0 = params_to_vector(p).copy()
-        from fgrnn.training import GradientSet
-        grads = GradientSet(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 3)),
-                            0.0, 0.0, np.zeros(10), np.zeros(10))
+        theta0 = p.theta.copy()
+        grads = p.like(np.zeros_like(p.theta))
         state = self.make(len(theta0))
         adam_step(state, p, grads)
         assert state.step == 1
-        assert np.array_equal(params_to_vector(p), theta0)
+        assert np.array_equal(p.theta, theta0)
 
     def test_first_step_magnitude(self):
         p = make_params("first_order", 4)
-        theta0 = params_to_vector(p).copy()
-        from fgrnn.training import GradientSet
-        g = GradientSet(np.full((3, 3), 2.0), np.full((3, 3), -3.0),
-                        np.full((3, 3), 0.5), 1.0, -1.0, np.full(4, 4.0),
-                        np.full(4, -0.25))
+        theta0 = p.theta.copy()
+        g = p.like(np.empty_like(p.theta))
+        g.W[:], g.U[:], g.V[:] = 2.0, -3.0, 0.5
+        g.alpha, g.beta = 1.0, -1.0
+        g.b[:], g.z[:] = 4.0, -0.25
         state = self.make(len(theta0))
         adam_step(state, p, g)
-        delta = params_to_vector(p) - theta0
-        gv = g.to_vector()
+        delta = p.theta - theta0
+        gv = g.theta
         # bias-corrected first step is close to -lr * sign(g) for |g| >> eps
         assert np.allclose(delta, -0.01 * np.sign(gv), atol=1e-6)
 
     def test_monotone_motion_against_gradient(self):
         p = make_params("first_order", 4)
-        from fgrnn.training import GradientSet
-        g = GradientSet(np.full((3, 3), 1.0), np.full((3, 3), 1.0),
-                        np.full((3, 3), 1.0), 1.0, 1.0, np.full(4, 1.0),
-                        np.full(4, 1.0))
-        state = self.make(len(params_to_vector(p)))
-        prev = params_to_vector(p).copy()
+        g = p.like(np.ones_like(p.theta))
+        state = self.make(len(p.theta))
+        prev = p.theta.copy()
         for _ in range(2):
             adam_step(state, p, g)
-            cur = params_to_vector(p)
+            cur = p.theta
             assert np.all(cur < prev)
             prev = cur.copy()
 
@@ -304,7 +297,7 @@ class TestCountParams:
             f = p_dim if family == "first_order" else n
             cfg = TrainConfig(family=family, k=k, p=p_dim, seed=seed)
             params = init_params(cfg, n, f)
-            assert len(params_to_vector(params)) == count_params(family, n, **kwargs)
+            assert len(params.theta) == count_params(family, n, **kwargs)
 
 
 class TestTrainLoop:
@@ -322,8 +315,7 @@ class TestTrainLoop:
         run = train(cfg, seq, g)
         assert run.epoch_losses == [] and run.epochs_done == 0
         expected = init_params(cfg, seq.n_nodes, seq.n_features)
-        assert np.array_equal(params_to_vector(run.final_params),
-                              params_to_vector(expected))
+        assert np.array_equal(run.final_params.theta, expected.theta)
 
     def test_constant_sequence_learned(self):
         from fgrnn.data import SyntheticConfig, generate_synthetic
@@ -341,8 +333,8 @@ class TestTrainLoop:
         run1 = train(cfg, seq, g)
         run2 = train(cfg, seq, g)
         assert history_csv(run1) == history_csv(run2)
-        assert np.array_equal(params_to_vector(run1.final_params),
-                              params_to_vector(run2.final_params))
+        assert np.array_equal(run1.final_params.theta,
+                              run2.final_params.theta)
 
     def test_history_lengths_match(self):
         seq, g = self.small_dataset(5)

@@ -248,8 +248,9 @@ def load_checkpoint(path, n_nodes: int | None = None,
 
     Raises ParseError naming the file and line for a truncated file, an
     array block that does not match its header or holds a non-finite
-    value, a b or z block of more than one row, a missing entry, a
-    non-finite alpha or beta, or Adam moments of another length than the
+    value, a b or z block of more than one row, a missing entry, an
+    unknown family or activation, a use_plain_laplacian other than 0 or 1,
+    a non-finite alpha or beta, or Adam moments of another length than the
     parameters. Given n_nodes and n_features, b, z and first-order W, U
     and V must also fit N nodes and F features.
     """
@@ -313,6 +314,11 @@ def _parse_checkpoint(lines, n_nodes=None, n_features=None):
 
     need(("family", "activation", "graph_checksum", "alpha", "beta"), scalars)
     need(("W", "U", "V", "b", "z"), arrays)
+    for key, allowed in (("family", FAMILIES), ("activation", ACTIVATIONS),
+                         ("use_plain_laplacian", ("0", "1"))):
+        if key in scalars and scalars[key] not in allowed:
+            raise ParseError(f"{key} must be one of {', '.join(allowed)}, "
+                             f"got {scalars[key]!r}", line=where[key])
     for key in ("b", "z"):
         if arrays[key].shape[0] != 1:
             raise ParseError(f"{key}: expected 1 row of per-node values, got "
@@ -323,8 +329,7 @@ def _parse_checkpoint(lines, n_nodes=None, n_features=None):
         scalars["family"], arrays["W"], arrays["U"], arrays["V"],
         alpha=number("alpha"), beta=number("beta"), b=arrays["b"],
         z=arrays["z"], activation=scalars["activation"],
-        use_plain_laplacian=("use_plain_laplacian" in scalars
-                             and bool(number("use_plain_laplacian", int))),
+        use_plain_laplacian=scalars.get("use_plain_laplacian") == "1",
     )
     train_state = None
     if "epoch" in scalars:

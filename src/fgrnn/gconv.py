@@ -76,12 +76,13 @@ class ChebFamily:
 
     def basis(self, x: np.ndarray) -> np.ndarray:
         # T_0 x = x, T_1 x = Ls x, T_k x = 2 Ls T_{k-1} x - T_{k-2} x
-        terms = [x]
+        out = np.empty((self.order,) + x.shape)
+        out[0] = x
         if self.order > 1:
-            terms.append(spmm(self.scaled, x))
-        for _ in range(2, self.order):
-            terms.append(2.0 * spmm(self.scaled, terms[-1]) - terms[-2])
-        return np.stack(terms)
+            out[1] = spmm(self.scaled, x)
+        for k in range(2, self.order):
+            out[k] = 2.0 * spmm(self.scaled, out[k - 1]) - out[k - 2]
+        return out
 
     @staticmethod
     def combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:

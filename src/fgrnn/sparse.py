@@ -2,8 +2,15 @@
 
 Everything downstream (Laplacians, graph convolutions, Jacobian products)
 is built on the three operations here: sparse-times-dense products,
-power iteration for the dominant eigenvalue, and a self-contained cyclic
-Jacobi eigensolver used as the spectral test oracle for small matrices.
+power iteration for the dominant eigenvalue, and a dense symmetric
+eigensolver (LAPACK, through numpy) used as the spectral test oracle for
+small matrices.
+
+A product is a gather, one flat multiply and one segment sum. Each matrix
+caches, per column count f, a plan: every stored term's output slot and
+its value repeated f times. The plan fixes which terms meet in which slot
+and in what order, so the result is the same, bit for bit, as summing
+values[k] * x[col_k, j] per row in stored order.
 
 All arithmetic is float64; the finite-difference gradient checks in the
 training module are unreachable in single precision.
@@ -29,7 +36,9 @@ class SparseMatrix:
     values: np.ndarray       # float64, length nnz
     # row index of each stored entry, precomputed for vectorized products
     _row_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    # spmm's flat output slots, one array per column count it has seen
+    # spmm's plan per column count f it has seen: (slots, weights), where
+    # entry k's j-th term lands in flat slot row_k * f + j and is scaled by
+    # weights[k * f + j] = values[k]
     _slots: dict = field(init=False, repr=False, compare=False,
                          default_factory=dict)
 
@@ -102,7 +111,14 @@ class SparseMatrix:
 
 
 def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse @ dense product; x may be (n,) or (n, f)."""
+    """Sparse @ dense product; x may be (n,) or (n, f).
+
+    Gathers the rows of x that the stored entries name (a copy, so x is
+    never written), multiplies the copy in place by the plan's weights
+    and adds each output slot's terms in stored order from 0.0 with one
+    bincount. Every term is values[k] * x[col_k, j] and every sum runs in
+    the same order, so the result does not depend on x's memory layout.
+    """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -114,12 +130,14 @@ def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     if a.nnz == 0 or f == 0:
         out = np.zeros((a.n_rows, f))
     else:
-        # one segment sum: entry k's j-th product lands in flat slot
-        # row_k * f + j, and bincount adds each slot's terms in stored order
-        slots = a._slots.get(f)
-        if slots is None:
-            slots = a._slots[f] = (a._row_ids[:, None] * f + np.arange(f)).ravel()
-        terms = (a.values[:, None] * x[a.col_indices]).ravel()
+        plan = a._slots.get(f)
+        if plan is None:
+            plan = a._slots[f] = (
+                (a._row_ids[:, None] * f + np.arange(f)).ravel(),
+                np.repeat(a.values, f))
+        slots, weights = plan
+        terms = x.take(a.col_indices, axis=0).ravel()
+        terms *= weights
         out = np.bincount(slots, weights=terms,
                           minlength=a.n_rows * f).reshape(a.n_rows, f)
     return out[:, 0] if squeeze else out
@@ -175,11 +193,12 @@ def power_iteration(a: SparseMatrix, tol: float = 1e-12,
 
 
 def dense_eig_sym(a: np.ndarray):
-    """Eigendecomposition of a small symmetric matrix via cyclic Jacobi.
+    """Eigendecomposition of a small symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvector matrix V with columns
-    matching the eigenvalue order). Self-contained so it can serve as an
-    independent oracle for the spectral-domain convolution.
+    matching the eigenvalue order). It shares no code with the Chebyshev
+    recurrence, so it can serve as an independent oracle for the
+    spectral-domain convolution.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -189,41 +208,5 @@ def dense_eig_sym(a: np.ndarray):
         raise ContractViolation("dense_eig_sym: intended for n <= 64")
     if n and np.max(np.abs(a - a.T)) > 1e-12:
         raise ContractViolation("dense_eig_sym: matrix not symmetric")
-    m = a.copy()
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if n <= 1 or norm == 0.0:
-        order = np.argsort(np.diag(m))
-        return np.diag(m)[order], v[:, order]
-    off_tol = 1e-15 * norm
-    for _ in range(100):  # sweeps
-        off_entries = m - np.diag(np.diag(m))
-        off = np.linalg.norm(off_entries)
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= off_tol / (n * n):
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # m <- J^T m J with the Givens pair applied to rows/cols p, q
-                mp, mq = m[:, p].copy(), m[:, q].copy()
-                m[:, p] = c * mp - s * mq
-                m[:, q] = s * mp + c * mq
-                rp, rq = m[p, :].copy(), m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                m[p, q] = m[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    eigvals = np.diag(m).copy()
-    order = np.argsort(eigvals)
-    return eigvals[order], v[:, order]
+    eigvals, eigvecs = np.linalg.eigh(a)
+    return eigvals, eigvecs

@@ -419,6 +419,10 @@ def _mutate_checkpoint(lines, case):
         lines[at["adam_m"]] = "adam_m 1 49"
         lines[at["adam_m"] + 1] = lines[at["adam_m"] + 1].rsplit(" ", 1)[0]
         return lines, f"line {at['adam_m'] + 1}: adam_m: 49 values for 50"
+    if case in ("use_plain_laplacian 7", "family dense", "activation softsign"):
+        key, value = case.split()
+        lines[at[key]] = case
+        return lines, f"line {at[key] + 1}: {key} must be one of"
     raise AssertionError(case)
 
 
@@ -427,7 +431,8 @@ def _mutate_checkpoint(lines, case):
     "no alpha", "no beta", "no family", "alpha nan", "beta inf", "alpha abc",
     "rows over header", "ragged row", "cols over header", "bad header",
     "stray line", "b short", "z short", "b two rows", "W rows", "U rows",
-    "V cols", "W nan", "b nan", "z inf", "adam_m short"])
+    "V cols", "W nan", "b nan", "z inf", "adam_m short", "use_plain_laplacian 7",
+    "family dense", "activation softsign"])
 def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
                                   capsys, case):
     frames, graph = small_dataset

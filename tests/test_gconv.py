@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fgrnn.errors import ContractViolation
-from fgrnn.gconv import (ChebFilter, FeatureTransform, cheb_conv,
+from fgrnn.gconv import (ChebFamily, ChebFilter, FeatureTransform, cheb_conv,
                          cheb_conv_backward, first_order_conv,
                          first_order_conv_backward, spectral_conv_oracle)
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
+from fgrnn.sparse import spmm
 
 
 def knn_lap(seed, n=10, k=3):
@@ -63,6 +64,23 @@ class TestChebConv:
         lap = build_laplacians(build_knn_graph(rng.standard_normal((70, 3)), 3))
         with pytest.raises(ContractViolation):
             spectral_conv_oracle(lap, np.zeros((70, 1)), ChebFilter([1.0]))
+
+
+class TestChebBasis:
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shape", [(10, 4), (10,)], ids=["2-D", "1-D"])
+    def test_matches_stacked_recurrence(self, order, shape):
+        lap = knn_lap(7)
+        x = np.random.default_rng(order).standard_normal(shape)
+        terms = [x]
+        if order > 1:
+            terms.append(spmm(lap.scaled, x))
+        while len(terms) < order:
+            terms.append(2.0 * spmm(lap.scaled, terms[-1]) - terms[-2])
+        expected = np.stack(terms)
+        got = ChebFamily(lap, order).basis(x)
+        assert got.shape == expected.shape == (order,) + shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestChebBackward:

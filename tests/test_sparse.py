@@ -118,6 +118,48 @@ class TestSpmmMatchesScatterAdd:
         for j in (0, 13, 29):
             assert np.array_equal(got[:, j], spmm(a, x[:, j]))
 
+    @pytest.mark.parametrize("layout", [
+        "transposed", "strided columns", "fortran", "basis slice", "integer"])
+    def test_any_memory_layout(self, layout):
+        rng = np.random.default_rng(4)
+        a = random_csr(rng, 23, 19, 0.2)
+        x = {
+            "transposed": rng.standard_normal((6, 19)).T,
+            "strided columns": rng.standard_normal((19, 18))[:, 1::3],
+            "fortran": np.asfortranarray(rng.standard_normal((19, 6))),
+            "basis slice": rng.standard_normal((3, 19, 6))[1],
+            "integer": rng.integers(-5, 6, size=(19, 6)),
+        }[layout]
+        # tobytes also tells +0.0 from -0.0, which array_equal does not
+        assert spmm(a, x).tobytes() == add_at_reference(a, x).tobytes()
+
+    def test_signed_zeros(self):
+        a = SparseMatrix.from_dense(np.array([[-1.0, 2.0], [0.0, 3.0]]))
+        x = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0]])
+        assert spmm(a, x).tobytes() == add_at_reference(a, x).tobytes()
+
+    def test_leaves_x_unchanged(self):
+        # a diagonal matrix gathers every row of x once, in order
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((12, 4))
+        before = x.copy()
+        for a in (random_csr(rng, 12, 12, 0.3),
+                  SparseMatrix.from_dense(np.diag(rng.uniform(2, 3, 12)))):
+            spmm(a, x)
+            spmm(a, x[:, 1])
+            spmm(a, x[:, ::2])
+        assert x.tobytes() == before.tobytes()
+
+    def test_plan_reused_across_widths(self):
+        rng = np.random.default_rng(6)
+        a = random_csr(rng, 30, 30, 0.2)
+        x3, x30 = rng.standard_normal((30, 3)), rng.standard_normal((30, 30))
+        first, wide, again = spmm(a, x3), spmm(a, x30), spmm(a, x3)
+        assert sorted(a._slots) == [3, 30]
+        assert first.tobytes() == again.tobytes()
+        assert first.tobytes() == add_at_reference(a, x3).tobytes()
+        assert wide.tobytes() == add_at_reference(a, x30).tobytes()
+
 
 class TestPowerIteration:
     def test_diagonal(self):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -36,47 +36,21 @@ def _parse_overrides(pairs):
     return out
 
 
-def _config_values(path, overrides) -> dict:
-    """The --config file's key = value pairs, then the command line's."""
+def _load_config(path, overrides, cls=TrainConfig):
+    """A cls from the --config file's key = value pairs, then the command
+    line's."""
     values = {}
     if path:
         with in_file(path):
             values = parse_key_values(open(path).read())
-    return {**values, **overrides}
-
-
-def _load_train_config(path, overrides) -> TrainConfig:
-    try:
-        return parse_config("", _config_values(path, overrides))
-    except (ParseError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return parse_config("", {**values, **overrides}, cls)
 
 
 # --- gen-data ----------------------------------------------------------------
 
-_SYNTH_KEYS = {f.name for f in fields(datamod.SyntheticConfig)}
-
-
-def _synth_config(path, overrides) -> datamod.SyntheticConfig:
-    cfg = datamod.SyntheticConfig()
-    for key, val in _config_values(path, overrides).items():
-        if key not in _SYNTH_KEYS:
-            raise ConfigError(
-                f"unknown data config key {key!r}; valid: {sorted(_SYNTH_KEYS)}")
-        current = getattr(cfg, key)
-        try:
-            setattr(cfg, key, type(current)(val) if not isinstance(current, str) else val)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-    try:
-        cfg.__post_init__()
-    except ContractViolation as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
-
-
 def cmd_gen_data(args):
-    cfg = _synth_config(args.config, _parse_overrides(args.overrides))
+    cfg = _load_config(args.config, _parse_overrides(args.overrides),
+                       datamod.SyntheticConfig)
     seq, graph = datamod.generate_synthetic(cfg)
     datamod.save_frames(seq, args.out_frames)
     save_graph(graph, args.out_graph)
@@ -97,7 +71,7 @@ def _load_inputs(frames_path, graph_path):
 
 
 def cmd_train(args):
-    cfg = _load_train_config(args.config, _parse_overrides(args.overrides))
+    cfg = _load_config(args.config, _parse_overrides(args.overrides))
     seq, graph = _load_inputs(args.frames, args.graph)
     initial = resume_state = None
     epoch_offset = 0
@@ -200,6 +174,8 @@ def cmd_stability(args):
     horizons = _parse_grid(args.T, "--T", int)
     if min(horizons) < 2:
         raise ConfigError(f"--T values must be >= 2, got {min(horizons)}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.frames and args.graph:
         _, graph = _load_inputs(args.frames, args.graph)
     elif args.graph:
@@ -223,11 +199,7 @@ def cmd_stability(args):
 # --- params / sweep-T -------------------------------------------------------------
 
 def cmd_params(args):
-    try:
-        count = count_params(args.family, args.n, k=args.k, p=args.p)
-    except ContractViolation as exc:
-        raise ConfigError(str(exc)) from None
-    print(count)
+    print(count_params(args.family, args.n, k=args.k, p=args.p))
     return 0
 
 
@@ -237,19 +209,18 @@ def cmd_sweep_t(args):
         raise ConfigError("duplicate T values in sweep list")
     if min(t_list) < 1:
         raise ConfigError(f"--T values must be >= 1, got {min(t_list)}")
-    overrides = _parse_overrides(args.overrides)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    base = _load_config(args.config, _parse_overrides(args.overrides))
     seq, graph = _load_inputs(args.frames, args.graph)
     lines = ["T,seed,final_alpha,final_beta,test_loss"]
     for t_w in t_list:
         for s in range(args.seeds):
-            cfg = _load_train_config(args.config, overrides)
-            cfg.t_w = t_w
             # only T may vary: with stride unset, every T trains on the
             # window starts of the smallest T, so each run makes the same
             # number of Adam updates under the same learning-rate schedule
-            if cfg.stride <= 0:
-                cfg.stride = min(t_list)
-            cfg.seed = cfg.seed + s
+            cfg = replace(base, t_w=t_w, stride=base.stride or min(t_list),
+                          seed=base.seed + s)
             try:
                 run = train(cfg, seq, graph)
                 if run.aborted or not run.epoch_losses:

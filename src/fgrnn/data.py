@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError, in_file
+from .errors import ContractViolation, ParseError, check_config, in_file
 from .graph import Graph, build_knn_graph
 
 
@@ -58,11 +58,26 @@ class FrameSequence:
         return self.frames[t]
 
 
+_SHAPES = ("ring", "grid", "cylinder")
+
+# (key, test, requirement) for the SyntheticConfig values; check_config
+# also requires every float to be finite. generate_synthetic builds a
+# k=6 nearest-neighbour graph, which needs at least 7 nodes.
+_SYNTH_RANGES = (
+    ("n_nodes", lambda v: v >= 7, ">= 7"),
+    ("n_frames", lambda v: v >= 1, ">= 1"),
+    ("base_shape", lambda v: v in _SHAPES, f"one of {', '.join(_SHAPES)}"),
+    ("deformation_amplitude", lambda v: v >= 0, ">= 0"),
+    ("noise_std", lambda v: v >= 0, ">= 0"),
+    ("seed", lambda v: v >= 0, ">= 0"),
+)
+
+
 @dataclass
 class SyntheticConfig:
     n_nodes: int = 128
     n_frames: int = 200
-    base_shape: str = "ring"  # ring | grid | cylinder
+    base_shape: str = "ring"
     rotation_rate: float = 0.03       # radians per frame about the z-axis
     deformation_amplitude: float = 0.3
     deformation_frequency: float = 3.0  # cycles over the whole sequence
@@ -70,13 +85,7 @@ class SyntheticConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.n_nodes < 4:
-            raise ContractViolation("need n_nodes >= 4")
-        if self.base_shape not in ("ring", "grid", "cylinder"):
-            raise ContractViolation(
-                f"unknown shape {self.base_shape!r}; valid: ring, grid, cylinder")
-        if self.deformation_amplitude < 0 or self.noise_std < 0:
-            raise ContractViolation("amplitudes must be >= 0")
+        check_config(self, _SYNTH_RANGES)
 
 
 def _base_points(cfg: SyntheticConfig) -> np.ndarray:

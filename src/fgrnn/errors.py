@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config range check."""
 
+import math
 from contextlib import contextmanager
+from dataclasses import fields
 
 
 class ContractViolation(ValueError):
@@ -41,3 +43,20 @@ def in_file(path):
 
 class ConfigError(Exception):
     """Invalid configuration or mismatched inputs at the CLI level."""
+
+
+def check_config(cfg, ranges):
+    """Raise ContractViolation naming the first bad key of the dataclass cfg.
+
+    A float field must be finite; then each (key, test, requirement) row
+    of ranges must hold.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractViolation(
+                f"config key {f.name!r} must be finite, got {value!r}")
+    for key, ok, requirement in ranges:
+        if not ok(getattr(cfg, key)):
+            raise ContractViolation(f"config key {key!r} must be {requirement}, "
+                                    f"got {getattr(cfg, key)!r}")

@@ -44,14 +44,6 @@ class Graph:
         if problem:
             raise ContractViolation(problem[1])
 
-    def adjacency(self) -> SparseMatrix:
-        rows, cols, vals = [], [], []
-        for i, j, w in self.edges:
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        return SparseMatrix.from_coo(self.n_nodes, self.n_nodes, rows, cols, vals)
-
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.n_nodes)
         for i, j, w in self.edges:

@@ -105,10 +105,6 @@ class SparseMatrix:
         out[self._row_ids, self.col_indices] = self.values
         return out
 
-    def scale(self, c: float) -> "SparseMatrix":
-        return SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
-                            self.col_indices, c * self.values)
-
 
 def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse @ dense product; x may be (n,) or (n, f).

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cells import ACTIVATIONS, FAMILIES, ModelParams, conv_family, unroll
 from .data import FrameSequence, split_train_test
-from .errors import ContractViolation, NumericOverflow, ParseError
+from .errors import ContractViolation, NumericOverflow, ParseError, check_config
 from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import spmm
 
@@ -62,21 +62,15 @@ def graph_regularized_loss(x_hat: np.ndarray, x: np.ndarray,
     return base + lambda_reg * float(np.sum(x_hat * spmm(lap.laplacian, x_hat)))
 
 
-def _step_loss(x_hat, x, lap, loss_kind, lambda_reg) -> float:
-    if loss_kind == "graph_regularized":
-        return graph_regularized_loss(x_hat, x, lap, lambda_reg)
-    return prediction_loss(x_hat, x)
-
-
 # --- BPTT --------------------------------------------------------------------
 
 def _window_loss(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
-                 loss_kind: str, lambda_reg: float) -> float:
+                 lambda_reg: float) -> float:
     """Forward-only total loss over a window; used by the FD checker."""
     fam = conv_family(p, lap)
     total = 0.0
     for t, step in enumerate(unroll(p, fam, map(fam.basis, frames[:-1]))):
-        total += _step_loss(step.x_hat, frames[t + 1], lap, loss_kind, lambda_reg)
+        total += graph_regularized_loss(step.x_hat, frames[t + 1], lap, lambda_reg)
     return total
 
 
@@ -98,8 +92,9 @@ def _merge_steps(arr: np.ndarray) -> np.ndarray:
 
 
 def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
-         loss_kind: str = "prediction", lambda_reg: float = 0.0):
-    """Exact gradients of the summed per-step loss over one window.
+         lambda_reg: float = 0.0):
+    """Exact gradients of the summed per-step graph_regularized_loss over
+    one window (the plain prediction loss when lambda_reg is 0).
 
     window is a (T_w+1, N, F) array; step t consumes frame t and is
     scored against frame t+1. Returns (loss, gradient), the gradient laid
@@ -118,8 +113,8 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     bh, pre, h_tildes, states, x_hats = [], [], [], [], []
     total = 0.0
     for t, step in enumerate(unroll(p, fam, bx.swapaxes(0, 1))):
-        step_loss = _step_loss(step.x_hat, window[t + 1], lap, loss_kind,
-                               lambda_reg)
+        step_loss = graph_regularized_loss(step.x_hat, window[t + 1], lap,
+                                           lambda_reg)
         if not math.isfinite(step_loss):
             raise NumericOverflow(f"step {t + 1}: non-finite loss")
         total += step_loss
@@ -131,7 +126,7 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
 
     x_hats = np.stack(x_hats)
     d_xhat = 2.0 * (x_hats - window[1:])
-    if loss_kind == "graph_regularized" and lambda_reg > 0.0:
+    if lambda_reg > 0.0:
         d_xhat += 2.0 * lambda_reg * _over_steps(partial(spmm, lap.laplacian), x_hats)
     dact = act_deriv(np.stack(pre))
     g_h = [None] * t_w  # dJ/dh_t
@@ -165,20 +160,19 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
 
 def finite_difference_check(p: ModelParams, lap: LaplacianSet,
                             window: np.ndarray, step: float = 1e-5,
-                            loss_kind: str = "prediction",
                             lambda_reg: float = 0.0) -> float:
     """Max relative error between BPTT and central finite differences."""
     if step <= 0:
         raise ContractViolation("step must be > 0")
-    _, grad = bptt(p, lap, window, loss_kind, lambda_reg)
+    _, grad = bptt(p, lap, window, lambda_reg)
     analytic = grad.theta
     work = p.like(p.theta.copy())
     worst = 0.0
     for k in range(p.theta.size):
         work.theta[k] = p.theta[k] + step
-        j_plus = _window_loss(work, lap, window, loss_kind, lambda_reg)
+        j_plus = _window_loss(work, lap, window, lambda_reg)
         work.theta[k] = p.theta[k] - step
-        j_minus = _window_loss(work, lap, window, loss_kind, lambda_reg)
+        j_minus = _window_loss(work, lap, window, lambda_reg)
         work.theta[k] = p.theta[k]
         numeric = (j_plus - j_minus) / (2.0 * step)
         denom = max(abs(analytic[k]), abs(numeric), 1e-8)
@@ -251,6 +245,26 @@ def count_params(family: str, n: int, k: int = 0, p: int = 0) -> int:
 
 # --- configuration and the training loop --------------------------------------
 
+# (key, test, requirement) for the TrainConfig values; check_config also
+# requires every float to be finite
+_CONFIG_RANGES = (
+    ("family", lambda v: v in FAMILIES, f"one of {', '.join(FAMILIES)}"),
+    ("k", lambda v: v >= 1, ">= 1"),
+    ("p", lambda v: v >= 1, ">= 1"),
+    ("t_w", lambda v: v >= 1, ">= 1"),
+    ("stride", lambda v: v >= 0, ">= 0 (0 means t_w)"),
+    ("epochs", lambda v: v >= 0, ">= 0"),
+    ("lr", lambda v: v > 0, "> 0"),
+    ("lr_decay", lambda v: v > 0, "> 0"),
+    ("split", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("activation", lambda v: v in ACTIVATIONS,
+     f"one of {', '.join(ACTIVATIONS)}"),
+    ("lambda_reg", lambda v: v >= 0, ">= 0"),
+    ("seed", lambda v: v >= 0, ">= 0"),
+    ("init_scale", lambda v: v >= 0, ">= 0"),
+)
+
+
 @dataclass
 class TrainConfig:
     family: str = "first_order"
@@ -263,35 +277,18 @@ class TrainConfig:
     lr_decay: float = 0.9
     split: float = 0.8
     activation: str = "tanh"
-    lambda_reg: float = 0.0
+    lambda_reg: float = 0.0  # > 0 adds the graph regularizer to the loss
     seed: int = 0
     init_scale: float = 0.1
     use_plain_laplacian: bool = False
 
-    @property
-    def loss_kind(self) -> str:
-        return "graph_regularized" if self.lambda_reg > 0 else "prediction"
+    def __post_init__(self):
+        check_config(self, _CONFIG_RANGES)
 
     @property
     def effective_stride(self) -> int:
         return self.stride if self.stride > 0 else self.t_w
 
-
-_CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-
-# (key, test, requirement) for the values a config file may set
-_CONFIG_RANGES = (
-    ("family", lambda v: v in FAMILIES, f"one of {', '.join(FAMILIES)}"),
-    ("k", lambda v: v >= 1, ">= 1"),
-    ("p", lambda v: v >= 1, ">= 1"),
-    ("t_w", lambda v: v >= 1, ">= 1"),
-    ("stride", lambda v: v >= 0, ">= 0 (0 means t_w)"),
-    ("epochs", lambda v: v >= 0, ">= 0"),
-    ("lr", lambda v: v > 0, "> 0"),
-    ("lr_decay", lambda v: v > 0, "> 0"),
-    ("lambda_reg", lambda v: v >= 0, ">= 0"),
-    ("init_scale", lambda v: 0 <= v < math.inf, "finite and >= 0"),
-)
 
 _BOOLEANS = {"0": False, "1": True, "true": True, "false": False,
              "yes": True, "no": False}
@@ -311,34 +308,37 @@ def parse_key_values(text: str) -> dict:
     return values
 
 
-def parse_config(text: str, overrides: dict | None = None) -> TrainConfig:
-    """A validated TrainConfig; overrides win over file values."""
+def parse_config(text: str, overrides: dict | None = None, cls=TrainConfig):
+    """A cls, any config dataclass, from 'key = value' text; overrides win
+    over file values.
+
+    Each value is read as the type of its field's default: bool strictly
+    (see _BOOLEANS), then int, float or str. An unknown key or a value
+    that does not convert raises ParseError naming the key; cls itself
+    checks the ranges and raises ContractViolation.
+    """
     values = parse_key_values(text)
     if overrides:
         values.update(overrides)
-    cfg = TrainConfig()
+    kinds = {f.name: type(f.default) for f in fields(cls)}
     for key, val in values.items():
-        if key not in _CONFIG_TYPES:
+        if key not in kinds:
             raise ParseError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, bool):
+        kind = kinds[key]
+        if kind is bool:
             word = val.strip().lower()
             if word not in _BOOLEANS:
                 raise ParseError(f"config key {key!r} must be one of "
                                  f"{'/'.join(_BOOLEANS)}, got {val!r}")
-            setattr(cfg, key, _BOOLEANS[word])
+            values[key] = _BOOLEANS[word]
             continue
         try:
-            setattr(cfg, key, type(current)(val))
+            values[key] = kind(val)
         except ValueError:
-            kind = "an integer" if isinstance(current, int) else "a number"
-            raise ParseError(f"config key {key!r} must be {kind}, "
+            expected = "an integer" if kind is int else "a number"
+            raise ParseError(f"config key {key!r} must be {expected}, "
                              f"got {val!r}") from None
-    for key, ok, requirement in _CONFIG_RANGES:
-        if not ok(getattr(cfg, key)):
-            raise ParseError(f"config key {key!r} must be {requirement}, "
-                             f"got {getattr(cfg, key)!r}")
-    return cfg
+    return cls(**values)
 
 
 def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
@@ -437,8 +437,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
         for epoch in range(epoch_start, epoch_start + cfg.epochs):
             lr = cfg.lr * cfg.lr_decay ** epoch
             for s, e in windows:
-                _, grad = bptt(p, lap, train_frames[s:e],
-                               cfg.loss_kind, cfg.lambda_reg)
+                _, grad = bptt(p, lap, train_frames[s:e], cfg.lambda_reg)
                 adam_step(adam, p, grad, lr=lr)
             train_loss, test_loss = evaluate(p, lap, train_frames, test_frames)
             epoch_losses.append((train_loss, test_loss))

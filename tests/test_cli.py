@@ -4,6 +4,7 @@ Everything goes through cli.main(argv) so exit codes and file outputs
 are exercised exactly as a shell user would see them.
 """
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 
 from fgrnn import cli
 from fgrnn.cells import load_checkpoint, save_checkpoint
-from fgrnn.data import load_frames
+from fgrnn.data import SyntheticConfig, load_frames
 from fgrnn.graph import build_laplacians, load_graph
-from fgrnn.training import prediction_loss, teacher_forced_losses, train
+from fgrnn.training import (TrainConfig, prediction_loss,
+                            teacher_forced_losses, train)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,18 @@ def test_gen_data_rejects_unknown_key(tmp_path):
     rc = cli.main(["gen-data", "--out-frames", str(tmp_path / "f"),
                    "--out-graph", str(tmp_path / "g"), "bogus=1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("override", [
+    "n_frames=0", "n_frames=-3", "seed=-1", "n_nodes=5", "rotation_rate=nan",
+    "base_shape=blob"])
+def test_gen_data_bad_value_exit_code(tmp_path, capsys, override):
+    rc = cli.main(["gen-data", "--out-frames", str(tmp_path / "f"),
+                   "--out-graph", str(tmp_path / "g"), override])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"'{override.split('=')[0]}'" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_gen_data_rejects_bad_line(tmp_path, capsys):
@@ -250,6 +264,11 @@ def test_train_bad_override_syntax(small_dataset, tmp_path):
     ("train", ["use_plain_laplacian=maybe"], "'use_plain_laplacian'"),
     ("train", ["use_plain_laplacian=2"], "'use_plain_laplacian'"),
     ("train", ["init_scale=nan"], "'init_scale'"),
+    ("train", ["seed=-1"], "'seed'"),
+    ("train", ["split=1.5"], "'split'"),
+    ("train", ["activation=softsign"], "'activation'"),
+    ("train", ["lr_decay=inf"], "'lr_decay'"),
+    ("sweep-T", ["--T", "3", "--seeds", "0"], "--seeds"),
 ])
 def test_bad_input_exit_code(small_dataset, small_checkpoint, tmp_path, capsys,
                              command, extra, fragment):
@@ -301,6 +320,7 @@ def test_stability_bad_grid():
     ("--T", "4,0"),
     ("--T", "4,x"),
     ("--T", ","),
+    ("--seed", "-1"),
 ])
 def test_stability_bad_grid_named_before_work(tmp_path, capsys, monkeypatch,
                                               flag, value):
@@ -542,3 +562,25 @@ def test_missing_file_exit_code(tmp_path):
                    "--frames", str(tmp_path / "no.txt"),
                    "--graph", str(tmp_path / "no.g")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command,key", [
+    *(("gen-data", f.name) for f in fields(SyntheticConfig)),
+    *(("train", f.name) for f in fields(TrainConfig))])
+def test_every_config_key_fails_cleanly(small_dataset, tmp_path, capsys,
+                                        command, key):
+    frames, graph = small_dataset
+    argv = {
+        "gen-data": ["gen-data", "--out-frames", str(tmp_path / "f"),
+                     "--out-graph", str(tmp_path / "g"),
+                     "n_nodes=12", "n_frames=8"],
+        "train": ["train", "--frames", frames, "--graph", graph,
+                  "--out-checkpoint", str(tmp_path / "c"),
+                  "--out-history", str(tmp_path / "h"), "epochs=1"],
+    }[command]
+    for value in ("-1", "0", "nan", "inf", ""):
+        rc = cli.main(argv + [f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3), (value, err)
+        if rc == 2:
+            assert f"'{key}'" in err, (value, err)

@@ -51,6 +51,17 @@ class TestGenerateSynthetic:
         with pytest.raises(ContractViolation):
             SyntheticConfig(base_shape="sphere")
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_frames", 0), ("n_nodes", 6), ("seed", -1),
+        ("noise_std", -0.1), ("rotation_rate", float("nan"))])
+    def test_out_of_range(self, key, value):
+        with pytest.raises(ContractViolation, match=f"'{key}'"):
+            SyntheticConfig(**{key: value})
+
+    def test_smallest_graph(self):
+        seq, g = generate_synthetic(SyntheticConfig(n_nodes=7, n_frames=1))
+        assert seq.n_frames == 1 and g.n_nodes == 7
+
 
 class TestFrameIO:
     @pytest.mark.parametrize("seed", range(5))

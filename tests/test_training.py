@@ -5,7 +5,7 @@ import pytest
 
 import fgrnn.sparse
 from fgrnn.cells import ModelParams, fgrnn_step, readout
-from fgrnn.data import FrameSequence
+from fgrnn.data import FrameSequence, SyntheticConfig
 from fgrnn.errors import ContractViolation
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import (AdamState, TrainConfig, _window_loss, adam_step,
@@ -118,9 +118,7 @@ class TestBptt:
         p = make_params("chebyshev", 8)
         rng = np.random.default_rng(7)
         window = 0.5 * rng.standard_normal((4, 8, 3))
-        err = finite_difference_check(p, lap, window,
-                                      loss_kind="graph_regularized",
-                                      lambda_reg=0.4)
+        err = finite_difference_check(p, lap, window, lambda_reg=0.4)
         assert err < 1e-6
 
     def test_finite_differences_regularized_first_order(self):
@@ -128,9 +126,7 @@ class TestBptt:
         p = make_params("first_order", 8)
         rng = np.random.default_rng(7)
         window = 0.5 * rng.standard_normal((4, 8, 3))
-        err = finite_difference_check(p, lap, window,
-                                      loss_kind="graph_regularized",
-                                      lambda_reg=0.4)
+        err = finite_difference_check(p, lap, window, lambda_reg=0.4)
         assert err < 1e-6
 
     @pytest.mark.parametrize("family,k,plain", [
@@ -146,6 +142,15 @@ class TestBptt:
         window = 0.5 * rng.standard_normal((5, 10, 3))
         assert finite_difference_check(p, lap, window) < 1e-6
 
+    def test_positive_lambda_adds_the_regularizer(self):
+        lap = knn_lap(6, n=8)
+        p = make_params("chebyshev", 8)
+        window = 0.5 * np.random.default_rng(7).standard_normal((4, 8, 3))
+        plain, g_plain = bptt(p, lap, window)
+        reg, g_reg = bptt(p, lap, window, 0.4)
+        assert reg > plain
+        assert not np.array_equal(g_reg.theta, g_plain.theta)
+
     @pytest.mark.parametrize("family,lambda_reg", [
         ("chebyshev", 0.0), ("first_order", 0.0), ("chebyshev", 0.3)])
     def test_loss_matches_forward_only_loss(self, family, lambda_reg):
@@ -153,10 +158,9 @@ class TestBptt:
         p = make_params(family, 12, seed=14)
         rng = np.random.default_rng(14)
         window = rng.standard_normal((8, 12, 3))
-        kind = "graph_regularized" if lambda_reg else "prediction"
-        loss, _ = bptt(p, lap, window, kind, lambda_reg)
+        loss, _ = bptt(p, lap, window, lambda_reg)
         assert loss == pytest.approx(
-            _window_loss(p, lap, window, kind, lambda_reg), rel=1e-12)
+            _window_loss(p, lap, window, lambda_reg), rel=1e-12)
 
     @pytest.mark.parametrize("family,k,per_transition", [
         ("chebyshev", 3, 6), ("first_order", 3, 3), ("chebyshev", 1, 0)])
@@ -368,6 +372,26 @@ class TestConfigParsing:
         for word in ("maybe", "2", "", "on"):
             with pytest.raises(ParseError, match="'use_plain_laplacian'"):
                 parse_config("", {"use_plain_laplacian": word})
+
+    @pytest.mark.parametrize("key,value", [
+        ("t_w", 0), ("split", 1.5), ("activation", "softsign"),
+        ("seed", -1), ("lr_decay", float("inf")), ("init_scale", float("nan"))])
+    def test_ranges_checked_at_construction(self, key, value):
+        with pytest.raises(ContractViolation, match=f"'{key}'"):
+            TrainConfig(**{key: value})
+
+    def test_reads_any_config_dataclass(self):
+        from fgrnn.errors import ParseError
+        cfg = parse_config("n_nodes = 12\nbase_shape = grid\n",
+                           {"noise_std": "0"}, cls=SyntheticConfig)
+        assert cfg == SyntheticConfig(n_nodes=12, base_shape="grid",
+                                      noise_std=0.0)
+        with pytest.raises(ParseError, match="'n_frames'"):
+            parse_config("n_frames = 2.5\n", cls=SyntheticConfig)
+        with pytest.raises(ParseError, match="'lr'"):
+            parse_config("lr = 0.1\n", cls=SyntheticConfig)
+        with pytest.raises(ContractViolation, match="'n_frames'"):
+            parse_config("n_frames = 0\n", cls=SyntheticConfig)
 
     def test_unconvertible_value_names_its_key(self):
         from fgrnn.errors import ParseError

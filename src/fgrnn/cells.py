@@ -11,16 +11,20 @@ are per-node and broadcast across feature columns. ModelParams keeps the
 whole trainable set in one flat vector theta, with named views.
 
 unroll is the forward pass: training, evaluation, prediction and the
-stability diagnostics all run the recurrence through it. fgrnn_step is
-the one-step reference on cheb_conv / first_order_conv.
+stability diagnostics all run the recurrence through it. It takes each
+step's input term and leaves the readout to its callers, so that a
+window's input terms and readouts can each be made in one stacked
+operation around the per-step loop. fgrnn_step is the one-step reference
+on cheb_conv / first_order_conv.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from functools import partial
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -138,10 +142,18 @@ def readout(p: ModelParams, lap: LaplacianSet, h: np.ndarray) -> np.ndarray:
     return conv_apply(p, lap, h, p.V) + p.z[:, None]
 
 
-def _hidden_width(p: ModelParams, n_features: int) -> int:
-    if p.conv_family == "chebyshev":
-        return n_features
-    return p.W.shape[1]
+def prediction(p: ModelParams, fam, basis: np.ndarray) -> np.ndarray:
+    """x_hat = combine(V, basis) + z 1^T, the readout from a stored basis of
+    h, with no sparse product. basis may also be a stack of steps' bases,
+    the step axis after the basis axis, to read out every step at once."""
+    return fam.combine(p.V, basis) + p.z[:, None]
+
+
+def input_terms(p: ModelParams, fam, frames):
+    """combine(W, basis(x)) of each frame x, made one frame at a time: the
+    input of unroll for callers that stream their frames."""
+    for x in frames:
+        yield fam.combine(p.W, fam.basis(x))
 
 
 class Step(NamedTuple):
@@ -151,40 +163,53 @@ class Step(NamedTuple):
     h_tilde: np.ndarray  # act(a)
     h: np.ndarray        # alpha * h_tilde + beta * h_prev
     basis: np.ndarray    # basis of h: readout at this step, recurrence at the next
-    x_hat: np.ndarray    # prediction of the next frame
+    predict: Callable[[np.ndarray], np.ndarray]  # basis -> prediction
+
+    @property
+    def x_hat(self) -> np.ndarray:
+        """The prediction of the next frame, read out of basis on each
+        access."""
+        return self.predict(self.basis)
 
 
-def unroll(p: ModelParams, fam, input_bases, h0: np.ndarray | None = None,
+def unroll(p: ModelParams, fam, terms, h0: np.ndarray | None = None,
            feedback: int = 0):
     """The forward recurrence, one Step per input.
 
-    fam is conv_family(p, lap) and input_bases yields fam.basis of each
-    input frame. After them come `feedback` more steps, each fed the
-    previous prediction. The state starts at h0, or at zero when h0 is
-    None; a zero state adds no recurrent term and no sparse product. Each
-    step takes one basis of h_t, which serves both the readout at t and
-    the recurrent term at t+1.
+    fam is conv_family(p, lap), and terms yields each step's input term
+    combine(W, basis(x_t)): a stack made in one product for a whole window
+    (training.bptt), or input_terms(p, fam, frames) for callers that
+    stream. After them come `feedback` more steps, each fed the previous
+    step's prediction. The state starts at h0, or at zero when h0 is None;
+    a zero state adds no recurrent term and no sparse product.
+
+    Per step this runs only the recurrence: the pre-activation from the
+    input term and combine(U, basis(h_{t-1})), h_t, and one basis of h_t,
+    which serves both the recurrent term at t+1 and the readout at t. The
+    readout itself is left to the caller (Step.x_hat, or prediction over a
+    stack of bases); unroll reads out only the steps it feeds back.
     """
     act = ACTIVATIONS[p.activation][0]
-    h, bh, x_hat = h0, (None if h0 is None else fam.basis(h0)), None
-    for t, bx in enumerate(chain(input_bases, repeat(None, feedback))):
-        if bx is None:
-            if x_hat is None:
+    alpha, beta, bias = p.alpha, p.beta, p.b[:, None]
+    predict = partial(prediction, p, fam)
+    h, bh = h0, (None if h0 is None else fam.basis(h0))
+    for t, wx in enumerate(chain(terms, repeat(None, feedback))):
+        if wx is None:
+            if t == 0:
                 raise ContractViolation("unroll: feedback needs an input step")
-            bx = fam.basis(x_hat)
+            wx = fam.combine(p.W, fam.basis(predict(bh)))
         if h is None:
-            h = np.zeros((bx.shape[1], _hidden_width(p, bx.shape[2])))
-        a = fam.combine(p.W, bx)
+            h = np.zeros(wx.shape)
+        a = wx
         if bh is not None:
             a = a + fam.combine(p.U, bh)
-        a = a + p.b[:, None]
-        if not np.all(np.isfinite(a)):
+        a = a + bias
+        if not np.isfinite(a).all():
             raise NumericOverflow(f"step {t + 1}: non-finite pre-activation")
         h_tilde = act(a)
-        h = p.alpha * h_tilde + p.beta * h
+        h = alpha * h_tilde + beta * h
         bh = fam.basis(h)
-        x_hat = fam.combine(p.V, bh) + p.z[:, None]
-        yield Step(a, h_tilde, h, bh, x_hat)
+        yield Step(a, h_tilde, h, bh, predict)
 
 
 # --- checkpoint IO ---------------------------------------------------------

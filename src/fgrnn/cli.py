@@ -16,8 +16,8 @@ import numpy as np
 
 from . import data as datamod
 from . import training
-from .cells import (ACTIVATIONS, conv_family, load_checkpoint, save_checkpoint,
-                    unroll)
+from .cells import (ACTIVATIONS, conv_family, input_terms, load_checkpoint,
+                    save_checkpoint, unroll)
 from .errors import (ConfigError, ContractViolation, NumericOverflow, ParseError,
                      in_file)
 from .graph import build_laplacians, load_graph, save_graph
@@ -142,7 +142,8 @@ def cmd_predict(args):
     # predictions back; it keeps the prediction after the last frame and
     # the fed-back ones.
     inputs = seq.frames[:-1] if args.horizon == 1 else seq.frames
-    steps = unroll(p, fam, map(fam.basis, inputs), feedback=args.horizon - 1)
+    steps = unroll(p, fam, input_terms(p, fam, inputs),
+                   feedback=args.horizon - 1)
     if args.horizon > 1:
         steps = islice(steps, max(len(inputs) - 1, 0), None)
     preds = [step.x_hat for step in steps]
@@ -181,6 +182,9 @@ def cmd_stability(args):
     elif args.graph:
         graph = load_graph(args.graph)
     else:
+        if args.n_nodes < datamod.MIN_SYNTH_NODES:
+            raise ConfigError(f"--n-nodes must be >= {datamod.MIN_SYNTH_NODES},"
+                              f" got {args.n_nodes}")
         cfg = datamod.SyntheticConfig(n_nodes=args.n_nodes, n_frames=4, seed=args.seed)
         _, graph = datamod.generate_synthetic(cfg)
     base = scalar_cell_params(u=args.u, n_nodes=graph.n_nodes, w=args.w,

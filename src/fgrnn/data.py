@@ -60,11 +60,14 @@ class FrameSequence:
 
 _SHAPES = ("ring", "grid", "cylinder")
 
+# generate_synthetic builds a k=6 nearest-neighbour graph, which needs at
+# least 7 nodes
+MIN_SYNTH_NODES = 7
+
 # (key, test, requirement) for the SyntheticConfig values; check_config
-# also requires every float to be finite. generate_synthetic builds a
-# k=6 nearest-neighbour graph, which needs at least 7 nodes.
+# also requires every float to be finite
 _SYNTH_RANGES = (
-    ("n_nodes", lambda v: v >= 7, ">= 7"),
+    ("n_nodes", lambda v: v >= MIN_SYNTH_NODES, f">= {MIN_SYNTH_NODES}"),
     ("n_frames", lambda v: v >= 1, ">= 1"),
     ("base_shape", lambda v: v in _SHAPES, f"one of {', '.join(_SHAPES)}"),
     ("deformation_amplitude", lambda v: v >= 0, ">= 0"),
@@ -105,9 +108,24 @@ def _base_points(cfg: SyntheticConfig) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta), z], axis=1)
 
 
+def _finite(value, *keys: str):
+    """value, if all of it is finite; else ContractViolation naming the
+    config keys whose size made it overflow."""
+    if not np.isfinite(value).all():
+        names = " and ".join(repr(key) for key in keys)
+        raise ContractViolation(f"config {names} too large: the generated "
+                                f"frames overflow")
+    return value
+
+
+# overflow is checked value by value, naming its key, instead of warned of
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(cfg: SyntheticConfig):
     """Rigid rotation + smooth sinusoidal deformation + noise; returns
-    (FrameSequence with F=3, kNN graph of the first frame with k=6)."""
+    (FrameSequence with F=3, kNN graph of the first frame with k=6).
+
+    A finite config value so large that an angle or a frame overflows
+    raises ContractViolation naming its key."""
     rng = np.random.default_rng(cfg.seed)
     base = _base_points(cfg)
     n, t_total = cfg.n_nodes, cfg.n_frames
@@ -115,6 +133,11 @@ def generate_synthetic(cfg: SyntheticConfig):
     angle_coord = np.arctan2(base[:, 1] - base[:, 1].mean(),
                              base[:, 0] - base[:, 0].mean())
     profile = np.sin(angle_coord) + 0.5 * np.cos(2.0 * angle_coord)
+    # the angles grow with t, so they are largest at the last frame
+    last = t_total - 1
+    _finite(last * cfg.rotation_rate, "rotation_rate")
+    _finite(2.0 * np.pi * cfg.deformation_frequency * last / t_total,
+            "deformation_frequency")
     frames = np.zeros((t_total, n, 3))
     for t in range(t_total):
         ang = t * cfg.rotation_rate
@@ -122,11 +145,14 @@ def generate_synthetic(cfg: SyntheticConfig):
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         pts = base @ rot.T
         phase = 2.0 * np.pi * cfg.deformation_frequency * t / t_total
-        pts[:, 2] += cfg.deformation_amplitude * math.sin(phase) * profile
+        pts[:, 2] += _finite(cfg.deformation_amplitude * math.sin(phase)
+                             * profile, "deformation_amplitude")
         if cfg.noise_std > 0:
-            pts = pts + cfg.noise_std * rng.standard_normal((n, 3))
+            pts = pts + _finite(cfg.noise_std * rng.standard_normal((n, 3)),
+                                "noise_std")
         frames[t] = pts
-    seq = FrameSequence(frames)
+    # each term is finite, so only their sum can have overflowed
+    seq = FrameSequence(_finite(frames, "deformation_amplitude", "noise_std"))
     graph = build_knn_graph(frames[0], k=6)
     return seq, graph
 

@@ -16,9 +16,11 @@ of x ([T_0 x .. T_{K-1} x], or [L1 x]); combine(c, basis) gives its value
 and coeff_grad(c, basis, upstream) its coefficient gradient, both without
 a sparse product, where c is the filter's trainable array (Chebyshev
 coefficients or first-order weights). adjoint applies the transposed
-convolution of several upstreams to one input in one stacked product.
-The convolutions below are built on them, and BPTT keeps the bases of
-its forward pass to reuse in reverse (see training.bptt).
+convolution of several upstreams to one input in one stacked product;
+pre_adjoint begins the transposed convolution of a whole stack of steps'
+upstreams at once, and adjoint finishes one step of it. The convolutions
+below are built on them, and BPTT keeps the bases of its forward pass to
+reuse in reverse (see training.bptt).
 """
 
 from __future__ import annotations
@@ -30,6 +32,21 @@ import numpy as np
 from .errors import ContractViolation
 from .graph import LaplacianSet
 from .sparse import dense_eig_sym, spmm
+
+
+def over_steps(fn, steps: np.ndarray) -> np.ndarray:
+    """fn, a node operator, applied to every step of a (T, N, F) stack as
+    one product.
+
+    The steps are stacked column-wise into one (N, T*F) matrix, so the
+    operator runs once instead of once per step, and the result is
+    returned with the step axis back in front of the node axis. spmm
+    treats columns independently, so each step comes out bit for bit as
+    fn of that step alone.
+    """
+    t, n, f = steps.shape
+    out = fn(steps.transpose(1, 0, 2).reshape(n, t * f))
+    return out.reshape(out.shape[:-2] + (n, t, f)).swapaxes(-3, -2)
 
 
 @dataclass
@@ -88,7 +105,7 @@ class ChebFamily:
     def combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
         acc = coeffs[0] * basis[0]
         for k in range(1, len(coeffs)):
-            acc = acc + coeffs[k] * basis[k]
+            acc += coeffs[k] * basis[k]
         return acc
 
     @staticmethod
@@ -97,18 +114,29 @@ class ChebFamily:
         """d<upstream, combine(coeffs, basis)>/d coeffs, shape (K,)."""
         return np.tensordot(basis[:len(coeffs)], upstream, axes=2)
 
-    def adjoint(self, pairs) -> np.ndarray:
-        """sum_i conv(c_i)^T g_i over (c_i, g_i) pairs, in one stacked product.
+    def pre_adjoint(self, coeffs: np.ndarray, upstreams: np.ndarray) -> np.ndarray:
+        """conv(coeffs)^T g for every g of a (T, N, F) stack, in one product.
+
+        A Chebyshev adjoint needs no other upstream to finish it, so each
+        step of the result is already the whole adjoint of its upstream.
+        """
+        return self.combine(coeffs, over_steps(self.basis, upstreams))
+
+    def adjoint(self, pairs, pre: np.ndarray | None = None) -> np.ndarray:
+        """pre + sum_i conv(c_i)^T g_i over (c_i, g_i) pairs, in one stacked
+        product; pre is one step of pre_adjoint, or None.
 
         T_k(Ls) is symmetric, so conv^T is the filter itself; the g_i share
         one basis of their column-stacked concatenation.
         """
-        stacked = self.basis(np.concatenate([g for _, g in pairs], axis=1))
-        out, col = None, 0
-        for c, g in pairs:
-            part = self.combine(c, stacked[:, :, col:col + g.shape[1]])
-            out = part if out is None else out + part
-            col += g.shape[1]
+        out = pre
+        if pairs:
+            stacked = self.basis(np.concatenate([g for _, g in pairs], axis=1))
+            col = 0
+            for c, g in pairs:
+                part = self.combine(c, stacked[:, :, col:col + g.shape[1]])
+                out = part if out is None else out + part
+                col += g.shape[1]
         return out
 
 
@@ -134,9 +162,19 @@ class FirstOrderFamily:
         """d<upstream, combine(weights, basis)>/d weights, shape (F_in, F_out)."""
         return basis[0].T @ upstream
 
-    def adjoint(self, pairs) -> np.ndarray:
-        """sum_i conv(W_i)^T g_i = op (sum_i g_i W_i^T), one sparse product."""
-        mixed = None
+    @staticmethod
+    def pre_adjoint(weights: np.ndarray, upstreams: np.ndarray) -> np.ndarray:
+        """g W^T for every g of a (T, N, F_out) stack, with no sparse product.
+
+        op must act once on the sum of all of a step's upstreams (see
+        adjoint), so this is the adjoint short of that product.
+        """
+        return upstreams @ weights.T
+
+    def adjoint(self, pairs, pre: np.ndarray | None = None) -> np.ndarray:
+        """sum_i conv(W_i)^T g_i = op (pre + sum_i g_i W_i^T), one sparse
+        product; pre is one step of pre_adjoint, or None."""
+        mixed = pre
         for w, g in pairs:
             part = g @ w.T
             mixed = part if mixed is None else mixed + part

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import ACTIVATIONS, ModelParams, conv_family, preactivation, unroll
+from .cells import (ACTIVATIONS, ModelParams, conv_family, input_terms,
+                    preactivation, unroll)
 from .errors import ContractViolation
 from .graph import Graph, LaplacianSet, build_laplacians
 
@@ -72,7 +73,7 @@ def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
     per-step derivative diagonals d_t (t = 1..horizon)."""
     act_deriv = ACTIVATIONS[p.activation][1]
     fam = conv_family(p, lap)
-    steps = unroll(p, fam, map(fam.basis, frames[:horizon]))
+    steps = unroll(p, fam, input_terms(p, fam, frames[:horizon]))
     return [act_deriv(step.a)[:, 0] for step in steps]
 
 

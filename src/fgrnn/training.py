@@ -7,19 +7,34 @@ recursive path through h_prev handled by the accumulated hidden-state
 gradient). Every gradient is verified against central finite
 differences in the test suite.
 
-BPTT keeps the graph-convolution bases (gconv) of its forward pass and
-makes each sparse product once:
+BPTT runs the recurrence, and only the recurrence, one step at a time;
+everything else in a window is one stacked operation. Per step:
+  * forward (cells.unroll): the pre-activation from the step's input term
+    and combine(U, basis(h_{t-1})), then h_t, then the basis of h_t, which
+    serves both the readout at t and the recurrent term at t+1;
+  * reverse: dJ/dh_t = the readout's share + the U-adjoint of dJ/da_{t+1}
+    + beta * dJ/dh_{t+1}, and dJ/da_t from it.
+Once per window:
   * one product over the column-stacked input frames gives the input
-    bases of every step of the window;
-  * the basis of h_t serves both the readout at step t and the recurrent
-    term at step t+1;
-  * the coefficient gradients of W, U and V are read from these stored
-    bases, with no sparse product;
-  * in reverse, the readout upstream at t and the recurrent upstream from
-    t+1 reach h_t through one stacked product, and dJ/dx of the input
-    branch, which no parameter needs, is never formed.
-A Chebyshev step of order K then makes about 2(K-1) sparse products, a
-first-order step about 2.
+    bases, and with them the input terms combine(W, basis(x_t)), of every
+    step;
+  * the readout x_hat = combine(V, basis(h_t)) + z and the step losses of
+    every step, with one product by L for the regularizer and its
+    gradient when lambda_reg > 0;
+  * the readout upstream's adjoint (gconv pre_adjoint): for Chebyshev one
+    stacked basis of every step's dJ/dx_hat; for first-order
+    dJ/dx_hat V^T, which each step adds to its dJ/da_{t+1} U^T before its
+    one sparse product, as a single adjoint of both upstreams would;
+  * the coefficient gradients of W, U and V, read from the stored bases
+    with no sparse product. dJ/dx of the input branch, which no parameter
+    needs, is never formed.
+spmm treats columns independently, so every stacked product gives each
+step bit for bit what a product of its own would. A window of T steps
+makes (K-1)(1 + 2T) sparse products with Chebyshev filters of order K and
+1 + 2T first-order ones (about 2(K-1) and 2 per transition), plus one when
+lambda_reg > 0. The forward-only passes (evaluate, teacher_forced_losses)
+stream their frames one at a time through cells.input_terms instead, so
+they hold no window-sized stacks.
 """
 
 from __future__ import annotations
@@ -30,9 +45,11 @@ from functools import partial
 
 import numpy as np
 
-from .cells import ACTIVATIONS, FAMILIES, ModelParams, conv_family, unroll
+from .cells import (ACTIVATIONS, FAMILIES, ModelParams, conv_family,
+                    input_terms, prediction, unroll)
 from .data import FrameSequence, split_train_test
 from .errors import ContractViolation, NumericOverflow, ParseError, check_config
+from .gconv import over_steps
 from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import spmm
 
@@ -66,24 +83,30 @@ def graph_regularized_loss(x_hat: np.ndarray, x: np.ndarray,
 
 def _window_loss(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
                  lambda_reg: float) -> float:
-    """Forward-only total loss over a window; used by the FD checker."""
+    """Forward-only total loss over a window, one step at a time; used by
+    the FD checker, and the reference for bptt's stacked loss."""
     fam = conv_family(p, lap)
     total = 0.0
-    for t, step in enumerate(unroll(p, fam, map(fam.basis, frames[:-1]))):
+    for t, step in enumerate(unroll(p, fam, input_terms(p, fam, frames[:-1]))):
         total += graph_regularized_loss(step.x_hat, frames[t + 1], lap, lambda_reg)
     return total
 
 
-def _over_steps(fn, frames: np.ndarray) -> np.ndarray:
-    """fn applied to every step of (T, N, F) frames as one product.
-
-    The steps are stacked column-wise into one (N, T*F) matrix, so a node
-    operator runs once per window instead of once per step; the result is
-    returned with the step axis back in front of the node axis.
-    """
-    t, n, f = frames.shape
-    out = fn(frames.transpose(1, 0, 2).reshape(n, t * f))
-    return out.reshape(out.shape[:-2] + (n, t, f)).swapaxes(-3, -2)
+def _step_losses(x_hats: np.ndarray, targets: np.ndarray, lap: LaplacianSet,
+                 lambda_reg: float):
+    """(per-step graph_regularized_loss, dJ/dx_hat) of (T, N, F) stacks of
+    predictions and targets; one product by L serves the regularizer of
+    every step and its gradient."""
+    if lambda_reg < 0:
+        raise ContractViolation("lambda_reg must be >= 0")
+    d = x_hats - targets
+    losses = np.sum(d * d, axis=(1, 2))
+    d_xhat = 2.0 * d
+    if lambda_reg > 0.0:
+        lx = over_steps(partial(spmm, lap.laplacian), x_hats)
+        losses = losses + lambda_reg * np.sum(x_hats * lx, axis=(1, 2))
+        d_xhat += 2.0 * lambda_reg * lx
+    return losses, d_xhat
 
 
 def _merge_steps(arr: np.ndarray) -> np.ndarray:
@@ -107,43 +130,40 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     act_deriv = ACTIVATIONS[p.activation][1]
     fam = conv_family(p, lap)
 
-    # bx[:, t] is the basis of input frame t, all made in one product;
-    # bh[t] is that of h_t
-    bx = np.ascontiguousarray(_over_steps(fam.basis, window[:-1]))
-    bh, pre, h_tildes, states, x_hats = [], [], [], [], []
+    # bx[:, t] is the basis of input frame t and bh[:, t] that of h_t; the
+    # input terms, the readouts and the losses of every step are each made
+    # at once, so that the unroll runs only the recurrence
+    bx = np.ascontiguousarray(over_steps(fam.basis, window[:-1]))
+    steps = list(unroll(p, fam, fam.combine(p.W, bx)))
+    bh = np.stack([step.basis for step in steps], axis=1)
+    losses, d_xhat = _step_losses(prediction(p, fam, bh), window[1:], lap,
+                                  lambda_reg)
     total = 0.0
-    for t, step in enumerate(unroll(p, fam, bx.swapaxes(0, 1))):
-        step_loss = graph_regularized_loss(step.x_hat, window[t + 1], lap,
-                                           lambda_reg)
+    for t, step_loss in enumerate(losses.tolist()):
         if not math.isfinite(step_loss):
             raise NumericOverflow(f"step {t + 1}: non-finite loss")
         total += step_loss
-        pre.append(step.a)
-        h_tildes.append(step.h_tilde)
-        states.append(step.h)
-        bh.append(step.basis)
-        x_hats.append(step.x_hat)
 
-    x_hats = np.stack(x_hats)
-    d_xhat = 2.0 * (x_hats - window[1:])
-    if lambda_reg > 0.0:
-        d_xhat += 2.0 * lambda_reg * _over_steps(partial(spmm, lap.laplacian), x_hats)
-    dact = act_deriv(np.stack(pre))
+    dact = act_deriv(np.stack([step.a for step in steps]))
+    # the readout upstream's share of every dJ/dh_t at once
+    readout_adj = fam.pre_adjoint(p.V, d_xhat)
+    alpha, beta = p.alpha, p.beta
     g_h = [None] * t_w  # dJ/dh_t
     g_a = [None] * t_w  # dJ/da_t
     for t in reversed(range(t_w)):
         if t + 1 < t_w:
-            # readout upstream at t and recurrent upstream from t+1, as one
-            # product, plus the residual path through beta
-            g_h[t] = (fam.adjoint([(p.V, d_xhat[t]), (p.U, g_a[t + 1])])
-                      + p.beta * g_h[t + 1])
+            # plus the recurrent upstream from t+1 and the residual path
+            # through beta
+            g_h[t] = (fam.adjoint([(p.U, g_a[t + 1])], readout_adj[t])
+                      + beta * g_h[t + 1])
         else:
-            g_h[t] = fam.adjoint([(p.V, d_xhat[t])])
-        g_a[t] = p.alpha * g_h[t] * dact[t]
+            g_h[t] = fam.adjoint([], readout_adj[t])
+        g_a[t] = alpha * g_h[t] * dact[t]
 
     # every coefficient gradient is read from the stored bases
-    g_h, g_a, bh = np.stack(g_h), np.stack(g_a), np.stack(bh, axis=1)
-    h_tildes, states = np.stack(h_tildes), np.stack(states)
+    g_h, g_a = np.stack(g_h), np.stack(g_a)
+    h_tildes = np.stack([step.h_tilde for step in steps])
+    states = np.stack([step.h for step in steps])
     grad = p.like(np.empty_like(p.theta))
     grad.W[...] = fam.coeff_grad(p.W, _merge_steps(bx), _merge_steps(g_a))
     grad.U[...] = fam.coeff_grad(p.U, _merge_steps(bh[:, :-1]),
@@ -368,7 +388,8 @@ def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
     """
     fam = conv_family(p, lap)
     losses, h = [], h0
-    for t, step in enumerate(unroll(p, fam, map(fam.basis, frames[:-1]), h0)):
+    for t, step in enumerate(unroll(p, fam, input_terms(p, fam, frames[:-1]),
+                                    h0)):
         losses.append(prediction_loss(step.x_hat, frames[t + 1]))
         h = step.h
     return losses, h

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fgrnn.cells import (ModelParams, conv_family, fgrnn_step, load_checkpoint,
-                         preactivation, readout, save_checkpoint, unroll)
+from fgrnn.cells import (ModelParams, conv_family, fgrnn_step, input_terms,
+                         load_checkpoint, preactivation, readout, save_checkpoint,
+                         unroll)
 from fgrnn.errors import ContractViolation
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
@@ -153,7 +154,7 @@ class TestUnroll:
         frames = rng.standard_normal((5, 12, 3))
         h0 = rng.standard_normal((12, 3)) if warm else None
         fam = conv_family(p, lap)
-        got = list(unroll(p, fam, map(fam.basis, frames), h0, feedback))
+        got = list(unroll(p, fam, input_terms(p, fam, frames), h0, feedback))
         want = self.reference(p, lap, frames,
                               h0 if warm else np.zeros((12, 3)), feedback)
         assert len(got) == len(want) == 5 + feedback

@@ -68,7 +68,8 @@ def test_gen_data_rejects_unknown_key(tmp_path):
 
 @pytest.mark.parametrize("override", [
     "n_frames=0", "n_frames=-3", "seed=-1", "n_nodes=5", "rotation_rate=nan",
-    "base_shape=blob"])
+    "base_shape=blob", "deformation_frequency=1e308", "rotation_rate=1e308",
+    "noise_std=1e308"])
 def test_gen_data_bad_value_exit_code(tmp_path, capsys, override):
     rc = cli.main(["gen-data", "--out-frames", str(tmp_path / "f"),
                    "--out-graph", str(tmp_path / "g"), override])
@@ -321,6 +322,7 @@ def test_stability_bad_grid():
     ("--T", "4,x"),
     ("--T", ","),
     ("--seed", "-1"),
+    ("--n-nodes", "5"),
 ])
 def test_stability_bad_grid_named_before_work(tmp_path, capsys, monkeypatch,
                                               flag, value):
@@ -506,6 +508,25 @@ def test_checkpoint_from_before_one_theta_still_resumes(tmp_path):
                      "--out-history", str(tmp_path / "h.csv"),
                      "family=first_order", "p=2", "t_w=4", "epochs=1"]) == 0
     assert out.read_bytes() == (COMPAT / "compat_epoch2.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("name,extra", [
+    ("cheb", []), ("cheb_reg", ["lambda_reg=0.1"])], ids=["cheb", "cheb_reg"])
+def test_chebyshev_training_reproduces_its_bytes(tmp_path, name, extra):
+    # <name>_epoch2.ckpt and <name>_history.csv are two epochs of Chebyshev
+    # (K=3) stride-1 training on cheb_frames.txt (N=16), written while BPTT
+    # still scored and read out one step at a time; checkpoint and history
+    # must come out byte for byte. A change that moves these bytes on
+    # purpose, such as a new lambda_max, regenerates them and says so.
+    out = tmp_path / "model.ckpt"
+    history = tmp_path / "history.csv"
+    assert cli.main(["train", "--frames", str(COMPAT / "cheb_frames.txt"),
+                     "--graph", str(COMPAT / "cheb_graph.txt"),
+                     "--out-checkpoint", str(out), "--out-history",
+                     str(history), "family=chebyshev", "k=3", "t_w=4",
+                     "stride=1", "epochs=2", *extra]) == 0
+    assert out.read_bytes() == (COMPAT / f"{name}_epoch2.ckpt").read_bytes()
+    assert history.read_bytes() == (COMPAT / f"{name}_history.csv").read_bytes()
 
 
 def test_sweep_t_csv(small_dataset, tmp_path):

@@ -27,6 +27,14 @@ class TestGenerateSynthetic:
             assert np.allclose(pairwise(seq.frames[t]), pairwise(seq.frames[0]),
                                atol=1e-12)
 
+    def test_overflow_of_a_sum_names_both_keys(self):
+        # each term is finite on its own (|profile| <= 1.5); their sum is not
+        cfg = SyntheticConfig(n_nodes=12, n_frames=8,
+                              deformation_amplitude=1.1e308, noise_std=2e307)
+        with pytest.raises(ContractViolation,
+                           match="'deformation_amplitude' and 'noise_std'"):
+            generate_synthetic(cfg)
+
     def test_deterministic(self):
         cfg = SyntheticConfig(n_nodes=32, n_frames=20, seed=7)
         seq1, g1 = generate_synthetic(cfg)

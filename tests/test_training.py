@@ -152,20 +152,27 @@ class TestBptt:
         assert not np.array_equal(g_reg.theta, g_plain.theta)
 
     @pytest.mark.parametrize("family,lambda_reg", [
-        ("chebyshev", 0.0), ("first_order", 0.0), ("chebyshev", 0.3)])
+        ("chebyshev", 0.0), ("first_order", 0.0), ("chebyshev", 0.3),
+        ("first_order", 0.3)])
     def test_loss_matches_forward_only_loss(self, family, lambda_reg):
+        # bptt scores every step of the window at once; the forward-only
+        # loss scores one step at a time with graph_regularized_loss, and
+        # the two must agree bit for bit
         lap = knn_lap(14, n=12)
         p = make_params(family, 12, seed=14)
         rng = np.random.default_rng(14)
         window = rng.standard_normal((8, 12, 3))
         loss, _ = bptt(p, lap, window, lambda_reg)
-        assert loss == pytest.approx(
-            _window_loss(p, lap, window, lambda_reg), rel=1e-12)
+        assert loss == _window_loss(p, lap, window, lambda_reg)
 
-    @pytest.mark.parametrize("family,k,per_transition", [
-        ("chebyshev", 3, 6), ("first_order", 3, 3), ("chebyshev", 1, 0)])
+    @pytest.mark.parametrize("family,k,per_transition,lambda_reg", [
+        ("chebyshev", 3, 6, 0.0), ("first_order", 3, 3, 0.0),
+        ("chebyshev", 1, 0, 0.0), ("chebyshev", 3, 6, 0.3),
+        ("first_order", 3, 3, 0.3)], ids=[
+        "chebyshev-3-6", "first_order-3-3", "chebyshev-1-0",
+        "chebyshev-3-6-regularized", "first_order-3-3-regularized"])
     def test_sparse_products_per_transition(self, monkeypatch, family, k,
-                                            per_transition):
+                                            per_transition, lambda_reg):
         lap = knn_lap(15, n=12)
         p = make_params(family, 12, k=k, seed=15)
         window = np.random.default_rng(15).standard_normal((11, 12, 3))
@@ -179,14 +186,17 @@ class TestBptt:
             if ((name == "fgrnn" or name.startswith("fgrnn."))
                     and getattr(mod, "spmm", None) is real):
                 monkeypatch.setattr(mod, "spmm", counted)
-        bptt(p, lap, window)
+        bptt(p, lap, window, lambda_reg)
         t_w = len(window) - 1
         assert len(calls) <= per_transition * t_w
         # bases kept from the forward pass: one per window for the stacked
-        # inputs, and per step one for h_t and one for the stacked reverse
-        # upstreams
+        # inputs and per step one for h_t; in reverse, one per step for the
+        # upstreams that reach h_t (Chebyshev: one over every step's
+        # readout upstream, then one per recurrent upstream). The
+        # regularizer adds one product by L per window, which serves every
+        # step's loss and its gradient
         per_basis = k - 1 if family == "chebyshev" else 1
-        assert len(calls) == per_basis * (1 + 2 * t_w)
+        assert len(calls) == per_basis * (1 + 2 * t_w) + (lambda_reg > 0)
         # forward only, from the zero state: per step the input basis and
         # the basis of h_t, which also serves the next step's recurrence
         calls.clear()

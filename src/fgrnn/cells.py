@@ -14,17 +14,18 @@ unroll is the forward pass: training, evaluation, prediction and the
 stability diagnostics all run the recurrence through it. It takes each
 step's input term and leaves the readout to its callers, so that a
 window's input terms and readouts can each be made in one stacked
-operation around the per-step loop. fgrnn_step is the one-step reference
-on cheb_conv / first_order_conv.
+operation around the per-step loop. A Step carries the basis of its h,
+and a caller that wants the step's prediction reads it out with
+prediction(p, fam, step.basis). fgrnn_step is the one-step reference on
+cheb_conv / first_order_conv.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from functools import partial
 from itertools import chain, repeat
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,19 +158,12 @@ def input_terms(p: ModelParams, fam, frames):
 
 
 class Step(NamedTuple):
-    """One step of unroll."""
+    """One step of unroll; its prediction is prediction(p, fam, basis)."""
 
     a: np.ndarray        # pre-activation
     h_tilde: np.ndarray  # act(a)
     h: np.ndarray        # alpha * h_tilde + beta * h_prev
     basis: np.ndarray    # basis of h: readout at this step, recurrence at the next
-    predict: Callable[[np.ndarray], np.ndarray]  # basis -> prediction
-
-    @property
-    def x_hat(self) -> np.ndarray:
-        """The prediction of the next frame, read out of basis on each
-        access."""
-        return self.predict(self.basis)
 
 
 def unroll(p: ModelParams, fam, terms, h0: np.ndarray | None = None,
@@ -186,18 +180,17 @@ def unroll(p: ModelParams, fam, terms, h0: np.ndarray | None = None,
     Per step this runs only the recurrence: the pre-activation from the
     input term and combine(U, basis(h_{t-1})), h_t, and one basis of h_t,
     which serves both the recurrent term at t+1 and the readout at t. The
-    readout itself is left to the caller (Step.x_hat, or prediction over a
-    stack of bases); unroll reads out only the steps it feeds back.
+    readout itself is left to the caller (prediction of one step's basis,
+    or of a stack of bases); unroll reads out only the steps it feeds back.
     """
     act = ACTIVATIONS[p.activation][0]
     alpha, beta, bias = p.alpha, p.beta, p.b[:, None]
-    predict = partial(prediction, p, fam)
     h, bh = h0, (None if h0 is None else fam.basis(h0))
     for t, wx in enumerate(chain(terms, repeat(None, feedback))):
         if wx is None:
             if t == 0:
                 raise ContractViolation("unroll: feedback needs an input step")
-            wx = fam.combine(p.W, fam.basis(predict(bh)))
+            wx = fam.combine(p.W, fam.basis(prediction(p, fam, bh)))
         if h is None:
             h = np.zeros(wx.shape)
         a = wx
@@ -209,7 +202,7 @@ def unroll(p: ModelParams, fam, terms, h0: np.ndarray | None = None,
         h_tilde = act(a)
         h = alpha * h_tilde + beta * h
         bh = fam.basis(h)
-        yield Step(a, h_tilde, h, bh, predict)
+        yield Step(a, h_tilde, h, bh)
 
 
 # --- checkpoint IO ---------------------------------------------------------

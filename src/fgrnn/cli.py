@@ -17,9 +17,8 @@ import numpy as np
 from . import data as datamod
 from . import training
 from .cells import (ACTIVATIONS, conv_family, input_terms, load_checkpoint,
-                    save_checkpoint, unroll)
-from .errors import (ConfigError, ContractViolation, NumericOverflow, ParseError,
-                     in_file)
+                    prediction, save_checkpoint, unroll)
+from .errors import ContractViolation, NumericOverflow, ParseError, in_file
 from .graph import build_laplacians, load_graph, save_graph
 from .stability import scalar_cell_params, stability_sweep, sweep_csv
 from .training import (TrainConfig, count_params, history_csv, parse_config,
@@ -30,7 +29,7 @@ def _parse_overrides(pairs):
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not key=value")
+            raise ContractViolation(f"override {pair!r} is not key=value")
         key, _, val = pair.partition("=")
         out[key.strip()] = val.strip()
     return out
@@ -41,9 +40,9 @@ def _load_config(path, overrides, cls=TrainConfig):
     line's."""
     values = {}
     if path:
-        with in_file(path):
-            values = parse_key_values(open(path).read())
-    return parse_config("", {**values, **overrides}, cls)
+        with open(path) as fh, in_file(path):
+            values = parse_key_values(fh.read())
+    return parse_config({**values, **overrides}, cls)
 
 
 # --- gen-data ----------------------------------------------------------------
@@ -65,7 +64,7 @@ def _load_inputs(frames_path, graph_path):
     seq = datamod.load_frames(frames_path)
     graph = load_graph(graph_path)
     if graph.n_nodes != seq.n_nodes:
-        raise ConfigError(
+        raise ContractViolation(
             f"graph has {graph.n_nodes} nodes but frames have {seq.n_nodes}")
     return seq, graph
 
@@ -79,9 +78,11 @@ def cmd_train(args):
         initial, checksum, resume_state = load_checkpoint(
             args.resume, graph.n_nodes, seq.n_features)
         if checksum != graph.checksum():
-            raise ConfigError("checkpoint was trained on a different graph")
+            raise ContractViolation(
+                "checkpoint was trained on a different graph")
         if resume_state is None:
-            raise ConfigError("checkpoint carries no training state to resume")
+            raise ContractViolation(
+                "checkpoint carries no training state to resume")
         epoch_offset = resume_state["epoch"]
     run = train(cfg, seq, graph, initial=initial, resume_state=resume_state)
     state = {"epoch": run.epochs_done,
@@ -112,7 +113,8 @@ def cmd_train(args):
 def _load_model(checkpoint_path, graph, n_features):
     p, checksum, _ = load_checkpoint(checkpoint_path, graph.n_nodes, n_features)
     if checksum != graph.checksum():
-        raise ConfigError("checkpoint graph checksum does not match graph file")
+        raise ContractViolation(
+            "checkpoint graph checksum does not match graph file")
     return p
 
 
@@ -124,7 +126,8 @@ def cmd_eval(args):
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
     out = "\n".join(lines) + "\n"
     if args.out:
-        open(args.out, "w").write(out)
+        with open(args.out, "w") as fh:
+            fh.write(out)
     else:
         sys.stdout.write(out)
     print(f"mean transition loss: {float(np.mean(losses)):.17g}")
@@ -133,7 +136,7 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     if args.horizon < 1:
-        raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
+        raise ContractViolation(f"--horizon must be >= 1, got {args.horizon}")
     seq, graph = _load_inputs(args.frames, args.graph)
     p = _load_model(args.checkpoint, graph, seq.n_features)
     fam = conv_family(p, build_laplacians(graph))
@@ -146,7 +149,7 @@ def cmd_predict(args):
                    feedback=args.horizon - 1)
     if args.horizon > 1:
         steps = islice(steps, max(len(inputs) - 1, 0), None)
-    preds = [step.x_hat for step in steps]
+    preds = [prediction(p, fam, step.basis) for step in steps]
     frames = (np.stack(preds) if preds
               else np.zeros((0, seq.n_nodes, seq.n_features)))
     out_seq = datamod.FrameSequence(frames)
@@ -161,11 +164,12 @@ def _parse_grid(text, flag, cast=float):
     try:
         vals = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"{flag}: bad grid {text!r}: {exc}") from None
+        raise ContractViolation(f"{flag}: bad grid {text!r}: {exc}") from None
     if not vals:
-        raise ConfigError(f"{flag}: empty grid {text!r}")
+        raise ContractViolation(f"{flag}: empty grid {text!r}")
     if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"{flag}: grid values must be finite, got {text!r}")
+        raise ContractViolation(
+            f"{flag}: grid values must be finite, got {text!r}")
     return vals
 
 
@@ -174,17 +178,18 @@ def cmd_stability(args):
     betas = _parse_grid(args.beta, "--beta")
     horizons = _parse_grid(args.T, "--T", int)
     if min(horizons) < 2:
-        raise ConfigError(f"--T values must be >= 2, got {min(horizons)}")
+        raise ContractViolation(f"--T values must be >= 2, got {min(horizons)}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
     if args.frames and args.graph:
         _, graph = _load_inputs(args.frames, args.graph)
     elif args.graph:
         graph = load_graph(args.graph)
     else:
         if args.n_nodes < datamod.MIN_SYNTH_NODES:
-            raise ConfigError(f"--n-nodes must be >= {datamod.MIN_SYNTH_NODES},"
-                              f" got {args.n_nodes}")
+            raise ContractViolation(
+                f"--n-nodes must be >= {datamod.MIN_SYNTH_NODES}, "
+                f"got {args.n_nodes}")
         cfg = datamod.SyntheticConfig(n_nodes=args.n_nodes, n_frames=4, seed=args.seed)
         _, graph = datamod.generate_synthetic(cfg)
     base = scalar_cell_params(u=args.u, n_nodes=graph.n_nodes, w=args.w,
@@ -193,7 +198,8 @@ def cmd_stability(args):
     rows = stability_sweep(graph, base, alphas, betas, horizons, seed=args.seed)
     csv = sweep_csv(rows)
     if args.out:
-        open(args.out, "w").write(csv)
+        with open(args.out, "w") as fh:
+            fh.write(csv)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         sys.stdout.write(csv)
@@ -210,11 +216,11 @@ def cmd_params(args):
 def cmd_sweep_t(args):
     t_list = _parse_grid(args.T, "--T", int)
     if len(set(t_list)) != len(t_list):
-        raise ConfigError("duplicate T values in sweep list")
+        raise ContractViolation("duplicate T values in sweep list")
     if min(t_list) < 1:
-        raise ConfigError(f"--T values must be >= 1, got {min(t_list)}")
+        raise ContractViolation(f"--T values must be >= 1, got {min(t_list)}")
     if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+        raise ContractViolation(f"--seeds must be >= 1, got {args.seeds}")
     base = _load_config(args.config, _parse_overrides(args.overrides))
     seq, graph = _load_inputs(args.frames, args.graph)
     lines = ["T,seed,final_alpha,final_beta,test_loss"]
@@ -225,19 +231,17 @@ def cmd_sweep_t(args):
             # number of Adam updates under the same learning-rate schedule
             cfg = replace(base, t_w=t_w, stride=base.stride or min(t_list),
                           seed=base.seed + s)
-            try:
-                run = train(cfg, seq, graph)
-                if run.aborted or not run.epoch_losses:
-                    lines.append(f"{t_w},{cfg.seed},nan,nan,nan")
-                    continue
-                lines.append(f"{t_w},{cfg.seed},{run.final_params.alpha:.17g},"
-                             f"{run.final_params.beta:.17g},"
-                             f"{run.epoch_losses[-1][1]:.17g}")
-            except NumericOverflow:
+            run = train(cfg, seq, graph)
+            if run.aborted or not run.epoch_losses:
                 lines.append(f"{t_w},{cfg.seed},nan,nan,nan")
+                continue
+            lines.append(f"{t_w},{cfg.seed},{run.final_params.alpha:.17g},"
+                         f"{run.final_params.beta:.17g},"
+                         f"{run.epoch_losses[-1][1]:.17g}")
     csv = "\n".join(lines) + "\n"
     if args.out:
-        open(args.out, "w").write(csv)
+        with open(args.out, "w") as fh:
+            fh.write(csv)
         print(f"wrote {len(lines) - 1} rows to {args.out}")
     else:
         sys.stdout.write(csv)
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, ContractViolation) as exc:
+    except (ParseError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericOverflow as exc:

@@ -1,4 +1,10 @@
-"""Exception types shared across the package, and the config range check."""
+"""Exception types shared across the package, and the config range check.
+
+The CLI maps them to its exit codes: a ParseError (a file or config value
+that does not parse) or a ContractViolation (a value out of range, a bad
+flag, or inputs that do not fit together) exits 2 with an `error: ...`
+line, and a NumericOverflow exits 3.
+"""
 
 import math
 from contextlib import contextmanager
@@ -39,10 +45,6 @@ def in_file(path):
     except ParseError as exc:
         exc.path = path
         raise
-
-
-class ConfigError(Exception):
-    """Invalid configuration or mismatched inputs at the CLI level."""
 
 
 def check_config(cfg, ranges):

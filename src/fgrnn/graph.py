@@ -110,7 +110,7 @@ def build_knn_graph(points: np.ndarray, k: int) -> Graph:
     return Graph(n, edges)
 
 
-def build_laplacians(g: Graph, tol: float = 1e-12, seed: int = 0) -> LaplacianSet:
+def build_laplacians(g: Graph) -> LaplacianSet:
     """Normalized Laplacian plus its scaled and first-order variants.
 
     Isolated nodes use the convention D^{-1/2}[i,i] = 0, so their
@@ -130,7 +130,7 @@ def build_laplacians(g: Graph, tol: float = 1e-12, seed: int = 0) -> LaplacianSe
         cols += [j, i]
         vals += [a, a]
     lap = SparseMatrix.from_coo(n, n, rows, cols, vals)
-    lam, converged = power_iteration(lap, tol=tol, seed=seed)
+    lam, converged = power_iteration(lap)
     if lam <= 0:
         lam = 1.0  # edgeless graph: L = I, spectrum {1}
     # scaled and first-order share L's sparsity pattern (diagonal included)

@@ -48,8 +48,7 @@ def _check_scalar_cell(p: ModelParams, lap: LaplacianSet):
 
 
 def _node_operator_dense(p: ModelParams, lap: LaplacianSet) -> np.ndarray:
-    op = lap.laplacian if p.use_plain_laplacian else lap.first_order
-    return op.to_dense()
+    return conv_family(p, lap).op.to_dense()
 
 
 def _step_factor(p: ModelParams, u: float, d: np.ndarray, op: np.ndarray,
@@ -144,13 +143,13 @@ def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
 
 
 def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
-                       n_features: int = 1, activation: str = "relu",
-                       alpha: float = 1.0, beta: float = 0.0,
+                       activation: str = "relu", alpha: float = 1.0,
+                       beta: float = 0.0,
                        use_plain_laplacian: bool = False) -> ModelParams:
-    """Convenience constructor for the width-1 diagnostic cell."""
+    """Convenience constructor for the width-1 diagnostic cell: one
+    feature, input weight w, recurrent weight u, zero readout."""
     return ModelParams(
-        "first_order", np.full((n_features, 1), w), [[u]],
-        np.zeros((1, n_features)), alpha=alpha, beta=beta,
+        "first_order", [[w]], [[u]], [[0.0]], alpha=alpha, beta=beta,
         b=np.full(n_nodes, b), z=np.zeros(n_nodes), activation=activation,
         use_plain_laplacian=use_plain_laplacian)
 

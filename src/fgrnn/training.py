@@ -35,6 +35,12 @@ makes (K-1)(1 + 2T) sparse products with Chebyshev filters of order K and
 lambda_reg > 0. The forward-only passes (evaluate, teacher_forced_losses)
 stream their frames one at a time through cells.input_terms instead, so
 they hold no window-sized stacks.
+
+Adam's decay rates and epsilon are module constants; train passes
+adam_step the epoch's decayed rate on every step, so an AdamState holds
+only the step count and the two moments. parse_config reads a config
+dataclass from the one {key: text} dict that the CLI merges from its
+--config file and its command line.
 """
 
 from __future__ import annotations
@@ -88,7 +94,8 @@ def _window_loss(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
     fam = conv_family(p, lap)
     total = 0.0
     for t, step in enumerate(unroll(p, fam, input_terms(p, fam, frames[:-1]))):
-        total += graph_regularized_loss(step.x_hat, frames[t + 1], lap, lambda_reg)
+        total += graph_regularized_loss(prediction(p, fam, step.basis),
+                                        frames[t + 1], lap, lambda_reg)
     return total
 
 
@@ -202,13 +209,12 @@ def finite_difference_check(p: ModelParams, lap: LaplacianSet,
 
 # --- Adam --------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     n_params: int
-    learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: np.ndarray = field(default=None)
     second_moment: np.ndarray = field(default=None)
@@ -220,21 +226,19 @@ class AdamState:
             self.second_moment = np.zeros(self.n_params)
 
 
-def adam_step(state: AdamState, p: ModelParams, grad: ModelParams,
-              lr: float | None = None):
-    """One bias-corrected Adam update of p.theta, in place; returns
-    (state, p). grad is laid out as p (see bptt)."""
+def adam_step(state: AdamState, p: ModelParams, grad: ModelParams, lr: float):
+    """One bias-corrected Adam update of p.theta at rate lr, in place;
+    returns (state, p). grad is laid out as p (see bptt)."""
     g = grad.theta
     if len(g) != state.n_params:
         raise ContractViolation("adam_step: gradient size mismatch")
     state.step += 1
-    state.first_moment = state.beta1 * state.first_moment + (1 - state.beta1) * g
-    state.second_moment = (state.beta2 * state.second_moment
-                           + (1 - state.beta2) * g * g)
-    m_hat = state.first_moment / (1.0 - state.beta1 ** state.step)
-    v_hat = state.second_moment / (1.0 - state.beta2 ** state.step)
-    eta = state.learning_rate if lr is None else lr
-    p.theta -= eta * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.first_moment = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * g
+    state.second_moment = (ADAM_BETA2 * state.second_moment
+                           + (1 - ADAM_BETA2) * g * g)
+    m_hat = state.first_moment / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.second_moment / (1.0 - ADAM_BETA2 ** state.step)
+    p.theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return state, p
 
 
@@ -328,19 +332,16 @@ def parse_key_values(text: str) -> dict:
     return values
 
 
-def parse_config(text: str, overrides: dict | None = None, cls=TrainConfig):
-    """A cls, any config dataclass, from 'key = value' text; overrides win
-    over file values.
+def parse_config(values: dict, cls):
+    """A cls, any config dataclass, from {key: text value}.
 
     Each value is read as the type of its field's default: bool strictly
     (see _BOOLEANS), then int, float or str. An unknown key or a value
     that does not convert raises ParseError naming the key; cls itself
     checks the ranges and raises ContractViolation.
     """
-    values = parse_key_values(text)
-    if overrides:
-        values.update(overrides)
     kinds = {f.name: type(f.default) for f in fields(cls)}
+    kwargs = {}
     for key, val in values.items():
         if key not in kinds:
             raise ParseError(f"unknown config key {key!r}")
@@ -350,15 +351,15 @@ def parse_config(text: str, overrides: dict | None = None, cls=TrainConfig):
             if word not in _BOOLEANS:
                 raise ParseError(f"config key {key!r} must be one of "
                                  f"{'/'.join(_BOOLEANS)}, got {val!r}")
-            values[key] = _BOOLEANS[word]
+            kwargs[key] = _BOOLEANS[word]
             continue
         try:
-            values[key] = kind(val)
+            kwargs[key] = kind(val)
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise ParseError(f"config key {key!r} must be {expected}, "
                              f"got {val!r}") from None
-    return cls(**values)
+    return cls(**kwargs)
 
 
 def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
@@ -390,7 +391,8 @@ def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
     losses, h = [], h0
     for t, step in enumerate(unroll(p, fam, input_terms(p, fam, frames[:-1]),
                                     h0)):
-        losses.append(prediction_loss(step.x_hat, frames[t + 1]))
+        losses.append(prediction_loss(prediction(p, fam, step.basis),
+                                      frames[t + 1]))
         h = step.h
     return losses, h
 
@@ -443,7 +445,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     train_frames, test_frames = train_seq.frames, test_seq.frames
     p = initial if initial is not None else init_params(
         cfg, dataset.n_nodes, dataset.n_features)
-    adam = AdamState(p.theta.size, learning_rate=cfg.lr)
+    adam = AdamState(p.theta.size)
     epoch_start = 0
     if resume_state is not None:
         adam.step = resume_state["adam_step"]
@@ -459,7 +461,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
             lr = cfg.lr * cfg.lr_decay ** epoch
             for s, e in windows:
                 _, grad = bptt(p, lap, train_frames[s:e], cfg.lambda_reg)
-                adam_step(adam, p, grad, lr=lr)
+                adam_step(adam, p, grad, lr)
             train_loss, test_loss = evaluate(p, lap, train_frames, test_frames)
             epoch_losses.append((train_loss, test_loss))
             alphas.append(p.alpha)

@@ -8,6 +8,7 @@ check; the README's account of criterion 8 says what it checks and why.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ def test_criterion_8_learned_beta_trend(tmp_path):
     assert cli.main(["sweep-T", "--frames", frames_p, "--graph", graph_p,
                      "--T", "5,10,20", "--seeds", "3", "--out", out,
                      "family=first_order", "p=4"]) == 0
-    rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
     beta = {t: np.mean([float(r[3]) for r in rows if int(r[0]) == t])
             for t in (5, 10, 20)}
     alpha20 = np.mean([float(r[2]) for r in rows if int(r[0]) == 20])
@@ -255,7 +256,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         assert cli.main(["sweep-T", "--frames", f, "--graph", g,
                          "--T", "3,4", "--out", sw,
                          "family=first_order", "p=2", "epochs=1"]) == 0
-        outputs[tag] = [open(path).read()
+        outputs[tag] = [Path(path).read_text()
                         for path in (f, g, ck, hist, ev, pr, st, sw)]
     mismatches = [i for i, (x, y) in
                   enumerate(zip(outputs["a"], outputs["b"])) if x != y]

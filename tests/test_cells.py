@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fgrnn.cells import (ModelParams, conv_family, fgrnn_step, input_terms,
-                         load_checkpoint, preactivation, readout, save_checkpoint,
-                         unroll)
+                         load_checkpoint, prediction, preactivation, readout,
+                         save_checkpoint, unroll)
 from fgrnn.errors import ContractViolation
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
@@ -163,7 +163,7 @@ class TestUnroll:
             assert np.array_equal(step.h_tilde, h_tilde)
             assert np.array_equal(step.h, h)
             assert np.array_equal(step.basis, fam.basis(h))
-            assert np.array_equal(step.x_hat, x_hat)
+            assert np.array_equal(prediction(p, fam, step.basis), x_hat)
 
     def test_feedback_needs_an_input_step(self):
         lap = knn_lap(22)

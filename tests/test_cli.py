@@ -4,6 +4,8 @@ Everything goes through cli.main(argv) so exit codes and file outputs
 are exercised exactly as a shell user would see them.
 """
 
+import gc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -53,8 +55,8 @@ def test_gen_data_deterministic(tmp_path):
         assert cli.main(["gen-data", "--out-frames", f, "--out-graph", g,
                          "n_nodes=12", "n_frames=8", "seed=7"]) == 0
         paths.append((f, g))
-    assert open(paths[0][0]).read() == open(paths[1][0]).read()
-    assert open(paths[0][1]).read() == open(paths[1][1]).read()
+    assert Path(paths[0][0]).read_text() == Path(paths[1][0]).read_text()
+    assert Path(paths[0][1]).read_text() == Path(paths[1][1]).read_text()
     seq = load_frames(paths[0][0])
     assert (seq.n_frames, seq.n_nodes, seq.n_features) == (8, 12, 3)
     assert load_graph(paths[0][1]).n_nodes == 12
@@ -124,7 +126,7 @@ def test_train_writes_history_and_checkpoint(small_dataset, tmp_path):
     frames, graph = small_dataset
     rc, ckpt, hist = _train(frames, graph, tmp_path, "run")
     assert rc == 0
-    lines = open(hist).read().splitlines()
+    lines = Path(hist).read_text().splitlines()
     assert lines[0] == "epoch,train_loss,test_loss,alpha,beta,lr"
     assert len(lines) == 3
     assert [int(l.split(",")[0]) for l in lines[1:]] == [1, 2]
@@ -137,7 +139,7 @@ def test_train_deterministic(small_dataset, tmp_path):
     frames, graph = small_dataset
     _, _, h1 = _train(frames, graph, tmp_path, "d1")
     _, _, h2 = _train(frames, graph, tmp_path, "d2")
-    assert open(h1).read() == open(h2).read()
+    assert Path(h1).read_text() == Path(h2).read_text()
 
 
 def test_resume_matches_single_run(small_dataset, tmp_path):
@@ -155,7 +157,7 @@ def test_resume_matches_single_run(small_dataset, tmp_path):
                    "--resume", ckpt_a, "--append-history",
                    "family=first_order", "p=2", "epochs=2", "t_w=4"])
     assert rc == 0
-    assert open(hist_ab).read() == open(hist_full).read()
+    assert Path(hist_ab).read_text() == Path(hist_full).read_text()
     pa, _, _ = load_checkpoint(ckpt_full)
     pb, _, _ = load_checkpoint(ckpt_b)
     assert pa.alpha == pb.alpha and pa.beta == pb.beta
@@ -183,7 +185,7 @@ def test_eval_and_predict_agree(small_dataset, tmp_path):
     out_csv = str(tmp_path / "eval.csv")
     assert cli.main(["eval", "--checkpoint", ckpt, "--frames", frames,
                      "--graph", graph, "--out", out_csv]) == 0
-    rows = open(out_csv).read().splitlines()
+    rows = Path(out_csv).read_text().splitlines()
     assert rows[0] == "t,loss"
     seq = load_frames(frames)
     assert len(rows) == seq.n_frames  # header + T-1 transitions
@@ -303,7 +305,7 @@ def test_stability_csv(tmp_path):
     rc = cli.main(["stability", "--n-nodes", "12", "--alpha", "0,0.5",
                    "--beta", "0.5,1", "--T", "4,8", "--out", out])
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "alpha,beta,T,sigma_max,sigma_min,cond,bound_M"
     assert len(lines) == 1 + 2 * 2 * 2
 
@@ -458,7 +460,7 @@ def _mutate_checkpoint(lines, case):
 def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
                                   capsys, case):
     frames, graph = small_dataset
-    lines = open(small_checkpoint).read().splitlines()
+    lines = Path(small_checkpoint).read_text().splitlines()
     lines, fragment = _mutate_checkpoint(lines, case)
     bad = tmp_path / "bad.ckpt"
     bad.write_text("\n".join(lines) + "\n")
@@ -473,7 +475,7 @@ def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
 def test_resume_bad_checkpoint_shape(small_dataset, small_checkpoint, tmp_path,
                                      capsys, case):
     frames, graph = small_dataset
-    lines = open(small_checkpoint).read().splitlines()
+    lines = Path(small_checkpoint).read_text().splitlines()
     lines, fragment = _mutate_checkpoint(lines, case)
     bad = tmp_path / "bad.ckpt"
     bad.write_text("\n".join(lines) + "\n")
@@ -536,7 +538,7 @@ def test_sweep_t_csv(small_dataset, tmp_path):
                    "--T", "3,5", "--seeds", "2", "--out", out,
                    "family=first_order", "p=2", "epochs=1"])
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "T,seed,final_alpha,final_beta,test_loss"
     assert len(lines) == 5
     got = [(int(l.split(",")[0]), int(l.split(",")[1])) for l in lines[1:]]
@@ -576,6 +578,50 @@ def test_sweep_t_duplicate_T(small_dataset, tmp_path):
     frames, graph = small_dataset
     assert cli.main(["sweep-T", "--frames", frames, "--graph", graph,
                      "--T", "5,5"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_t_overflow_writes_nan_rows(tmp_path):
+    frames, graph = str(tmp_path / "f.txt"), str(tmp_path / "g.txt")
+    assert cli.main(["gen-data", "--out-frames", frames, "--out-graph", graph,
+                     "n_nodes=12", "n_frames=20", "seed=3"]) == 0
+    out = tmp_path / "sweepT.csv"
+    assert cli.main(["sweep-T", "--frames", frames, "--graph", graph,
+                     "--T", "3,4", "--out", str(out), "epochs=2",
+                     "lr=1e300"]) == 0
+    assert out.read_text().splitlines() == [
+        "T,seed,final_alpha,final_beta,test_loss",
+        "3,0,nan,nan,nan", "4,0,nan,nan,nan"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "stability",
+                                     "sweep-T"])
+def test_cli_closes_every_file_it_opens(small_dataset, small_checkpoint,
+                                        tmp_path, command):
+    frames, graph = small_dataset
+    config = tmp_path / "c.cfg"
+    config.write_text("epochs = 1\n" if command != "gen-data"
+                      else "n_nodes = 12\nn_frames = 8\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "gen-data": ["gen-data", "--config", str(config), "--out-frames", out,
+                     "--out-graph", str(tmp_path / "g")],
+        "train": ["train", "--config", str(config), "--frames", frames,
+                  "--graph", graph, "--out-checkpoint", out,
+                  "--out-history", str(tmp_path / "h"), "p=2", "t_w=4"],
+        "eval": ["eval", "--checkpoint", small_checkpoint, "--frames", frames,
+                 "--graph", graph, "--out", out],
+        "stability": ["stability", "--n-nodes", "12", "--T", "4",
+                      "--out", out],
+        "sweep-T": ["sweep-T", "--config", str(config), "--frames", frames,
+                    "--graph", graph, "--T", "3", "--out", out, "p=2"],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert cli.main(argv) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_missing_file_exit_code(tmp_path):

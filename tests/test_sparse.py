@@ -1,8 +1,37 @@
 import numpy as np
 import pytest
 
+import fgrnn.sparse
 from fgrnn.errors import ContractViolation
+from fgrnn.graph import Graph, build_laplacians
 from fgrnn.sparse import SparseMatrix, dense_eig_sym, power_iteration, spmm
+
+
+def ring_graph(n):
+    return Graph(n, tuple((i, i + 1, 1.0) for i in range(n - 1))
+                 + ((0, n - 1, 1.0),))
+
+
+def two_product_power_iteration(a, tol=1e-12, max_iter=2000, seed=0):
+    """power_iteration as a loop that multiplies by a twice per step:
+    (estimate, converged, products)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(a.n_rows)
+    v /= np.linalg.norm(v)
+    lam, products = 0.0, 0
+    for _ in range(max_iter):
+        w = spmm(a, v)
+        products += 1
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0, True, products
+        v = w / norm
+        lam_new = float(v @ spmm(a, v))
+        products += 1
+        if abs(lam_new - lam) < tol:
+            return lam_new, True, products
+        lam = lam_new
+    return lam, False, products
 
 
 def random_sparse_symmetric(n, rng, density=0.4):
@@ -191,6 +220,33 @@ class TestPowerIteration:
         a = SparseMatrix.from_dense(np.array([[0.0, 2.0], [1.0, 0.0]]))
         with pytest.raises(ContractViolation):
             power_iteration(a)
+        # above 64 rows too, wherever the one asymmetric entry is stored
+        _, dense = random_sparse_symmetric(100, np.random.default_rng(5))
+        dense[40, 60] += 5.0
+        with pytest.raises(ContractViolation, match="not symmetric"):
+            power_iteration(SparseMatrix.from_dense(dense))
+
+    @pytest.mark.parametrize("case", ["ring", "random", "zero"])
+    def test_one_product_per_step(self, case, monkeypatch):
+        n = 128
+        if case == "ring":
+            a = build_laplacians(ring_graph(n)).laplacian
+        elif case == "random":
+            a, _ = random_sparse_symmetric(n, np.random.default_rng(3), 0.05)
+        else:
+            a = SparseMatrix.from_dense(np.zeros((n, n)))
+        want_lam, want_ok, two_products = two_product_power_iteration(a)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return spmm(*args)
+
+        monkeypatch.setattr(fgrnn.sparse, "spmm", counted)
+        lam, ok = power_iteration(a)
+        assert lam == want_lam and ok == want_ok
+        # the two-product loop makes 2 per step (1 if the first is zero)
+        assert len(calls) == two_products // 2 + 1
 
 
 class TestDenseEigSym:

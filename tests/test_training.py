@@ -11,7 +11,7 @@ from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import (AdamState, TrainConfig, _window_loss, adam_step,
                             bptt, count_params, finite_difference_check,
                             graph_regularized_loss, history_csv, init_params,
-                            parse_config, prediction_loss,
+                            parse_config, parse_key_values, prediction_loss,
                             teacher_forced_losses, train)
 
 
@@ -246,7 +246,7 @@ class TestBptt:
 
 class TestAdam:
     def make(self, n):
-        return AdamState(n, learning_rate=0.01)
+        return AdamState(n)
 
     def test_zero_gradient_fixed_point(self):
         lap = knn_lap(11)
@@ -254,7 +254,7 @@ class TestAdam:
         theta0 = p.theta.copy()
         grads = p.like(np.zeros_like(p.theta))
         state = self.make(len(theta0))
-        adam_step(state, p, grads)
+        adam_step(state, p, grads, 0.01)
         assert state.step == 1
         assert np.array_equal(p.theta, theta0)
 
@@ -266,7 +266,7 @@ class TestAdam:
         g.alpha, g.beta = 1.0, -1.0
         g.b[:], g.z[:] = 4.0, -0.25
         state = self.make(len(theta0))
-        adam_step(state, p, g)
+        adam_step(state, p, g, 0.01)
         delta = p.theta - theta0
         gv = g.theta
         # bias-corrected first step is close to -lr * sign(g) for |g| >> eps
@@ -278,7 +278,7 @@ class TestAdam:
         state = self.make(len(p.theta))
         prev = p.theta.copy()
         for _ in range(2):
-            adam_step(state, p, g)
+            adam_step(state, p, g, 0.01)
             cur = p.theta
             assert np.all(cur < prev)
             prev = cur.copy()
@@ -359,29 +359,30 @@ class TestTrainLoop:
 
 class TestConfigParsing:
     def test_defaults(self):
-        cfg = parse_config("")
+        cfg = parse_config({}, TrainConfig)
         assert cfg.family == "first_order" and cfg.epochs == 10
 
     def test_file_and_overrides(self):
         text = "family = chebyshev\nk = 5\n# comment\nlr = 0.5\n"
-        cfg = parse_config(text, {"lr": "0.25", "epochs": "2"})
+        cfg = parse_config({**parse_key_values(text), "lr": "0.25",
+                            "epochs": "2"}, TrainConfig)
         assert cfg.family == "chebyshev" and cfg.k == 5
         assert cfg.lr == 0.25 and cfg.epochs == 2
 
     def test_unknown_key(self):
         from fgrnn.errors import ParseError
         with pytest.raises(ParseError):
-            parse_config("bogus = 1\n")
+            parse_config({"bogus": "1"}, TrainConfig)
 
     def test_booleans_are_read_strictly(self):
         from fgrnn.errors import ParseError
         for word, value in (("1", True), ("Yes", True), ("TRUE", True),
                             ("0", False), ("no", False), ("False", False)):
-            cfg = parse_config("", {"use_plain_laplacian": word})
+            cfg = parse_config({"use_plain_laplacian": word}, TrainConfig)
             assert cfg.use_plain_laplacian is value
         for word in ("maybe", "2", "", "on"):
             with pytest.raises(ParseError, match="'use_plain_laplacian'"):
-                parse_config("", {"use_plain_laplacian": word})
+                parse_config({"use_plain_laplacian": word}, TrainConfig)
 
     @pytest.mark.parametrize("key,value", [
         ("t_w", 0), ("split", 1.5), ("activation", "softsign"),
@@ -392,19 +393,19 @@ class TestConfigParsing:
 
     def test_reads_any_config_dataclass(self):
         from fgrnn.errors import ParseError
-        cfg = parse_config("n_nodes = 12\nbase_shape = grid\n",
-                           {"noise_std": "0"}, cls=SyntheticConfig)
+        cfg = parse_config({"n_nodes": "12", "base_shape": "grid",
+                            "noise_std": "0"}, SyntheticConfig)
         assert cfg == SyntheticConfig(n_nodes=12, base_shape="grid",
                                       noise_std=0.0)
         with pytest.raises(ParseError, match="'n_frames'"):
-            parse_config("n_frames = 2.5\n", cls=SyntheticConfig)
+            parse_config({"n_frames": "2.5"}, SyntheticConfig)
         with pytest.raises(ParseError, match="'lr'"):
-            parse_config("lr = 0.1\n", cls=SyntheticConfig)
+            parse_config({"lr": "0.1"}, SyntheticConfig)
         with pytest.raises(ContractViolation, match="'n_frames'"):
-            parse_config("n_frames = 0\n", cls=SyntheticConfig)
+            parse_config({"n_frames": "0"}, SyntheticConfig)
 
     def test_unconvertible_value_names_its_key(self):
         from fgrnn.errors import ParseError
         for key, val in (("k", "abc"), ("epochs", "2.5"), ("lr", "fast")):
             with pytest.raises(ParseError, match=f"'{key}'"):
-                parse_config(f"{key} = {val}\n")
+                parse_config({key: val}, TrainConfig)

@@ -1,17 +1,17 @@
 """Graph-sequence prediction with a weighted-residual graph RNN."""
 
-from .cells import ModelParams, fgrnn_step, readout, unroll
+from .cells import ModelParams, unroll
 from .data import FrameSequence, SyntheticConfig, generate_synthetic
 from .gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from .graph import Graph, LaplacianSet, build_knn_graph, build_laplacians
-from .sparse import SparseMatrix, dense_eig_sym, power_iteration, spmm
+from .sparse import SparseMatrix, power_iteration, spmm
 from .training import TrainConfig, bptt, count_params, train
 
 __all__ = [
-    "ModelParams", "fgrnn_step", "readout", "unroll",
+    "ModelParams", "unroll",
     "FrameSequence", "SyntheticConfig", "generate_synthetic",
     "ChebFilter", "FeatureTransform", "cheb_conv", "first_order_conv",
     "Graph", "LaplacianSet", "build_knn_graph", "build_laplacians",
-    "SparseMatrix", "dense_eig_sym", "power_iteration", "spmm",
+    "SparseMatrix", "power_iteration", "spmm",
     "TrainConfig", "bptt", "count_params", "train",
 ]

@@ -14,10 +14,9 @@ unroll is the forward pass: training, evaluation, prediction and the
 stability diagnostics all run the recurrence through it. It takes each
 step's input term and leaves the readout to its callers, so that a
 window's input terms and readouts can each be made in one stacked
-operation around the per-step loop. A Step carries the basis of its h,
-and a caller that wants the step's prediction reads it out with
-prediction(p, fam, step.basis). fgrnn_step is the one-step reference on
-cheb_conv / first_order_conv.
+operation around the per-step loop. preactivation is the one
+pre-activation of a step, and readout(p, fam, step.basis) the one readout,
+both built on conv_family's primitives.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolation, NumericOverflow, ParseError, in_file
-from .gconv import (ChebFamily, ChebFilter, FeatureTransform, FirstOrderFamily,
-                    cheb_conv, first_order_conv)
+from .gconv import ChebFamily, FirstOrderFamily
 from .graph import LaplacianSet
 
 FAMILIES = ("chebyshev", "first_order")
@@ -102,15 +100,6 @@ class ModelParams:
                     lambda self, value: self._beta.fill(value))
 
 
-def conv_apply(p: ModelParams, lap: LaplacianSet, x: np.ndarray,
-               arr: np.ndarray) -> np.ndarray:
-    """The convolution of x with one of p's filter arrays (W, U or V)."""
-    if p.conv_family == "chebyshev":
-        return cheb_conv(lap, x, ChebFilter(arr))
-    return first_order_conv(lap, x, FeatureTransform(arr),
-                            p.use_plain_laplacian)
-
-
 def conv_family(p: ModelParams, lap: LaplacianSet):
     """The basis / combine / coefficient-gradient primitives of p's family."""
     if p.conv_family == "chebyshev":
@@ -119,31 +108,19 @@ def conv_family(p: ModelParams, lap: LaplacianSet):
     return FirstOrderFamily(lap, p.use_plain_laplacian)
 
 
-def preactivation(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    a = (conv_apply(p, lap, x, p.W)
-         + conv_apply(p, lap, h_prev, p.U)
-         + p.b[:, None])
-    if not np.all(np.isfinite(a)):
+def preactivation(p: ModelParams, fam, wx: np.ndarray,
+                  bh: np.ndarray | None = None) -> np.ndarray:
+    """a = wx + combine(U, bh) + b 1^T, from a step's input term wx and the
+    basis bh of the previous state; bh None is the zero state, which adds
+    no recurrent term. Raises NumericOverflow if a is not finite."""
+    a = wx if bh is None else wx + fam.combine(p.U, bh)
+    a = a + p.b[:, None]
+    if not np.isfinite(a).all():
         raise NumericOverflow("non-finite pre-activation")
     return a
 
 
-def fgrnn_step(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
-               x: np.ndarray):
-    """One recurrent step; returns (h_tilde, h)."""
-    a = preactivation(p, lap, h_prev, x)
-    act = ACTIVATIONS[p.activation][0]
-    h_tilde = act(a)
-    h = p.alpha * h_tilde + p.beta * h_prev
-    return h_tilde, h
-
-
-def readout(p: ModelParams, lap: LaplacianSet, h: np.ndarray) -> np.ndarray:
-    return conv_apply(p, lap, h, p.V) + p.z[:, None]
-
-
-def prediction(p: ModelParams, fam, basis: np.ndarray) -> np.ndarray:
+def readout(p: ModelParams, fam, basis: np.ndarray) -> np.ndarray:
     """x_hat = combine(V, basis) + z 1^T, the readout from a stored basis of
     h, with no sparse product. basis may also be a stack of steps' bases,
     the step axis after the basis axis, to read out every step at once."""
@@ -158,7 +135,7 @@ def input_terms(p: ModelParams, fam, frames):
 
 
 class Step(NamedTuple):
-    """One step of unroll; its prediction is prediction(p, fam, basis)."""
+    """One step of unroll; its prediction is readout(p, fam, basis)."""
 
     a: np.ndarray        # pre-activation
     h_tilde: np.ndarray  # act(a)
@@ -178,27 +155,25 @@ def unroll(p: ModelParams, fam, terms, h0: np.ndarray | None = None,
     a zero state adds no recurrent term and no sparse product.
 
     Per step this runs only the recurrence: the pre-activation from the
-    input term and combine(U, basis(h_{t-1})), h_t, and one basis of h_t,
-    which serves both the recurrent term at t+1 and the readout at t. The
-    readout itself is left to the caller (prediction of one step's basis,
-    or of a stack of bases); unroll reads out only the steps it feeds back.
+    input term and basis(h_{t-1}), h_t, and one basis of h_t, which serves
+    both the recurrent term at t+1 and the readout at t. The readout
+    itself is left to the caller (readout of one step's basis, or of a
+    stack of bases); unroll reads out only the steps it feeds back.
     """
     act = ACTIVATIONS[p.activation][0]
-    alpha, beta, bias = p.alpha, p.beta, p.b[:, None]
+    alpha, beta = p.alpha, p.beta
     h, bh = h0, (None if h0 is None else fam.basis(h0))
     for t, wx in enumerate(chain(terms, repeat(None, feedback))):
         if wx is None:
             if t == 0:
                 raise ContractViolation("unroll: feedback needs an input step")
-            wx = fam.combine(p.W, fam.basis(prediction(p, fam, bh)))
+            wx = fam.combine(p.W, fam.basis(readout(p, fam, bh)))
         if h is None:
             h = np.zeros(wx.shape)
-        a = wx
-        if bh is not None:
-            a = a + fam.combine(p.U, bh)
-        a = a + bias
-        if not np.isfinite(a).all():
-            raise NumericOverflow(f"step {t + 1}: non-finite pre-activation")
+        try:
+            a = preactivation(p, fam, wx, bh)
+        except NumericOverflow as exc:
+            raise NumericOverflow(f"step {t + 1}: {exc}") from None
         h_tilde = act(a)
         h = alpha * h_tilde + beta * h
         bh = fam.basis(h)

@@ -17,7 +17,7 @@ import numpy as np
 from . import data as datamod
 from . import training
 from .cells import (ACTIVATIONS, conv_family, input_terms, load_checkpoint,
-                    prediction, save_checkpoint, unroll)
+                    readout, save_checkpoint, unroll)
 from .errors import ContractViolation, NumericOverflow, ParseError, in_file
 from .graph import build_laplacians, load_graph, save_graph
 from .stability import scalar_cell_params, stability_sweep, sweep_csv
@@ -149,7 +149,7 @@ def cmd_predict(args):
                    feedback=args.horizon - 1)
     if args.horizon > 1:
         steps = islice(steps, max(len(inputs) - 1, 0), None)
-    preds = [prediction(p, fam, step.basis) for step in steps]
+    preds = [readout(p, fam, step.basis) for step in steps]
     frames = (np.stack(preds) if preds
               else np.zeros((0, seq.n_nodes, seq.n_features)))
     out_seq = datamod.FrameSequence(frames)
@@ -181,9 +181,7 @@ def cmd_stability(args):
         raise ContractViolation(f"--T values must be >= 2, got {min(horizons)}")
     if args.seed < 0:
         raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
-    if args.frames and args.graph:
-        _, graph = _load_inputs(args.frames, args.graph)
-    elif args.graph:
+    if args.graph:
         graph = load_graph(args.graph)
     else:
         if args.n_nodes < datamod.MIN_SYNTH_NODES:
@@ -232,6 +230,9 @@ def cmd_sweep_t(args):
             cfg = replace(base, t_w=t_w, stride=base.stride or min(t_list),
                           seed=base.seed + s)
             run = train(cfg, seq, graph)
+            if run.aborted:
+                print(f"T={t_w} seed={cfg.seed}: training aborted: numeric "
+                      f"overflow", file=sys.stderr)
             if run.aborted or not run.epoch_losses:
                 lines.append(f"{t_w},{cfg.seed},nan,nan,nan")
                 continue
@@ -289,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_predict)
 
     st = sub.add_parser("stability", help="Jacobian-product stability sweep")
-    st.add_argument("--frames")
     st.add_argument("--graph")
     st.add_argument("--n-nodes", type=int, default=32)
     st.add_argument("--alpha", default="0,0.5,1")
@@ -334,8 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the package checks finiteness itself and reports it by exit code 3
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ParseError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,9 +54,6 @@ class FrameSequence:
     def n_features(self) -> int:
         return self.frames.shape[2]
 
-    def __getitem__(self, t) -> np.ndarray:
-        return self.frames[t]
-
 
 _SHAPES = ("ring", "grid", "cylinder")
 

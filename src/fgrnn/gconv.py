@@ -15,12 +15,12 @@ FirstOrderFamily): basis(x) holds every sparse product of a convolution
 of x ([T_0 x .. T_{K-1} x], or [L1 x]); combine(c, basis) gives its value
 and coeff_grad(c, basis, upstream) its coefficient gradient, both without
 a sparse product, where c is the filter's trainable array (Chebyshev
-coefficients or first-order weights). adjoint applies the transposed
-convolution of several upstreams to one input in one stacked product;
-pre_adjoint begins the transposed convolution of a whole stack of steps'
-upstreams at once, and adjoint finishes one step of it. The convolutions
-below are built on them, and BPTT keeps the bases of its forward pass to
-reuse in reverse (see training.bptt).
+coefficients or first-order weights). pre_adjoint begins the transposed
+convolution of a whole stack of steps' upstreams at once, and adjoint
+finishes one step of it, adding the transposed convolution of at most
+one more upstream. The convolutions below are built on them, and BPTT
+keeps the bases of its forward pass to reuse in reverse (see
+training.bptt).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .graph import LaplacianSet
-from .sparse import dense_eig_sym, spmm
+from .sparse import spmm
 
 
 def over_steps(fn, steps: np.ndarray) -> np.ndarray:
@@ -122,22 +122,17 @@ class ChebFamily:
         """
         return self.combine(coeffs, over_steps(self.basis, upstreams))
 
-    def adjoint(self, pairs, pre: np.ndarray | None = None) -> np.ndarray:
-        """pre + sum_i conv(c_i)^T g_i over (c_i, g_i) pairs, in one stacked
-        product; pre is one step of pre_adjoint, or None.
+    def adjoint(self, pair, pre: np.ndarray | None = None) -> np.ndarray:
+        """pre + conv(c)^T g for pair = (c, g), or pre alone when pair is
+        None; pre is one step of pre_adjoint, or None.
 
-        T_k(Ls) is symmetric, so conv^T is the filter itself; the g_i share
-        one basis of their column-stacked concatenation.
+        T_k(Ls) is symmetric, so conv^T is the filter itself.
         """
-        out = pre
-        if pairs:
-            stacked = self.basis(np.concatenate([g for _, g in pairs], axis=1))
-            col = 0
-            for c, g in pairs:
-                part = self.combine(c, stacked[:, :, col:col + g.shape[1]])
-                out = part if out is None else out + part
-                col += g.shape[1]
-        return out
+        if pair is None:
+            return pre
+        c, g = pair
+        part = self.combine(c, self.basis(g))
+        return part if pre is None else pre + part
 
 
 class FirstOrderFamily:
@@ -171,13 +166,13 @@ class FirstOrderFamily:
         """
         return upstreams @ weights.T
 
-    def adjoint(self, pairs, pre: np.ndarray | None = None) -> np.ndarray:
-        """sum_i conv(W_i)^T g_i = op (pre + sum_i g_i W_i^T), one sparse
-        product; pre is one step of pre_adjoint, or None."""
+    def adjoint(self, pair, pre: np.ndarray | None = None) -> np.ndarray:
+        """op (pre + g W^T) for pair = (W, g), or op pre when pair is None,
+        in one sparse product; pre is one step of pre_adjoint, or None."""
         mixed = pre
-        for w, g in pairs:
-            part = g @ w.T
-            mixed = part if mixed is None else mixed + part
+        if pair is not None:
+            w, g = pair
+            mixed = g @ w.T if pre is None else pre + g @ w.T
         return spmm(self.op, mixed)
 
 
@@ -198,7 +193,7 @@ def cheb_conv_backward(lap: LaplacianSet, x: np.ndarray, f: ChebFilter,
     if upstream.shape != x.shape:
         raise ContractViolation("cheb_conv_backward: upstream shape mismatch")
     fam = ChebFamily(lap, f.order)
-    return (fam.adjoint([(f.coeffs, upstream)]),
+    return (fam.adjoint((f.coeffs, upstream)),
             fam.coeff_grad(f.coeffs, fam.basis(x), upstream))
 
 
@@ -223,27 +218,6 @@ def first_order_conv_backward(lap: LaplacianSet, x: np.ndarray,
     if upstream.shape != (x.shape[0], t.weights.shape[1]):
         raise ContractViolation("first_order_conv_backward: upstream shape mismatch")
     fam = FirstOrderFamily(lap, use_plain_laplacian)
-    return (fam.adjoint([(t.weights, upstream)]),
+    return (fam.adjoint((t.weights, upstream)),
             fam.coeff_grad(t.weights, fam.basis(x), upstream))
 
-
-def spectral_conv_oracle(lap: LaplacianSet, x: np.ndarray, f: ChebFilter) -> np.ndarray:
-    """Frequency-domain evaluation of the Chebyshev filter; test oracle.
-
-    Diagonalizes the scaled Laplacian and applies sum_k theta_k T_k(lam)
-    per eigenvalue. Restricted to small graphs by the dense eigensolver.
-    """
-    n = lap.n_nodes
-    if n > 64:
-        raise ContractViolation("spectral_conv_oracle: n <= 64 only")
-    x = np.asarray(x, dtype=np.float64)
-    eigvals, eigvecs = dense_eig_sym(lap.scaled.to_dense())
-    # scalar Chebyshev recurrence on each eigenvalue
-    response = np.full(n, f.coeffs[0])
-    if f.order > 1:
-        t_prev, t_cur = np.ones(n), eigvals.copy()
-        response = response + f.coeffs[1] * t_cur
-        for k in range(2, f.order):
-            t_prev, t_cur = t_cur, 2.0 * eigvals * t_cur - t_prev
-            response = response + f.coeffs[k] * t_cur
-    return eigvecs @ (response[:, None] * (eigvecs.T @ x))

@@ -65,7 +65,6 @@ class LaplacianSet:
     scaled: SparseMatrix       # 2L/lambda_max - I
     first_order: SparseMatrix  # 2I - L
     lambda_max: float
-    degree: np.ndarray
     lambda_max_converged: bool = True
 
     @property
@@ -139,7 +138,7 @@ def build_laplacians(g: Graph) -> LaplacianSet:
     first_vals = 2.0 * diag_mask - lap.values
     scaled = SparseMatrix(n, n, lap.row_offsets, lap.col_indices, scaled_vals)
     first = SparseMatrix(n, n, lap.row_offsets, lap.col_indices, first_vals)
-    return LaplacianSet(lap, scaled, first, float(lam), d, converged)
+    return LaplacianSet(lap, scaled, first, float(lam), converged)
 
 
 def save_graph(g: Graph, path):

@@ -1,10 +1,8 @@
 """Minimal CSR sparse / dense linear algebra kernel.
 
 Everything downstream (Laplacians, graph convolutions, Jacobian products)
-is built on the three operations here: sparse-times-dense products,
-power iteration for the dominant eigenvalue, and a dense symmetric
-eigensolver (LAPACK, through numpy) used as the spectral test oracle for
-small matrices.
+is built on the two operations here: sparse-times-dense products and
+power iteration for the dominant eigenvalue.
 
 A product is a gather, one flat multiply and one segment sum. Each matrix
 caches, per column count f, a plan: every stored term's output slot and
@@ -181,22 +179,3 @@ def power_iteration(a: SparseMatrix, tol: float = 1e-12,
         lam = lam_new
     return lam, False
 
-
-def dense_eig_sym(a: np.ndarray):
-    """Eigendecomposition of a small symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix V with columns
-    matching the eigenvalue order). It shares no code with the Chebyshev
-    recurrence, so it can serve as an independent oracle for the
-    spectral-domain convolution.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ContractViolation("dense_eig_sym: matrix must be square")
-    if n > 64:
-        raise ContractViolation("dense_eig_sym: intended for n <= 64")
-    if n and np.max(np.abs(a - a.T)) > 1e-12:
-        raise ContractViolation("dense_eig_sym: matrix not symmetric")
-    eigvals, eigvecs = np.linalg.eigh(a)
-    return eigvals, eigvecs

@@ -60,10 +60,10 @@ def step_jacobian(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
     """dh_t/dh_{t-1} = alpha * D_t * u * L1 + beta * I as a dense matrix."""
     u = _check_scalar_cell(p, lap)
-    a = preactivation(p, lap, h_prev, x)
+    fam = conv_family(p, lap)
+    a = preactivation(p, fam, fam.combine(p.W, fam.basis(x)), fam.basis(h_prev))
     d = ACTIVATIONS[p.activation][1](a)[:, 0]
-    return _step_factor(p, u, d, _node_operator_dense(p, lap),
-                        np.eye(lap.n_nodes))
+    return _step_factor(p, u, d, fam.op.to_dense(), np.eye(lap.n_nodes))
 
 
 def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
@@ -101,8 +101,11 @@ def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
     return _bound(p, max(terms), horizon)
 
 
-def _reports(p: ModelParams, lap: LaplacianSet, window, horizons) -> list:
-    """One StabilityReport per T in the ascending list `horizons`.
+def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
+                     horizons) -> list:
+    """One StabilityReport per T in the ascending list `horizons`: the
+    extreme singular values of the product of the last T-2 step
+    Jacobians, and the closed-form bound.
 
     One forward pass runs to the largest T and one running product
     left-multiplies the step Jacobians in time order; each T's product
@@ -111,6 +114,10 @@ def _reports(p: ModelParams, lap: LaplacianSet, window, horizons) -> list:
     """
     u = _check_scalar_cell(p, lap)
     frames = np.asarray(window, dtype=np.float64)
+    horizons = list(horizons)
+    if not horizons or horizons != sorted(horizons):
+        raise ContractViolation(
+            f"stability: horizons must be ascending, got {horizons}")
     if horizons[0] < 2:
         raise ContractViolation(f"stability: need T >= 2, got {horizons[0]}")
     if frames.shape[0] < horizons[-1]:
@@ -133,13 +140,6 @@ def _reports(p: ModelParams, lap: LaplacianSet, window, horizons) -> list:
         reports.append(StabilityReport(sigma_max, sigma_min, cond, bound,
                                        p.alpha, p.beta, horizon))
     return reports
-
-
-def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
-                     horizon: int) -> StabilityReport:
-    """Product of the last T-2 step Jacobians and its extreme singular
-    values; fills a StabilityReport including the closed-form bound."""
-    return _reports(p, lap, window, [horizon])[0]
 
 
 def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
@@ -170,7 +170,7 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
         for beta in sorted(beta_grid):
             p = base_params.like(base_params.theta.copy())
             p.alpha, p.beta = alpha, beta
-            rows += _reports(p, lap, frames, horizons)
+            rows += jacobian_product(p, lap, frames, horizons)
     return rows
 
 

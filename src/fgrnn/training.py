@@ -52,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from .cells import (ACTIVATIONS, FAMILIES, ModelParams, conv_family,
-                    input_terms, prediction, unroll)
+                    input_terms, readout, unroll)
 from .data import FrameSequence, split_train_test
 from .errors import ContractViolation, NumericOverflow, ParseError, check_config
 from .gconv import over_steps
@@ -94,7 +94,7 @@ def _window_loss(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
     fam = conv_family(p, lap)
     total = 0.0
     for t, step in enumerate(unroll(p, fam, input_terms(p, fam, frames[:-1]))):
-        total += graph_regularized_loss(prediction(p, fam, step.basis),
+        total += graph_regularized_loss(readout(p, fam, step.basis),
                                         frames[t + 1], lap, lambda_reg)
     return total
 
@@ -143,7 +143,7 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     bx = np.ascontiguousarray(over_steps(fam.basis, window[:-1]))
     steps = list(unroll(p, fam, fam.combine(p.W, bx)))
     bh = np.stack([step.basis for step in steps], axis=1)
-    losses, d_xhat = _step_losses(prediction(p, fam, bh), window[1:], lap,
+    losses, d_xhat = _step_losses(readout(p, fam, bh), window[1:], lap,
                                   lambda_reg)
     total = 0.0
     for t, step_loss in enumerate(losses.tolist()):
@@ -161,10 +161,10 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
         if t + 1 < t_w:
             # plus the recurrent upstream from t+1 and the residual path
             # through beta
-            g_h[t] = (fam.adjoint([(p.U, g_a[t + 1])], readout_adj[t])
+            g_h[t] = (fam.adjoint((p.U, g_a[t + 1]), readout_adj[t])
                       + beta * g_h[t + 1])
         else:
-            g_h[t] = fam.adjoint([], readout_adj[t])
+            g_h[t] = fam.adjoint(None, readout_adj[t])
         g_a[t] = alpha * g_h[t] * dact[t]
 
     # every coefficient gradient is read from the stored bases
@@ -391,7 +391,7 @@ def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
     losses, h = [], h0
     for t, step in enumerate(unroll(p, fam, input_terms(p, fam, frames[:-1]),
                                     h0)):
-        losses.append(prediction_loss(prediction(p, fam, step.basis),
+        losses.append(prediction_loss(readout(p, fam, step.basis),
                                       frames[t + 1]))
         h = step.h
     return losses, h
@@ -404,7 +404,6 @@ class TrainRun:
     beta_history: list
     lr_history: list
     final_params: ModelParams
-    config: TrainConfig
     adam: AdamState
     epochs_done: int
     aborted: bool = False
@@ -470,9 +469,9 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
             epochs_done = epoch + 1
     except NumericOverflow:
         # abort with partial history; caller decides how to report
-        return TrainRun(epoch_losses, alphas, betas, lrs, p, cfg, adam,
+        return TrainRun(epoch_losses, alphas, betas, lrs, p, adam,
                         epochs_done, aborted=True)
-    return TrainRun(epoch_losses, alphas, betas, lrs, p, cfg, adam, epochs_done)
+    return TrainRun(epoch_losses, alphas, betas, lrs, p, adam, epochs_done)
 
 
 def history_csv(run: TrainRun, epoch_offset: int = 0) -> str:

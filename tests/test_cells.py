@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from fgrnn.cells import (ModelParams, conv_family, fgrnn_step, input_terms,
-                         load_checkpoint, prediction, preactivation, readout,
+from fgrnn.cells import (ModelParams, conv_family, input_terms,
+                         load_checkpoint, preactivation, readout,
                          save_checkpoint, unroll)
-from fgrnn.errors import ContractViolation
+from fgrnn.errors import ContractViolation, NumericOverflow
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import TrainConfig, init_params
+
+from . import reference as ref
 
 
 def make_params(family, n, f=3, p=3, k=3, seed=0, **kw):
@@ -61,7 +63,7 @@ class TestFgrnnStep:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((10, 3))
         h_prev = rng.standard_normal((10, 3))
-        h_tilde, h = fgrnn_step(p, lap, h_prev, x)
+        h_tilde, h = ref.fgrnn_step(p, lap, h_prev, x)
         expected = np.tanh(cheb_conv(lap, x, ChebFilter(p.W))
                            + cheb_conv(lap, h_prev, ChebFilter(p.U))
                            + p.b[:, None])
@@ -73,7 +75,7 @@ class TestFgrnnStep:
         p = make_params("first_order", 10, alpha=0.0, beta=1.0)
         rng = np.random.default_rng(2)
         h_prev = rng.standard_normal((10, 3))
-        _, h = fgrnn_step(p, lap, h_prev, rng.standard_normal((10, 3)))
+        _, h = ref.fgrnn_step(p, lap, h_prev, rng.standard_normal((10, 3)))
         assert np.array_equal(h, h_prev)
 
     def test_zero_filters(self):
@@ -83,7 +85,7 @@ class TestFgrnnStep:
         p.U[:] = 0.0
         p.b[:] = 0.0
         h_prev = np.random.default_rng(3).standard_normal((3, 3))
-        h_tilde, h = fgrnn_step(p, lap, h_prev, np.ones((3, 3)))
+        h_tilde, h = ref.fgrnn_step(p, lap, h_prev, np.ones((3, 3)))
         assert np.all(h_tilde == 0.0)
         assert np.allclose(h, 0.25 * h_prev)
 
@@ -94,7 +96,7 @@ class TestFgrnnStep:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10, 3)) * 0.1
         h_prev = rng.standard_normal((10, 3)) * 0.1
-        h_tilde, _ = fgrnn_step(p, lap, h_prev, x)
+        h_tilde, _ = ref.fgrnn_step(p, lap, h_prev, x)
         pre = (first_order_conv(lap, x, FeatureTransform(p.W))
                + first_order_conv(lap, h_prev, FeatureTransform(p.U))
                + p.b[:, None])
@@ -112,13 +114,28 @@ class TestFgrnnStep:
         perm = rng.permutation(n)
 
         lap = build_laplacians(build_knn_graph(pts, 3))
-        _, h = fgrnn_step(p, lap, h_prev, x)
+        _, h = ref.fgrnn_step(p, lap, h_prev, x)
 
         lap_p = build_laplacians(build_knn_graph(pts[perm], 3))
         p_perm = p.like(p.theta.copy())
         p_perm.b[:] = p.b[perm]
-        _, h_p = fgrnn_step(p_perm, lap_p, h_prev[perm], x[perm])
+        _, h_p = ref.fgrnn_step(p_perm, lap_p, h_prev[perm], x[perm])
         assert np.allclose(h_p, h[perm], atol=1e-9)
+
+
+class TestPreactivation:
+    def test_non_finite_raises(self):
+        lap = knn_lap(24)
+        p = make_params("first_order", 10)
+        fam = conv_family(p, lap)
+        wx = np.zeros((10, 3))
+        wx[4, 1] = np.inf
+        with pytest.raises(NumericOverflow):
+            preactivation(p, fam, wx)
+        # unroll names the step whose pre-activation overflowed
+        terms = [np.zeros((10, 3)), wx]
+        with pytest.raises(NumericOverflow, match="step 2"):
+            list(unroll(p, fam, terms))
 
 
 class TestUnroll:
@@ -129,9 +146,9 @@ class TestUnroll:
         out, x = [], None
         for t in range(len(frames) + feedback):
             x = frames[t] if t < len(frames) else x
-            a = preactivation(p, lap, h, x)
-            h_tilde, h = fgrnn_step(p, lap, h, x)
-            x = readout(p, lap, h)
+            a = ref.preactivation(p, lap, h, x)
+            h_tilde, h = ref.fgrnn_step(p, lap, h, x)
+            x = ref.readout(p, lap, h)
             out.append((a, h_tilde, h, x))
         return out
 
@@ -163,7 +180,7 @@ class TestUnroll:
             assert np.array_equal(step.h_tilde, h_tilde)
             assert np.array_equal(step.h, h)
             assert np.array_equal(step.basis, fam.basis(h))
-            assert np.array_equal(prediction(p, fam, step.basis), x_hat)
+            assert np.array_equal(readout(p, fam, step.basis), x_hat)
 
     def test_feedback_needs_an_input_step(self):
         lap = knn_lap(22)
@@ -179,7 +196,8 @@ class TestReadout:
         p = make_params("first_order", 10)
         p.V[:] = 0.0
         p.z[:] = np.arange(10.0)
-        out = readout(p, lap, np.ones((10, 3)))
+        fam = conv_family(p, lap)
+        out = readout(p, fam, fam.basis(np.ones((10, 3))))
         assert np.allclose(out, np.tile(np.arange(10.0)[:, None], (1, 3)))
 
     def test_edgeless_identity(self):
@@ -188,7 +206,8 @@ class TestReadout:
         p.V[:] = np.eye(3)
         p.z[:] = 0.0
         h = np.random.default_rng(7).standard_normal((3, 3))
-        assert np.allclose(readout(p, lap, h), h)
+        fam = conv_family(p, lap)
+        assert np.allclose(readout(p, fam, fam.basis(h)), h)
 
     def test_chebyshev_order_one(self):
         lap = knn_lap(8)
@@ -196,7 +215,8 @@ class TestReadout:
         p.V[:] = [2.0]
         p.z[:] = 0.0
         h = np.random.default_rng(8).standard_normal((10, 3))
-        assert np.allclose(readout(p, lap, h), 2.0 * h)
+        fam = conv_family(p, lap)
+        assert np.allclose(readout(p, fam, fam.basis(h)), 2.0 * h)
 
 
 class TestCheckpoint:

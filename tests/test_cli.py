@@ -594,6 +594,38 @@ def test_sweep_t_overflow_writes_nan_rows(tmp_path):
         "3,0,nan,nan,nan", "4,0,nan,nan,nan"]
 
 
+def test_overflow_is_reported_without_a_numpy_warning(tmp_path, capsys):
+    frames, graph = str(tmp_path / "f.txt"), str(tmp_path / "g.txt")
+    assert cli.main(["gen-data", "--out-frames", frames, "--out-graph", graph,
+                     "n_nodes=12", "n_frames=20", "seed=3"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["train", "--frames", frames, "--graph", graph,
+                         "--out-checkpoint", str(tmp_path / "c"),
+                         "--out-history", str(tmp_path / "h"),
+                         "epochs=2", "lr=1e300"]) == 3
+        assert cli.main(["sweep-T", "--frames", frames, "--graph", graph,
+                         "--T", "3,4", "--seeds", "2", "--out",
+                         str(tmp_path / "s"), "epochs=2", "lr=1e300"]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "training aborted: numeric overflow",
+        "T=3 seed=0: training aborted: numeric overflow",
+        "T=3 seed=1: training aborted: numeric overflow",
+        "T=4 seed=0: training aborted: numeric overflow",
+        "T=4 seed=1: training aborted: numeric overflow"]
+
+
+def test_stability_takes_no_frames(small_dataset, capsys):
+    # the sweep draws its window from --seed, so a frame file has no use
+    frames, graph = small_dataset
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stability", "--frames", frames, "--graph", graph])
+    assert exc.value.code == 2
+    assert "--frames" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "stability",
                                      "sweep-T"])
 def test_cli_closes_every_file_it_opens(small_dataset, small_checkpoint,

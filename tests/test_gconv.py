@@ -4,9 +4,11 @@ import pytest
 from fgrnn.errors import ContractViolation
 from fgrnn.gconv import (ChebFamily, ChebFilter, FeatureTransform, cheb_conv,
                          cheb_conv_backward, first_order_conv,
-                         first_order_conv_backward, spectral_conv_oracle)
+                         first_order_conv_backward)
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.sparse import spmm
+
+from .reference import spectral_conv_oracle
 
 
 def knn_lap(seed, n=10, k=3):

@@ -7,7 +7,8 @@ from fgrnn import graph
 from fgrnn.errors import ContractViolation, ParseError
 from fgrnn.graph import (Graph, build_knn_graph, build_laplacians, load_graph,
                          save_graph)
-from fgrnn.sparse import dense_eig_sym
+
+from .reference import dense_eig_sym
 
 
 def random_knn_graph(seed, n=None, k=None):

@@ -4,7 +4,9 @@ import pytest
 import fgrnn.sparse
 from fgrnn.errors import ContractViolation
 from fgrnn.graph import Graph, build_laplacians
-from fgrnn.sparse import SparseMatrix, dense_eig_sym, power_iteration, spmm
+from fgrnn.sparse import SparseMatrix, power_iteration, spmm
+
+from .reference import dense_eig_sym
 
 
 def ring_graph(n):

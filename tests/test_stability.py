@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fgrnn import stability
-from fgrnn.cells import ACTIVATIONS, fgrnn_step, preactivation
-from fgrnn.errors import ContractViolation
+from fgrnn.cells import ACTIVATIONS
+from fgrnn.errors import ContractViolation, NumericOverflow
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
-from fgrnn.sparse import dense_eig_sym
 from fgrnn.stability import (condition_bound, jacobian_product,
                              scalar_cell_params, stability_sweep, sweep_csv,
                              step_jacobian, _forward_activation_derivs)
+
+from .reference import fgrnn_step, preactivation
 
 
 def ring_graph(n):
@@ -54,6 +55,13 @@ class TestStepJacobian:
         with pytest.raises(ContractViolation):
             step_jacobian(p, lap, np.zeros((12, 1)), np.zeros((12, 1)))
 
+    def test_non_finite_preactivation_raises(self):
+        lap = random_lap(3)
+        p = scalar_cell_params(u=0.5, n_nodes=12)
+        p.b[:] = np.inf
+        with pytest.raises(NumericOverflow):
+            step_jacobian(p, lap, np.zeros((12, 1)), np.zeros((12, 1)))
+
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
     def test_matches_numerical_jacobian(self, activation):
         lap = random_lap(4, n=8)
@@ -80,7 +88,7 @@ class TestJacobianProduct:
         lap = random_lap(6)
         p = scalar_cell_params(u=1.0, n_nodes=12, alpha=0.0, beta=1.0)
         frames = np.random.default_rng(6).standard_normal((8, 12, 1))
-        rep = jacobian_product(p, lap, frames, 8)
+        rep = jacobian_product(p, lap, frames, [8])[0]
         assert rep.condition_number == 1.0
         assert rep.sigma_max == pytest.approx(1.0)
 
@@ -93,7 +101,7 @@ class TestJacobianProduct:
         p = scalar_cell_params(u=1.0, n_nodes=n, b=10.0, activation="relu")
         frames = np.abs(np.random.default_rng(7).standard_normal((12, n, 1))) * 0.01
         t_steps = 12
-        rep = jacobian_product(p, lap, frames, t_steps)
+        rep = jacobian_product(p, lap, frames, [t_steps])[0]
         # connected 2-regular ring: lambda_max(L1) = 2
         assert rep.sigma_max == pytest.approx(2.0 ** (t_steps - 2), rel=1e-6)
 
@@ -101,7 +109,7 @@ class TestJacobianProduct:
         lap = random_lap(8)
         p = scalar_cell_params(u=0.0, n_nodes=12, b=5.0, activation="relu")
         frames = np.random.default_rng(8).standard_normal((6, 12, 1))
-        rep = jacobian_product(p, lap, frames, 6)
+        rep = jacobian_product(p, lap, frames, [6])[0]
         assert rep.sigma_max == 0.0
         assert math.isinf(rep.condition_number)
 
@@ -112,9 +120,27 @@ class TestJacobianProduct:
         for alpha in (0.01, 0.05):
             p = scalar_cell_params(u=0.5, n_nodes=10, activation="tanh",
                                    alpha=alpha, beta=1.0)
-            rep = jacobian_product(p, lap, frames, 8)
+            rep = jacobian_product(p, lap, frames, [8])[0]
             if rep.bound is not None:
                 assert rep.condition_number <= rep.bound * (1 + 1e-9)
+
+    def test_one_report_per_horizon(self):
+        lap = random_lap(10, n=10)
+        p = scalar_cell_params(u=0.5, n_nodes=10, activation="tanh",
+                               alpha=0.5, beta=0.5)
+        frames = np.random.default_rng(10).standard_normal((8, 10, 1))
+        reps = jacobian_product(p, lap, frames, [4, 6, 6, 8])
+        assert [r.horizon for r in reps] == [4, 6, 6, 8]
+        assert reps[1] == reps[2]
+        assert reps[3] == jacobian_product(p, lap, frames, [8])[0]
+
+    @pytest.mark.parametrize("horizons", [[8, 4], [4, 8, 6], []])
+    def test_horizons_must_ascend(self, horizons):
+        lap = random_lap(11, n=10)
+        p = scalar_cell_params(u=0.5, n_nodes=10)
+        frames = np.zeros((8, 10, 1))
+        with pytest.raises(ContractViolation, match="ascending"):
+            jacobian_product(p, lap, frames, horizons)
 
 
 class TestConditionBound:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fgrnn.sparse
-from fgrnn.cells import ModelParams, fgrnn_step, readout
+from fgrnn.cells import ModelParams
 from fgrnn.data import FrameSequence, SyntheticConfig
 from fgrnn.errors import ContractViolation
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
@@ -13,6 +13,8 @@ from fgrnn.training import (AdamState, TrainConfig, _window_loss, adam_step,
                             graph_regularized_loss, history_csv, init_params,
                             parse_config, parse_key_values, prediction_loss,
                             teacher_forced_losses, train)
+
+from .reference import fgrnn_step, readout
 
 
 def knn_lap(seed, n=10, k=3):

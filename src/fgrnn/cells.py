@@ -11,12 +11,14 @@ are per-node and broadcast across feature columns. ModelParams keeps the
 whole trainable set in one flat vector theta, with named views.
 
 unroll is the forward pass: training, evaluation, prediction and the
-stability diagnostics all run the recurrence through it. It takes each
-step's input term and leaves the readout to its callers, so that a
-window's input terms and readouts can each be made in one stacked
-operation around the per-step loop. preactivation is the one
-pre-activation of a step, and readout(p, fam, step.basis) the one readout,
-both built on conv_family's primitives.
+stability diagnostics all run the recurrence through it, from the zero
+state. It takes each step's input term and leaves the readout to its
+callers, so that a window's input terms and readouts can each be made in
+one stacked operation around the per-step loop. A step keeps h_tilde, h
+and the basis of h; act' is written in act's output, so h_tilde is all it
+needs. preactivation is the one pre-activation of a step, and
+readout(p, fam, step.basis) the one readout, both built on conv_family's
+primitives.
 """
 
 from __future__ import annotations
@@ -34,12 +36,20 @@ from .graph import LaplacianSet
 
 FAMILIES = ("chebyshev", "first_order")
 
+
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    # exp(-a) overflows to inf for a < -709, where 1 / (1 + inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a))
+
+
+# name: (act, act' as a function of act's output y)
 ACTIVATIONS = {
-    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
-    "relu": (lambda a: np.maximum(a, 0.0), lambda a: (a > 0.0).astype(np.float64)),
-    "sigmoid": (lambda a: 1.0 / (1.0 + np.exp(-a)),
-                lambda a: (s := 1.0 / (1.0 + np.exp(-a))) * (1.0 - s)),
+    "tanh": (np.tanh, lambda y: 1.0 - y ** 2),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda y: (y > 0.0).astype(np.float64)),
+    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
 }
+
 
 class ModelParams:
     """The trainable set {W, U, V, alpha, beta, b, z} as one flat vector.
@@ -137,22 +147,20 @@ def input_terms(p: ModelParams, fam, frames):
 class Step(NamedTuple):
     """One step of unroll; its prediction is readout(p, fam, basis)."""
 
-    a: np.ndarray        # pre-activation
-    h_tilde: np.ndarray  # act(a)
+    h_tilde: np.ndarray  # act(a) of the pre-activation a; act' reads it
     h: np.ndarray        # alpha * h_tilde + beta * h_prev
     basis: np.ndarray    # basis of h: readout at this step, recurrence at the next
 
 
-def unroll(p: ModelParams, fam, terms, h0: np.ndarray | None = None,
-           feedback: int = 0):
-    """The forward recurrence, one Step per input.
+def unroll(p: ModelParams, fam, terms, feedback: int = 0):
+    """The forward recurrence from the zero state, one Step per input.
 
     fam is conv_family(p, lap), and terms yields each step's input term
     combine(W, basis(x_t)): a stack made in one product for a whole window
     (training.bptt), or input_terms(p, fam, frames) for callers that
     stream. After them come `feedback` more steps, each fed the previous
-    step's prediction. The state starts at h0, or at zero when h0 is None;
-    a zero state adds no recurrent term and no sparse product.
+    step's prediction. The zero state adds no recurrent term and no sparse
+    product at the first step.
 
     Per step this runs only the recurrence: the pre-activation from the
     input term and basis(h_{t-1}), h_t, and one basis of h_t, which serves
@@ -162,7 +170,7 @@ def unroll(p: ModelParams, fam, terms, h0: np.ndarray | None = None,
     """
     act = ACTIVATIONS[p.activation][0]
     alpha, beta = p.alpha, p.beta
-    h, bh = h0, (None if h0 is None else fam.basis(h0))
+    h = bh = None
     for t, wx in enumerate(chain(terms, repeat(None, feedback))):
         if wx is None:
             if t == 0:
@@ -177,7 +185,7 @@ def unroll(p: ModelParams, fam, terms, h0: np.ndarray | None = None,
         h_tilde = act(a)
         h = alpha * h_tilde + beta * h
         bh = fam.basis(h)
-        yield Step(a, h_tilde, h, bh)
+        yield Step(h_tilde, h, bh)
 
 
 # --- checkpoint IO ---------------------------------------------------------

@@ -122,7 +122,7 @@ def cmd_eval(args):
     seq, graph = _load_inputs(args.frames, args.graph)
     p = _load_model(args.checkpoint, graph, seq.n_features)
     lap = build_laplacians(graph)
-    losses, _ = training.teacher_forced_losses(p, lap, seq.frames)
+    losses = training.teacher_forced_losses(p, lap, seq.frames)
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
     out = "\n".join(lines) + "\n"
     if args.out:

@@ -113,7 +113,8 @@ def build_laplacians(g: Graph) -> LaplacianSet:
     """Normalized Laplacian plus its scaled and first-order variants.
 
     Isolated nodes use the convention D^{-1/2}[i,i] = 0, so their
-    Laplacian row is the identity row.
+    Laplacian row is the identity row. Every diagonal entry of L is then
+    1, so lambda_max >= 1, an edgeless graph's included.
     """
     n = g.n_nodes
     d = g.degrees()
@@ -130,8 +131,6 @@ def build_laplacians(g: Graph) -> LaplacianSet:
         vals += [a, a]
     lap = SparseMatrix.from_coo(n, n, rows, cols, vals)
     lam, converged = power_iteration(lap)
-    if lam <= 0:
-        lam = 1.0  # edgeless graph: L = I, spectrum {1}
     # scaled and first-order share L's sparsity pattern (diagonal included)
     diag_mask = (lap._row_ids == lap.col_indices).astype(np.float64)
     scaled_vals = 2.0 * lap.values / lam - diag_mask

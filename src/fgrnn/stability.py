@@ -62,7 +62,8 @@ def step_jacobian(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
     u = _check_scalar_cell(p, lap)
     fam = conv_family(p, lap)
     a = preactivation(p, fam, fam.combine(p.W, fam.basis(x)), fam.basis(h_prev))
-    d = ACTIVATIONS[p.activation][1](a)[:, 0]
+    act, act_deriv = ACTIVATIONS[p.activation]
+    d = act_deriv(act(a))[:, 0]
     return _step_factor(p, u, d, fam.op.to_dense(), np.eye(lap.n_nodes))
 
 
@@ -73,7 +74,7 @@ def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
     act_deriv = ACTIVATIONS[p.activation][1]
     fam = conv_family(p, lap)
     steps = unroll(p, fam, input_terms(p, fam, frames[:horizon]))
-    return [act_deriv(step.a)[:, 0] for step in steps]
+    return [act_deriv(step.h_tilde)[:, 0] for step in steps]
 
 
 def _frobenius_terms(u: float, d_list, op: np.ndarray) -> list:

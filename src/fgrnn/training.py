@@ -15,6 +15,8 @@ everything else in a window is one stacked operation. Per step:
   * reverse: dJ/dh_t = the readout's share + the U-adjoint of dJ/da_{t+1}
     + beta * dJ/dh_{t+1}, and dJ/da_t from it.
 Once per window:
+  * act'(a_t) of every step from the stacked h_tilde_t = act(a_t), which
+    dJ/dalpha reads too; the activation is not evaluated again;
   * one product over the column-stacked input frames gives the input
     bases, and with them the input terms combine(W, basis(x_t)), of every
     step;
@@ -32,9 +34,10 @@ spmm treats columns independently, so every stacked product gives each
 step bit for bit what a product of its own would. A window of T steps
 makes (K-1)(1 + 2T) sparse products with Chebyshev filters of order K and
 1 + 2T first-order ones (about 2(K-1) and 2 per transition), plus one when
-lambda_reg > 0. The forward-only passes (evaluate, teacher_forced_losses)
-stream their frames one at a time through cells.input_terms instead, so
-they hold no window-sized stacks.
+lambda_reg > 0. teacher_forced_losses, the one forward-only loss pass (of
+evaluate, eval and the finite-difference check), streams its frames one at
+a time through cells.input_terms instead, so it holds no window-sized
+stacks.
 
 Adam's decay rates and epsilon are module constants; train passes
 adam_step the epoch's decayed rate on every step, so an AdamState holds
@@ -87,16 +90,18 @@ def graph_regularized_loss(x_hat: np.ndarray, x: np.ndarray,
 
 # --- BPTT --------------------------------------------------------------------
 
-def _window_loss(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
-                 lambda_reg: float) -> float:
-    """Forward-only total loss over a window, one step at a time; used by
-    the FD checker, and the reference for bptt's stacked loss."""
+def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
+                          frames: np.ndarray,
+                          lambda_reg: float = 0.0) -> list:
+    """The graph_regularized_loss of each transition of frames, one step at
+    a time from the zero state: step t consumes frame t and is scored
+    against frame t+1. The forward-only pass of evaluate, eval and the
+    finite-difference check, and the reference for bptt's stacked loss."""
     fam = conv_family(p, lap)
-    total = 0.0
-    for t, step in enumerate(unroll(p, fam, input_terms(p, fam, frames[:-1]))):
-        total += graph_regularized_loss(readout(p, fam, step.basis),
-                                        frames[t + 1], lap, lambda_reg)
-    return total
+    steps = unroll(p, fam, input_terms(p, fam, frames[:-1]))
+    return [graph_regularized_loss(readout(p, fam, step.basis), x, lap,
+                                   lambda_reg)
+            for step, x in zip(steps, frames[1:])]
 
 
 def _step_losses(x_hats: np.ndarray, targets: np.ndarray, lap: LaplacianSet,
@@ -134,7 +139,6 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     t_w = window.shape[0] - 1
     if t_w < 1:
         raise ContractViolation("bptt: window needs at least 2 frames")
-    act_deriv = ACTIVATIONS[p.activation][1]
     fam = conv_family(p, lap)
 
     # bx[:, t] is the basis of input frame t and bh[:, t] that of h_t; the
@@ -145,13 +149,13 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     bh = np.stack([step.basis for step in steps], axis=1)
     losses, d_xhat = _step_losses(readout(p, fam, bh), window[1:], lap,
                                   lambda_reg)
-    total = 0.0
-    for t, step_loss in enumerate(losses.tolist()):
+    losses = losses.tolist()
+    for t, step_loss in enumerate(losses):
         if not math.isfinite(step_loss):
             raise NumericOverflow(f"step {t + 1}: non-finite loss")
-        total += step_loss
 
-    dact = act_deriv(np.stack([step.a for step in steps]))
+    h_tildes = np.stack([step.h_tilde for step in steps])
+    dact = ACTIVATIONS[p.activation][1](h_tildes)
     # the readout upstream's share of every dJ/dh_t at once
     readout_adj = fam.pre_adjoint(p.V, d_xhat)
     alpha, beta = p.alpha, p.beta
@@ -169,7 +173,6 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
 
     # every coefficient gradient is read from the stored bases
     g_h, g_a = np.stack(g_h), np.stack(g_a)
-    h_tildes = np.stack([step.h_tilde for step in steps])
     states = np.stack([step.h for step in steps])
     grad = p.like(np.empty_like(p.theta))
     grad.W[...] = fam.coeff_grad(p.W, _merge_steps(bx), _merge_steps(g_a))
@@ -182,7 +185,7 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     grad.z[...] = d_xhat.sum(axis=(0, 2))
     if not np.all(np.isfinite(grad.theta)):
         raise NumericOverflow("non-finite gradient in window")
-    return total, grad
+    return sum(losses), grad
 
 
 def finite_difference_check(p: ModelParams, lap: LaplacianSet,
@@ -197,9 +200,9 @@ def finite_difference_check(p: ModelParams, lap: LaplacianSet,
     worst = 0.0
     for k in range(p.theta.size):
         work.theta[k] = p.theta[k] + step
-        j_plus = _window_loss(work, lap, window, lambda_reg)
+        j_plus = sum(teacher_forced_losses(work, lap, window, lambda_reg))
         work.theta[k] = p.theta[k] - step
-        j_minus = _window_loss(work, lap, window, lambda_reg)
+        j_minus = sum(teacher_forced_losses(work, lap, window, lambda_reg))
         work.theta[k] = p.theta[k]
         numeric = (j_plus - j_minus) / (2.0 * step)
         denom = max(abs(analytic[k]), abs(numeric), 1e-8)
@@ -379,24 +382,6 @@ def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
         use_plain_laplacian=cfg.use_plain_laplacian)
 
 
-def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
-                          frames: np.ndarray,
-                          h0: np.ndarray | None = None):
-    """Per-transition prediction losses from state h0 (None: zero).
-
-    Returns (losses, final hidden state), the state being h0 when frames
-    hold no transition.
-    """
-    fam = conv_family(p, lap)
-    losses, h = [], h0
-    for t, step in enumerate(unroll(p, fam, input_terms(p, fam, frames[:-1]),
-                                    h0)):
-        losses.append(prediction_loss(readout(p, fam, step.basis),
-                                      frames[t + 1]))
-        h = step.h
-    return losses, h
-
-
 @dataclass
 class TrainRun:
     epoch_losses: list          # (train_loss, test_loss) per epoch
@@ -419,29 +404,30 @@ def _windows(n_train: int, t_w: int, stride: int):
     return out
 
 
-def evaluate(p: ModelParams, lap: LaplacianSet, train_frames: np.ndarray,
-             test_frames: np.ndarray):
-    """(mean train transition loss, mean test transition loss).
+def evaluate(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
+             n_train: int):
+    """(mean train transition loss, mean test transition loss) of one
+    teacher-forced pass over the whole sequence from the zero state.
 
-    Test transitions are warm-started: the hidden state is carried
-    through the whole training partition, and each test frame is scored
-    as a one-step teacher-forced prediction (last train frame included
-    as the first input, so every test frame is a target).
+    The first n_train - 1 transitions are those of the training partition
+    frames[:n_train]; the rest score each test frame, the last train frame
+    included as the first input, after the state has consumed every
+    earlier frame.
     """
-    # the final hidden state has consumed every train frame but the last
-    train_losses, h_warm = teacher_forced_losses(p, lap, train_frames)
-    tail = np.concatenate([train_frames[-1:], test_frames], axis=0)
-    test_losses, _ = teacher_forced_losses(p, lap, tail, h0=h_warm)
-    return float(np.mean(train_losses)), float(np.mean(test_losses))
+    losses = teacher_forced_losses(p, lap, frames)
+    return (float(np.mean(losses[:n_train - 1])),
+            float(np.mean(losses[n_train - 1:])))
 
 
+# the package checks finiteness itself and aborts the run, instead of numpy
+# warning of the overflow first
+@np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
           initial: ModelParams | None = None,
           resume_state: dict | None = None) -> TrainRun:
     """Windowed BPTT + Adam over the chronological training partition."""
     lap = build_laplacians(g)
-    train_seq, test_seq = split_train_test(dataset, cfg.split)
-    train_frames, test_frames = train_seq.frames, test_seq.frames
+    train_frames = split_train_test(dataset, cfg.split)[0].frames
     p = initial if initial is not None else init_params(
         cfg, dataset.n_nodes, dataset.n_features)
     adam = AdamState(p.theta.size)
@@ -461,7 +447,8 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
             for s, e in windows:
                 _, grad = bptt(p, lap, train_frames[s:e], cfg.lambda_reg)
                 adam_step(adam, p, grad, lr)
-            train_loss, test_loss = evaluate(p, lap, train_frames, test_frames)
+            train_loss, test_loss = evaluate(p, lap, dataset.frames,
+                                             len(train_frames))
             epoch_losses.append((train_loss, test_loss))
             alphas.append(p.alpha)
             betas.append(p.beta)

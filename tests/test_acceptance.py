@@ -169,7 +169,8 @@ def test_criterion_6_residual_stabilization():
 
 def _copy_last_baseline(frames, split=0.8):
     """Mean squared-Frobenius loss of predicting each test frame as its
-    predecessor, over the same warm-started tail the trainer scores."""
+    predecessor, over the test transitions the trainer scores (from the
+    last train frame on)."""
     n_train = int(math.floor(frames.shape[0] * split))
     tail = frames[n_train - 1:]
     losses = [prediction_loss(tail[t], tail[t + 1])

@@ -141,15 +141,14 @@ class TestPreactivation:
 class TestUnroll:
     @staticmethod
     def reference(p, lap, frames, h, feedback):
-        """(a, h_tilde, h, x_hat) per step from a chain of fgrnn_step and
+        """(h_tilde, h, x_hat) per step from a chain of fgrnn_step and
         readout: every frame, then each prediction fed back."""
         out, x = [], None
         for t in range(len(frames) + feedback):
             x = frames[t] if t < len(frames) else x
-            a = ref.preactivation(p, lap, h, x)
             h_tilde, h = ref.fgrnn_step(p, lap, h, x)
             x = ref.readout(p, lap, h)
-            out.append((a, h_tilde, h, x))
+            out.append((h_tilde, h, x))
         return out
 
     @pytest.mark.parametrize("feedback", [0, 3])
@@ -169,14 +168,20 @@ class TestUnroll:
         p.b[:] = 0.1 * rng.standard_normal(12)
         p.z[:] = 0.1 * rng.standard_normal(12)
         frames = rng.standard_normal((5, 12, 3))
-        h0 = rng.standard_normal((12, 3)) if warm else None
+        # warm: three earlier frames first carry the state away from zero,
+        # as the train frames do before evaluate scores the test frames;
+        # the steps after them must continue the chain from that state
+        earlier = rng.standard_normal((3 if warm else 0, 12, 3))
+        h0 = np.zeros((12, 3))
+        for x in earlier:
+            h0 = ref.fgrnn_step(p, lap, h0, x)[1]
         fam = conv_family(p, lap)
-        got = list(unroll(p, fam, input_terms(p, fam, frames), h0, feedback))
-        want = self.reference(p, lap, frames,
-                              h0 if warm else np.zeros((12, 3)), feedback)
+        inputs = np.concatenate([earlier, frames])
+        got = list(unroll(p, fam, input_terms(p, fam, inputs),
+                          feedback))[len(earlier):]
+        want = self.reference(p, lap, frames, h0, feedback)
         assert len(got) == len(want) == 5 + feedback
-        for step, (a, h_tilde, h, x_hat) in zip(got, want):
-            assert np.array_equal(step.a, a)
+        for step, (h_tilde, h, x_hat) in zip(got, want):
             assert np.array_equal(step.h_tilde, h_tilde)
             assert np.array_equal(step.h, h)
             assert np.array_equal(step.basis, fam.basis(h))
@@ -249,3 +254,16 @@ class TestCheckpoint:
         assert loaded["lr"] == state["lr"]
         assert np.array_equal(loaded["adam_m"], state["adam_m"])
         assert np.array_equal(loaded["adam_v"], state["adam_v"])
+
+
+@pytest.mark.parametrize("args,kwargs,fragment", [
+    (("dense", [[1.0]], [[1.0]], [[1.0]]), {}, "unknown family"),
+    (("first_order", [[1.0]], [[1.0]], [[1.0]]), {"activation": "softsign"},
+     "unknown activation"),
+    (("chebyshev", [], [0.5], [0.5]), {}, "K >= 1"),
+    (("first_order", [1.0], [[1.0]], [[1.0]]), {}, "2-D"),
+], ids=["family", "activation", "chebyshev K 0", "first_order 1-D"])
+def test_model_params_guards(args, kwargs, fragment):
+    with pytest.raises(ContractViolation, match=fragment):
+        ModelParams(*args, alpha=0.5, beta=0.5, b=np.zeros(2), z=np.zeros(2),
+                    **kwargs)

@@ -15,9 +15,8 @@ import pytest
 from fgrnn import cli
 from fgrnn.cells import load_checkpoint, save_checkpoint
 from fgrnn.data import SyntheticConfig, load_frames
-from fgrnn.graph import build_laplacians, load_graph
-from fgrnn.training import (TrainConfig, prediction_loss,
-                            teacher_forced_losses, train)
+from fgrnn.graph import load_graph
+from fgrnn.training import TrainConfig, prediction_loss, train
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +299,62 @@ def test_train_overflow_exit_code(small_dataset, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_overflowing_checkpoint_exit_code(small_dataset, small_checkpoint,
+                                          tmp_path, capsys, command):
+    frames, graph = small_dataset
+    p, checksum, _ = load_checkpoint(small_checkpoint)
+    p.W[...] = 1.7e308
+    huge = tmp_path / "huge.ckpt"
+    save_checkpoint(p, huge, checksum)
+    argv = [command, "--checkpoint", str(huge), "--frames", frames,
+            "--graph", graph]
+    if command == "predict":
+        argv += ["--out", str(tmp_path / "p.txt")]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: step 1: non-finite pre-activation\n")
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_graph_and_frames_of_different_sizes(small_dataset, small_checkpoint,
+                                             tmp_path, capsys):
+    frames, _ = small_dataset
+    graph = tmp_path / "g.txt"
+    graph.write_text("17 0\n")
+    assert cli.main(["eval", "--checkpoint", small_checkpoint, "--frames",
+                     frames, "--graph", str(graph)]) == 2
+    assert capsys.readouterr().err == (
+        "error: graph has 17 nodes but frames have 16\n")
+
+
+def test_resume_needs_training_state(small_dataset, small_checkpoint,
+                                     tmp_path, capsys):
+    frames, graph = small_dataset
+    p, checksum, _ = load_checkpoint(small_checkpoint)
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(p, bare, checksum)
+    out = tmp_path / "c"
+    assert cli.main(["train", "--frames", frames, "--graph", graph,
+                     "--resume", str(bare), "--out-checkpoint", str(out),
+                     "--out-history", str(tmp_path / "h"),
+                     "family=first_order", "p=2", "t_w=4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: checkpoint carries no training state to resume\n")
+    assert not out.exists()
+
+
+def test_predict_one_frame_writes_no_frames(small_dataset, small_checkpoint,
+                                            tmp_path):
+    frames, graph = small_dataset
+    one = tmp_path / "one.txt"
+    one.write_text("gfrm 1 16 3 1\n" + "0 0 0\n" * 16)
+    out = tmp_path / "p.txt"
+    assert cli.main(["predict", "--checkpoint", small_checkpoint, "--frames",
+                     str(one), "--graph", graph, "--out", str(out)]) == 0
+    assert load_frames(out).frames.shape == (0, 16, 3)
+
+
 def test_stability_csv(tmp_path):
     out = str(tmp_path / "sweep.csv")
     rc = cli.main(["stability", "--n-nodes", "12", "--alpha", "0,0.5",
@@ -346,6 +401,10 @@ def test_stability_bad_grid_named_before_work(tmp_path, capsys, monkeypatch,
     ("3 2\n0 1 1\nx 1 1\n", "line 3: expected integers i j"),
     ("3 1\n0 2 heavy\n", "line 2: expected integers i j"),
     ("3 1\n0 1 nan\n", "positive and finite"),
+    ("", "line 1: empty graph file"),
+    ("3\n", "line 1: expected 'N M' header"),
+    ("3 3\n0 1 1\n", "line 2: expected 3 edges, found 1"),
+    ("3 1\n0 1\n", "line 2: expected 'i j w'"),
 ])
 def test_bad_graph_exit_code(tmp_path, capsys, text, fragment):
     path = tmp_path / "g.txt"

@@ -254,3 +254,14 @@ class TestSplit:
         seq = FrameSequence(np.zeros((3, 2, 1)))
         with pytest.raises(ContractViolation):
             split_train_test(seq, 0.01)
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: FrameSequence(np.zeros((4, 3))), r"\(T, N, F\)"),
+    (lambda: FrameSequence(np.full((2, 3, 1), np.nan)), "non-finite"),
+    (lambda: split_train_test(FrameSequence(np.zeros((1, 2, 1))), 0.5),
+     "at least 2 frames"),
+], ids=["2-D frames", "nan frames", "one frame to split"])
+def test_guards(call, fragment):
+    with pytest.raises(ContractViolation, match=fragment):
+        call()

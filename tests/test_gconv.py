@@ -198,3 +198,27 @@ class TestFirstOrder:
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
             first_order_conv(K2_LAP, np.ones((2, 3)), FeatureTransform(np.eye(2)))
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: cheb_conv(K2_LAP, np.ones((3, 1)), ChebFilter([1.0])),
+     "3 rows vs 2 nodes"),
+    (lambda: cheb_conv_backward(K2_LAP, np.ones((2, 1)), ChebFilter([1.0]),
+                                np.ones((2, 2))), "upstream shape"),
+    (lambda: first_order_conv(K2_LAP, np.ones((3, 2)),
+                              FeatureTransform(np.eye(2))), "node count"),
+    (lambda: first_order_conv_backward(K2_LAP, np.ones((2, 2)),
+                                       FeatureTransform(np.eye(2)),
+                                       np.ones((2, 3))), "upstream shape"),
+    (lambda: ChebFilter([]), "K >= 1"),
+    (lambda: ChebFilter([[1.0, 2.0]]), "K >= 1"),
+    (lambda: ChebFilter([1.0, np.inf]), "finite"),
+    (lambda: FeatureTransform([1.0, 2.0]), "2-D"),
+    (lambda: FeatureTransform([[np.nan]]), "finite"),
+], ids=["cheb rows", "cheb backward upstream", "first_order rows",
+        "first_order backward upstream", "cheb filter empty",
+        "cheb filter 2-D", "cheb filter inf", "transform 1-D",
+        "transform nan"])
+def test_guards(call, fragment):
+    with pytest.raises(ContractViolation, match=fragment):
+        call()

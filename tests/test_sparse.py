@@ -312,3 +312,19 @@ class TestCsrInvariants:
     def test_column_out_of_range(self):
         with pytest.raises(ContractViolation):
             SparseMatrix(1, 2, np.array([0, 1]), np.array([5]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: power_iteration(SparseMatrix.from_coo(2, 3, [0], [2], [1.0])),
+     "square"),
+    (lambda: power_iteration(SparseMatrix.from_coo(0, 0, [], [], [])),
+     "empty matrix"),
+    (lambda: SparseMatrix(2, 2, np.array([0, 2, 1]), np.array([0]),
+                          np.array([1.0])), "non-decreasing"),
+    (lambda: SparseMatrix(1, 2, np.array([0, 1]), np.array([0, 1]),
+                          np.array([1.0])), "length mismatch"),
+], ids=["power non-square", "power empty", "decreasing offsets",
+        "length mismatch"])
+def test_guards(call, fragment):
+    with pytest.raises(ContractViolation, match=fragment):
+        call()

@@ -219,8 +219,9 @@ def _reference_rows(g, base, alpha_grid, beta_grid, t_grid, seed):
             for horizon in sorted(t_grid):
                 h, d_list = np.zeros((g.n_nodes, 1)), []
                 for x in frames[:horizon]:
+                    act, deriv = ACTIVATIONS[p.activation]
                     a = preactivation(p, lap, h, x)
-                    d_list.append(ACTIVATIONS[p.activation][1](a)[:, 0])
+                    d_list.append(deriv(act(a))[:, 0])
                     h = fgrnn_step(p, lap, h, x)[1]
                 product = eye.copy()
                 for d in d_list[2:]:
@@ -280,3 +281,29 @@ class TestChain:
                                seed=5)
         assert len(rows) == 3 * 2 * 4
         assert calls == {"svd": len(rows), "unroll": 3 * 2}
+
+
+def _width_two_cell():
+    from fgrnn.training import TrainConfig, init_params
+    return init_params(TrainConfig(p=2), 12, 1)
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: step_jacobian(_width_two_cell(), random_lap(12),
+                           np.zeros((12, 2)), np.zeros((12, 1))),
+     "hidden width 1"),
+    (lambda: condition_bound(scalar_cell_params(u=0.5, n_nodes=2049), [],
+                             build_laplacians(Graph(2049, ())), 4),
+     "N <= 2048"),
+    (lambda: jacobian_product(scalar_cell_params(u=0.5, n_nodes=12),
+                              random_lap(12), np.zeros((3, 12, 1)), [4]),
+     "window shorter than T"),
+    (lambda: stability_sweep(ring_graph(8), scalar_cell_params(u=0.5,
+                                                               n_nodes=8),
+                             [], [0.5], [4]), "grids must be non-empty"),
+    (lambda: condition_bound(scalar_cell_params(u=0.5, n_nodes=12),
+                             [np.ones(12)], random_lap(12), 1), "T >= 2"),
+], ids=["width 2", "N 2049", "short window", "empty grid", "bound T 1"])
+def test_guards(call, fragment):
+    with pytest.raises(ContractViolation, match=fragment):
+        call()

@@ -1,15 +1,16 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import fgrnn.sparse
 from fgrnn.cells import ModelParams
-from fgrnn.data import FrameSequence, SyntheticConfig
+from fgrnn.data import FrameSequence, SyntheticConfig, generate_synthetic
 from fgrnn.errors import ContractViolation
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
-from fgrnn.training import (AdamState, TrainConfig, _window_loss, adam_step,
-                            bptt, count_params, finite_difference_check,
+from fgrnn.training import (AdamState, TrainConfig, adam_step, bptt,
+                            count_params, evaluate, finite_difference_check,
                             graph_regularized_loss, history_csv, init_params,
                             parse_config, parse_key_values, prediction_loss,
                             teacher_forced_losses, train)
@@ -165,7 +166,7 @@ class TestBptt:
         rng = np.random.default_rng(14)
         window = rng.standard_normal((8, 12, 3))
         loss, _ = bptt(p, lap, window, lambda_reg)
-        assert loss == _window_loss(p, lap, window, lambda_reg)
+        assert loss == sum(teacher_forced_losses(p, lap, window, lambda_reg))
 
     @pytest.mark.parametrize("family,k,per_transition,lambda_reg", [
         ("chebyshev", 3, 6, 0.0), ("first_order", 3, 3, 0.0),
@@ -358,6 +359,18 @@ class TestTrainLoop:
         assert len(run.epoch_losses) == len(run.alpha_history) == 4
         assert len(run.beta_history) == len(run.lr_history) == 4
 
+    def test_overflow_aborts_without_a_numpy_warning(self):
+        # the package finds the non-finite pre-activation itself; numpy
+        # must not warn of the overflow that made it
+        seq, g = generate_synthetic(SyntheticConfig(n_nodes=12, n_frames=20,
+                                                    seed=3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = train(TrainConfig(epochs=2, lr=1e300), seq, g)
+        assert run.aborted
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+
 
 class TestConfigParsing:
     def test_defaults(self):
@@ -411,3 +424,62 @@ class TestConfigParsing:
         for key, val in (("k", "abc"), ("epochs", "2.5"), ("lr", "fast")):
             with pytest.raises(ParseError, match=f"'{key}'"):
                 parse_config({key: val}, TrainConfig)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+    @pytest.mark.parametrize("family", ["chebyshev", "first_order"])
+    def test_matches_reference_cell_across_the_split(self, family,
+                                                     activation):
+        # one state, carried by the reference cell from the zero state
+        # through the train/test boundary, scores every transition; the
+        # first n_train - 1 belong to the train partition
+        lap = knn_lap(30, n=12)
+        p = make_params(family, 12, seed=30)
+        p.activation = activation
+        rng = np.random.default_rng(30)
+        p.b[:] = 0.1 * rng.standard_normal(12)
+        p.z[:] = 0.1 * rng.standard_normal(12)
+        frames = rng.standard_normal((9, 12, 3))
+        n_train = 6
+        h, losses = np.zeros((12, 3)), []
+        for t in range(len(frames) - 1):
+            _, h = fgrnn_step(p, lap, h, frames[t])
+            losses.append(prediction_loss(readout(p, lap, h), frames[t + 1]))
+        assert evaluate(p, lap, frames, n_train) == (
+            float(np.mean(losses[:n_train - 1])),
+            float(np.mean(losses[n_train - 1:])))
+
+
+@pytest.mark.filterwarnings("error")
+def test_saturated_sigmoid_is_exact_and_silent():
+    # exp(-a) overflows for a < -709, where the sigmoid's value 0 is exact
+    lap = knn_lap(31)
+    p = make_params("first_order", 10)
+    p.activation = "sigmoid"
+    p.b[:] = -1000.0
+    frames = 0.1 * np.random.default_rng(31).standard_normal((4, 10, 3))
+    losses = teacher_forced_losses(p, lap, frames)
+    assert len(losses) == 3 and all(np.isfinite(losses))
+    # the state stays exactly 0, so every prediction is the readout of a
+    # zero state: z, which is 0 here
+    assert losses == [prediction_loss(np.zeros((10, 3)), x)
+                      for x in frames[1:]]
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda p, lap, w: bptt(p, lap, w[:1]), "at least 2 frames"),
+    (lambda p, lap, w: finite_difference_check(p, lap, w, step=0.0), "step"),
+    (lambda p, lap, w: finite_difference_check(p, lap, w, step=-1e-5), "step"),
+    (lambda p, lap, w: adam_step(AdamState(p.theta.size + 1), p,
+                                 p.like(np.zeros_like(p.theta)), 0.1),
+     "size mismatch"),
+    (lambda p, lap, w: count_params("chebyshev", 0, k=3), "n must be positive"),
+    (lambda p, lap, w: count_params("first_order", 10, p=0), "P >= 1"),
+    (lambda p, lap, w: count_params("lstm_gcn", 10, k=0), "K >= 1"),
+], ids=["bptt one frame", "fd step 0", "fd step < 0", "adam size",
+        "count n 0", "count first_order p 0", "count lstm_gcn k 0"])
+def test_guards(call, fragment):
+    p = make_params("first_order", 10)
+    with pytest.raises(ContractViolation, match=fragment):
+        call(p, knn_lap(32), np.zeros((3, 10, 3)))

@@ -19,6 +19,12 @@ and the basis of h; act' is written in act's output, so h_tilde is all it
 needs. preactivation is the one pre-activation of a step, and
 readout(p, fam, step.basis) the one readout, both built on conv_family's
 primitives.
+
+A checkpoint holds the parameters, the checksum of the graph they were
+trained on and, from train, the training block (epoch, Adam step, rate
+and moments). load_checkpoint, given the graph a command runs on, is the
+one place that checks that binding: a checkpoint trained on another graph
+fails at its graph_checksum line.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import ContractViolation, NumericOverflow, ParseError, in_file
 from .gconv import ChebFamily, FirstOrderFamily
-from .graph import LaplacianSet
+from .graph import Graph, LaplacianSet
 
 FAMILIES = ("chebyshev", "first_order")
 
@@ -243,22 +249,24 @@ def _read_array(lines, k):
     return arr
 
 
-def load_checkpoint(path, n_nodes: int | None = None,
+def load_checkpoint(path, graph: Graph | None = None,
                     n_features: int | None = None):
-    """Returns (ModelParams, graph_checksum, train_state or None).
+    """Returns (ModelParams, graph_checksum, train_state or None); a
+    train_state is what training.train's resume takes with the parameters.
 
     Raises ParseError naming the file and line for a truncated file, an
     array block that does not match its header or holds a non-finite
     value, a b or z block of more than one row, a missing entry, an
     unknown family or activation, a use_plain_laplacian other than 0 or 1,
     a non-finite alpha or beta, or Adam moments of another length than the
-    parameters. Given n_nodes and n_features, b, z and first-order W, U
-    and V must also fit N nodes and F features.
+    parameters. Given the graph the model is to run on (and n_features),
+    the file's graph_checksum must be graph.checksum(), and b, z and
+    first-order W, U and V must fit its N nodes and F features.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     with in_file(path):
-        return _parse_checkpoint(lines, n_nodes, n_features)
+        return _parse_checkpoint(lines, graph, n_features)
 
 
 def _check_shapes(arrays, where, family, n_nodes, n_features):
@@ -278,7 +286,7 @@ def _check_shapes(arrays, where, family, n_nodes, n_features):
                 f"{shape[1]}", line=where[name])
 
 
-def _parse_checkpoint(lines, n_nodes=None, n_features=None):
+def _parse_checkpoint(lines, graph=None, n_features=None):
     if not lines or lines[0] != "fgrnn-checkpoint 1":
         raise ParseError("not a checkpoint file", line=1)
     scalars, arrays, where = {}, {}, {}
@@ -324,8 +332,14 @@ def _parse_checkpoint(lines, n_nodes=None, n_features=None):
         if arrays[key].shape[0] != 1:
             raise ParseError(f"{key}: expected 1 row of per-node values, got "
                              f"{arrays[key].shape[0]}", line=where[key])
-    if n_nodes is not None:
-        _check_shapes(arrays, where, scalars["family"], n_nodes, n_features)
+    if graph is not None:
+        if scalars["graph_checksum"] != graph.checksum():
+            raise ParseError(
+                f"graph_checksum {scalars['graph_checksum']} is not the "
+                f"graph's {graph.checksum()}: the checkpoint was trained on "
+                f"another graph", line=where["graph_checksum"])
+        _check_shapes(arrays, where, scalars["family"], graph.n_nodes,
+                      n_features)
     p = ModelParams(
         scalars["family"], arrays["W"], arrays["U"], arrays["V"],
         alpha=number("alpha"), beta=number("beta"), b=arrays["b"],

@@ -1,7 +1,16 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, predict, stability, params, sweep-T.
-Exit codes: 0 success, 2 config/usage error, 3 numeric failure.
+Exit codes: 0 success, 1 I/O error, 2 config/usage error, 3 numeric
+failure.
+
+eval, predict and train --resume read a checkpoint with
+cells.load_checkpoint given the graph, which refuses one trained on
+another graph. train --resume also refuses a model key (family,
+activation, k or p and use_plain_laplacian) that is set on the command
+line or in --config and differs from the checkpoint; the model comes from
+the checkpoint, and the run's TrainRun supplies the new checkpoint's
+training block and the history's epoch numbers.
 """
 
 from __future__ import annotations
@@ -25,30 +34,25 @@ from .training import (TrainConfig, count_params, history_csv, parse_config,
                        parse_key_values, train)
 
 
-def _parse_overrides(pairs):
-    out = {}
+def _config_values(path, pairs):
+    """{key: text} from the --config file's key = value lines and the
+    command line's key=value pairs, which win."""
+    values = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ContractViolation(f"override {pair!r} is not key=value")
         key, _, val = pair.partition("=")
-        out[key.strip()] = val.strip()
-    return out
-
-
-def _load_config(path, overrides, cls=TrainConfig):
-    """A cls from the --config file's key = value pairs, then the command
-    line's."""
-    values = {}
+        values[key.strip()] = val.strip()
     if path:
         with open(path) as fh, in_file(path):
-            values = parse_key_values(fh.read())
-    return parse_config({**values, **overrides}, cls)
+            values = {**parse_key_values(fh.read()), **values}
+    return values
 
 
 # --- gen-data ----------------------------------------------------------------
 
 def cmd_gen_data(args):
-    cfg = _load_config(args.config, _parse_overrides(args.overrides),
+    cfg = parse_config(_config_values(args.config, args.overrides),
                        datamod.SyntheticConfig)
     seq, graph = datamod.generate_synthetic(cfg)
     datamod.save_frames(seq, args.out_frames)
@@ -69,30 +73,37 @@ def _load_inputs(frames_path, graph_path):
     return seq, graph
 
 
+def _resume(path, graph, n_features, cfg, given):
+    """The (params, train_state) of the checkpoint at path, for a train
+    run of cfg on graph. Each model key in given, the keys set on the
+    command line or in --config, must agree with the checkpoint."""
+    p, _, state = load_checkpoint(path, graph, n_features)
+    if state is None:
+        raise ContractViolation(
+            f"{path}: checkpoint carries no training state to resume")
+    model = {"family": p.conv_family, "activation": p.activation}
+    if p.conv_family == "chebyshev":
+        model["k"] = max(len(p.W), len(p.U), len(p.V))
+    else:
+        model.update(p=p.W.shape[1], use_plain_laplacian=p.use_plain_laplacian)
+    for key, value in model.items():
+        if key in given and getattr(cfg, key) != value:
+            raise ContractViolation(
+                f"{path}: config key {key!r} is {getattr(cfg, key)!r}, but "
+                f"the checkpoint's model has {value!r}")
+    return p, state
+
+
 def cmd_train(args):
-    cfg = _load_config(args.config, _parse_overrides(args.overrides))
+    values = _config_values(args.config, args.overrides)
+    cfg = parse_config(values, TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
-    initial = resume_state = None
-    epoch_offset = 0
-    if args.resume:
-        initial, checksum, resume_state = load_checkpoint(
-            args.resume, graph.n_nodes, seq.n_features)
-        if checksum != graph.checksum():
-            raise ContractViolation(
-                "checkpoint was trained on a different graph")
-        if resume_state is None:
-            raise ContractViolation(
-                "checkpoint carries no training state to resume")
-        epoch_offset = resume_state["epoch"]
-    run = train(cfg, seq, graph, initial=initial, resume_state=resume_state)
-    state = {"epoch": run.epochs_done,
-             "adam_step": run.adam.step,
-             "lr": run.lr_history[-1] if run.lr_history else cfg.lr,
-             "adam_m": run.adam.first_moment,
-             "adam_v": run.adam.second_moment}
+    resume = (_resume(args.resume, graph, seq.n_features, cfg, values)
+              if args.resume else None)
+    run = train(cfg, seq, graph, resume)
     save_checkpoint(run.final_params, args.out_checkpoint, graph.checksum(),
-                    train_state=state)
-    csv = history_csv(run, epoch_offset=epoch_offset)
+                    train_state=run.train_state)
+    csv = history_csv(run)
     with open(args.out_history, "a" if args.append_history else "w") as fh:
         if args.append_history:
             csv = "\n".join(csv.splitlines()[1:])
@@ -100,7 +111,7 @@ def cmd_train(args):
                 csv += "\n"
         fh.write(csv)
     for i, (tr, te) in enumerate(run.epoch_losses):
-        print(f"epoch {epoch_offset + i + 1}: train {tr:.6g} test {te:.6g} "
+        print(f"epoch {run.first_epoch + i + 1}: train {tr:.6g} test {te:.6g} "
               f"alpha {run.alpha_history[i]:.4f} beta {run.beta_history[i]:.4f}")
     if run.aborted:
         print("training aborted: numeric overflow", file=sys.stderr)
@@ -110,17 +121,13 @@ def cmd_train(args):
 
 # --- eval / predict ------------------------------------------------------------
 
-def _load_model(checkpoint_path, graph, n_features):
-    p, checksum, _ = load_checkpoint(checkpoint_path, graph.n_nodes, n_features)
-    if checksum != graph.checksum():
-        raise ContractViolation(
-            "checkpoint graph checksum does not match graph file")
-    return p
-
-
 def cmd_eval(args):
     seq, graph = _load_inputs(args.frames, args.graph)
-    p = _load_model(args.checkpoint, graph, seq.n_features)
+    if seq.n_frames < 2:
+        raise ContractViolation(
+            f"{args.frames}: {seq.n_frames} frame(s) hold no transition to "
+            f"score; eval needs 2 or more")
+    p, _, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     lap = build_laplacians(graph)
     losses = training.teacher_forced_losses(p, lap, seq.frames)
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
@@ -138,7 +145,7 @@ def cmd_predict(args):
     if args.horizon < 1:
         raise ContractViolation(f"--horizon must be >= 1, got {args.horizon}")
     seq, graph = _load_inputs(args.frames, args.graph)
-    p = _load_model(args.checkpoint, graph, seq.n_features)
+    p, _, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     fam = conv_family(p, build_laplacians(graph))
     # horizon 1 is teacher forced: one prediction per input frame but the
     # last. A longer horizon consumes every frame, then feeds its
@@ -174,6 +181,10 @@ def _parse_grid(text, flag, cast=float):
 
 
 def cmd_stability(args):
+    for flag, value in (("--u", args.u), ("--w", args.w),
+                        ("--bias", args.bias)):
+        if not math.isfinite(value):
+            raise ContractViolation(f"{flag} must be finite, got {value!r}")
     alphas = _parse_grid(args.alpha, "--alpha")
     betas = _parse_grid(args.beta, "--beta")
     horizons = _parse_grid(args.T, "--T", int)
@@ -219,7 +230,8 @@ def cmd_sweep_t(args):
         raise ContractViolation(f"--T values must be >= 1, got {min(t_list)}")
     if args.seeds < 1:
         raise ContractViolation(f"--seeds must be >= 1, got {args.seeds}")
-    base = _load_config(args.config, _parse_overrides(args.overrides))
+    base = parse_config(_config_values(args.config, args.overrides),
+                        TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
     lines = ["T,seed,final_alpha,final_beta,test_loss"]
     for t_w in t_list:

@@ -37,13 +37,15 @@ makes (K-1)(1 + 2T) sparse products with Chebyshev filters of order K and
 lambda_reg > 0. teacher_forced_losses, the one forward-only loss pass (of
 evaluate, eval and the finite-difference check), streams its frames one at
 a time through cells.input_terms instead, so it holds no window-sized
-stacks.
+stacks. Both passes refuse a non-finite step loss through one check.
 
 Adam's decay rates and epsilon are module constants; train passes
 adam_step the epoch's decayed rate on every step, so an AdamState holds
-only the step count and the two moments. parse_config reads a config
-dataclass from the one {key: text} dict that the CLI merges from its
---config file and its command line.
+only the step count and the two moments. train resumes from a
+checkpoint's (params, train_state), and the TrainRun it returns knows its
+first epoch and its checkpoint's training block (TrainRun.train_state).
+parse_config reads a config dataclass from the one {key: text} dict that
+the CLI merges from its --config file and its command line.
 """
 
 from __future__ import annotations
@@ -99,9 +101,18 @@ def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
     finite-difference check, and the reference for bptt's stacked loss."""
     fam = conv_family(p, lap)
     steps = unroll(p, fam, input_terms(p, fam, frames[:-1]))
-    return [graph_regularized_loss(readout(p, fam, step.basis), x, lap,
-                                   lambda_reg)
-            for step, x in zip(steps, frames[1:])]
+    return _finite_losses([
+        graph_regularized_loss(readout(p, fam, step.basis), x, lap,
+                               lambda_reg)
+        for step, x in zip(steps, frames[1:])])
+
+
+def _finite_losses(losses: list) -> list:
+    """losses, once each is finite; else NumericOverflow names the step."""
+    for t, loss in enumerate(losses):
+        if not math.isfinite(loss):
+            raise NumericOverflow(f"step {t + 1}: non-finite loss")
+    return losses
 
 
 def _step_losses(x_hats: np.ndarray, targets: np.ndarray, lap: LaplacianSet,
@@ -149,10 +160,7 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     bh = np.stack([step.basis for step in steps], axis=1)
     losses, d_xhat = _step_losses(readout(p, fam, bh), window[1:], lap,
                                   lambda_reg)
-    losses = losses.tolist()
-    for t, step_loss in enumerate(losses):
-        if not math.isfinite(step_loss):
-            raise NumericOverflow(f"step {t + 1}: non-finite loss")
+    losses = _finite_losses(losses.tolist())
 
     h_tildes = np.stack([step.h_tilde for step in steps])
     dact = ACTIVATIONS[p.activation][1](h_tildes)
@@ -384,14 +392,29 @@ def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
 
 @dataclass
 class TrainRun:
-    epoch_losses: list          # (train_loss, test_loss) per epoch
+    cfg: TrainConfig
+    epoch_losses: list          # (train_loss, test_loss) per epoch run
     alpha_history: list
     beta_history: list
     lr_history: list
     final_params: ModelParams
     adam: AdamState
-    epochs_done: int
+    epochs_done: int            # the resumed checkpoint's epochs included
     aborted: bool = False
+
+    @property
+    def first_epoch(self) -> int:
+        """Epochs done before this run: those of the checkpoint it resumed."""
+        return self.epochs_done - len(self.epoch_losses)
+
+    @property
+    def train_state(self) -> dict:
+        """The training block of this run's checkpoint: the rate is the
+        last epoch's, or cfg.lr when no epoch ran."""
+        return {"epoch": self.epochs_done, "adam_step": self.adam.step,
+                "lr": self.lr_history[-1] if self.lr_history else self.cfg.lr,
+                "adam_m": self.adam.first_moment,
+                "adam_v": self.adam.second_moment}
 
 
 def _windows(n_train: int, t_w: int, stride: int):
@@ -412,8 +435,13 @@ def evaluate(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
     The first n_train - 1 transitions are those of the training partition
     frames[:n_train]; the rest score each test frame, the last train frame
     included as the first input, after the state has consumed every
-    earlier frame.
+    earlier frame. Raises ContractViolation if either part has no
+    transition to score.
     """
+    if not 2 <= n_train < len(frames):
+        raise ContractViolation(
+            f"evaluate: a split after frame {n_train} of {len(frames)} "
+            f"leaves a partition with no transition to score")
     losses = teacher_forced_losses(p, lap, frames)
     return (float(np.mean(losses[:n_train - 1])),
             float(np.mean(losses[n_train - 1:])))
@@ -423,26 +451,36 @@ def evaluate(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
 # warning of the overflow first
 @np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
-          initial: ModelParams | None = None,
-          resume_state: dict | None = None) -> TrainRun:
-    """Windowed BPTT + Adam over the chronological training partition."""
-    lap = build_laplacians(g)
+          resume: tuple | None = None) -> TrainRun:
+    """Windowed BPTT + Adam over the chronological training partition.
+
+    resume is a checkpoint's (params, train_state), as load_checkpoint
+    returns them: the run goes on from that epoch, Adam step and moments,
+    and updates params in place. Without it the run starts from
+    init_params, the one reader of cfg's model keys (family, k, p,
+    activation, use_plain_laplacian). Raises ContractViolation if
+    cfg.split leaves fewer than 2 training frames.
+    """
     train_frames = split_train_test(dataset, cfg.split)[0].frames
-    p = initial if initial is not None else init_params(
-        cfg, dataset.n_nodes, dataset.n_features)
-    adam = AdamState(p.theta.size)
-    epoch_start = 0
-    if resume_state is not None:
-        adam.step = resume_state["adam_step"]
-        adam.first_moment = resume_state["adam_m"].copy()
-        adam.second_moment = resume_state["adam_v"].copy()
-        epoch_start = resume_state["epoch"]
+    if len(train_frames) < 2:
+        raise ContractViolation(
+            f"config key 'split' = {cfg.split!r} leaves {len(train_frames)} "
+            f"of {dataset.n_frames} frames to train on; a window needs 2")
+    lap = build_laplacians(g)
+    if resume is None:
+        p = init_params(cfg, dataset.n_nodes, dataset.n_features)
+        adam, epochs_done = AdamState(p.theta.size), 0
+    else:
+        p, state = resume
+        adam = AdamState(p.theta.size, state["adam_step"],
+                         state["adam_m"].copy(), state["adam_v"].copy())
+        epochs_done = state["epoch"]
     windows = _windows(len(train_frames), cfg.t_w, cfg.effective_stride)
 
     epoch_losses, alphas, betas, lrs = [], [], [], []
-    epochs_done = epoch_start
+    aborted = False
     try:
-        for epoch in range(epoch_start, epoch_start + cfg.epochs):
+        for epoch in range(epochs_done, epochs_done + cfg.epochs):
             lr = cfg.lr * cfg.lr_decay ** epoch
             for s, e in windows:
                 _, grad = bptt(p, lap, train_frames[s:e], cfg.lambda_reg)
@@ -456,15 +494,16 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
             epochs_done = epoch + 1
     except NumericOverflow:
         # abort with partial history; caller decides how to report
-        return TrainRun(epoch_losses, alphas, betas, lrs, p, adam,
-                        epochs_done, aborted=True)
-    return TrainRun(epoch_losses, alphas, betas, lrs, p, adam, epochs_done)
+        aborted = True
+    return TrainRun(cfg, epoch_losses, alphas, betas, lrs, p, adam,
+                    epochs_done, aborted)
 
 
-def history_csv(run: TrainRun, epoch_offset: int = 0) -> str:
+def history_csv(run: TrainRun) -> str:
+    """The run's epochs as CSV rows, numbered on from run.first_epoch."""
     lines = ["epoch,train_loss,test_loss,alpha,beta,lr"]
     for i, (tr, te) in enumerate(run.epoch_losses):
-        lines.append(f"{epoch_offset + i + 1},{tr:.17g},{te:.17g},"
+        lines.append(f"{run.first_epoch + i + 1},{tr:.17g},{te:.17g},"
                      f"{run.alpha_history[i]:.17g},"
                      f"{run.beta_history[i]:.17g},{run.lr_history[i]:.17g}")
     return "\n".join(lines) + "\n"

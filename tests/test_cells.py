@@ -4,7 +4,7 @@ import pytest
 from fgrnn.cells import (ModelParams, conv_family, input_terms,
                          load_checkpoint, preactivation, readout,
                          save_checkpoint, unroll)
-from fgrnn.errors import ContractViolation, NumericOverflow
+from fgrnn.errors import ContractViolation, NumericOverflow, ParseError
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import TrainConfig, init_params
@@ -254,6 +254,30 @@ class TestCheckpoint:
         assert loaded["lr"] == state["lr"]
         assert np.array_equal(loaded["adam_m"], state["adam_m"])
         assert np.array_equal(loaded["adam_v"], state["adam_v"])
+
+    def test_graph_binding_is_checked_at_its_line(self, tmp_path):
+        rng = np.random.default_rng(10)
+        graph = build_knn_graph(rng.standard_normal((10, 3)), 3)
+        other = build_knn_graph(rng.standard_normal((10, 3)), 3)
+        assert graph.checksum() != other.checksum()
+        p = make_params("first_order", 10)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, path, graph.checksum())
+        loaded, checksum, _ = load_checkpoint(path, graph, 3)
+        assert checksum == graph.checksum()
+        assert np.array_equal(loaded.theta, p.theta)
+        with pytest.raises(ParseError) as exc:
+            load_checkpoint(path, other, 3)
+        assert str(exc.value).startswith(
+            f"{path}: line 5: graph_checksum {graph.checksum()} ")
+        assert other.checksum() in str(exc.value)
+
+    def test_not_a_checkpoint_file(self, tmp_path):
+        path = tmp_path / "frames.txt"
+        path.write_text("gfrm 1 2 1 1\n0\n0\n")
+        with pytest.raises(ParseError,
+                           match=f"^{path}: line 1: not a checkpoint file$"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("args,kwargs,fragment", [

@@ -163,19 +163,101 @@ def test_resume_matches_single_run(small_dataset, tmp_path):
     np.testing.assert_array_equal(pa.W, pb.W)
 
 
-def test_resume_wrong_graph_rejected(small_dataset, tmp_path):
-    frames, graph = small_dataset
-    _, ckpt, _ = _train(frames, graph, tmp_path, "wg")
-    f2, g2 = str(tmp_path / "f2.txt"), str(tmp_path / "g2.txt")
-    # large noise so the kNN graph differs from the training graph
-    assert cli.main(["gen-data", "--out-frames", f2, "--out-graph", g2,
-                     "n_nodes=16", "n_frames=30", "seed=9",
+@pytest.fixture(scope="module")
+def other_graph_dataset(tmp_path_factory):
+    """A 16-node set whose kNN graph is not small_dataset's."""
+    d = tmp_path_factory.mktemp("other")
+    frames, graph = str(d / "frames.txt"), str(d / "graph.txt")
+    assert cli.main(["gen-data", "--out-frames", frames, "--out-graph", graph,
+                     "n_nodes=16", "n_frames=10", "seed=9",
                      "noise_std=0.5"]) == 0
-    rc = cli.main(["train", "--frames", f2, "--graph", g2,
-                   "--out-checkpoint", str(tmp_path / "x.ckpt"),
-                   "--out-history", str(tmp_path / "x.csv"),
-                   "--resume", ckpt])
-    assert rc == 2
+    return frames, graph
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "train"])
+def test_checkpoint_of_another_graph_names_its_checksum_line(
+        small_checkpoint, other_graph_dataset, tmp_path, capsys, command):
+    frames, graph = other_graph_dataset
+    inputs = ["--frames", frames, "--graph", graph]
+    argv = {
+        "eval": ["eval", "--checkpoint", small_checkpoint, *inputs],
+        "predict": ["predict", "--checkpoint", small_checkpoint, *inputs,
+                    "--out", str(tmp_path / "p.txt")],
+        "train": ["train", *inputs, "--resume", small_checkpoint,
+                  "--out-checkpoint", str(tmp_path / "c.ckpt"),
+                  "--out-history", str(tmp_path / "h.csv")],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {small_checkpoint}: line 5: graph_checksum ")
+    assert load_graph(graph).checksum() in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def cheb_checkpoint(small_dataset, tmp_path_factory):
+    rc, ckpt, _ = _train(*small_dataset, tmp_path_factory.mktemp("cheb"), "c",
+                         "epochs=1", "family=chebyshev", "k=3")
+    assert rc == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("model,setting,message", [
+    ("cheb", "family=first_order",
+     "config key 'family' is 'first_order', but the checkpoint's model has "
+     "'chebyshev'"),
+    ("cheb", "activation=relu",
+     "config key 'activation' is 'relu', but the checkpoint's model has "
+     "'tanh'"),
+    ("cheb", "k=2", "config key 'k' is 2, but the checkpoint's model has 3"),
+    ("first_order", "family=chebyshev",
+     "config key 'family' is 'chebyshev', but the checkpoint's model has "
+     "'first_order'"),
+    ("first_order", "p=5",
+     "config key 'p' is 5, but the checkpoint's model has 2"),
+    ("first_order", "use_plain_laplacian=yes",
+     "config key 'use_plain_laplacian' is True, but the checkpoint's model "
+     "has False"),
+], ids=["cheb family", "cheb activation", "cheb k", "first_order family",
+        "first_order p", "first_order use_plain_laplacian"])
+@pytest.mark.parametrize("where", ["command line", "config file"])
+def test_resume_refuses_a_conflicting_model_key(
+        small_dataset, small_checkpoint, cheb_checkpoint, tmp_path, capsys,
+        model, setting, message, where):
+    frames, graph = small_dataset
+    ckpt = cheb_checkpoint if model == "cheb" else small_checkpoint
+    argv = ["train", "--frames", frames, "--graph", graph, "--resume", ckpt,
+            "--out-checkpoint", str(tmp_path / "c.ckpt"),
+            "--out-history", str(tmp_path / "h.csv"), "epochs=1"]
+    if where == "command line":
+        argv.append(setting)
+    else:
+        config = tmp_path.parent / f"{tmp_path.name}.cfg"
+        config.write_text(setting.replace("=", " = ") + "\n")
+        argv += ["--config", str(config)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_resume_takes_unset_model_keys_from_the_checkpoint(
+        small_dataset, cheb_checkpoint, tmp_path):
+    # the default family is first_order; left unset, the checkpoint's wins,
+    # and keys that agree with it may be given
+    frames, graph = small_dataset
+    for name, extra in (("a", []), ("b", ["family=chebyshev", "k=3",
+                                          "activation=tanh", "p=7"])):
+        out = tmp_path / f"{name}.ckpt"
+        assert cli.main(["train", "--frames", frames, "--graph", graph,
+                         "--resume", cheb_checkpoint, "--out-checkpoint",
+                         str(out), "--out-history", str(tmp_path / "h.csv"),
+                         "epochs=1", "t_w=4", *extra]) == 0
+        p, _, state = load_checkpoint(out)
+        assert (p.conv_family, p.activation, len(p.W)) == (
+            "chebyshev", "tanh", 3)
+        assert state["epoch"] == 2
+    assert (tmp_path / "a.ckpt").read_bytes() == \
+        (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_eval_and_predict_agree(small_dataset, tmp_path):
@@ -213,18 +295,6 @@ def test_predict_rollout_horizon(small_dataset, tmp_path):
     seq = load_frames(frames)
     assert preds.frames.shape == (3, seq.n_nodes, seq.n_features)
     assert np.all(np.isfinite(preds.frames))
-
-
-def test_predict_wrong_graph_rejected(small_dataset, tmp_path):
-    frames, graph = small_dataset
-    _, ckpt, _ = _train(frames, graph, tmp_path, "pwg")
-    f2, g2 = str(tmp_path / "f3.txt"), str(tmp_path / "g3.txt")
-    assert cli.main(["gen-data", "--out-frames", f2, "--out-graph", g2,
-                     "n_nodes=16", "n_frames=10", "seed=11",
-                     "noise_std=0.5"]) == 0
-    rc = cli.main(["predict", "--checkpoint", ckpt, "--frames", f2,
-                   "--graph", g2, "--out", str(tmp_path / "p.txt")])
-    assert rc == 2
 
 
 def test_train_unknown_config_key(small_dataset, tmp_path):
@@ -340,7 +410,57 @@ def test_resume_needs_training_state(small_dataset, small_checkpoint,
                      "--out-history", str(tmp_path / "h"),
                      "family=first_order", "p=2", "t_w=4"]) == 2
     assert capsys.readouterr().err == (
-        "error: checkpoint carries no training state to resume\n")
+        f"error: {bare}: checkpoint carries no training state to resume\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_split_without_two_training_frames(small_dataset, tmp_path,
+                                                 capsys):
+    _, graph = small_dataset
+    frames = tmp_path.parent / f"{tmp_path.name}-three.txt"
+    frames.write_text("\n".join(
+        ["gfrm 1 16 3 3"] + [f"{t} {i} 0" for t in range(3)
+                             for i in range(16)]) + "\n")
+    assert cli.main(["train", "--frames", str(frames), "--graph", graph,
+                     "--out-checkpoint", str(tmp_path / "c"),
+                     "--out-history", str(tmp_path / "h"),
+                     "split=0.4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'split' = 0.4 leaves 1 of 3 frames to train on; "
+        "a window needs 2\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_one_frame_names_the_frame_file(small_dataset, small_checkpoint,
+                                             tmp_path, capsys):
+    _, graph = small_dataset
+    one = tmp_path / "one.txt"
+    one.write_text("gfrm 1 16 3 1\n" + "0 0 0\n" * 16)
+    out = tmp_path / "e.csv"
+    assert cli.main(["eval", "--checkpoint", small_checkpoint, "--frames",
+                     str(one), "--graph", graph, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {one}: 1 frame(s) hold no transition to score; eval needs "
+        f"2 or more\n")
+    assert not out.exists()
+
+
+def test_eval_overflowing_readout_exit_code(small_dataset, small_checkpoint,
+                                            tmp_path, capsys):
+    # the recurrence stays finite and only the readout overflows, so the
+    # loss is the first non-finite value
+    frames, graph = small_dataset
+    p, checksum, _ = load_checkpoint(small_checkpoint)
+    p.V[...] = 1.5e308
+    huge = tmp_path / "huge.ckpt"
+    save_checkpoint(p, huge, checksum)
+    out = tmp_path / "e.csv"
+    assert cli.main(["eval", "--checkpoint", str(huge), "--frames", frames,
+                     "--graph", graph, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: step 1: non-finite loss\n")
     assert not out.exists()
 
 
@@ -365,6 +485,28 @@ def test_stability_csv(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 2
 
 
+@pytest.mark.parametrize("command", ["eval", "stability", "sweep-T"])
+def test_without_out_the_csv_goes_to_stdout(small_dataset, small_checkpoint,
+                                            tmp_path, capsys, command):
+    frames, graph = small_dataset
+    inputs = ["--frames", frames, "--graph", graph]
+    argv = {
+        "eval": ["eval", "--checkpoint", small_checkpoint, *inputs],
+        "stability": ["stability", "--n-nodes", "12", "--T", "4"],
+        "sweep-T": ["sweep-T", *inputs, "--T", "3", "p=2", "epochs=1"],
+    }[command]
+    csv = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(csv)]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    if command == "eval":  # its mean follows the CSV, with or without --out
+        mean = printed.splitlines(True)[-1]
+        assert mean.startswith("mean transition loss: ")
+        printed = printed[:-len(mean)]
+    assert printed == csv.read_text()
+
+
 def test_stability_bad_grid():
     assert cli.main(["stability", "--alpha", "0,oops"]) == 2
 
@@ -380,6 +522,9 @@ def test_stability_bad_grid():
     ("--T", ","),
     ("--seed", "-1"),
     ("--n-nodes", "5"),
+    ("--u", "nan"),
+    ("--w", "1e999"),
+    ("--bias", "inf"),
 ])
 def test_stability_bad_grid_named_before_work(tmp_path, capsys, monkeypatch,
                                               flag, value):

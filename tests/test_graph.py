@@ -39,6 +39,13 @@ class TestKnn:
         with pytest.raises(ContractViolation):
             build_knn_graph(np.zeros((3, 3)), 3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coordinates(self, value):
+        pts = np.zeros((5, 3))
+        pts[2, 1] = value
+        with pytest.raises(ContractViolation, match="non-finite coordinates"):
+            build_knn_graph(pts, 2)
+
     def test_degree_bounds(self):
         # union symmetrization: every node keeps its own k picks, so the
         # degree is at least 1; popular nodes can exceed 2k

@@ -298,12 +298,16 @@ def _width_two_cell():
     (lambda: jacobian_product(scalar_cell_params(u=0.5, n_nodes=12),
                               random_lap(12), np.zeros((3, 12, 1)), [4]),
      "window shorter than T"),
+    (lambda: jacobian_product(scalar_cell_params(u=0.5, n_nodes=12),
+                              random_lap(12), np.zeros((3, 12, 1)), [1, 3]),
+     "need T >= 2"),
     (lambda: stability_sweep(ring_graph(8), scalar_cell_params(u=0.5,
                                                                n_nodes=8),
                              [], [0.5], [4]), "grids must be non-empty"),
     (lambda: condition_bound(scalar_cell_params(u=0.5, n_nodes=12),
                              [np.ones(12)], random_lap(12), 1), "T >= 2"),
-], ids=["width 2", "N 2049", "short window", "empty grid", "bound T 1"])
+], ids=["width 2", "N 2049", "short window", "product T 1", "empty grid",
+        "bound T 1"])
 def test_guards(call, fragment):
     with pytest.raises(ContractViolation, match=fragment):
         call()

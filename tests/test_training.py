@@ -7,7 +7,8 @@ import pytest
 import fgrnn.sparse
 from fgrnn.cells import ModelParams
 from fgrnn.data import FrameSequence, SyntheticConfig, generate_synthetic
-from fgrnn.errors import ContractViolation
+from fgrnn.errors import ContractViolation, NumericOverflow
+from fgrnn.gconv import FirstOrderFamily
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import (AdamState, TrainConfig, adam_step, bptt,
                             count_params, evaluate, finite_difference_check,
@@ -359,6 +360,36 @@ class TestTrainLoop:
         assert len(run.epoch_losses) == len(run.alpha_history) == 4
         assert len(run.beta_history) == len(run.lr_history) == 4
 
+    def test_resume_continues_the_run(self):
+        # 2 epochs, then 2 more from (params, train_state), match 4 at once
+        seq, g = self.small_dataset(6)
+        full = train(TrainConfig(epochs=4, t_w=5, seed=6), seq, g)
+        half = train(TrainConfig(epochs=2, t_w=5, seed=6), seq, g)
+        assert half.first_epoch == 0
+        state = half.train_state
+        assert state["epoch"] == 2 and state["adam_step"] == half.adam.step
+        assert state["lr"] == half.lr_history[-1]
+        rest = train(TrainConfig(epochs=2, t_w=5, seed=6), seq, g,
+                     resume=(half.final_params, state))
+        assert rest.first_epoch == 2 and rest.epochs_done == 4
+        assert np.array_equal(rest.final_params.theta, full.final_params.theta)
+        assert history_csv(rest).splitlines()[1:] == \
+            history_csv(full).splitlines()[3:]
+        assert rest.train_state["adam_step"] == full.adam.step
+
+    def test_train_state_rate_without_an_epoch(self):
+        seq, g = self.small_dataset()
+        run = train(TrainConfig(epochs=0, lr=0.03), seq, g)
+        assert run.train_state["lr"] == 0.03 and run.train_state["epoch"] == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_split_leaving_one_training_frame_is_refused(self):
+        seq, g = self.small_dataset()
+        three = FrameSequence(seq.frames[:3])
+        with pytest.raises(ContractViolation,
+                           match=r"^config key 'split' = 0.4 leaves 1 of 3"):
+            train(TrainConfig(epochs=1, split=0.4), three, g)
+
     def test_overflow_aborts_without_a_numpy_warning(self):
         # the package finds the non-finite pre-activation itself; numpy
         # must not warn of the overflow that made it
@@ -450,6 +481,38 @@ class TestEvaluate:
             float(np.mean(losses[:n_train - 1])),
             float(np.mean(losses[n_train - 1:])))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_frames,n_train", [(5, 1), (5, 0), (5, 5),
+                                                  (1, 1)])
+    def test_partition_without_a_transition_is_refused(self, n_frames,
+                                                       n_train):
+        p = make_params("first_order", 10)
+        frames = np.zeros((n_frames, 10, 3))
+        with pytest.raises(ContractViolation, match="no transition to score"):
+            evaluate(p, knn_lap(33), frames, n_train)
+
+
+@pytest.mark.parametrize("loss_pass", [teacher_forced_losses, bptt])
+@np.errstate(over="ignore", invalid="ignore")
+def test_an_infinite_loss_is_refused(loss_pass):
+    # a readout V of 1.5e308 overflows every prediction, and so every loss,
+    # while the recurrence stays finite
+    p = make_params("first_order", 10, seed=34)
+    p.V[...] = 1.5e308
+    frames = np.random.default_rng(34).standard_normal((4, 10, 3))
+    with pytest.raises(NumericOverflow, match="^step 1: non-finite loss$"):
+        loss_pass(p, knn_lap(34), frames)
+
+
+def test_bptt_refuses_a_non_finite_gradient(monkeypatch):
+    p = make_params("first_order", 10, seed=36)
+    frames = np.random.default_rng(36).standard_normal((4, 10, 3))
+    monkeypatch.setattr(FirstOrderFamily, "coeff_grad", staticmethod(
+        lambda weights, basis, upstream: np.full(weights.shape, np.inf)))
+    with pytest.raises(NumericOverflow,
+                       match="^non-finite gradient in window$"):
+        bptt(p, knn_lap(36), frames)
+
 
 @pytest.mark.filterwarnings("error")
 def test_saturated_sigmoid_is_exact_and_silent():
@@ -477,8 +540,13 @@ def test_saturated_sigmoid_is_exact_and_silent():
     (lambda p, lap, w: count_params("chebyshev", 0, k=3), "n must be positive"),
     (lambda p, lap, w: count_params("first_order", 10, p=0), "P >= 1"),
     (lambda p, lap, w: count_params("lstm_gcn", 10, k=0), "K >= 1"),
+    (lambda p, lap, w: graph_regularized_loss(w[0], w[1], lap, -0.5),
+     "lambda_reg must be >= 0"),
+    (lambda p, lap, w: bptt(p, lap, w, lambda_reg=-0.5),
+     "lambda_reg must be >= 0"),
 ], ids=["bptt one frame", "fd step 0", "fd step < 0", "adam size",
-        "count n 0", "count first_order p 0", "count lstm_gcn k 0"])
+        "count n 0", "count first_order p 0", "count lstm_gcn k 0",
+        "loss lambda < 0", "bptt lambda < 0"])
 def test_guards(call, fragment):
     p = make_params("first_order", 10)
     with pytest.raises(ContractViolation, match=fragment):

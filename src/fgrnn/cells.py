@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolation, NumericOverflow, ParseError, in_file
+from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
+                     read_text)
 from .gconv import ChebFamily, FirstOrderFamily
 from .graph import Graph, LaplacianSet
 
@@ -263,8 +264,7 @@ def load_checkpoint(path, graph: Graph | None = None,
     the file's graph_checksum must be graph.checksum(), and b, z and
     first-order W, U and V must fit its N nodes and F features.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     with in_file(path):
         return _parse_checkpoint(lines, graph, n_features)
 

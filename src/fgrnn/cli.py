@@ -27,9 +27,11 @@ from . import data as datamod
 from . import training
 from .cells import (ACTIVATIONS, conv_family, input_terms, load_checkpoint,
                     readout, save_checkpoint, unroll)
-from .errors import ContractViolation, NumericOverflow, ParseError, in_file
+from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
+                     read_text)
 from .graph import build_laplacians, load_graph, save_graph
-from .stability import scalar_cell_params, stability_sweep, sweep_csv
+from .stability import (check_node_count, scalar_cell_params, stability_sweep,
+                        sweep_csv)
 from .training import (TrainConfig, count_params, history_csv, parse_config,
                        parse_key_values, train)
 
@@ -44,8 +46,9 @@ def _config_values(path, pairs):
         key, _, val = pair.partition("=")
         values[key.strip()] = val.strip()
     if path:
-        with open(path) as fh, in_file(path):
-            values = {**parse_key_values(fh.read()), **values}
+        text = read_text(path)
+        with in_file(path):
+            values = {**parse_key_values(text), **values}
     return values
 
 
@@ -73,6 +76,13 @@ def _load_inputs(frames_path, graph_path):
     return seq, graph
 
 
+def _need_frames(path, seq, need, why):
+    """Refuses a frame file of fewer than `need` frames, naming the file;
+    `why` ends the message."""
+    if seq.n_frames < need:
+        raise ContractViolation(f"{path}: {seq.n_frames} frame(s) {why}")
+
+
 def _resume(path, graph, n_features, cfg, given):
     """The (params, train_state) of the checkpoint at path, for a train
     run of cfg on graph. Each model key in given, the keys set on the
@@ -98,6 +108,8 @@ def cmd_train(args):
     values = _config_values(args.config, args.overrides)
     cfg = parse_config(values, TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
+    _need_frames(args.frames, seq, 2, "cannot be split into train and test "
+                 "frames; train needs 2 or more")
     resume = (_resume(args.resume, graph, seq.n_features, cfg, values)
               if args.resume else None)
     run = train(cfg, seq, graph, resume)
@@ -123,10 +135,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     seq, graph = _load_inputs(args.frames, args.graph)
-    if seq.n_frames < 2:
-        raise ContractViolation(
-            f"{args.frames}: {seq.n_frames} frame(s) hold no transition to "
-            f"score; eval needs 2 or more")
+    _need_frames(args.frames, seq, 2,
+                 "hold no transition to score; eval needs 2 or more")
     p, _, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     lap = build_laplacians(graph)
     losses = training.teacher_forced_losses(p, lap, seq.frames)
@@ -145,6 +155,9 @@ def cmd_predict(args):
     if args.horizon < 1:
         raise ContractViolation(f"--horizon must be >= 1, got {args.horizon}")
     seq, graph = _load_inputs(args.frames, args.graph)
+    if args.horizon > 1:
+        _need_frames(args.frames, seq, 1, "leave no input step to feed back "
+                     f"from; predict --horizon {args.horizon} needs 1 or more")
     p, _, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     fam = conv_family(p, build_laplacians(graph))
     # horizon 1 is teacher forced: one prediction per input frame but the
@@ -192,13 +205,16 @@ def cmd_stability(args):
         raise ContractViolation(f"--T values must be >= 2, got {min(horizons)}")
     if args.seed < 0:
         raise ContractViolation(f"--seed must be >= 0, got {args.seed}")
+    # N is checked before anything of size N is built
     if args.graph:
         graph = load_graph(args.graph)
+        check_node_count(graph.n_nodes)
     else:
         if args.n_nodes < datamod.MIN_SYNTH_NODES:
             raise ContractViolation(
                 f"--n-nodes must be >= {datamod.MIN_SYNTH_NODES}, "
                 f"got {args.n_nodes}")
+        check_node_count(args.n_nodes)
         cfg = datamod.SyntheticConfig(n_nodes=args.n_nodes, n_frames=4, seed=args.seed)
         _, graph = datamod.generate_synthetic(cfg)
     base = scalar_cell_params(u=args.u, n_nodes=graph.n_nodes, w=args.w,
@@ -233,6 +249,8 @@ def cmd_sweep_t(args):
     base = parse_config(_config_values(args.config, args.overrides),
                         TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
+    _need_frames(args.frames, seq, 2, "cannot be split into train and test "
+                 "frames; sweep-T needs 2 or more")
     lines = ["T,seed,final_alpha,final_beta,test_loss"]
     for t_w in t_list:
         for s in range(args.seeds):

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError, check_config, in_file
+from .errors import (ContractViolation, ParseError, check_config, in_file,
+                     read_text)
 from .graph import Graph, build_knn_graph
 
 
@@ -167,8 +168,7 @@ def load_frames(path) -> FrameSequence:
     with open(path, "rb") as fh:
         frames = _load_frames_fast(fh.read())
     if frames is None or not np.all(np.isfinite(frames)):
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        lines = read_text(path).splitlines()
         with in_file(path):
             frames = _load_frames_slow(lines)
             rows = frames.reshape(-1, frames.shape[2])

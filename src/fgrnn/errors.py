@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the config range check.
+"""Exception types shared across the package, the text reader behind
+every file parser, and the config range check.
 
 The CLI maps them to its exit codes: a ParseError (a file or config value
 that does not parse) or a ContractViolation (a value out of range, a bad
@@ -45,6 +46,20 @@ def in_file(path):
     except ParseError as exc:
         exc.path = path
         raise
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at path. A byte that does not decode is a
+    ParseError naming the file and the line it is on."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; its line breaks count lines
+        line = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8",
+                         line=line, path=path) from None
 
 
 def check_config(cfg, ranges):

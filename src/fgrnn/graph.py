@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError, in_file
+from .errors import ContractViolation, ParseError, in_file, read_text
 from .sparse import SparseMatrix, power_iteration
 
 
@@ -148,8 +148,7 @@ def save_graph(g: Graph, path):
 
 
 def load_graph(path) -> Graph:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     with in_file(path):
         n, edges = _parse_graph(lines)
         try:

@@ -11,6 +11,12 @@ closed-form bound
 
 which is finite only for r < 1. The product is taken over T-2 factors,
 matching the convention used in the growth analysis.
+
+Each step factor is written into one N x N buffer straight from the
+sparse operator; no dense copy of the operator or of I is made.
+stability_sweep runs each product's SVD on one worker thread while the
+calling thread builds the next products, with the floats of
+jacobian_product run for each (alpha, beta) in turn.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .cells import (ACTIVATIONS, ModelParams, conv_family, input_terms,
                     preactivation, unroll)
 from .errors import ContractViolation
 from .graph import Graph, LaplacianSet, build_laplacians
+from .sparse import SparseMatrix
 
 
 @dataclass
@@ -37,23 +44,42 @@ class StabilityReport:
     horizon: int
 
 
+# the diagnostics build dense N x N factors, products and SVDs
+MAX_NODES = 2048
+
+
+def check_node_count(n_nodes: int):
+    """Raises ContractViolation when a graph of n_nodes is too large for the
+    dense diagnostics; callers check before they build anything of size N."""
+    if n_nodes > MAX_NODES:
+        raise ContractViolation(f"stability diagnostics limited to "
+                                f"N <= {MAX_NODES}, got N = {n_nodes}")
+
+
 def _check_scalar_cell(p: ModelParams, lap: LaplacianSet):
     if p.conv_family != "first_order":
         raise ContractViolation("stability diagnostics need the first_order family")
     if p.U.shape != (1, 1):
         raise ContractViolation("stability diagnostics need hidden width 1")
-    if lap.n_nodes > 2048:
-        raise ContractViolation("stability diagnostics limited to N <= 2048")
+    check_node_count(lap.n_nodes)
     return float(p.U[0, 0])
 
 
-def _node_operator_dense(p: ModelParams, lap: LaplacianSet) -> np.ndarray:
-    return conv_family(p, lap).op.to_dense()
+def _step_factor(out: np.ndarray, p: ModelParams, u: float, op: SparseMatrix,
+                 d: np.ndarray) -> np.ndarray:
+    """Writes alpha * u * (D op) + beta * I into the N x N buffer out, straight
+    from the sparse operator op, and returns out.
 
-
-def _step_factor(p: ModelParams, u: float, d: np.ndarray, op: np.ndarray,
-                 eye: np.ndarray) -> np.ndarray:
-    return p.alpha * u * (d[:, None] * op) + p.beta * eye
+    Each entry is the float of the dense formula: act' >= +0, so where op
+    stores nothing that formula gives (alpha*u)*0.0 + beta*0.0 too.
+    """
+    s = p.alpha * u
+    rows = op._row_ids
+    out.fill(s * 0.0)
+    out[rows, op.col_indices] = s * (d[rows] * op.values)
+    out += p.beta * 0.0
+    out.reshape(-1)[::out.shape[0] + 1] += p.beta
+    return out
 
 
 def step_jacobian(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
@@ -64,7 +90,7 @@ def step_jacobian(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
     a = preactivation(p, fam, fam.combine(p.W, fam.basis(x)), fam.basis(h_prev))
     act, act_deriv = ACTIVATIONS[p.activation]
     d = act_deriv(act(a))[:, 0]
-    return _step_factor(p, u, d, fam.op.to_dense(), np.eye(lap.n_nodes))
+    return _step_factor(np.empty((lap.n_nodes,) * 2), p, u, fam.op, d)
 
 
 def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
@@ -77,9 +103,18 @@ def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
     return [act_deriv(step.h_tilde)[:, 0] for step in steps]
 
 
-def _frobenius_terms(u: float, d_list, op: np.ndarray) -> list:
-    """||D_t u L1||_F^2 for each step t."""
-    return [float(np.sum((d[:, None] * (u * op)) ** 2)) for d in d_list]
+def _frobenius_terms(out: np.ndarray, u: float, op: SparseMatrix,
+                     d_list) -> list:
+    """||D_t u op||_F^2 for each step t, each squared and summed in the
+    N x N buffer out, as np.sum((d[:, None] * (u * dense_op)) ** 2) does."""
+    rows, uv = op._row_ids, u * op.values
+    terms = []
+    for d in d_list:
+        out.fill(0.0)
+        out[rows, op.col_indices] = d[rows] * uv
+        np.square(out, out=out)
+        terms.append(float(np.sum(out)))
+    return terms
 
 
 def _bound(p: ModelParams, worst: float, horizon: int) -> float | None:
@@ -98,20 +133,44 @@ def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
         raise ContractViolation("condition_bound: need T >= 2")
     if p.beta == 0.0:
         return None
-    terms = _frobenius_terms(u, d_list, _node_operator_dense(p, lap))
+    n = lap.n_nodes
+    terms = _frobenius_terms(np.empty((n, n)), u, conv_family(p, lap).op, d_list)
     return _bound(p, max(terms), horizon)
 
 
-def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
-                     horizons) -> list:
-    """One StabilityReport per T in the ascending list `horizons`: the
-    extreme singular values of the product of the last T-2 step
-    Jacobians, and the closed-form bound.
+class _Workspace:
+    """The N x N arrays that chains write: the step-factor buffer and three
+    product slots, shared by every chain of a sweep. Arrays made afresh per
+    chain fragmented the heap: at N=512 the sweep's peak RSS stepped up by
+    about 2 MB after a few sweeps.
+
+    `held` is the product a chain handed out last. Its consumer may read it
+    on another thread until it resumes that chain after the next hand-out,
+    so until then the chain writes only the other two slots.
+    """
+
+    def __init__(self, n: int):
+        self.factor = np.empty((n, n))
+        self.slots = [np.empty((n, n)) for _ in range(3)]
+        self.held = None
+
+    def spare(self, busy=None) -> np.ndarray:
+        """A product slot that is neither `busy` nor held."""
+        return next(s for s in self.slots if s is not busy and s is not self.held)
+
+
+def _chain(p: ModelParams, lap: LaplacianSet, window, horizons,
+           work: _Workspace | None = None):
+    """Yields (T, product, bound) for each T of the ascending list
+    `horizons`: the product of the last T-2 step Jacobians and the
+    closed-form bound (None when vacuous).
 
     One forward pass runs to the largest T and one running product
-    left-multiplies the step Jacobians in time order; each T's product
-    of its last T-2 factors is read off on the way, so it is bitwise the
-    product a separate run to that T would make.
+    left-multiplies the step Jacobians in time order; each T's product of
+    its last T-2 factors is read off on the way, so it is bitwise the
+    product a separate run to that T would make. A product yielded stays
+    unwritten until the chain is resumed after its next yield (see
+    _Workspace).
     """
     u = _check_scalar_cell(p, lap)
     frames = np.asarray(window, dtype=np.float64)
@@ -123,24 +182,41 @@ def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
         raise ContractViolation(f"stability: need T >= 2, got {horizons[0]}")
     if frames.shape[0] < horizons[-1]:
         raise ContractViolation("stability: window shorter than T")
-    op = _node_operator_dense(p, lap)
-    eye = np.eye(frames.shape[1])
-
+    op, n = conv_family(p, lap).op, lap.n_nodes
     d_list = _forward_activation_derivs(p, lap, frames, horizons[-1])
-    terms = _frobenius_terms(u, d_list, op) if p.beta != 0.0 else None
-    reports = []
-    product, done = eye.copy(), 2  # T-2 factors: steps 3..T in 1-based time
+    work = work or _Workspace(n)
+    terms = (_frobenius_terms(work.factor, u, op, d_list) if p.beta != 0.0
+             else None)
+    product = work.spare()  # I, then left-multiplied by steps 3..T
+    product.fill(0.0)
+    product.reshape(-1)[::n + 1] = 1.0
+    done = 2
     for horizon in horizons:
         for d in d_list[done:horizon]:
-            product = _step_factor(p, u, d, op, eye) @ product
+            product = np.matmul(_step_factor(work.factor, p, u, op, d), product,
+                                out=work.spare(product))
         done = horizon
-        svals = np.linalg.svd(product, compute_uv=False)
-        sigma_max, sigma_min = float(svals[0]), float(svals[-1])
-        cond = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
         bound = None if terms is None else _bound(p, max(terms[:horizon]), horizon)
-        reports.append(StabilityReport(sigma_max, sigma_min, cond, bound,
-                                       p.alpha, p.beta, horizon))
-    return reports
+        yield horizon, product, bound
+        work.held = product
+
+
+def _report(p: ModelParams, horizon: int, product: np.ndarray,
+            bound: float | None) -> StabilityReport:
+    svals = np.linalg.svd(product, compute_uv=False)
+    sigma_max, sigma_min = float(svals[0]), float(svals[-1])
+    cond = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
+    return StabilityReport(sigma_max, sigma_min, cond, bound, p.alpha, p.beta,
+                           horizon)
+
+
+def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
+                     horizons) -> list:
+    """One StabilityReport per T in the ascending list `horizons`: the
+    extreme singular values of the product of the last T-2 step
+    Jacobians, and the closed-form bound. Reads the chain in order, one
+    SVD per T on the calling thread."""
+    return [_report(p, *point) for point in _chain(p, lap, window, horizons)]
 
 
 def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
@@ -158,20 +234,39 @@ def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
 def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
                     beta_grid, t_grid, seed: int = 0):
     """One StabilityReport per (alpha, beta, T) grid point, lexicographic,
-    on a fixed synthetic window drawn from the given seed."""
+    on a fixed synthetic window drawn from the given seed.
+
+    Each product's SVD runs on one worker thread while this thread builds
+    the next products (numpy's SVD and matmul release the GIL). The last
+    SVD is resolved before the next is submitted, so at most one is in
+    flight, the rows keep their order, and a chain's last SVD overlaps the
+    next chain's forward pass. The chains share one _Workspace, so the
+    sweep allocates its N x N arrays once. The worker is joined before the
+    sweep returns or raises.
+    """
+    # imported here: concurrent.futures loads logging, about 5 ms at start-up
+    # that no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
     if not (len(alpha_grid) and len(beta_grid) and len(t_grid)):
         raise ContractViolation("stability_sweep: grids must be non-empty")
+    check_node_count(g.n_nodes)
     lap = build_laplacians(g)
     rng = np.random.default_rng(seed)
     n_feat = base_params.W.shape[0]
     frames = rng.standard_normal((max(t_grid), g.n_nodes, n_feat))
     horizons = sorted(t_grid)
-    rows = []
-    for alpha in sorted(alpha_grid):
-        for beta in sorted(beta_grid):
-            p = base_params.like(base_params.theta.copy())
-            p.alpha, p.beta = alpha, beta
-            rows += jacobian_product(p, lap, frames, horizons)
+    rows, last, work = [], None, _Workspace(g.n_nodes)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for alpha in sorted(alpha_grid):
+            for beta in sorted(beta_grid):
+                p = base_params.like(base_params.theta.copy())
+                p.alpha, p.beta = alpha, beta
+                for point in _chain(p, lap, frames, horizons, work):
+                    if last is not None:
+                        rows.append(last.result())
+                    last = worker.submit(_report, p, *point)
+        rows.append(last.result())
     return rows
 
 

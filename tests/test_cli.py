@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fgrnn import cli
+from fgrnn import cli, stability
 from fgrnn.cells import load_checkpoint, save_checkpoint
 from fgrnn.data import SyntheticConfig, load_frames
 from fgrnn.graph import load_graph
@@ -464,6 +464,74 @@ def test_eval_overflowing_readout_exit_code(small_dataset, small_checkpoint,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep-T"])
+@pytest.mark.parametrize("n_frames", [0, 1])
+def test_training_on_too_few_frames_names_the_frame_file(
+        small_dataset, tmp_path, capsys, command, n_frames):
+    _, graph = small_dataset
+    frames = tmp_path.parent / f"{tmp_path.name}-few.txt"
+    frames.write_text(f"gfrm 1 16 3 {n_frames}\n" + "0 0 0\n" * 16 * n_frames)
+    inputs = ["--frames", str(frames), "--graph", graph]
+    argv = {
+        "train": ["train", *inputs, "--out-checkpoint", str(tmp_path / "c"),
+                  "--out-history", str(tmp_path / "h")],
+        "sweep-T": ["sweep-T", *inputs, "--T", "3", "--out",
+                    str(tmp_path / "s")],
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {frames}: {n_frames} frame(s) cannot be split into train "
+        f"and test frames; {command} needs 2 or more\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_predict_rollout_of_no_frames_names_the_frame_file(
+        small_dataset, small_checkpoint, tmp_path, capsys):
+    _, graph = small_dataset
+    empty = tmp_path / "empty.txt"
+    empty.write_text("gfrm 1 16 3 0\n")
+    out = tmp_path / "p.txt"
+    assert cli.main(["predict", "--checkpoint", small_checkpoint, "--frames",
+                     str(empty), "--graph", graph, "--horizon", "3",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {empty}: 0 frame(s) leave no input step to feed back from; "
+        f"predict --horizon 3 needs 1 or more\n")
+    assert not out.exists()
+
+
+def _append_bad_byte(src, dst):
+    dst.write_bytes(Path(src).read_bytes() + b"\xff\n")
+    return dst
+
+
+@pytest.mark.parametrize("reader", ["graph", "frames", "checkpoint", "config"])
+def test_non_utf8_byte_names_the_file(small_dataset, small_checkpoint,
+                                      tmp_path, capsys, reader):
+    frames, graph = small_dataset
+    paths = {"graph": graph, "frames": frames, "checkpoint": small_checkpoint}
+    if reader == "config":
+        bad = tmp_path / "c.cfg"
+        bad.write_bytes(b"epochs = 1\n# caf\xe9\n")
+        line = 2
+    else:
+        bad = _append_bad_byte(paths[reader], tmp_path / f"bad-{reader}.txt")
+        line = len(Path(paths[reader]).read_text().splitlines()) + 1
+        paths[reader] = str(bad)
+    if reader == "config":
+        argv = ["train", "--config", str(bad), "--frames", frames, "--graph",
+                graph, "--out-checkpoint", str(tmp_path / "o.ckpt"),
+                "--out-history", str(tmp_path / "o.csv")]
+    else:
+        argv = ["eval", "--checkpoint", paths["checkpoint"], "--frames",
+                paths["frames"], "--graph", paths["graph"]]
+    assert cli.main(argv) == 2
+    byte = "e9" if reader == "config" else "ff"
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {line}: byte 0x{byte} is not UTF-8\n")
+    assert not (tmp_path / "o.ckpt").exists()
+
+
 def test_predict_one_frame_writes_no_frames(small_dataset, small_checkpoint,
                                             tmp_path):
     frames, graph = small_dataset
@@ -536,6 +604,29 @@ def test_stability_bad_grid_named_before_work(tmp_path, capsys, monkeypatch,
     out = tmp_path / "s.csv"
     assert cli.main(["stability", flag, value, "--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["--graph", "--n-nodes"])
+def test_stability_checks_n_before_building_anything(tmp_path, capsys,
+                                                      monkeypatch, source):
+    def no_work(*args, **kwargs):
+        raise AssertionError("built something of size N before checking N")
+
+    for module, name in ((cli.datamod, "generate_synthetic"),
+                         (cli, "scalar_cell_params"),
+                         (stability, "build_laplacians")):
+        monkeypatch.setattr(module, name, no_work)
+    if source == "--graph":
+        graph = tmp_path / "g.txt"
+        graph.write_text("5000 0\n")
+        argv = ["stability", "--graph", str(graph)]
+    else:
+        argv = ["stability", "--n-nodes", "5000"]
+    out = tmp_path / "s.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: stability diagnostics limited to N <= 2048, got N = 5000\n")
     assert not out.exists()
 
 

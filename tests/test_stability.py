@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -245,9 +246,11 @@ class TestChain:
     """The sweep reads every T off one forward pass and one running product
     per (alpha, beta); it must give the floats of separate runs."""
 
-    grids = ([1.0, 0.0, 0.6], [0.3, 1.0, 0.0], [8, 4, 8])
+    # beta = 0.02 makes the bound vacuous under every activation, sigmoid's
+    # small act' included
+    grids = ([1.0, 0.0, 0.6], [0.3, 1.0, 0.0, 0.02], [8, 4, 8])
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
     @pytest.mark.parametrize("plain", [False, True])
     def test_matches_independent_runs(self, activation, plain):
         g = build_knn_graph(np.random.default_rng(12).standard_normal((14, 3)), 3)
@@ -281,6 +284,115 @@ class TestChain:
                                seed=5)
         assert len(rows) == 3 * 2 * 4
         assert calls == {"svd": len(rows), "unroll": 3 * 2}
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_rows_are_the_sequential_chains_reports(self, activation):
+        # the pipelined sweep against jacobian_product, its sequential
+        # consumer, run once per (alpha, beta) on the same window
+        g = build_knn_graph(np.random.default_rng(13).standard_normal((16, 3)), 3)
+        base = scalar_cell_params(u=-0.4, n_nodes=16, w=1.0, b=0.2,
+                                  activation=activation)
+        alphas, betas, horizons = [0.7, 0.0], [0.0, 0.5, 1.0], [3, 9, 6, 9]
+        rows = stability_sweep(g, base, alphas, betas, horizons, seed=6)
+        lap = build_laplacians(g)
+        frames = np.random.default_rng(6).standard_normal((9, 16, 1))
+        want = []
+        for alpha in sorted(alphas):
+            for beta in sorted(betas):
+                p = base.like(base.theta.copy())
+                p.alpha, p.beta = alpha, beta
+                want += jacobian_product(p, lap, frames, sorted(horizons))
+        assert rows == want
+
+
+def _sweep_args():
+    return (ring_graph(10), scalar_cell_params(u=0.5, n_nodes=10, w=1.0),
+            [0.0, 0.5, 1.0], [0.5, 1.0], [4, 8])
+
+
+class TestSweepThread:
+    """The sweep's SVD worker never outlives the sweep, and an error on
+    either thread reaches the caller."""
+
+    def test_no_thread_left_after_a_sweep(self):
+        before = threading.enumerate()
+        assert len(stability_sweep(*_sweep_args(), seed=1)) == 12
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 12])
+    def test_svd_error_mid_grid_propagates(self, monkeypatch, k):
+        calls, real = [], np.linalg.svd
+
+        def failing(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == k:
+                raise np.linalg.LinAlgError(f"svd {k} failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        before = threading.enumerate()
+        with pytest.raises(np.linalg.LinAlgError, match=f"svd {k} failed"):
+            stability_sweep(*_sweep_args(), seed=1)
+        assert threading.enumerate() == before
+        # every SVD ran on the worker, and none was submitted after the failure
+        assert len(calls) == k
+        assert threading.main_thread() not in calls
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_forward_error_mid_grid_propagates(self, monkeypatch, k):
+        calls, real = [], stability.unroll
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == k:
+                raise NumericOverflow(f"unroll {k} failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "unroll", failing)
+        before = threading.enumerate()
+        with pytest.raises(NumericOverflow, match=f"unroll {k} failed"):
+            stability_sweep(*_sweep_args(), seed=1)
+        assert threading.enumerate() == before
+
+
+class TestFactorBuilder:
+    """The step factor and the Frobenius terms are built from the sparse
+    operator; they must be the floats, zero signs included, of the dense
+    formulas alpha*u*(d*op) + beta*I and sum((d*(u*op))**2)."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    @pytest.mark.parametrize("u,alpha,beta", [(0.8, 0.6, 0.4), (-0.8, 0.6, 0.4),
+                                              (-0.5, 1.0, 0.0), (0.5, 0.0, -0.0),
+                                              (0.0, 1.0, 1.0)])
+    def test_matches_the_dense_formulas(self, activation, u, alpha, beta):
+        lap = random_lap(14)
+        p = scalar_cell_params(u=u, n_nodes=12, w=1.0, activation=activation,
+                               alpha=alpha, beta=beta)
+        rng = np.random.default_rng(14)
+        h, x = rng.standard_normal((12, 1)), rng.standard_normal((12, 1)) * 3
+        op = lap.first_order.to_dense()
+        act, deriv = ACTIVATIONS[activation]
+        d = deriv(act(preactivation(p, lap, h, x)))[:, 0]
+        want = p.alpha * u * (d[:, None] * op) + p.beta * np.eye(12)
+        got = step_jacobian(p, lap, h, x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if beta != 0.0:
+            worst = max(float(np.sum((dt[:, None] * (u * op)) ** 2))
+                        for dt in (d, d * 0.5))
+            r = (alpha / beta) * worst
+            want_bound = ((1 + r) / (1 - r)) ** 2 if r < 1.0 else None
+            assert condition_bound(p, [d, d * 0.5], lap, 4) == want_bound
+
+
+def test_sweep_checks_n_before_building_the_laplacians(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("built the Laplacians before checking N")
+
+    monkeypatch.setattr(stability, "build_laplacians", no_work)
+    with pytest.raises(ContractViolation, match="N <= 2048, got N = 5000"):
+        stability_sweep(Graph(5000, ()), scalar_cell_params(u=0.5, n_nodes=1),
+                        [1.0], [0.5], [4])
 
 
 def _width_two_cell():

@@ -257,10 +257,11 @@ def load_checkpoint(path, graph: Graph | None = None,
 
     Raises ParseError naming the file and line for a truncated file, an
     array block that does not match its header or holds a non-finite
-    value, a b or z block of more than one row, a missing entry, an
-    unknown family or activation, a use_plain_laplacian other than 0 or 1,
-    a non-finite alpha or beta, or Adam moments of another length than the
-    parameters. Given the graph the model is to run on (and n_features),
+    value, a b or z block of more than one row, a W, U or V block of no
+    value, a missing entry, an unknown family or activation, a
+    use_plain_laplacian other than 0 or 1, a non-finite alpha or beta, a
+    negative epoch or adam_step, or Adam moments of another length than
+    the parameters. Given the graph the model is to run on (and n_features),
     the file's graph_checksum must be graph.checksum(), and b, z and
     first-order W, U and V must fit its N nodes and F features.
     """
@@ -321,6 +322,13 @@ def _parse_checkpoint(lines, graph=None, n_features=None):
                              f"{scalars[key]!r}", line=where[key])
         return value
 
+    def count(key):
+        value = number(key, int)
+        if value < 0:
+            raise ParseError(f"{key} must be >= 0, got {value}",
+                             line=where[key])
+        return value
+
     need(("family", "activation", "graph_checksum", "alpha", "beta"), scalars)
     need(("W", "U", "V", "b", "z"), arrays)
     for key, allowed in (("family", FAMILIES), ("activation", ACTIVATIONS),
@@ -332,6 +340,10 @@ def _parse_checkpoint(lines, graph=None, n_features=None):
         if arrays[key].shape[0] != 1:
             raise ParseError(f"{key}: expected 1 row of per-node values, got "
                              f"{arrays[key].shape[0]}", line=where[key])
+    for key in ("W", "U", "V"):
+        if arrays[key].size == 0:
+            raise ParseError(f"{key}: a filter needs at least one "
+                             f"coefficient", line=where[key])
     if graph is not None:
         if scalars["graph_checksum"] != graph.checksum():
             raise ParseError(
@@ -355,8 +367,8 @@ def _parse_checkpoint(lines, graph=None, n_features=None):
                 raise ParseError(f"{key}: {arrays[key].size} values for "
                                  f"{p.theta.size} parameters", line=where[key])
         train_state = {
-            "epoch": number("epoch", int),
-            "adam_step": number("adam_step", int),
+            "epoch": count("epoch"),
+            "adam_step": count("adam_step"),
             "lr": number("lr"),
             "adam_m": arrays["adam_m"].ravel(),
             "adam_v": arrays["adam_v"].ravel(),

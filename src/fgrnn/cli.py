@@ -10,7 +10,9 @@ another graph. train --resume also refuses a model key (family,
 activation, k or p and use_plain_laplacian) that is set on the command
 line or in --config and differs from the checkpoint; the model comes from
 the checkpoint, and the run's TrainRun supplies the new checkpoint's
-training block and the history's epoch numbers.
+training block and the history's epoch numbers. It refuses an lr or
+lr_decay, set or left at its default, that would not have given the
+checkpoint's last epoch the rate the checkpoint records.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def _need_frames(path, seq, need, why):
 def _resume(path, graph, n_features, cfg, given):
     """The (params, train_state) of the checkpoint at path, for a train
     run of cfg on graph. Each model key in given, the keys set on the
-    command line or in --config, must agree with the checkpoint."""
+    command line or in --config, must agree with the checkpoint, and so
+    must the rate cfg's lr and lr_decay give its last epoch."""
     p, _, state = load_checkpoint(path, graph, n_features)
     if state is None:
         raise ContractViolation(
@@ -101,6 +104,12 @@ def _resume(path, graph, n_features, cfg, given):
             raise ContractViolation(
                 f"{path}: config key {key!r} is {getattr(cfg, key)!r}, but "
                 f"the checkpoint's model has {value!r}")
+    rate = cfg.rate(state["epoch"])
+    if rate != state["lr"]:
+        raise ContractViolation(
+            f"{path}: config keys 'lr' = {cfg.lr!r} and 'lr_decay' = "
+            f"{cfg.lr_decay!r} give rate {rate!r} at the checkpoint's epoch "
+            f"{state['epoch']}, but its lr is {state['lr']!r}")
     return p, state
 
 

@@ -1,4 +1,4 @@
-"""Losses, truncated BPTT, Adam, gradient verification, parameter counts.
+"""The loss, truncated BPTT, Adam, gradient verification, parameter counts.
 
 The reverse pass is exact backpropagation through the unrolled cell,
 including the residual weights alpha and beta (dJ/dalpha sums
@@ -37,7 +37,10 @@ makes (K-1)(1 + 2T) sparse products with Chebyshev filters of order K and
 lambda_reg > 0. teacher_forced_losses, the one forward-only loss pass (of
 evaluate, eval and the finite-difference check), streams its frames one at
 a time through cells.input_terms instead, so it holds no window-sized
-stacks. Both passes refuse a non-finite step loss through one check.
+stacks. Both passes score through one step loss, _step_losses (bptt a
+window's stack of steps, teacher_forced_losses a stack of one per step),
+which refuses predictions and targets of different shapes, and both
+refuse a non-finite step loss through one check.
 
 Adam's decay rates and epsilon are module constants; train passes
 adam_step the epoch's decayed rate on every step, so an AdamState holds
@@ -65,45 +68,21 @@ from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import spmm
 
 
-# --- losses ----------------------------------------------------------------
-
-def prediction_loss(x_hat: np.ndarray, x: np.ndarray) -> float:
-    if x_hat.shape != x.shape:
-        raise ContractViolation(
-            f"prediction_loss: shapes {x_hat.shape} vs {x.shape}")
-    d = x_hat - x
-    return float(np.sum(d * d))
-
-
-def graph_regularized_loss(x_hat: np.ndarray, x: np.ndarray,
-                           lap: LaplacianSet, lambda_reg: float) -> float:
-    """Prediction loss plus lambda * tr(x_hat^T L x_hat).
-
-    The regularizer is applied to the prediction so the term carries
-    gradient; applied to the ground truth it would be a constant.
-    """
-    if lambda_reg < 0:
-        raise ContractViolation("lambda_reg must be >= 0")
-    base = prediction_loss(x_hat, x)
-    if lambda_reg == 0.0:
-        return base
-    return base + lambda_reg * float(np.sum(x_hat * spmm(lap.laplacian, x_hat)))
-
-
-# --- BPTT --------------------------------------------------------------------
+# --- the loss and BPTT --------------------------------------------------------
 
 def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
                           frames: np.ndarray,
                           lambda_reg: float = 0.0) -> list:
-    """The graph_regularized_loss of each transition of frames, one step at
-    a time from the zero state: step t consumes frame t and is scored
-    against frame t+1. The forward-only pass of evaluate, eval and the
-    finite-difference check, and the reference for bptt's stacked loss."""
+    """The loss of each transition of frames, one step at a time from the
+    zero state: step t consumes frame t and is scored against frame t+1.
+    The forward-only pass of evaluate, eval and the finite-difference
+    check. Each step is scored by _step_losses as a stack of one, its
+    gradient dropped, so bptt's loss over a window is their sum."""
     fam = conv_family(p, lap)
     steps = unroll(p, fam, input_terms(p, fam, frames[:-1]))
     return _finite_losses([
-        graph_regularized_loss(readout(p, fam, step.basis), x, lap,
-                               lambda_reg)
+        _step_losses(readout(p, fam, step.basis)[None], x[None], lap,
+                     lambda_reg)[0].item()
         for step, x in zip(steps, frames[1:])])
 
 
@@ -117,9 +96,17 @@ def _finite_losses(losses: list) -> list:
 
 def _step_losses(x_hats: np.ndarray, targets: np.ndarray, lap: LaplacianSet,
                  lambda_reg: float):
-    """(per-step graph_regularized_loss, dJ/dx_hat) of (T, N, F) stacks of
-    predictions and targets; one product by L serves the regularizer of
-    every step and its gradient."""
+    """(per-step loss, dJ/dx_hat) of (T, N, F) stacks of predictions and
+    targets, the package's one loss.
+
+    A step's loss is sum((x_hat - x)^2) + lambda_reg * tr(x_hat^T L x_hat).
+    The regularizer is applied to the prediction so the term carries
+    gradient; applied to the ground truth it would be a constant. One
+    product by L serves the regularizer of every step and its gradient.
+    """
+    if x_hats.shape != targets.shape:
+        raise ContractViolation(f"step loss: predictions of shape "
+                                f"{x_hats.shape}, targets {targets.shape}")
     if lambda_reg < 0:
         raise ContractViolation("lambda_reg must be >= 0")
     d = x_hats - targets
@@ -139,8 +126,8 @@ def _merge_steps(arr: np.ndarray) -> np.ndarray:
 
 def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
          lambda_reg: float = 0.0):
-    """Exact gradients of the summed per-step graph_regularized_loss over
-    one window (the plain prediction loss when lambda_reg is 0).
+    """Exact gradients of the summed step losses (_step_losses) over one
+    window (the plain prediction loss when lambda_reg is 0).
 
     window is a (T_w+1, N, F) array; step t consumes frame t and is
     scored against frame t+1. Returns (loss, gradient), the gradient laid
@@ -324,6 +311,12 @@ class TrainConfig:
     def effective_stride(self) -> int:
         return self.stride if self.stride > 0 else self.t_w
 
+    def rate(self, epochs_done: int) -> float:
+        """The learning rate of the last of epochs_done epochs (lr when
+        none ran): the rate train gives that epoch and its checkpoint
+        records."""
+        return self.lr * self.lr_decay ** max(epochs_done - 1, 0)
+
 
 _BOOLEANS = {"0": False, "1": True, "true": True, "false": False,
              "yes": True, "no": False}
@@ -410,9 +403,9 @@ class TrainRun:
     @property
     def train_state(self) -> dict:
         """The training block of this run's checkpoint: the rate is the
-        last epoch's, or cfg.lr when no epoch ran."""
+        last epoch's, the resumed checkpoint's included."""
         return {"epoch": self.epochs_done, "adam_step": self.adam.step,
-                "lr": self.lr_history[-1] if self.lr_history else self.cfg.lr,
+                "lr": self.cfg.rate(self.epochs_done),
                 "adam_m": self.adam.first_moment,
                 "adam_v": self.adam.second_moment}
 
@@ -481,7 +474,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     aborted = False
     try:
         for epoch in range(epochs_done, epochs_done + cfg.epochs):
-            lr = cfg.lr * cfg.lr_decay ** epoch
+            lr = cfg.rate(epoch + 1)
             for s, e in windows:
                 _, grad = bptt(p, lap, train_frames[s:e], cfg.lambda_reg)
                 adam_step(adam, p, grad, lr)

@@ -5,6 +5,8 @@ frequency domain with LAPACK's eigensolver, sharing no code with the
 Chebyshev recurrence. conv_apply, preactivation, fgrnn_step and readout
 are the cell one step at a time on cheb_conv / first_order_conv, the
 reference that cells.unroll and cells.readout must match bit for bit.
+step_loss is one step's loss written out, with a dense Laplacian, the
+reference for training's one loss.
 """
 
 import numpy as np
@@ -88,3 +90,14 @@ def fgrnn_step(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
 
 def readout(p: ModelParams, lap: LaplacianSet, h: np.ndarray) -> np.ndarray:
     return conv_apply(p, lap, h, p.V) + p.z[:, None]
+
+
+def step_loss(x_hat: np.ndarray, x: np.ndarray, lap: LaplacianSet = None,
+              lambda_reg: float = 0.0) -> float:
+    """sum((x_hat - x)^2) + lambda_reg * tr(x_hat^T L x_hat), L dense."""
+    d = x_hat - x
+    loss = float(np.sum(d * d))
+    if lambda_reg:
+        loss += lambda_reg * float(
+            np.trace(x_hat.T @ lap.laplacian.to_dense() @ x_hat))
+    return loss

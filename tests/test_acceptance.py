@@ -20,10 +20,9 @@ from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.stability import (jacobian_product, scalar_cell_params,
                              stability_sweep)
 from fgrnn.training import (TrainConfig, count_params,
-                            finite_difference_check, init_params,
-                            prediction_loss, train)
+                            finite_difference_check, init_params, train)
 
-from .reference import dense_eig_sym, spectral_conv_oracle
+from .reference import dense_eig_sym, spectral_conv_oracle, step_loss
 
 
 def report(num, ok, detail):
@@ -173,7 +172,7 @@ def _copy_last_baseline(frames, split=0.8):
     last train frame on)."""
     n_train = int(math.floor(frames.shape[0] * split))
     tail = frames[n_train - 1:]
-    losses = [prediction_loss(tail[t], tail[t + 1])
+    losses = [step_loss(tail[t], tail[t + 1])
               for t in range(tail.shape[0] - 1)]
     return float(np.mean(losses))
 

@@ -16,7 +16,9 @@ from fgrnn import cli, stability
 from fgrnn.cells import load_checkpoint, save_checkpoint
 from fgrnn.data import SyntheticConfig, load_frames
 from fgrnn.graph import load_graph
-from fgrnn.training import TrainConfig, prediction_loss, train
+from fgrnn.training import TrainConfig, train
+
+from .reference import step_loss
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +283,7 @@ def test_eval_and_predict_agree(small_dataset, tmp_path):
     # match the eval CSV exactly
     for t in range(preds.n_frames):
         expected = float(rows[t + 1].split(",")[1])
-        got = prediction_loss(preds.frames[t], seq.frames[t + 1])
+        got = step_loss(preds.frames[t], seq.frames[t + 1])
         assert got == pytest.approx(expected, rel=1e-15)
 
 
@@ -738,6 +740,12 @@ def _mutate_checkpoint(lines, case):
         lines[at["adam_m"]] = "adam_m 1 49"
         lines[at["adam_m"] + 1] = lines[at["adam_m"] + 1].rsplit(" ", 1)[0]
         return lines, f"line {at['adam_m'] + 1}: adam_m: 49 values for 50"
+    if case in ("epoch -3", "adam_step -1"):
+        # a negative epoch would number a resumed history from -2 and raise
+        # the rate above lr; a negative Adam step would divide by zero
+        key, value = case.split()
+        lines[at[key]] = case
+        return lines, f"line {at[key] + 1}: {key} must be >= 0, got {value}"
     if case in ("use_plain_laplacian 7", "family dense", "activation softsign"):
         key, value = case.split()
         lines[at[key]] = case
@@ -751,7 +759,7 @@ def _mutate_checkpoint(lines, case):
     "rows over header", "ragged row", "cols over header", "bad header",
     "stray line", "b short", "z short", "b two rows", "W rows", "U rows",
     "V cols", "W nan", "b nan", "z inf", "adam_m short", "use_plain_laplacian 7",
-    "family dense", "activation softsign"])
+    "family dense", "activation softsign", "epoch -3", "adam_step -1"])
 def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
                                   capsys, case):
     frames, graph = small_dataset
@@ -766,7 +774,8 @@ def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
     assert f"error: {bad}: " in err
 
 
-@pytest.mark.parametrize("case", ["b short", "W rows", "adam_m short"])
+@pytest.mark.parametrize("case", ["b short", "W rows", "adam_m short",
+                                  "epoch -3", "adam_step -1"])
 def test_resume_bad_checkpoint_shape(small_dataset, small_checkpoint, tmp_path,
                                      capsys, case):
     frames, graph = small_dataset
@@ -782,6 +791,77 @@ def test_resume_bad_checkpoint_shape(small_dataset, small_checkpoint, tmp_path,
     err = capsys.readouterr().err
     assert fragment in err
     assert f"error: {bad}: " in err
+
+
+@pytest.mark.parametrize("header,row", [
+    ("W 0 3", None), ("W 1 0", ""), ("U 0 3", None), ("V 1 0", "")],
+    ids=["W 0 3", "W 1 0", "U 0 3", "V 1 0"])
+def test_chebyshev_filter_without_a_coefficient(
+        small_dataset, cheb_checkpoint, tmp_path, capsys, header, row):
+    frames, graph = small_dataset
+    key = header.split()[0]
+    lines = Path(cheb_checkpoint).read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.split()[0] == key)
+    lines[at:at + 2] = [header] if row is None else [header, row]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["eval", "--checkpoint", str(bad), "--frames", frames,
+                     "--graph", graph]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {at + 1}: {key}: a filter needs at least one "
+        f"coefficient\n")
+
+
+def _resume(frames, graph, ckpt, out_dir, name, *extra):
+    out = out_dir / f"{name}.ckpt"
+    rc = cli.main(["train", "--frames", frames, "--graph", graph,
+                   "--resume", str(ckpt), "--out-checkpoint", str(out),
+                   "--out-history", str(out_dir / f"{name}.csv"),
+                   "t_w=4", *extra])
+    return rc, out
+
+
+@pytest.mark.parametrize("trained,given,message", [
+    ([], ["lr=5"], "'lr' = 5.0 and 'lr_decay' = 0.9 give rate 4.5"),
+    ([], ["lr_decay=0.5"], "'lr' = 0.01 and 'lr_decay' = 0.5 give rate 0.005"),
+    (["lr=0.05"], [],
+     "'lr' = 0.01 and 'lr_decay' = 0.9 give rate 0.009000000000000001"),
+], ids=["lr", "lr_decay", "default lr"])
+def test_resume_refuses_a_conflicting_rate(small_dataset, tmp_path, capsys,
+                                           trained, given, message):
+    # the rate lr and lr_decay give the checkpoint's last epoch must be
+    # the one it trained at, whether the keys are set or left at default
+    frames, graph = small_dataset
+    rc, ckpt, _ = _train(frames, graph, tmp_path, "two", *trained)
+    assert rc == 0
+    lr = 0.05 * 0.9 if trained else 0.01 * 0.9
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc, _ = _resume(frames, graph, ckpt, out_dir, "r", "epochs=1", *given)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: config keys {message} at the checkpoint's epoch 2, "
+        f"but its lr is {lr!r}\n")
+    assert not any(out_dir.iterdir())
+    rc, _ = _resume(frames, graph, ckpt, out_dir, "ok", "epochs=1", *trained)
+    assert rc == 0
+
+
+def test_resume_of_no_epochs_records_the_last_epochs_rate(small_dataset,
+                                                          tmp_path):
+    # resuming for 0 epochs rewrites the checkpoint as it was, its rate
+    # included, so that it resumes as the original does
+    frames, graph = small_dataset
+    rc, ckpt, _ = _train(frames, graph, tmp_path, "two")
+    assert rc == 0
+    rc, same = _resume(frames, graph, ckpt, tmp_path, "same", "epochs=0")
+    assert rc == 0
+    assert same.read_bytes() == Path(ckpt).read_bytes()
+    rc, a = _resume(frames, graph, same, tmp_path, "a", "epochs=1")
+    assert rc == 0
+    rc, b = _resume(frames, graph, ckpt, tmp_path, "b", "epochs=1")
+    assert rc == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 COMPAT = Path(__file__).parent / "data"

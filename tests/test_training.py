@@ -12,11 +12,10 @@ from fgrnn.gconv import FirstOrderFamily
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import (AdamState, TrainConfig, adam_step, bptt,
                             count_params, evaluate, finite_difference_check,
-                            graph_regularized_loss, history_csv, init_params,
-                            parse_config, parse_key_values, prediction_loss,
-                            teacher_forced_losses, train)
+                            history_csv, init_params, parse_config,
+                            parse_key_values, teacher_forced_losses, train)
 
-from .reference import fgrnn_step, readout
+from .reference import fgrnn_step, readout, step_loss
 
 
 def knn_lap(seed, n=10, k=3):
@@ -28,29 +27,75 @@ def make_params(family, n, f=3, p=3, k=3, seed=0):
     return init_params(TrainConfig(family=family, k=k, p=p, seed=seed), n, f)
 
 
+def fixed_prediction(z, f=3):
+    """A first-order model whose every prediction is z on each of f
+    feature columns: with V = 0 the readout is z 1^T."""
+    p = make_params("first_order", len(z), f=f)
+    p.V[...] = 0.0
+    p.z[...] = z
+    return p
+
+
+def reference_losses(p, lap, frames, lambda_reg=0.0):
+    """Each transition's step_loss, the reference cell carrying the state
+    from the zero state (hidden width 3)."""
+    h, losses = np.zeros((lap.n_nodes, 3)), []
+    for t in range(len(frames) - 1):
+        _, h = fgrnn_step(p, lap, h, frames[t])
+        losses.append(step_loss(readout(p, lap, h), frames[t + 1], lap,
+                                lambda_reg))
+    return losses
+
+
 class TestLosses:
+    # teacher_forced_losses scores every step with the package's one loss;
+    # a model of fixed prediction z 1^T makes each step's x_hat known
     def test_zero_when_equal(self):
-        x = np.ones((3, 2))
-        assert prediction_loss(x, x.copy()) == 0.0
+        z = np.random.default_rng(0).standard_normal(10)
+        frames = np.stack([np.ones((10, 3)), np.repeat(z[:, None], 3, 1)])
+        assert teacher_forced_losses(fixed_prediction(z), knn_lap(0),
+                                     frames) == [0.0]
 
     def test_all_ones_difference(self):
-        assert prediction_loss(np.ones((2, 3)), np.zeros((2, 3))) == 6.0
+        lap = build_laplacians(Graph(2, ((0, 1, 1.0),)))
+        frames = np.zeros((2, 2, 3))
+        assert teacher_forced_losses(fixed_prediction(np.ones(2)), lap,
+                                     frames) == [6.0]
+        assert step_loss(np.ones((2, 3)), np.zeros((2, 3))) == 6.0
 
     def test_matches_elementwise_sum(self):
         rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((2, 5, 4))
-        brute = sum((a[i, j] - b[i, j]) ** 2 for i in range(5) for j in range(4))
-        assert prediction_loss(a, b) == pytest.approx(brute, abs=1e-12)
+        z = rng.standard_normal(5)
+        x = rng.standard_normal((5, 4))
+        lap = knn_lap(0, n=5, k=2)
+        brute = sum((z[i] - x[i, j]) ** 2 for i in range(5) for j in range(4))
+        losses = teacher_forced_losses(fixed_prediction(z, f=4), lap,
+                                       np.stack([x, x]))
+        assert losses == [pytest.approx(brute, abs=1e-12)]
+        assert step_loss(np.repeat(z[:, None], 4, 1), x) == pytest.approx(
+            brute, abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ContractViolation):
-            prediction_loss(np.ones((2, 2)), np.ones((2, 3)))
+        # a first-order V of p x 1 reads out 1 feature for frames of 3:
+        # both passes refuse it before broadcasting can score it
+        p = make_params("first_order", 10, p=2)
+        p = ModelParams("first_order", p.W, p.U, np.ones((2, 1)), 0.5, 0.5,
+                        p.b, p.z)
+        frames = np.random.default_rng(0).standard_normal((4, 10, 3))
+        for loss_pass, shapes in ((teacher_forced_losses,
+                                   r"\(1, 10, 1\), targets \(1, 10, 3\)"),
+                                  (bptt, r"\(3, 10, 1\), targets \(3, 10, 3\)")):
+            with pytest.raises(ContractViolation, match=shapes):
+                loss_pass(p, knn_lap(0), frames)
 
     def test_regularizer_zero_lambda(self):
-        rng = np.random.default_rng(1)
+        # bit for bit the written-out sum of squares, for both families
         lap = knn_lap(1)
-        a, b = rng.standard_normal((2, 10, 3))
-        assert graph_regularized_loss(a, b, lap, 0.0) == prediction_loss(a, b)
+        frames = np.random.default_rng(1).standard_normal((6, 10, 3))
+        for family in ("chebyshev", "first_order"):
+            p = make_params(family, 10, seed=1)
+            assert teacher_forced_losses(p, lap, frames, 0.0) == \
+                reference_losses(p, lap, frames)
 
     def test_constant_signal_on_ring(self):
         # 2-regular ring: constants are in the Laplacian null space
@@ -58,20 +103,22 @@ class TestLosses:
         edges = tuple((i, (i + 1) % n, 1.0) if i < (i + 1) % n
                       else ((i + 1) % n, i, 1.0) for i in range(n))
         lap = build_laplacians(Graph(n, tuple(sorted(edges))))
-        x_hat = np.full((n, 2), 3.7)
-        x = np.zeros((n, 2))
-        reg_part = graph_regularized_loss(x_hat, x, lap, 1.0) - prediction_loss(x_hat, x)
+        p = fixed_prediction(np.full(n, 3.7), f=2)
+        frames = np.zeros((2, n, 2))
+        reg_part = (teacher_forced_losses(p, lap, frames, 1.0)[0]
+                    - teacher_forced_losses(p, lap, frames)[0])
         assert abs(reg_part) < 1e-10
 
     def test_matches_dense_quadratic_form(self):
-        rng = np.random.default_rng(2)
+        # lambda * tr(x_hat^T L x_hat) with a dense L, for both families
         lap = knn_lap(2)
-        x_hat = rng.standard_normal((10, 3))
-        x = rng.standard_normal((10, 3))
-        dense = lap.laplacian.to_dense()
-        expected = prediction_loss(x_hat, x) + 0.7 * np.trace(x_hat.T @ dense @ x_hat)
-        assert graph_regularized_loss(x_hat, x, lap, 0.7) == pytest.approx(
-            expected, abs=1e-10)
+        frames = np.random.default_rng(2).standard_normal((6, 10, 3))
+        for family in ("chebyshev", "first_order"):
+            p = make_params(family, 10, seed=2)
+            got = teacher_forced_losses(p, lap, frames, 0.7)
+            expected = reference_losses(p, lap, frames, 0.7)
+            assert got != teacher_forced_losses(p, lap, frames)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 class TestBptt:
@@ -160,8 +207,8 @@ class TestBptt:
         ("first_order", 0.3)])
     def test_loss_matches_forward_only_loss(self, family, lambda_reg):
         # bptt scores every step of the window at once; the forward-only
-        # loss scores one step at a time with graph_regularized_loss, and
-        # the two must agree bit for bit
+        # loss scores one step at a time with the same step loss, and the
+        # two must agree bit for bit
         lap = knn_lap(14, n=12)
         p = make_params(family, 12, seed=14)
         rng = np.random.default_rng(14)
@@ -476,7 +523,7 @@ class TestEvaluate:
         h, losses = np.zeros((12, 3)), []
         for t in range(len(frames) - 1):
             _, h = fgrnn_step(p, lap, h, frames[t])
-            losses.append(prediction_loss(readout(p, lap, h), frames[t + 1]))
+            losses.append(step_loss(readout(p, lap, h), frames[t + 1]))
         assert evaluate(p, lap, frames, n_train) == (
             float(np.mean(losses[:n_train - 1])),
             float(np.mean(losses[n_train - 1:])))
@@ -526,7 +573,7 @@ def test_saturated_sigmoid_is_exact_and_silent():
     assert len(losses) == 3 and all(np.isfinite(losses))
     # the state stays exactly 0, so every prediction is the readout of a
     # zero state: z, which is 0 here
-    assert losses == [prediction_loss(np.zeros((10, 3)), x)
+    assert losses == [step_loss(np.zeros((10, 3)), x)
                       for x in frames[1:]]
 
 
@@ -540,7 +587,7 @@ def test_saturated_sigmoid_is_exact_and_silent():
     (lambda p, lap, w: count_params("chebyshev", 0, k=3), "n must be positive"),
     (lambda p, lap, w: count_params("first_order", 10, p=0), "P >= 1"),
     (lambda p, lap, w: count_params("lstm_gcn", 10, k=0), "K >= 1"),
-    (lambda p, lap, w: graph_regularized_loss(w[0], w[1], lap, -0.5),
+    (lambda p, lap, w: teacher_forced_losses(p, lap, w, lambda_reg=-0.5),
      "lambda_reg must be >= 0"),
     (lambda p, lap, w: bptt(p, lap, w, lambda_reg=-0.5),
      "lambda_reg must be >= 0"),

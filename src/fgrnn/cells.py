@@ -71,14 +71,12 @@ class ModelParams:
     """
 
     def __init__(self, conv_family: str, W, U, V, alpha: float, beta: float,
-                 b, z, activation: str = "tanh",
-                 use_plain_laplacian: bool = False):
+                 b, z, activation: str = "tanh"):
         if conv_family not in FAMILIES:
             raise ContractViolation(f"unknown family {conv_family!r}")
         if activation not in ACTIVATIONS:
             raise ContractViolation(f"unknown activation {activation!r}")
         self.conv_family, self.activation = conv_family, activation
-        self.use_plain_laplacian = use_plain_laplacian
         filters = [np.asarray(a, dtype=np.float64) for a in (W, U, V)]
         if conv_family == "chebyshev":
             filters = [a.ravel() for a in filters]
@@ -122,7 +120,7 @@ def conv_family(p: ModelParams, lap: LaplacianSet):
     if p.conv_family == "chebyshev":
         # one basis length serves W, U and V, even if their orders differ
         return ChebFamily(lap, max(len(p.W), len(p.U), len(p.V)))
-    return FirstOrderFamily(lap, p.use_plain_laplacian)
+    return FirstOrderFamily(lap)
 
 
 def preactivation(p: ModelParams, fam, wx: np.ndarray,
@@ -211,7 +209,8 @@ def save_checkpoint(p: ModelParams, path, graph_checksum: str,
         fh.write("fgrnn-checkpoint 1\n")
         fh.write(f"family {p.conv_family}\n")
         fh.write(f"activation {p.activation}\n")
-        fh.write(f"use_plain_laplacian {int(p.use_plain_laplacian)}\n")
+        # the format's node-operator entry; L1 is the only operator
+        fh.write("use_plain_laplacian 0\n")
         fh.write(f"graph_checksum {graph_checksum}\n")
         fh.write(f"alpha {p.alpha:.17g}\n")
         fh.write(f"beta {p.beta:.17g}\n")
@@ -259,11 +258,13 @@ def load_checkpoint(path, graph: Graph | None = None,
     array block that does not match its header or holds a non-finite
     value, a b or z block of more than one row, a W, U or V block of no
     value, a missing entry, an unknown family or activation, a
-    use_plain_laplacian other than 0 or 1, a non-finite alpha or beta, a
-    negative epoch or adam_step, or Adam moments of another length than
-    the parameters. Given the graph the model is to run on (and n_features),
-    the file's graph_checksum must be graph.checksum(), and b, z and
-    first-order W, U and V must fit its N nodes and F features.
+    node-operator entry other than 0 (the entry is optional; L1 is the
+    only node operator), a non-finite alpha or beta, a negative epoch or
+    adam_step, or Adam moments of another length than the parameters.
+    Given the graph the model is to run on, the file's graph_checksum must
+    be graph.checksum(), and b, z and first-order W, U and V must fit its
+    N nodes and F features: n_features, or the row count of the file's own
+    W when n_features is None.
     """
     lines = read_text(path).splitlines()
     with in_file(path):
@@ -272,9 +273,11 @@ def load_checkpoint(path, graph: Graph | None = None,
 
 def _check_shapes(arrays, where, family, n_nodes, n_features):
     """ParseError at the first array that does not fit N nodes and F
-    features."""
+    features, F being W's row count when n_features is None."""
     need = {"b": (1, n_nodes), "z": (1, n_nodes)}
     if family == "first_order":
+        if n_features is None:
+            n_features = arrays["W"].shape[0]
         width = arrays["W"].shape[1]
         need.update(W=(n_features, width), U=(width, width),
                     V=(width, n_features))
@@ -332,7 +335,7 @@ def _parse_checkpoint(lines, graph=None, n_features=None):
     need(("family", "activation", "graph_checksum", "alpha", "beta"), scalars)
     need(("W", "U", "V", "b", "z"), arrays)
     for key, allowed in (("family", FAMILIES), ("activation", ACTIVATIONS),
-                         ("use_plain_laplacian", ("0", "1"))):
+                         ("use_plain_laplacian", ("0",))):
         if key in scalars and scalars[key] not in allowed:
             raise ParseError(f"{key} must be one of {', '.join(allowed)}, "
                              f"got {scalars[key]!r}", line=where[key])
@@ -355,9 +358,7 @@ def _parse_checkpoint(lines, graph=None, n_features=None):
     p = ModelParams(
         scalars["family"], arrays["W"], arrays["U"], arrays["V"],
         alpha=number("alpha"), beta=number("beta"), b=arrays["b"],
-        z=arrays["z"], activation=scalars["activation"],
-        use_plain_laplacian=scalars.get("use_plain_laplacian") == "1",
-    )
+        z=arrays["z"], activation=scalars["activation"])
     train_state = None
     if "epoch" in scalars:
         need(("adam_step", "lr"), scalars)

@@ -7,12 +7,13 @@ failure.
 eval, predict and train --resume read a checkpoint with
 cells.load_checkpoint given the graph, which refuses one trained on
 another graph. train --resume also refuses a model key (family,
-activation, k or p and use_plain_laplacian) that is set on the command
-line or in --config and differs from the checkpoint; the model comes from
-the checkpoint, and the run's TrainRun supplies the new checkpoint's
-training block and the history's epoch numbers. It refuses an lr or
-lr_decay, set or left at its default, that would not have given the
-checkpoint's last epoch the rate the checkpoint records.
+activation, and k or p) that is set on the command line or in --config
+and differs from the checkpoint; the model comes from the checkpoint, and
+the run's TrainRun supplies the new checkpoint's training block and the
+history's epoch numbers. It refuses an lr or lr_decay, set or left at its
+default, that would not have given the checkpoint's last epoch the rate
+the checkpoint records. train --append-history adds the run's rows to the
+history file, and the CSV header too when the file is new or empty.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _resume(path, graph, n_features, cfg, given):
     if p.conv_family == "chebyshev":
         model["k"] = max(len(p.W), len(p.U), len(p.V))
     else:
-        model.update(p=p.W.shape[1], use_plain_laplacian=p.use_plain_laplacian)
+        model["p"] = p.W.shape[1]
     for key, value in model.items():
         if key in given and getattr(cfg, key) != value:
             raise ContractViolation(
@@ -126,10 +127,9 @@ def cmd_train(args):
                     train_state=run.train_state)
     csv = history_csv(run)
     with open(args.out_history, "a" if args.append_history else "w") as fh:
-        if args.append_history:
-            csv = "\n".join(csv.splitlines()[1:])
-            if csv:
-                csv += "\n"
+        if fh.tell():
+            # appending to a history that already has its header
+            csv = csv.split("\n", 1)[1]
         fh.write(csv)
     for i, (tr, te) in enumerate(run.epoch_losses):
         print(f"epoch {run.first_epoch + i + 1}: train {tr:.6g} test {te:.6g} "
@@ -227,8 +227,7 @@ def cmd_stability(args):
         cfg = datamod.SyntheticConfig(n_nodes=args.n_nodes, n_frames=4, seed=args.seed)
         _, graph = datamod.generate_synthetic(cfg)
     base = scalar_cell_params(u=args.u, n_nodes=graph.n_nodes, w=args.w,
-                              b=args.bias, activation=args.activation,
-                              use_plain_laplacian=args.plain_laplacian)
+                              b=args.bias, activation=args.activation)
     rows = stability_sweep(graph, base, alphas, betas, horizons, seed=args.seed)
     csv = sweep_csv(rows)
     if args.out:
@@ -339,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--bias", type=float, default=0.0)
     st.add_argument("--activation", default="relu",
                     choices=sorted(ACTIVATIONS))
-    st.add_argument("--plain-laplacian", action="store_true")
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--out")
     st.set_defaults(func=cmd_stability)

@@ -138,11 +138,12 @@ class ChebFamily:
 class FirstOrderFamily:
     """First-order primitives: basis(x) is [L1 x], shape (1, N, F).
 
-    With use_plain_laplacian the node operator is L instead of L1.
+    The node operator op is L1 = I + D^{-1/2} A D^{-1/2}, the paper's
+    single-hop operator.
     """
 
-    def __init__(self, lap: LaplacianSet, use_plain_laplacian: bool):
-        self.op = lap.laplacian if use_plain_laplacian else lap.first_order
+    def __init__(self, lap: LaplacianSet):
+        self.op = lap.first_order
 
     def basis(self, x: np.ndarray) -> np.ndarray:
         return spmm(self.op, x)[None]
@@ -197,8 +198,8 @@ def cheb_conv_backward(lap: LaplacianSet, x: np.ndarray, f: ChebFilter,
             fam.coeff_grad(f.coeffs, fam.basis(x), upstream))
 
 
-def first_order_conv(lap: LaplacianSet, x: np.ndarray, t: FeatureTransform,
-                     use_plain_laplacian: bool = False) -> np.ndarray:
+def first_order_conv(lap: LaplacianSet, x: np.ndarray,
+                     t: FeatureTransform) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != lap.n_nodes:
         raise ContractViolation("first_order_conv: node count mismatch")
@@ -206,18 +207,17 @@ def first_order_conv(lap: LaplacianSet, x: np.ndarray, t: FeatureTransform,
         raise ContractViolation(
             f"first_order_conv: {x.shape[1]} features vs "
             f"{t.weights.shape[0]} weight rows")
-    fam = FirstOrderFamily(lap, use_plain_laplacian)
+    fam = FirstOrderFamily(lap)
     return fam.combine(t.weights, fam.basis(x))
 
 
 def first_order_conv_backward(lap: LaplacianSet, x: np.ndarray,
-                              t: FeatureTransform, upstream: np.ndarray,
-                              use_plain_laplacian: bool = False):
+                              t: FeatureTransform, upstream: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (x.shape[0], t.weights.shape[1]):
         raise ContractViolation("first_order_conv_backward: upstream shape mismatch")
-    fam = FirstOrderFamily(lap, use_plain_laplacian)
+    fam = FirstOrderFamily(lap)
     return (fam.adjoint((t.weights, upstream)),
             fam.coeff_grad(t.weights, fam.basis(x), upstream))
 

@@ -221,14 +221,12 @@ def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
 
 def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
                        activation: str = "relu", alpha: float = 1.0,
-                       beta: float = 0.0,
-                       use_plain_laplacian: bool = False) -> ModelParams:
+                       beta: float = 0.0) -> ModelParams:
     """Convenience constructor for the width-1 diagnostic cell: one
     feature, input weight w, recurrent weight u, zero readout."""
     return ModelParams(
         "first_order", [[w]], [[u]], [[0.0]], alpha=alpha, beta=beta,
-        b=np.full(n_nodes, b), z=np.zeros(n_nodes), activation=activation,
-        use_plain_laplacian=use_plain_laplacian)
+        b=np.full(n_nodes, b), z=np.zeros(n_nodes), activation=activation)
 
 
 def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,

@@ -302,7 +302,6 @@ class TrainConfig:
     lambda_reg: float = 0.0  # > 0 adds the graph regularizer to the loss
     seed: int = 0
     init_scale: float = 0.1
-    use_plain_laplacian: bool = False
 
     def __post_init__(self):
         check_config(self, _CONFIG_RANGES)
@@ -316,10 +315,6 @@ class TrainConfig:
         none ran): the rate train gives that epoch and its checkpoint
         records."""
         return self.lr * self.lr_decay ** max(epochs_done - 1, 0)
-
-
-_BOOLEANS = {"0": False, "1": True, "true": True, "false": False,
-             "yes": True, "no": False}
 
 
 def parse_key_values(text: str) -> dict:
@@ -339,10 +334,10 @@ def parse_key_values(text: str) -> dict:
 def parse_config(values: dict, cls):
     """A cls, any config dataclass, from {key: text value}.
 
-    Each value is read as the type of its field's default: bool strictly
-    (see _BOOLEANS), then int, float or str. An unknown key or a value
-    that does not convert raises ParseError naming the key; cls itself
-    checks the ranges and raises ContractViolation.
+    Each value is read as the type of its field's default: int, float or
+    str. An unknown key or a value that does not convert raises ParseError
+    naming the key; cls itself checks the ranges and raises
+    ContractViolation.
     """
     kinds = {f.name: type(f.default) for f in fields(cls)}
     kwargs = {}
@@ -350,13 +345,6 @@ def parse_config(values: dict, cls):
         if key not in kinds:
             raise ParseError(f"unknown config key {key!r}")
         kind = kinds[key]
-        if kind is bool:
-            word = val.strip().lower()
-            if word not in _BOOLEANS:
-                raise ParseError(f"config key {key!r} must be one of "
-                                 f"{'/'.join(_BOOLEANS)}, got {val!r}")
-            kwargs[key] = _BOOLEANS[word]
-            continue
         try:
             kwargs[key] = kind(val)
         except ValueError:
@@ -379,8 +367,7 @@ def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
     w, u, v = (rng.uniform(-s, s, size=shape) for shape in shapes)
     return ModelParams(
         cfg.family, w, u, v, alpha=0.5, beta=0.5, b=np.zeros(n_nodes),
-        z=np.zeros(n_nodes), activation=cfg.activation,
-        use_plain_laplacian=cfg.use_plain_laplacian)
+        z=np.zeros(n_nodes), activation=cfg.activation)
 
 
 @dataclass
@@ -450,9 +437,9 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     resume is a checkpoint's (params, train_state), as load_checkpoint
     returns them: the run goes on from that epoch, Adam step and moments,
     and updates params in place. Without it the run starts from
-    init_params, the one reader of cfg's model keys (family, k, p,
-    activation, use_plain_laplacian). Raises ContractViolation if
-    cfg.split leaves fewer than 2 training frames.
+    init_params, the one reader of cfg's model keys (family, k, p and
+    activation). Raises ContractViolation if cfg.split leaves fewer than
+    2 training frames.
     """
     train_frames = split_train_test(dataset, cfg.split)[0].frames
     if len(train_frames) < 2:

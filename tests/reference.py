@@ -64,8 +64,7 @@ def conv_apply(p: ModelParams, lap: LaplacianSet, x: np.ndarray,
     """The convolution of x with one of p's filter arrays (W, U or V)."""
     if p.conv_family == "chebyshev":
         return cheb_conv(lap, x, ChebFilter(arr))
-    return first_order_conv(lap, x, FeatureTransform(arr),
-                            p.use_plain_laplacian)
+    return first_order_conv(lap, x, FeatureTransform(arr))
 
 
 def preactivation(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,

@@ -154,13 +154,11 @@ class TestUnroll:
     @pytest.mark.parametrize("feedback", [0, 3])
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("case", ["chebyshev", "mixed_orders",
-                                      "first_order", "plain_laplacian"])
+                                      "first_order"])
     def test_matches_fgrnn_step_chain(self, case, warm, feedback):
         lap = knn_lap(20, n=12)
-        family = ("first_order" if case in ("first_order", "plain_laplacian")
-                  else "chebyshev")
-        p = make_params(family, 12, seed=20,
-                        use_plain_laplacian=case == "plain_laplacian")
+        family = "first_order" if case == "first_order" else "chebyshev"
+        p = make_params(family, 12, seed=20)
         if case == "mixed_orders":
             p = ModelParams("chebyshev", p.W, [0.4, 0.2],
                             [0.3, -0.2, 0.1, 0.05], p.alpha, p.beta, p.b, p.z)
@@ -271,6 +269,30 @@ class TestCheckpoint:
         assert str(exc.value).startswith(
             f"{path}: line 5: graph_checksum {graph.checksum()} ")
         assert other.checksum() in str(exc.value)
+
+    def test_features_default_to_the_files_own_w(self, tmp_path):
+        graph = build_knn_graph(
+            np.random.default_rng(11).standard_normal((10, 3)), 3)
+        p = make_params("first_order", 10, f=4, p=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, path, graph.checksum())
+        given = load_checkpoint(path, graph, 4)
+        taken, checksum, state = load_checkpoint(path, graph)
+        assert np.array_equal(taken.theta, given[0].theta)
+        assert (taken.W.shape, checksum, state) == ((4, 2), given[1], None)
+
+    def test_v_must_end_in_ws_features(self, tmp_path):
+        graph = build_knn_graph(
+            np.random.default_rng(11).standard_normal((10, 3)), 3)
+        p = ModelParams("first_order", np.ones((3, 2)), np.ones((2, 2)),
+                        np.ones((2, 4)), 0.5, 0.5, np.zeros(10), np.zeros(10))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, path, graph.checksum())
+        v_line = path.read_text().splitlines().index("V 2 4") + 1
+        with pytest.raises(ParseError, match=(
+                f"^{path}: line {v_line}: checkpoint V is 2 x 4, but N=10 "
+                f"nodes and F=3 features need 2 x 3$")):
+            load_checkpoint(path, graph)
 
     def test_not_a_checkpoint_file(self, tmp_path):
         path = tmp_path / "frames.txt"

@@ -165,6 +165,28 @@ def test_resume_matches_single_run(small_dataset, tmp_path):
     np.testing.assert_array_equal(pa.W, pb.W)
 
 
+@pytest.mark.parametrize("existing", [None, ""], ids=["missing", "empty"])
+def test_append_history_to_a_new_file_writes_its_header(
+        small_dataset, small_checkpoint, tmp_path, existing):
+    frames, graph = small_dataset
+    _, _, hist = _train(frames, graph, tmp_path, "w")
+    appended = tmp_path / "new.csv"
+    if existing is not None:
+        appended.write_text(existing)
+    assert cli.main(["train", "--frames", frames, "--graph", graph,
+                     "--out-checkpoint", str(tmp_path / "a.ckpt"),
+                     "--out-history", str(appended), "--append-history",
+                     "family=first_order", "p=2", "epochs=2", "t_w=4"]) == 0
+    assert appended.read_text() == Path(hist).read_text()
+    # a resume that trains no epoch leaves a header and no rows
+    fresh = tmp_path / "none.csv"
+    assert cli.main(["train", "--frames", frames, "--graph", graph,
+                     "--resume", small_checkpoint, "--append-history",
+                     "--out-checkpoint", str(tmp_path / "z.ckpt"),
+                     "--out-history", str(fresh), "epochs=0"]) == 0
+    assert fresh.read_text() == "epoch,train_loss,test_loss,alpha,beta,lr\n"
+
+
 @pytest.fixture(scope="module")
 def other_graph_dataset(tmp_path_factory):
     """A 16-node set whose kNN graph is not small_dataset's."""
@@ -217,11 +239,8 @@ def cheb_checkpoint(small_dataset, tmp_path_factory):
      "'first_order'"),
     ("first_order", "p=5",
      "config key 'p' is 5, but the checkpoint's model has 2"),
-    ("first_order", "use_plain_laplacian=yes",
-     "config key 'use_plain_laplacian' is True, but the checkpoint's model "
-     "has False"),
 ], ids=["cheb family", "cheb activation", "cheb k", "first_order family",
-        "first_order p", "first_order use_plain_laplacian"])
+        "first_order p"])
 @pytest.mark.parametrize("where", ["command line", "config file"])
 def test_resume_refuses_a_conflicting_model_key(
         small_dataset, small_checkpoint, cheb_checkpoint, tmp_path, capsys,
@@ -343,6 +362,9 @@ def test_train_bad_override_syntax(small_dataset, tmp_path):
     ("train", ["activation=softsign"], "'activation'"),
     ("train", ["lr_decay=inf"], "'lr_decay'"),
     ("sweep-T", ["--T", "3", "--seeds", "0"], "--seeds"),
+    # L1 is the only node operator, so no key selects one
+    ("train", ["use_plain_laplacian=0"], "unknown config key 'use_plain_laplacian'"),
+    ("train", ["use_plain_laplacian=1"], "unknown config key 'use_plain_laplacian'"),
 ])
 def test_bad_input_exit_code(small_dataset, small_checkpoint, tmp_path, capsys,
                              command, extra, fragment):
@@ -999,6 +1021,40 @@ def test_stability_takes_no_frames(small_dataset, capsys):
         cli.main(["stability", "--frames", frames, "--graph", graph])
     assert exc.value.code == 2
     assert "--frames" in capsys.readouterr().err
+
+
+def test_stability_has_one_node_operator(capsys):
+    # the diagnostic cell convolves with L1 only; there is no switch to L
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stability", "--n-nodes", "8", "--plain-laplacian"])
+    assert exc.value.code == 2
+    assert "--plain-laplacian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "train"])
+def test_checkpoint_of_the_plain_laplacian_is_refused(
+        small_dataset, small_checkpoint, tmp_path, capsys, command):
+    frames, graph = small_dataset
+    lines = Path(small_checkpoint).read_text().splitlines()
+    assert lines[3] == "use_plain_laplacian 0"
+    lines[3] = "use_plain_laplacian 1"
+    bad = tmp_path.parent / f"{tmp_path.name}.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    inputs = ["--frames", frames, "--graph", graph]
+    argv = {
+        "eval": ["eval", "--checkpoint", str(bad), *inputs,
+                 "--out", str(tmp_path / "e.csv")],
+        "predict": ["predict", "--checkpoint", str(bad), *inputs,
+                    "--out", str(tmp_path / "p.txt")],
+        "train": ["train", *inputs, "--resume", str(bad),
+                  "--out-checkpoint", str(tmp_path / "c.ckpt"),
+                  "--out-history", str(tmp_path / "h.csv")],
+    }[command]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 4: use_plain_laplacian must be one of 0, "
+        f"got '1'\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "stability",

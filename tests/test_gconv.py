@@ -144,14 +144,6 @@ class TestFirstOrder:
         out = first_order_conv(K2_LAP, np.eye(2), FeatureTransform(np.eye(2)))
         assert np.allclose(out, np.ones((2, 2)))
 
-    def test_plain_laplacian_switch(self):
-        rng = np.random.default_rng(9)
-        lap = knn_lap(9)
-        x = rng.standard_normal((10, 2))
-        t = FeatureTransform(rng.standard_normal((2, 2)))
-        got = first_order_conv(lap, x, t, use_plain_laplacian=True)
-        assert np.allclose(got, lap.laplacian.to_dense() @ x @ t.weights)
-
     def test_backward_trivials(self):
         up = np.zeros((3, 2))
         gx, gw = first_order_conv_backward(

@@ -209,7 +209,7 @@ def _reference_rows(g, base, alpha_grid, beta_grid, t_grid, seed):
     forward pass, product of the last T-2 step Jacobians, SVD and bound."""
     lap = build_laplacians(g)
     frames = np.random.default_rng(seed).standard_normal((max(t_grid), g.n_nodes, 1))
-    op = (lap.laplacian if base.use_plain_laplacian else lap.first_order).to_dense()
+    op = lap.first_order.to_dense()
     u = base.U[0, 0]
     eye = np.eye(g.n_nodes)
     rows = []
@@ -251,11 +251,10 @@ class TestChain:
     grids = ([1.0, 0.0, 0.6], [0.3, 1.0, 0.0, 0.02], [8, 4, 8])
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
-    @pytest.mark.parametrize("plain", [False, True])
-    def test_matches_independent_runs(self, activation, plain):
+    def test_matches_independent_runs(self, activation):
         g = build_knn_graph(np.random.default_rng(12).standard_normal((14, 3)), 3)
         base = scalar_cell_params(u=0.2, n_nodes=14, w=1.0, b=0.1,
-                                  activation=activation, use_plain_laplacian=plain)
+                                  activation=activation)
         rows = stability_sweep(g, base, *self.grids, seed=4)
         got = [(r.alpha, r.beta, r.horizon, r.sigma_max, r.sigma_min,
                 r.condition_number, r.bound) for r in rows]

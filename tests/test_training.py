@@ -180,15 +180,10 @@ class TestBptt:
         err = finite_difference_check(p, lap, window, lambda_reg=0.4)
         assert err < 1e-6
 
-    @pytest.mark.parametrize("family,k,plain", [
-        ("first_order", 3, True),  # plain Laplacian as node operator
-        ("chebyshev", 1, False),   # order 1: no sparse product at all
-    ])
-    def test_finite_differences_other_branches(self, family, k, plain):
+    def test_finite_differences_chebyshev_order_one(self):
+        # order 1: no sparse product at all
         lap = knn_lap(12, n=10)
-        cfg = TrainConfig(family=family, k=k, p=3, seed=13,
-                          use_plain_laplacian=plain)
-        p = init_params(cfg, 10, 3)
+        p = init_params(TrainConfig(family="chebyshev", k=1, seed=13), 10, 3)
         rng = np.random.default_rng(13)
         window = 0.5 * rng.standard_normal((5, 10, 3))
         assert finite_difference_check(p, lap, window) < 1e-6
@@ -466,16 +461,6 @@ class TestConfigParsing:
         from fgrnn.errors import ParseError
         with pytest.raises(ParseError):
             parse_config({"bogus": "1"}, TrainConfig)
-
-    def test_booleans_are_read_strictly(self):
-        from fgrnn.errors import ParseError
-        for word, value in (("1", True), ("Yes", True), ("TRUE", True),
-                            ("0", False), ("no", False), ("False", False)):
-            cfg = parse_config({"use_plain_laplacian": word}, TrainConfig)
-            assert cfg.use_plain_laplacian is value
-        for word in ("maybe", "2", "", "on"):
-            with pytest.raises(ParseError, match="'use_plain_laplacian'"):
-                parse_config({"use_plain_laplacian": word}, TrainConfig)
 
     @pytest.mark.parametrize("key,value", [
         ("t_w", 0), ("split", 1.5), ("activation", "softsign"),

@@ -7,20 +7,25 @@ lines and lines starting with `#` are skipped. Values are written with
 
 load_frames reads a file in one of two ways, with the same result. The
 fast path takes an ASCII file whose first line is a valid header and
-that holds no `#` and no line break other than `\n` and `\r\n`: one
-`np.loadtxt` over the file's bytes after the header, used only if it
-yields exactly N*T rows of F values. Anything else, including every
-malformed file and numbers `np.loadtxt` does not read (`1_0`, non-ASCII
-digits), goes to the per-line parser, the only code that raises a
-ParseError naming the line. Both read `nan` and `inf`; load_frames then
-rejects a non-finite value, naming its line. save_frames writes one
-frame at a time with a repeated `%.17g` format.
+that holds no `#` and no line break other than `\n` and `\r\n`. It
+reads the file in blocks of `_FRAME_BLOCK` bytes, each cut just after a
+`\n`, parses each block with one `np.loadtxt` and copies its rows into
+the (N*T, F) array it returns, so that its memory beyond that array is a
+few blocks, not the file. It takes the file only if the blocks yield
+exactly N*T rows of F values. Anything else, including every malformed
+file and numbers `np.loadtxt` does not read (`1_0`, non-ASCII digits),
+goes to the per-line parser, the only code that raises a ParseError
+naming the line. Both read `nan` and `inf`; load_frames then rejects a
+non-finite value, naming its line. save_frames writes one frame at a
+time with a repeated `%.17g` format.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -166,7 +171,7 @@ def save_frames(seq: FrameSequence, path):
 
 def load_frames(path) -> FrameSequence:
     with open(path, "rb") as fh:
-        frames = _load_frames_fast(fh.read())
+        frames = _load_frames_fast(fh)
     if frames is None or not np.all(np.isfinite(frames)):
         lines = read_text(path).splitlines()
         with in_file(path):
@@ -201,26 +206,58 @@ def _frame_header(line: str, lineno: int):
 _SLOW_ONLY = (b"#", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _load_frames_fast(data: bytes):
-    """(T, N, F) frames of a frame file's bytes, or None to leave the file
-    to _load_frames_slow."""
-    end = data.find(b"\n")
-    if end < 0 or not data.isascii() or any(c in data for c in _SLOW_ONLY):
+# bytes read per np.loadtxt call on the fast path
+_FRAME_BLOCK = 1 << 18
+
+
+def _fast_bytes(chunk: bytes) -> bool:
+    """Whether the fast path may parse these bytes: ASCII, no _SLOW_ONLY."""
+    return chunk.isascii() and not any(c in chunk for c in _SLOW_ONLY)
+
+
+def _load_frames_fast(fh):
+    """(T, N, F) frames of a binary frame file, read block by block, or
+    None to leave the file to _load_frames_slow."""
+    line = fh.readline()
+    if not line.endswith(b"\n") or not _fast_bytes(line):
         return None
-    head = data[:end].decode().splitlines()  # a lone \r makes two lines
+    head = line.decode().splitlines()  # a lone \r makes two lines
     if len(head) != 1:
         return None
     try:
         n, f, t_total = _frame_header(head[0], 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a body of no rows
-            rows = np.loadtxt(io.BytesIO(data), dtype=np.float64,
-                              comments=None, skiprows=1, ndmin=2)
     except ValueError:
         return None
-    if rows.shape != (n * t_total, f):
+    # N*T rows of F values take at least 2*N*T*F - 1 bytes; a header that
+    # claims more than a regular file holds allocates nothing (a pipe's
+    # size is not known)
+    st = os.fstat(fh.fileno())
+    if (stat.S_ISREG(st.st_mode)
+            and 2 * n * t_total * f - 1 > st.st_size - fh.tell()):
         return None
-    return rows.reshape(t_total, n, f)
+    out = np.empty((n * t_total, f))
+    filled = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block of no rows
+        while block := fh.read(_FRAME_BLOCK):
+            block += fh.readline()  # on to the end of its last line
+            if not _fast_bytes(block):
+                return None
+            try:
+                rows = np.loadtxt(io.BytesIO(block), dtype=np.float64,
+                                  comments=None, ndmin=2)
+            except ValueError:
+                return None
+            if len(rows) == 0:
+                continue
+            if rows.shape[1] != f or filled + len(rows) > len(out):
+                return None
+            out[filled:filled + len(rows)] = rows
+            filled += len(rows)
+    # as one np.loadtxt over the whole body, which reads no rows as (0, 1)
+    if filled != len(out) or (filled == 0 and f != 1):
+        return None
+    return out.reshape(t_total, n, f)
 
 
 def _data_lines(raw_lines):

@@ -72,15 +72,18 @@ class LaplacianSet:
         return self.laplacian.n_rows
 
 
-# rows of the distance matrix held at once by build_knn_graph
-_KNN_ROWS = 256
+# rows of the distance matrix held at once by build_knn_graph; a block's
+# differences take rows * N * 3 floats, about 1.2 MB at N=1502
+_KNN_ROWS = 32
 
 
 def build_knn_graph(points: np.ndarray, k: int) -> Graph:
     """k-nearest-neighbor graph, symmetrized by union, binary weights.
 
     Distance ties are broken by lower node index so construction is
-    deterministic. Each node ends up with between 1 and 2k edges.
+    deterministic. Each node ends up with at least k edges, and up to
+    n-1 for a node that many others pick: at k=1, the centre of a ring
+    of five points is the nearest neighbour of each, so it has 5 edges.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]

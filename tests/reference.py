@@ -6,12 +6,20 @@ Chebyshev recurrence. conv_apply, preactivation, fgrnn_step and readout
 are the cell one step at a time on cheb_conv / first_order_conv, the
 reference that cells.unroll and cells.readout must match bit for bit.
 step_loss is one step's loss written out, with a dense Laplacian, the
-reference for training's one loss.
+reference for training's one loss. whole_file_frames is the frame
+reader's fast path as one np.loadtxt over a whole file's bytes, the
+reference for the block reader. traced_peak measures the memory a call
+takes.
 """
+
+import io
+import tracemalloc
+import warnings
 
 import numpy as np
 
 from fgrnn.cells import ACTIVATIONS, ModelParams
+from fgrnn.data import _SLOW_ONLY, _frame_header
 from fgrnn.errors import ContractViolation, NumericOverflow
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from fgrnn.graph import LaplacianSet
@@ -100,3 +108,39 @@ def step_loss(x_hat: np.ndarray, x: np.ndarray, lap: LaplacianSet = None,
         loss += lambda_reg * float(
             np.trace(x_hat.T @ lap.laplacian.to_dense() @ x_hat))
     return loss
+
+
+def whole_file_frames(data: bytes):
+    """(T, N, F) frames of a frame file's bytes by one np.loadtxt over the
+    whole file, or None where data._load_frames_fast leaves the file to
+    the per-line parser."""
+    end = data.find(b"\n")
+    if end < 0 or not data.isascii() or any(c in data for c in _SLOW_ONLY):
+        return None
+    head = data[:end].decode().splitlines()  # a lone \r makes two lines
+    if len(head) != 1:
+        return None
+    try:
+        n, f, t_total = _frame_header(head[0], 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a body of no rows
+            rows = np.loadtxt(io.BytesIO(data), dtype=np.float64,
+                              comments=None, skiprows=1, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (n * t_total, f):
+        return None
+    return rows.reshape(t_total, n, f)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traced while fn ran)."""
+    if tracemalloc.is_tracing():
+        raise RuntimeError("traced_peak: tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

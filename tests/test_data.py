@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,8 @@ from fgrnn import data
 from fgrnn.data import (FrameSequence, SyntheticConfig, generate_synthetic,
                         load_frames, save_frames, split_train_test)
 from fgrnn.errors import ContractViolation, ParseError
+
+from .reference import traced_peak, whole_file_frames
 
 
 class TestGenerateSynthetic:
@@ -195,6 +201,8 @@ PARSER_CASES = [
     ("lone CR in the header", b"gfrm 1 2\r1 1\n1\n2\n", False),
     ("form feed", b"gfrm 1 2 2 1\n1\x0c2\n3 4\n", False),
     ("zero frames", b"gfrm 1 2 3 0\n", False),
+    ("zero frames, F=1", b"gfrm 1 2 1 0\n", True),
+    ("more rows than the file holds", b"gfrm 1 1000000000 9 9\n1\n", False),
     ("header only", b"gfrm 1 2 1 1", False),
 ]
 
@@ -206,7 +214,8 @@ def test_fast_path_matches_slow_path(tmp_path, name, raw, fast):
     path.write_bytes(raw)
     with open(path) as fh:
         lines = fh.read().splitlines()
-    got = data._load_frames_fast(path.read_bytes())
+    with open(path, "rb") as fh:
+        got = data._load_frames_fast(fh)
     assert (got is not None) == fast
     try:
         want = data._load_frames_slow(lines)
@@ -221,6 +230,98 @@ def test_fast_path_matches_slow_path(tmp_path, name, raw, fast):
         assert np.array_equal(got, want, equal_nan=True)
     if np.all(np.isfinite(want)):
         assert np.array_equal(load_frames(path).frames, want)
+
+
+def test_frames_from_a_pipe(tmp_path):
+    seq = FrameSequence(np.random.default_rng(4).standard_normal((3, 5, 2)))
+    path = tmp_path / "f.gfrm"
+    save_frames(seq, path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert np.array_equal(load_frames(fifo).frames, seq.frames)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+# the last line of a saved file, replaced by one the fast path refuses
+LATE_FAULTS = {"late bad token": b"1 2 x\n", "late #": b"1 2 #\n",
+               "late non-ASCII digit": "1 2 \u0663\n".encode()}
+BLOCK_CASES = [c[0] for c in PARSER_CASES] + ["saved", *LATE_FAULTS]
+
+
+def _block_case(name, tmp_path):
+    """The bytes of a PARSER_CASES row, of a saved file, or of a saved file
+    with a fault in its last line."""
+    cases = {c[0]: c[1] for c in PARSER_CASES}
+    if name in cases:
+        return cases[name]
+    path = tmp_path / "saved.gfrm"
+    rng = np.random.default_rng(5)
+    save_frames(FrameSequence(rng.standard_normal((5, 4, 3))), path)
+    raw = path.read_bytes()
+    if name == "saved":
+        return raw
+    return raw[:raw.rindex(b"\n", 0, -1) + 1] + LATE_FAULTS[name]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 13, 64])
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_reader_matches_whole_file_reader(tmp_path, monkeypatch, name,
+                                                block):
+    raw = _block_case(name, tmp_path)
+    path = tmp_path / "f.gfrm"
+    path.write_bytes(raw)
+    monkeypatch.setattr(data, "_FRAME_BLOCK", block)
+    with open(path, "rb") as fh:
+        got = data._load_frames_fast(fh)
+    want = whole_file_frames(raw)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    try:
+        slow = data._load_frames_slow(lines)
+    except ParseError as slow_err:
+        with pytest.raises(ParseError) as err:
+            load_frames(path)
+        assert (err.value.line, err.value.path) == (slow_err.line, path)
+        return
+    if np.all(np.isfinite(slow)):
+        assert np.array_equal(load_frames(path).frames, slow)
+
+
+def test_load_frames_memory_is_a_few_blocks_over_the_result(tmp_path,
+                                                            monkeypatch):
+    block = 1 << 16
+    monkeypatch.setattr(data, "_FRAME_BLOCK", block)
+    seq = FrameSequence(np.random.default_rng(7).standard_normal((400, 100, 3)))
+    path = tmp_path / "f.gfrm"
+    save_frames(seq, path)
+    size = path.stat().st_size
+    assert size > 30 * block
+    load_frames(path)  # allocations of a first call are not the reader's
+    loaded, peak = traced_peak(lambda: load_frames(path))
+    assert np.array_equal(loaded.frames, seq.frames)
+    assert peak <= seq.frames.nbytes + 4 * block
+    assert peak < size / 2
+
+
+def test_traced_peak_refuses_to_nest():
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="already tracing"):
+            traced_peak(lambda: None)
+    finally:
+        tracemalloc.stop()
 
 
 class TestSplit:

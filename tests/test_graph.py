@@ -8,7 +8,7 @@ from fgrnn.errors import ContractViolation, ParseError
 from fgrnn.graph import (Graph, build_knn_graph, build_laplacians, load_graph,
                          save_graph)
 
-from .reference import dense_eig_sym
+from .reference import dense_eig_sym, traced_peak
 
 
 def random_knn_graph(seed, n=None, k=None):
@@ -81,7 +81,9 @@ def knn_reference(points, k):
 ROWS = graph._KNN_ROWS
 
 
-@pytest.mark.parametrize("n", [7, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 88])
+# sizes at a block's edge, and sizes of many blocks
+@pytest.mark.parametrize("n", [7, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 88,
+                               255, 256, 257, 600])
 @pytest.mark.parametrize("kind,k", [("random", 6), ("lattice", 6),
                                     ("duplicates", 3), ("duplicates", 9)])
 def test_knn_matches_per_row_lexsort(n, kind, k):
@@ -94,6 +96,24 @@ def test_knn_matches_per_row_lexsort(n, kind, k):
         pts = rng.integers(0, 3, size=(n, 3)) * 1.0
     k = min(k, n - 1)
     assert build_knn_graph(pts, k).edges == knn_reference(pts, k)
+
+
+def test_knn_degree_can_reach_n_minus_1():
+    # each ring point's nearest neighbour is the centre, at distance 1
+    ring = 2.0 * np.pi * np.arange(5) / 5
+    pts = np.vstack([[0.0, 0.0, 0.0],
+                     np.stack([np.cos(ring), np.sin(ring), 0 * ring], axis=1)])
+    g = build_knn_graph(pts, 1)
+    assert g.degrees()[0] == 5
+    assert min(g.degrees()) >= 1
+
+
+def test_knn_memory_at_the_paper_size():
+    pts = np.random.default_rng(2).standard_normal((1502, 3))
+    build_knn_graph(pts, 6)  # allocations of a first call are not the graph's
+    g, peak = traced_peak(lambda: build_knn_graph(pts, 6))
+    assert g.n_nodes == 1502
+    assert peak < 6e6
 
 
 class TestLaplacians:

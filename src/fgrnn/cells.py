@@ -20,11 +20,12 @@ needs. preactivation is the one pre-activation of a step, and
 readout(p, fam, step.basis) the one readout, both built on conv_family's
 primitives.
 
-A checkpoint holds the parameters, the checksum of the graph they were
-trained on and, from train, the training block (epoch, Adam step, rate
-and moments). load_checkpoint, given the graph a command runs on, is the
-one place that checks that binding: a checkpoint trained on another graph
-fails at its graph_checksum line.
+A checkpoint holds exactly what train writes: the parameters, the
+checksum of the graph they were trained on and the training block (epoch,
+Adam step, rate and moments), each entry once, as _ENTRIES lists them.
+save_checkpoint and load_checkpoint both take the graph, and
+load_checkpoint is the one place that checks that binding: a checkpoint
+trained on another graph fails at its graph_checksum line.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ class ModelParams:
 
     theta holds W, U, V, alpha, beta, b and z in that order, the order of a
     checkpoint's Adam moments too. W, U and V are Chebyshev coefficients
-    (length K each) or first-order weights (F x p, p x p, p x F); b and z
-    hold one value per node. They are views into theta, bound once, and
-    alpha and beta read and write their slots as Python floats. like(vec)
-    lays the same views over another vector of theta's size: a gradient,
-    or a copy to perturb.
+    (K each, one order for all three) or first-order weights (F x p, p x p,
+    p x F); b and z hold one value per node. They are views into theta,
+    bound once, and alpha and beta read and write their slots as Python
+    floats. like(vec) lays the same views over another vector of theta's
+    size: a gradient, or a copy to perturb.
     """
 
     def __init__(self, conv_family: str, W, U, V, alpha: float, beta: float,
@@ -80,9 +81,11 @@ class ModelParams:
         filters = [np.asarray(a, dtype=np.float64) for a in (W, U, V)]
         if conv_family == "chebyshev":
             filters = [a.ravel() for a in filters]
-            if min(a.size for a in filters) < 1:
+            orders = [a.size for a in filters]
+            if min(orders) < 1 or len(set(orders)) > 1:
                 raise ContractViolation(
-                    "Chebyshev filters need K >= 1 coefficients")
+                    f"Chebyshev W, U and V need one order K >= 1, got "
+                    f"{orders[0]}, {orders[1]} and {orders[2]}")
         elif any(a.ndim != 2 for a in filters):
             raise ContractViolation("first-order weights must be 2-D")
         biases = [np.asarray(a, dtype=np.float64).ravel() for a in (b, z)]
@@ -118,8 +121,7 @@ class ModelParams:
 def conv_family(p: ModelParams, lap: LaplacianSet):
     """The basis / combine / coefficient-gradient primitives of p's family."""
     if p.conv_family == "chebyshev":
-        # one basis length serves W, U and V, even if their orders differ
-        return ChebFamily(lap, max(len(p.W), len(p.U), len(p.V)))
+        return ChebFamily(lap, len(p.W))
     return FirstOrderFamily(lap)
 
 
@@ -202,29 +204,37 @@ def _write_array(fh, name, arr):
         fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def save_checkpoint(p: ModelParams, path, graph_checksum: str,
-                    train_state: dict | None = None):
-    """Plain-text checkpoint; round-trips exactly at 17 significant digits."""
+def save_checkpoint(p: ModelParams, path, graph: Graph, train_state: dict):
+    """Plain-text checkpoint of p, trained on graph, with its training
+    block; round-trips exactly at 17 significant digits."""
     with open(path, "w") as fh:
         fh.write("fgrnn-checkpoint 1\n")
         fh.write(f"family {p.conv_family}\n")
         fh.write(f"activation {p.activation}\n")
         # the format's node-operator entry; L1 is the only operator
         fh.write("use_plain_laplacian 0\n")
-        fh.write(f"graph_checksum {graph_checksum}\n")
+        fh.write(f"graph_checksum {graph.checksum()}\n")
         fh.write(f"alpha {p.alpha:.17g}\n")
         fh.write(f"beta {p.beta:.17g}\n")
         for name in ("W", "U", "V", "b", "z"):
             _write_array(fh, name, getattr(p, name))
-        if train_state is not None:
-            fh.write(f"epoch {train_state['epoch']}\n")
-            fh.write(f"adam_step {train_state['adam_step']}\n")
-            fh.write(f"lr {train_state['lr']:.17g}\n")
-            _write_array(fh, "adam_m", train_state["adam_m"])
-            _write_array(fh, "adam_v", train_state["adam_v"])
+        fh.write(f"epoch {train_state['epoch']}\n")
+        fh.write(f"adam_step {train_state['adam_step']}\n")
+        fh.write(f"lr {train_state['lr']:.17g}\n")
+        _write_array(fh, "adam_m", train_state["adam_m"])
+        _write_array(fh, "adam_v", train_state["adam_v"])
 
 
-_ARRAY_NAMES = ("W", "U", "V", "b", "z", "adam_m", "adam_v")
+# every entry save_checkpoint writes, in its order: True for a 'name rows
+# cols' array block, False for a 'key value' line. Each is read once, and
+# each is required but use_plain_laplacian.
+_ENTRIES = {
+    "family": False, "activation": False, "use_plain_laplacian": False,
+    "graph_checksum": False, "alpha": False, "beta": False,
+    "W": True, "U": True, "V": True, "b": True, "z": True,
+    "epoch": False, "adam_step": False, "lr": False,
+    "adam_m": True, "adam_v": True,
+}
 
 
 def _read_array(lines, k):
@@ -249,22 +259,22 @@ def _read_array(lines, k):
     return arr
 
 
-def load_checkpoint(path, graph: Graph | None = None,
-                    n_features: int | None = None):
-    """Returns (ModelParams, graph_checksum, train_state or None); a
-    train_state is what training.train's resume takes with the parameters.
+def load_checkpoint(path, graph: Graph, n_features: int):
+    """(ModelParams, train_state) of the checkpoint at path, for a model
+    that runs on graph with n_features features; train_state is what
+    training.train's resume takes with the parameters.
 
-    Raises ParseError naming the file and line for a truncated file, an
-    array block that does not match its header or holds a non-finite
-    value, a b or z block of more than one row, a W, U or V block of no
-    value, a missing entry, an unknown family or activation, a
-    node-operator entry other than 0 (the entry is optional; L1 is the
-    only node operator), a non-finite alpha or beta, a negative epoch or
-    adam_step, or Adam moments of another length than the parameters.
-    Given the graph the model is to run on, the file's graph_checksum must
-    be graph.checksum(), and b, z and first-order W, U and V must fit its
-    N nodes and F features: n_features, or the row count of the file's own
-    W when n_features is None.
+    Raises ParseError naming the file and line for a truncated file, a
+    line that is not one of the entries save_checkpoint writes or repeats
+    one, an array block that does not match its header or holds a
+    non-finite value, a b or z block of more than one row, a W, U or V
+    block of no value, a Chebyshev U or V of another order than W, a
+    missing entry, an unknown family or activation, a node-operator entry
+    other than 0 (the entry is optional; L1 is the only node operator), a
+    non-finite alpha or beta, a negative epoch or adam_step, or Adam
+    moments of another length than the parameters. The file's
+    graph_checksum must be graph.checksum(), and b, z and first-order W,
+    U and V must fit its N nodes and the n_features features.
     """
     lines = read_text(path).splitlines()
     with in_file(path):
@@ -273,14 +283,20 @@ def load_checkpoint(path, graph: Graph | None = None,
 
 def _check_shapes(arrays, where, family, n_nodes, n_features):
     """ParseError at the first array that does not fit N nodes and F
-    features, F being W's row count when n_features is None."""
+    features."""
     need = {"b": (1, n_nodes), "z": (1, n_nodes)}
     if family == "first_order":
-        if n_features is None:
-            n_features = arrays["W"].shape[0]
         width = arrays["W"].shape[1]
         need.update(W=(n_features, width), U=(width, width),
                     V=(width, n_features))
+    else:
+        order = arrays["W"].size
+        for name in ("U", "V"):
+            if arrays[name].size != order:
+                raise ParseError(
+                    f"{name}: {arrays[name].size} Chebyshev coefficients, "
+                    f"but W has {order}: W, U and V share one order K",
+                    line=where[name])
     for name, shape in need.items():
         got = arrays[name].shape
         if got != shape:
@@ -290,30 +306,37 @@ def _check_shapes(arrays, where, family, n_nodes, n_features):
                 f"{shape[1]}", line=where[name])
 
 
-def _parse_checkpoint(lines, graph=None, n_features=None):
+def _parse_checkpoint(lines, graph, n_features):
     if not lines or lines[0] != "fgrnn-checkpoint 1":
         raise ParseError("not a checkpoint file", line=1)
     scalars, arrays, where = {}, {}, {}
     k = 1
     while k < len(lines):
         parts = lines[k].split()
-        if len(parts) == 3 and parts[0] in _ARRAY_NAMES:
-            arrays[parts[0]] = _read_array(lines, k)
-            where[parts[0]] = k + 1
-            k += arrays[parts[0]].shape[0] + 1
-        elif len(parts) == 2:
-            scalars[parts[0]] = parts[1]
-            where[parts[0]] = k + 1
-            k += 1
-        else:
+        if len(parts) not in (2, 3):
             raise ParseError(f"expected 'key value' or 'name rows cols', "
                              f"got {lines[k]!r}", line=k + 1)
-
-    def need(keys, found):
-        for key in keys:
-            if key not in found:
-                raise ParseError(f"the file ends without a {key!r} entry",
-                                 line=len(lines))
+        name = parts[0]
+        if name not in _ENTRIES:
+            raise ParseError(f"unknown entry {name!r}", line=k + 1)
+        if name in where:
+            raise ParseError(f"{name} given twice, first at line "
+                             f"{where[name]}", line=k + 1)
+        if _ENTRIES[name] != (len(parts) == 3):
+            form = "rows cols" if _ENTRIES[name] else "value"
+            raise ParseError(f"expected '{name} {form}', got {lines[k]!r}",
+                             line=k + 1)
+        where[name] = k + 1
+        if _ENTRIES[name]:
+            arrays[name] = _read_array(lines, k)
+            k += arrays[name].shape[0] + 1
+        else:
+            scalars[name] = parts[1]
+            k += 1
+    for name in _ENTRIES:
+        if name not in where and name != "use_plain_laplacian":
+            raise ParseError(f"the file ends without a {name!r} entry",
+                             line=len(lines))
 
     def number(key, cast=float):
         try:
@@ -332,8 +355,6 @@ def _parse_checkpoint(lines, graph=None, n_features=None):
                              line=where[key])
         return value
 
-    need(("family", "activation", "graph_checksum", "alpha", "beta"), scalars)
-    need(("W", "U", "V", "b", "z"), arrays)
     for key, allowed in (("family", FAMILIES), ("activation", ACTIVATIONS),
                          ("use_plain_laplacian", ("0",))):
         if key in scalars and scalars[key] not in allowed:
@@ -347,31 +368,25 @@ def _parse_checkpoint(lines, graph=None, n_features=None):
         if arrays[key].size == 0:
             raise ParseError(f"{key}: a filter needs at least one "
                              f"coefficient", line=where[key])
-    if graph is not None:
-        if scalars["graph_checksum"] != graph.checksum():
-            raise ParseError(
-                f"graph_checksum {scalars['graph_checksum']} is not the "
-                f"graph's {graph.checksum()}: the checkpoint was trained on "
-                f"another graph", line=where["graph_checksum"])
-        _check_shapes(arrays, where, scalars["family"], graph.n_nodes,
-                      n_features)
+    if scalars["graph_checksum"] != graph.checksum():
+        raise ParseError(
+            f"graph_checksum {scalars['graph_checksum']} is not the "
+            f"graph's {graph.checksum()}: the checkpoint was trained on "
+            f"another graph", line=where["graph_checksum"])
+    _check_shapes(arrays, where, scalars["family"], graph.n_nodes, n_features)
     p = ModelParams(
         scalars["family"], arrays["W"], arrays["U"], arrays["V"],
         alpha=number("alpha"), beta=number("beta"), b=arrays["b"],
         z=arrays["z"], activation=scalars["activation"])
-    train_state = None
-    if "epoch" in scalars:
-        need(("adam_step", "lr"), scalars)
-        need(("adam_m", "adam_v"), arrays)
-        for key in ("adam_m", "adam_v"):
-            if arrays[key].size != p.theta.size:
-                raise ParseError(f"{key}: {arrays[key].size} values for "
-                                 f"{p.theta.size} parameters", line=where[key])
-        train_state = {
-            "epoch": count("epoch"),
-            "adam_step": count("adam_step"),
-            "lr": number("lr"),
-            "adam_m": arrays["adam_m"].ravel(),
-            "adam_v": arrays["adam_v"].ravel(),
-        }
-    return p, scalars["graph_checksum"], train_state
+    for key in ("adam_m", "adam_v"):
+        if arrays[key].size != p.theta.size:
+            raise ParseError(f"{key}: {arrays[key].size} values for "
+                             f"{p.theta.size} parameters", line=where[key])
+    train_state = {
+        "epoch": count("epoch"),
+        "adam_step": count("adam_step"),
+        "lr": number("lr"),
+        "adam_m": arrays["adam_m"].ravel(),
+        "adam_v": arrays["adam_v"].ravel(),
+    }
+    return p, train_state

@@ -4,16 +4,18 @@ Subcommands: gen-data, train, eval, predict, stability, params, sweep-T.
 Exit codes: 0 success, 1 I/O error, 2 config/usage error, 3 numeric
 failure.
 
-eval, predict and train --resume read a checkpoint with
-cells.load_checkpoint given the graph, which refuses one trained on
-another graph. train --resume also refuses a model key (family,
-activation, and k or p) that is set on the command line or in --config
-and differs from the checkpoint; the model comes from the checkpoint, and
-the run's TrainRun supplies the new checkpoint's training block and the
-history's epoch numbers. It refuses an lr or lr_decay, set or left at its
-default, that would not have given the checkpoint's last epoch the rate
-the checkpoint records. train --append-history adds the run's rows to the
-history file, and the CSV header too when the file is new or empty.
+train writes its checkpoint with cells.save_checkpoint: the model, the
+graph's checksum and the run's training block. eval, predict and train
+--resume read one with cells.load_checkpoint given the graph and the
+frames' feature count, which refuses one trained on another graph.
+train --resume also refuses a model key (family, activation, and k or p)
+that is set on the command line or in --config and differs from the
+checkpoint; the model comes from the checkpoint, and the run's TrainRun
+supplies the new checkpoint's training block and the history's epoch
+numbers. It refuses an lr or lr_decay, set or left at its default, that
+would not have given the checkpoint's last epoch the rate the checkpoint
+records. train --append-history adds the run's rows to the history file,
+and the CSV header too when the file is new or empty.
 """
 
 from __future__ import annotations
@@ -91,13 +93,10 @@ def _resume(path, graph, n_features, cfg, given):
     run of cfg on graph. Each model key in given, the keys set on the
     command line or in --config, must agree with the checkpoint, and so
     must the rate cfg's lr and lr_decay give its last epoch."""
-    p, _, state = load_checkpoint(path, graph, n_features)
-    if state is None:
-        raise ContractViolation(
-            f"{path}: checkpoint carries no training state to resume")
+    p, state = load_checkpoint(path, graph, n_features)
     model = {"family": p.conv_family, "activation": p.activation}
     if p.conv_family == "chebyshev":
-        model["k"] = max(len(p.W), len(p.U), len(p.V))
+        model["k"] = len(p.W)
     else:
         model["p"] = p.W.shape[1]
     for key, value in model.items():
@@ -123,8 +122,8 @@ def cmd_train(args):
     resume = (_resume(args.resume, graph, seq.n_features, cfg, values)
               if args.resume else None)
     run = train(cfg, seq, graph, resume)
-    save_checkpoint(run.final_params, args.out_checkpoint, graph.checksum(),
-                    train_state=run.train_state)
+    save_checkpoint(run.final_params, args.out_checkpoint, graph,
+                    run.train_state)
     csv = history_csv(run)
     with open(args.out_history, "a" if args.append_history else "w") as fh:
         if fh.tell():
@@ -146,7 +145,7 @@ def cmd_eval(args):
     seq, graph = _load_inputs(args.frames, args.graph)
     _need_frames(args.frames, seq, 2,
                  "hold no transition to score; eval needs 2 or more")
-    p, _, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
+    p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     lap = build_laplacians(graph)
     losses = training.teacher_forced_losses(p, lap, seq.frames)
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
@@ -167,7 +166,7 @@ def cmd_predict(args):
     if args.horizon > 1:
         _need_frames(args.frames, seq, 1, "leave no input step to feed back "
                      f"from; predict --horizon {args.horizon} needs 1 or more")
-    p, _, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
+    p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     fam = conv_family(p, build_laplacians(graph))
     # horizon 1 is teacher forced: one prediction per input frame but the
     # last. A longer horizon consumes every frame, then feeds its

@@ -5,18 +5,19 @@ then T blocks of N lines with F space-separated decimals each; blank
 lines and lines starting with `#` are skipped. Values are written with
 17 significant digits so a round trip is exact.
 
-load_frames reads a file in one of two ways, with the same result. The
-fast path takes an ASCII file whose first line is a valid header and
-that holds no `#` and no line break other than `\n` and `\r\n`. It
-reads the file in blocks of `_FRAME_BLOCK` bytes, each cut just after a
-`\n`, parses each block with one `np.loadtxt` and copies its rows into
-the (N*T, F) array it returns, so that its memory beyond that array is a
-few blocks, not the file. It takes the file only if the blocks yield
-exactly N*T rows of F values. Anything else, including every malformed
-file and numbers `np.loadtxt` does not read (`1_0`, non-ASCII digits),
-goes to the per-line parser, the only code that raises a ParseError
-naming the line. Both read `nan` and `inf`; load_frames then rejects a
-non-finite value, naming its line. save_frames writes one frame at a
+load_frames opens a file once and reads it in one of two ways, with the
+same result. The fast path takes an ASCII file whose first line is a
+valid header and that holds no `#` and no line break other than `\n` and
+`\r\n`. It reads the file in blocks of `_FRAME_BLOCK` bytes, each cut
+just after a `\n`, parses each block with one `np.loadtxt` and copies its
+rows into the (N*T, F) array it returns, so that its memory beyond that
+array is a few blocks, not the file. It takes the file only if the
+blocks yield exactly N*T rows of F finite values. Anything else,
+including every malformed file, a `nan` or `inf` and numbers
+`np.loadtxt` does not read (`1_0`, non-ASCII digits), goes to the
+per-line parser, the only code that raises a ParseError naming the line;
+it rereads the bytes of the same open file. A pipe is read into memory
+first, as it cannot be read twice. save_frames writes one frame at a
 time with a repeated `%.17g` format.
 """
 
@@ -24,15 +25,13 @@ from __future__ import annotations
 
 import io
 import math
-import os
-import stat
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractViolation, ParseError, check_config, in_file,
-                     read_text)
+from .errors import (ContractViolation, ParseError, check_config,
+                     decode_text, in_file)
 from .graph import Graph, build_knn_graph
 
 
@@ -171,17 +170,19 @@ def save_frames(seq: FrameSequence, path):
 
 def load_frames(path) -> FrameSequence:
     with open(path, "rb") as fh:
-        frames = _load_frames_fast(fh)
-    if frames is None or not np.all(np.isfinite(frames)):
-        lines = read_text(path).splitlines()
-        with in_file(path):
-            frames = _load_frames_slow(lines)
-            rows = frames.reshape(-1, frames.shape[2])
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():
-                lineno, line = _data_lines(lines)[1 + int(np.argmin(finite))]
-                raise ParseError(f"expected finite values, got {line!r}",
-                                 line=lineno)
+        src = fh if fh.seekable() else io.BytesIO(fh.read())
+        frames = _load_frames_fast(src)
+        if frames is None:
+            src.seek(0)
+            lines = decode_text(src.read(), path).splitlines()
+            with in_file(path):
+                frames = _load_frames_slow(lines)
+                rows = frames.reshape(-1, frames.shape[2])
+                finite = np.isfinite(rows).all(axis=1)
+                if not finite.all():
+                    lineno, line = _data_lines(lines)[1 + int(np.argmin(finite))]
+                    raise ParseError(f"expected finite values, got {line!r}",
+                                     line=lineno)
     return FrameSequence(frames)
 
 
@@ -216,8 +217,8 @@ def _fast_bytes(chunk: bytes) -> bool:
 
 
 def _load_frames_fast(fh):
-    """(T, N, F) frames of a binary frame file, read block by block, or
-    None to leave the file to _load_frames_slow."""
+    """(T, N, F) frames of a seekable binary frame file, read block by
+    block, or None to leave the file to _load_frames_slow."""
     line = fh.readline()
     if not line.endswith(b"\n") or not _fast_bytes(line):
         return None
@@ -229,11 +230,11 @@ def _load_frames_fast(fh):
     except ValueError:
         return None
     # N*T rows of F values take at least 2*N*T*F - 1 bytes; a header that
-    # claims more than a regular file holds allocates nothing (a pipe's
-    # size is not known)
-    st = os.fstat(fh.fileno())
-    if (stat.S_ISREG(st.st_mode)
-            and 2 * n * t_total * f - 1 > st.st_size - fh.tell()):
+    # claims more than the file holds allocates nothing
+    start = fh.tell()
+    size = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    if 2 * n * t_total * f - 1 > size:
         return None
     out = np.empty((n * t_total, f))
     filled = 0
@@ -250,7 +251,8 @@ def _load_frames_fast(fh):
                 return None
             if len(rows) == 0:
                 continue
-            if rows.shape[1] != f or filled + len(rows) > len(out):
+            if (rows.shape[1] != f or filled + len(rows) > len(out)
+                    or not np.isfinite(rows).all()):
                 return None
             out[filled:filled + len(rows)] = rows
             filled += len(rows)

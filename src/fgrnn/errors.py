@@ -52,7 +52,12 @@ def read_text(path) -> str:
     """The UTF-8 text of the file at path. A byte that does not decode is a
     ParseError naming the file and the line it is on."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return decode_text(fh.read(), path)
+
+
+def decode_text(raw: bytes, path) -> str:
+    """The UTF-8 text of raw, the bytes of the file at path, as read_text
+    reads them."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:

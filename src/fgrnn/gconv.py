@@ -78,13 +78,13 @@ class FeatureTransform:
 
 
 class ChebFamily:
-    """Chebyshev primitives on one graph, for filters of order <= K.
+    """Chebyshev primitives on one graph, for filters of order K.
 
     basis(x) is [T_0 x, ..., T_{K-1} x], shape (K, N, F): the only part of
-    the filter that touches the graph, shared by every filter of order up
-    to K (a filter of order k reads the first k terms). A stored basis
-    serves combine (the forward value) and coeff_grad (the coefficient
-    gradient) without another sparse product.
+    the filter that touches the graph, shared by every filter of the
+    family's one order K (a model's W, U and V all have K coefficients). A
+    stored basis serves combine (the forward value) and coeff_grad (the
+    coefficient gradient) without another sparse product.
     """
 
     def __init__(self, lap: LaplacianSet, order: int):
@@ -112,7 +112,7 @@ class ChebFamily:
     def coeff_grad(coeffs: np.ndarray, basis: np.ndarray,
                    upstream: np.ndarray) -> np.ndarray:
         """d<upstream, combine(coeffs, basis)>/d coeffs, shape (K,)."""
-        return np.tensordot(basis[:len(coeffs)], upstream, axes=2)
+        return np.tensordot(basis, upstream, axes=2)
 
     def pre_adjoint(self, coeffs: np.ndarray, upstreams: np.ndarray) -> np.ndarray:
         """conv(coeffs)^T g for every g of a (T, N, F) stack, in one product.

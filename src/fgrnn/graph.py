@@ -162,7 +162,8 @@ def load_graph(path) -> Graph:
 
 
 def _parse_graph(lines):
-    """(N, edges) of an edge-list file; ParseError names the line."""
+    """(N, edges) of an edge-list file: an 'N M' header, M 'i j w' lines
+    and then only blank lines; ParseError names the line."""
     if not lines:
         raise ParseError("empty graph file", line=1)
     head = lines[0].split()
@@ -186,4 +187,8 @@ def _parse_graph(lines):
         except ValueError:
             raise ParseError(f"expected integers i j and a number w, got "
                              f"{lines[k + 1]!r}", line=k + 2) from None
+    for k in range(m + 1, len(lines)):
+        if lines[k].strip():
+            raise ParseError(f"expected {m} edges, found more: "
+                             f"{lines[k]!r}", line=k + 1)
     return n, tuple(edges)

@@ -318,8 +318,9 @@ class TrainConfig:
 
 
 def parse_key_values(text: str) -> dict:
-    """{key: value} from 'key = value' lines; '#' starts a comment."""
-    values = {}
+    """{key: value} from 'key = value' lines; '#' starts a comment. A key
+    set twice raises ParseError at its second line."""
+    values, first = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -327,7 +328,11 @@ def parse_key_values(text: str) -> dict:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in first:
+            raise ParseError(f"config key {key!r} set twice, first at line "
+                             f"{first[key]}", line=lineno)
+        values[key], first[key] = val.strip(), lineno
     return values
 
 

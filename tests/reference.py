@@ -113,7 +113,8 @@ def step_loss(x_hat: np.ndarray, x: np.ndarray, lap: LaplacianSet = None,
 def whole_file_frames(data: bytes):
     """(T, N, F) frames of a frame file's bytes by one np.loadtxt over the
     whole file, or None where data._load_frames_fast leaves the file to
-    the per-line parser."""
+    the per-line parser: a file it does not read as N*T rows of F finite
+    values."""
     end = data.find(b"\n")
     if end < 0 or not data.isascii() or any(c in data for c in _SLOW_ONLY):
         return None
@@ -128,7 +129,7 @@ def whole_file_frames(data: bytes):
                               comments=None, skiprows=1, ndmin=2)
     except ValueError:
         return None
-    if rows.shape != (n * t_total, f):
+    if rows.shape != (n * t_total, f) or not np.isfinite(rows).all():
         return None
     return rows.reshape(t_total, n, f)
 

@@ -153,15 +153,10 @@ class TestUnroll:
 
     @pytest.mark.parametrize("feedback", [0, 3])
     @pytest.mark.parametrize("warm", [False, True])
-    @pytest.mark.parametrize("case", ["chebyshev", "mixed_orders",
-                                      "first_order"])
+    @pytest.mark.parametrize("case", ["chebyshev", "first_order"])
     def test_matches_fgrnn_step_chain(self, case, warm, feedback):
         lap = knn_lap(20, n=12)
-        family = "first_order" if case == "first_order" else "chebyshev"
-        p = make_params(family, 12, seed=20)
-        if case == "mixed_orders":
-            p = ModelParams("chebyshev", p.W, [0.4, 0.2],
-                            [0.3, -0.2, 0.1, 0.05], p.alpha, p.beta, p.b, p.z)
+        p = make_params(case, 12, seed=20)
         rng = np.random.default_rng(21)
         p.b[:] = 0.1 * rng.standard_normal(12)
         p.z[:] = 0.1 * rng.standard_normal(12)
@@ -222,16 +217,26 @@ class TestReadout:
         assert np.allclose(readout(p, fam, fam.basis(h)), 2.0 * h)
 
 
+def train_state(p, epoch=0):
+    """A checkpoint's training block for p: epoch, Adam step, rate and one
+    moment per parameter, in theta's order."""
+    moments = np.arange(float(p.theta.size))
+    return {"epoch": epoch, "adam_step": 8 * epoch, "lr": 0.0059049,
+            "adam_m": moments, "adam_v": moments ** 2}
+
+
 class TestCheckpoint:
+    graph = build_knn_graph(np.random.default_rng(10).standard_normal((10, 3)),
+                            3)
+
     @pytest.mark.parametrize("family", ["chebyshev", "first_order"])
     def test_round_trip_exact(self, tmp_path, family):
         p = make_params(family, 10, seed=42, alpha=0.123456789012345,
                         beta=-0.7)
         p.b[:] = np.random.default_rng(9).standard_normal(10)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(p, path, "abc123")
-        p2, checksum, state = load_checkpoint(path)
-        assert checksum == "abc123" and state is None
+        save_checkpoint(p, path, self.graph, train_state(p))
+        p2, _ = load_checkpoint(path, self.graph, 3)
         assert p2.conv_family == p.conv_family
         assert p2.alpha == p.alpha and p2.beta == p.beta
         assert np.array_equal(p2.b, p.b)
@@ -240,66 +245,85 @@ class TestCheckpoint:
         assert np.array_equal(p2.theta, p.theta)
 
     def test_train_state_round_trip(self, tmp_path):
-        p = make_params("first_order", 6)
-        # one moment per parameter, in theta's order
-        moments = np.arange(float(p.theta.size))
-        state = {"epoch": 5, "adam_step": 40, "lr": 0.0059049,
-                 "adam_m": moments, "adam_v": moments ** 2}
+        p = make_params("first_order", 10)
+        state = train_state(p, epoch=5)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(p, path, "deadbeef", train_state=state)
-        _, _, loaded = load_checkpoint(path)
+        save_checkpoint(p, path, self.graph, state)
+        _, loaded = load_checkpoint(path, self.graph, 3)
         assert loaded["epoch"] == 5 and loaded["adam_step"] == 40
         assert loaded["lr"] == state["lr"]
         assert np.array_equal(loaded["adam_m"], state["adam_m"])
         assert np.array_equal(loaded["adam_v"], state["adam_v"])
 
     def test_graph_binding_is_checked_at_its_line(self, tmp_path):
-        rng = np.random.default_rng(10)
-        graph = build_knn_graph(rng.standard_normal((10, 3)), 3)
-        other = build_knn_graph(rng.standard_normal((10, 3)), 3)
-        assert graph.checksum() != other.checksum()
+        other = build_knn_graph(
+            np.random.default_rng(12).standard_normal((10, 3)), 3)
+        assert self.graph.checksum() != other.checksum()
         p = make_params("first_order", 10)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(p, path, graph.checksum())
-        loaded, checksum, _ = load_checkpoint(path, graph, 3)
-        assert checksum == graph.checksum()
+        save_checkpoint(p, path, self.graph, train_state(p))
+        assert path.read_text().splitlines()[4] == (
+            f"graph_checksum {self.graph.checksum()}")
+        loaded, _ = load_checkpoint(path, self.graph, 3)
         assert np.array_equal(loaded.theta, p.theta)
         with pytest.raises(ParseError) as exc:
             load_checkpoint(path, other, 3)
         assert str(exc.value).startswith(
-            f"{path}: line 5: graph_checksum {graph.checksum()} ")
+            f"{path}: line 5: graph_checksum {self.graph.checksum()} ")
         assert other.checksum() in str(exc.value)
 
-    def test_features_default_to_the_files_own_w(self, tmp_path):
-        graph = build_knn_graph(
-            np.random.default_rng(11).standard_normal((10, 3)), 3)
-        p = make_params("first_order", 10, f=4, p=2)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(p, path, graph.checksum())
-        given = load_checkpoint(path, graph, 4)
-        taken, checksum, state = load_checkpoint(path, graph)
-        assert np.array_equal(taken.theta, given[0].theta)
-        assert (taken.W.shape, checksum, state) == ((4, 2), given[1], None)
-
     def test_v_must_end_in_ws_features(self, tmp_path):
-        graph = build_knn_graph(
-            np.random.default_rng(11).standard_normal((10, 3)), 3)
         p = ModelParams("first_order", np.ones((3, 2)), np.ones((2, 2)),
                         np.ones((2, 4)), 0.5, 0.5, np.zeros(10), np.zeros(10))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(p, path, graph.checksum())
+        save_checkpoint(p, path, self.graph, train_state(p))
         v_line = path.read_text().splitlines().index("V 2 4") + 1
         with pytest.raises(ParseError, match=(
                 f"^{path}: line {v_line}: checkpoint V is 2 x 4, but N=10 "
                 f"nodes and F=3 features need 2 x 3$")):
-            load_checkpoint(path, graph)
+            load_checkpoint(path, self.graph, 3)
 
     def test_not_a_checkpoint_file(self, tmp_path):
         path = tmp_path / "frames.txt"
         path.write_text("gfrm 1 2 1 1\n0\n0\n")
         with pytest.raises(ParseError,
                            match=f"^{path}: line 1: not a checkpoint file$"):
-            load_checkpoint(path)
+            load_checkpoint(path, self.graph, 1)
+
+    @pytest.mark.parametrize("key,values", [
+        ("U", "0.1 0.2"), ("V", "0.1 0.2 0.3 0.4")], ids=["U", "V"])
+    def test_chebyshev_filters_share_one_order(self, tmp_path, key, values):
+        p = make_params("chebyshev", 10)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, path, self.graph, train_state(p))
+        lines = path.read_text().splitlines()
+        at = lines.index(f"{key} 1 3")
+        lines[at:at + 2] = [f"{key} 1 {len(values.split())}", values]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=(
+                f"^{path}: line {at + 1}: {key}: {len(values.split())} "
+                f"Chebyshev coefficients, but W has 3: W, U and V share one "
+                f"order K$")):
+            load_checkpoint(path, self.graph, 3)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines[:5] + ["seed 3"] + lines[5:],
+         "line 6: unknown entry 'seed'"),
+        (lambda lines: lines[:6] + ["alpha 0.5"] + lines[6:],
+         "line 7: alpha given twice, first at line 6"),
+        (lambda lines: lines + lines[-2:],
+         "given twice, first at line"),
+        (lambda lines: lines[:1] + ["family chebyshev 3"] + lines[2:],
+         "line 2: expected 'family value'"),
+    ], ids=["unknown", "repeated scalar", "repeated array", "array form"])
+    def test_only_the_written_entries_once(self, tmp_path, edit, message):
+        p = make_params("first_order", 10)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, path, self.graph, train_state(p))
+        lines = edit(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{path}: .*{message}"):
+            load_checkpoint(path, self.graph, 3)
 
 
 @pytest.mark.parametrize("args,kwargs,fragment", [
@@ -307,8 +331,11 @@ class TestCheckpoint:
     (("first_order", [[1.0]], [[1.0]], [[1.0]]), {"activation": "softsign"},
      "unknown activation"),
     (("chebyshev", [], [0.5], [0.5]), {}, "K >= 1"),
+    (("chebyshev", [0.5, 0.1], [0.5], [0.5, 0.1]), {},
+     "one order K >= 1, got 2, 1 and 2"),
     (("first_order", [1.0], [[1.0]], [[1.0]]), {}, "2-D"),
-], ids=["family", "activation", "chebyshev K 0", "first_order 1-D"])
+], ids=["family", "activation", "chebyshev K 0", "chebyshev mixed orders",
+        "first_order 1-D"])
 def test_model_params_guards(args, kwargs, fragment):
     with pytest.raises(ContractViolation, match=fragment):
         ModelParams(*args, alpha=0.5, beta=0.5, b=np.zeros(2), z=np.zeros(2),

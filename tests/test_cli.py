@@ -5,6 +5,8 @@ are exercised exactly as a shell user would see them.
 """
 
 import gc
+import re
+import shlex
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -93,6 +95,42 @@ def test_gen_data_rejects_bad_line(tmp_path, capsys):
     assert f"error: {cfg}: line 2: expected 'key = value'" in err
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_config_key_set_twice_names_its_second_line(small_dataset, tmp_path,
+                                                    capsys, command):
+    frames, graph = small_dataset
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\n# the same key again\nseed = 2\n")
+    out = tmp_path / "out"
+    argv = {
+        "gen-data": ["--out-frames", str(out), "--out-graph",
+                     str(tmp_path / "g"), "n_nodes=12"],
+        "train": ["--frames", frames, "--graph", graph, "--out-checkpoint",
+                  str(out), "--out-history", str(tmp_path / "h")],
+    }[command]
+    # a command-line override of the key does not hide the file's fault
+    assert cli.main([command, "--config", str(cfg), *argv, "seed=3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 3: config key 'seed' set twice, first at "
+        f"line 1\n")
+    assert not out.exists()
+
+
+def test_override_wins_over_the_config_file(tmp_path):
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text("n_nodes = 12\nn_frames = 8\nseed = 1\n")
+    outs = []
+    for tag, extra in (("file", []), ("override", ["seed=2"]),
+                       ("flag", ["n_nodes=12", "n_frames=8", "seed=2"])):
+        out = tmp_path / f"{tag}.txt"
+        config = [] if tag == "flag" else ["--config", str(cfg)]
+        assert cli.main(["gen-data", *config, "--out-frames", str(out),
+                         "--out-graph", str(tmp_path / f"{tag}.g"),
+                         *extra]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] != outs[1] == outs[2]
+
+
 def test_train_config_bad_line_names_the_file(small_dataset, tmp_path, capsys):
     frames, graph = small_dataset
     cfg = tmp_path / "train.cfg"
@@ -131,9 +169,10 @@ def test_train_writes_history_and_checkpoint(small_dataset, tmp_path):
     assert lines[0] == "epoch,train_loss,test_loss,alpha,beta,lr"
     assert len(lines) == 3
     assert [int(l.split(",")[0]) for l in lines[1:]] == [1, 2]
-    p, checksum, state = load_checkpoint(ckpt)
-    assert checksum == load_graph(graph).checksum()
-    assert state is not None and state["epoch"] == 2
+    lines = Path(ckpt).read_text().splitlines()
+    assert lines[4] == f"graph_checksum {load_graph(graph).checksum()}"
+    _, state = load_checkpoint(ckpt, load_graph(graph), 3)
+    assert state["epoch"] == 2
 
 
 def test_train_deterministic(small_dataset, tmp_path):
@@ -159,8 +198,8 @@ def test_resume_matches_single_run(small_dataset, tmp_path):
                    "family=first_order", "p=2", "epochs=2", "t_w=4"])
     assert rc == 0
     assert Path(hist_ab).read_text() == Path(hist_full).read_text()
-    pa, _, _ = load_checkpoint(ckpt_full)
-    pb, _, _ = load_checkpoint(ckpt_b)
+    pa, _ = load_checkpoint(ckpt_full, load_graph(graph), 3)
+    pb, _ = load_checkpoint(ckpt_b, load_graph(graph), 3)
     assert pa.alpha == pb.alpha and pa.beta == pb.beta
     np.testing.assert_array_equal(pa.W, pb.W)
 
@@ -273,7 +312,7 @@ def test_resume_takes_unset_model_keys_from_the_checkpoint(
                          "--resume", cheb_checkpoint, "--out-checkpoint",
                          str(out), "--out-history", str(tmp_path / "h.csv"),
                          "epochs=1", "t_w=4", *extra]) == 0
-        p, _, state = load_checkpoint(out)
+        p, state = load_checkpoint(out, load_graph(graph), 3)
         assert (p.conv_family, p.activation, len(p.W)) == (
             "chebyshev", "tanh", 3)
         assert state["epoch"] == 2
@@ -397,10 +436,10 @@ def test_train_overflow_exit_code(small_dataset, tmp_path):
 def test_overflowing_checkpoint_exit_code(small_dataset, small_checkpoint,
                                           tmp_path, capsys, command):
     frames, graph = small_dataset
-    p, checksum, _ = load_checkpoint(small_checkpoint)
+    p, state = load_checkpoint(small_checkpoint, load_graph(graph), 3)
     p.W[...] = 1.7e308
     huge = tmp_path / "huge.ckpt"
-    save_checkpoint(p, huge, checksum)
+    save_checkpoint(p, huge, load_graph(graph), state)
     argv = [command, "--checkpoint", str(huge), "--frames", frames,
             "--graph", graph]
     if command == "predict":
@@ -420,22 +459,6 @@ def test_graph_and_frames_of_different_sizes(small_dataset, small_checkpoint,
                      frames, "--graph", str(graph)]) == 2
     assert capsys.readouterr().err == (
         "error: graph has 17 nodes but frames have 16\n")
-
-
-def test_resume_needs_training_state(small_dataset, small_checkpoint,
-                                     tmp_path, capsys):
-    frames, graph = small_dataset
-    p, checksum, _ = load_checkpoint(small_checkpoint)
-    bare = tmp_path / "bare.ckpt"
-    save_checkpoint(p, bare, checksum)
-    out = tmp_path / "c"
-    assert cli.main(["train", "--frames", frames, "--graph", graph,
-                     "--resume", str(bare), "--out-checkpoint", str(out),
-                     "--out-history", str(tmp_path / "h"),
-                     "family=first_order", "p=2", "t_w=4"]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {bare}: checkpoint carries no training state to resume\n")
-    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -476,10 +499,10 @@ def test_eval_overflowing_readout_exit_code(small_dataset, small_checkpoint,
     # the recurrence stays finite and only the readout overflows, so the
     # loss is the first non-finite value
     frames, graph = small_dataset
-    p, checksum, _ = load_checkpoint(small_checkpoint)
+    p, state = load_checkpoint(small_checkpoint, load_graph(graph), 3)
     p.V[...] = 1.5e308
     huge = tmp_path / "huge.ckpt"
-    save_checkpoint(p, huge, checksum)
+    save_checkpoint(p, huge, load_graph(graph), state)
     out = tmp_path / "e.csv"
     assert cli.main(["eval", "--checkpoint", str(huge), "--frames", frames,
                      "--graph", graph, "--out", str(out)]) == 3
@@ -665,6 +688,10 @@ def test_stability_checks_n_before_building_anything(tmp_path, capsys,
     ("3\n", "line 1: expected 'N M' header"),
     ("3 3\n0 1 1\n", "line 2: expected 3 edges, found 1"),
     ("3 1\n0 1\n", "line 2: expected 'i j w'"),
+    ("3 1\n0 1 1.0\n1 2 1.0\ngarbage here\n",
+     "line 3: expected 1 edges, found more: '1 2 1.0'"),
+    ("3 1\n0 1 1.0\n\n \ngarbage here\n",
+     "line 5: expected 1 edges, found more: 'garbage here'"),
 ])
 def test_bad_graph_exit_code(tmp_path, capsys, text, fragment):
     path = tmp_path / "g.txt"
@@ -729,6 +756,13 @@ def _mutate_checkpoint(lines, case):
         return lines, f"line {at['U'] + 1}: expected 'U rows cols'"
     if case == "stray line":
         return lines[:2] + ["hello"] + lines[2:], "line 3: expected 'key value'"
+    if case == "unknown entry":
+        return lines[:2] + ["k 3"] + lines[2:], "line 3: unknown entry 'k'"
+    if case == "repeated W":  # the second W block would replace the first
+        block = lines[at["W"]:at["U"]]
+        return (lines[:at["U"]] + block + lines[at["U"]:],
+                f"line {at['U'] + 1}: W given twice, first at line "
+                f"{at['W'] + 1}")
     if case in ("b short", "z short"):  # 15 of the graph's 16 nodes
         key = case[0]
         lines[at[key]] = f"{key} 1 15"
@@ -777,7 +811,8 @@ def _mutate_checkpoint(lines, case):
 
 @pytest.mark.parametrize("case", [
     "truncated", "truncated scalars", "no W", "no U", "no V", "no b", "no z",
-    "no alpha", "no beta", "no family", "alpha nan", "beta inf", "alpha abc",
+    "no alpha", "no beta", "no family", "no epoch", "no lr", "no adam_m",
+    "unknown entry", "repeated W", "alpha nan", "beta inf", "alpha abc",
     "rows over header", "ragged row", "cols over header", "bad header",
     "stray line", "b short", "z short", "b two rows", "W rows", "U rows",
     "V cols", "W nan", "b nan", "z inf", "adam_m short", "use_plain_laplacian 7",
@@ -897,9 +932,9 @@ def test_checkpoint_from_before_one_theta_still_resumes(tmp_path):
     frames = str(COMPAT / "compat_frames.txt")
     graph = str(COMPAT / "compat_graph.txt")
     epoch1 = COMPAT / "compat_epoch1.ckpt"
-    p, checksum, state = load_checkpoint(epoch1)
+    p, state = load_checkpoint(epoch1, load_graph(graph), 3)
     again = tmp_path / "again.ckpt"
-    save_checkpoint(p, again, checksum, train_state=state)
+    save_checkpoint(p, again, load_graph(graph), state)
     assert again.read_bytes() == epoch1.read_bytes()
     out = tmp_path / "epoch2.ckpt"
     assert cli.main(["train", "--frames", frames, "--graph", graph,
@@ -1114,3 +1149,28 @@ def test_every_config_key_fails_cleanly(small_dataset, tmp_path, capsys,
         assert rc in (0, 2, 3), (value, err)
         if rc == 2:
             assert f"'{key}'" in err, (value, err)
+
+
+def readme_examples():
+    """Each `fgrnn ...` command of README.md's sh blocks, as its argv after
+    `fgrnn`, continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["fgrnn"]:
+                examples.append(argv[1:])
+    return examples
+
+
+def test_readme_examples_parse():
+    examples = readme_examples()
+    assert examples
+    parser = cli.build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: fgrnn "
+                        f"{shlex.join(argv)}")

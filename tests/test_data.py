@@ -182,7 +182,7 @@ PARSER_CASES = [
     ("blank lines", b"gfrm 1 2 1 1\n\n0.5\n  \t \n1.5\n\n", True),
     ("no final newline", b"gfrm 1 2 1 1\n0.5\n1.5", True),
     ("tabs and padding", b"gfrm 1 2 2 1\n\t1 \t 2  \n  3\t4\n", True),
-    ("nan", b"gfrm 1 2 1 1\nnan\n1.5\n", True),
+    ("nan", b"gfrm 1 2 1 1\nnan\n1.5\n", False),
     ("F=1", b"gfrm 1 3 1 2\n1\n2\n3\n4\n5\n6\n", True),
     ("comments", b"gfrm 1 2 1 1\n# c\n0.5\n  # d\n1.5\n", False),
     ("header after comments", b"# c\n\ngfrm 1 2 1 1\n1\n2\n", False),
@@ -232,22 +232,55 @@ def test_fast_path_matches_slow_path(tmp_path, name, raw, fast):
         assert np.array_equal(load_frames(path).frames, want)
 
 
-def test_frames_from_a_pipe(tmp_path):
-    seq = FrameSequence(np.random.default_rng(4).standard_normal((3, 5, 2)))
-    path = tmp_path / "f.gfrm"
-    save_frames(seq, path)
+def _from_a_pipe(tmp_path, raw, read):
+    """read(fifo) of a fifo fed raw by another thread."""
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
 
     def feed():
         with open(fifo, "wb") as fh:
-            fh.write(path.read_bytes())
+            fh.write(raw)
 
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
-    assert np.array_equal(load_frames(fifo).frames, seq.frames)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def test_frames_from_a_pipe(tmp_path):
+    seq = FrameSequence(np.random.default_rng(4).standard_normal((3, 5, 2)))
+    path = tmp_path / "f.gfrm"
+    save_frames(seq, path)
+    got = _from_a_pipe(tmp_path, path.read_bytes(), load_frames)
+    assert np.array_equal(got.frames, seq.frames)
+
+
+@pytest.mark.parametrize("raw,line", [
+    (b"# c\ngfrm 1 2 1 1\n0.5\n1.5\n", None),
+    (b"gfrm 1 2 1 1\n0.5\ninf\n", 3),
+    (b"# c\ngfrm 1 2 1 1\n0.5\n", 3),
+], ids=["comment", "inf", "short"])
+def test_a_pipe_the_fast_path_refuses_is_read_once(tmp_path, raw, line):
+    # the per-line parser reads the bytes the fast path read, not the
+    # drained pipe, so a pipe gives what the same file on disk gives
+    path = tmp_path / "f.gfrm"
+    path.write_bytes(raw)
+
+    def read(source):
+        try:
+            return load_frames(source).frames
+        except ParseError as exc:
+            return exc.line
+
+    got = _from_a_pipe(tmp_path, raw, read)
+    if line is None:
+        assert np.array_equal(got, [[[0.5], [1.5]]])
+        assert got.tobytes() == load_frames(path).frames.tobytes()
+    else:
+        assert got == read(path) == line
 
 
 # the last line of a saved file, replaced by one the fast path refuses

@@ -249,15 +249,6 @@ class TestBptt:
         teacher_forced_losses(p, lap, window)
         assert len(calls) == per_basis * 2 * t_w
 
-    def test_finite_differences_mixed_chebyshev_orders(self):
-        # W, U and V of different orders share one basis of the largest
-        lap = knn_lap(16, n=8)
-        p = make_params("chebyshev", 8, k=3)
-        p = ModelParams("chebyshev", p.W, [0.1, 0.2], [0.3, -0.2, 0.1, 0.05],
-                        p.alpha, p.beta, p.b, p.z)
-        window = 0.5 * np.random.default_rng(16).standard_normal((4, 8, 3))
-        assert finite_difference_check(p, lap, window) < 1e-6
-
     def test_relu_active_is_nearly_exact(self):
         # all-positive pre-activations make the loss piecewise quadratic
         lap = knn_lap(8, n=8)

@@ -16,9 +16,9 @@ state. It takes each step's input term and leaves the readout to its
 callers, so that a window's input terms and readouts can each be made in
 one stacked operation around the per-step loop. A step keeps h_tilde, h
 and the basis of h; act' is written in act's output, so h_tilde is all it
-needs. preactivation is the one pre-activation of a step, and
-readout(p, fam, step.basis) the one readout, both built on conv_family's
-primitives.
+needs. preactivation is the one pre-activation of a step,
+readout(p, fam, step.basis) the one readout, and step_vjp the reverse of
+one step (training.bptt's), all built on conv_family's primitives.
 
 A checkpoint holds exactly what train writes: the parameters, the
 checksum of the graph they were trained on and the training block (epoch,
@@ -193,6 +193,15 @@ def unroll(p: ModelParams, fam, terms, feedback: int = 0):
         h = alpha * h_tilde + beta * h
         bh = fam.basis(h)
         yield Step(h_tilde, h, bh)
+
+
+def step_vjp(p: ModelParams, fam, v: np.ndarray, dact: np.ndarray,
+             pre: np.ndarray | None = None) -> np.ndarray:
+    """dJ/dh_{t-1} from v = dJ/dh_t, the reverse of one unroll step:
+    U-adjoint(alpha * v * act'(a_t)) + beta * v, where dact is act'(a_t).
+    pre is the readout's share of dJ/dh_{t-1} (one step of pre_adjoint),
+    which the first-order family adds before its one sparse product."""
+    return fam.adjoint((p.U, p.alpha * v * dact), pre) + p.beta * v
 
 
 # --- checkpoint IO ---------------------------------------------------------

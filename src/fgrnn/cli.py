@@ -76,8 +76,8 @@ def _load_inputs(frames_path, graph_path):
     seq = datamod.load_frames(frames_path)
     graph = load_graph(graph_path)
     if graph.n_nodes != seq.n_nodes:
-        raise ContractViolation(
-            f"graph has {graph.n_nodes} nodes but frames have {seq.n_nodes}")
+        raise ContractViolation(f"graph {graph_path} has {graph.n_nodes} nodes "
+                                f"but frames {frames_path} have {seq.n_nodes}")
     return seq, graph
 
 

@@ -1,8 +1,9 @@
 """Minimal CSR sparse / dense linear algebra kernel.
 
-Everything downstream (Laplacians, graph convolutions, Jacobian products)
-is built on the two operations here: sparse-times-dense products and
-power iteration for the dominant eigenvalue.
+Everything downstream (Laplacians, graph convolutions, BPTT) is built on
+the two operations here: sparse-times-dense products and power iteration
+for the dominant eigenvalue. The stability module's Jacobian products
+are dense; their factors are written from a matrix's stored entries.
 
 A product is a gather, one flat multiply and one segment sum. Each matrix
 caches, per column count f, a plan: every stored term's output slot and

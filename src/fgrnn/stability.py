@@ -7,9 +7,11 @@ u = the scalar recurrent weight). The product of step Jacobians over a
 window governs gradient growth; its condition number is compared to the
 closed-form bound
 
-    ((1 + r) / (1 - r))^(T-2),  r = (alpha/beta) * max_t ||D_t u L1||_F^2
+    ((1 + r) / (1 - r))^(T-2),  r = |alpha/beta| * max_t ||D_t u L1||_F
 
-which is finite only for r < 1. The product is taken over T-2 factors,
+which is finite only for r < 1: each factor is beta (I + (alpha/beta) E_t)
+with ||E_t||_2 <= ||E_t||_F, so by Weyl its singular values lie in
+[|beta| (1 - r), |beta| (1 + r)]. The product is taken over T-2 factors,
 matching the convention used in the growth analysis.
 
 Each step factor is written into one N x N buffer straight from the
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import (ACTIVATIONS, ModelParams, conv_family, input_terms,
-                    preactivation, unroll)
+from .cells import ACTIVATIONS, ModelParams, conv_family, input_terms, unroll
 from .errors import ContractViolation
 from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import SparseMatrix
@@ -82,17 +83,6 @@ def _step_factor(out: np.ndarray, p: ModelParams, u: float, op: SparseMatrix,
     return out
 
 
-def step_jacobian(p: ModelParams, lap: LaplacianSet, h_prev: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """dh_t/dh_{t-1} = alpha * D_t * u * L1 + beta * I as a dense matrix."""
-    u = _check_scalar_cell(p, lap)
-    fam = conv_family(p, lap)
-    a = preactivation(p, fam, fam.combine(p.W, fam.basis(x)), fam.basis(h_prev))
-    act, act_deriv = ACTIVATIONS[p.activation]
-    d = act_deriv(act(a))[:, 0]
-    return _step_factor(np.empty((lap.n_nodes,) * 2), p, u, fam.op, d)
-
-
 def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
                                frames: np.ndarray, horizon: int):
     """Runs the cell over `horizon` frames from the zero state; returns the
@@ -118,7 +108,8 @@ def _frobenius_terms(out: np.ndarray, u: float, op: SparseMatrix,
 
 
 def _bound(p: ModelParams, worst: float, horizon: int) -> float | None:
-    r = (p.alpha / p.beta) * worst
+    """The bound from worst = max_t ||D_t u L1||_F^2 (beta != 0)."""
+    r = abs(p.alpha / p.beta) * math.sqrt(worst)
     if r >= 1.0:
         return None
     return ((1.0 + r) / (1.0 - r)) ** (horizon - 2)

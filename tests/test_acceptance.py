@@ -201,7 +201,7 @@ def test_criterion_8_learned_beta_trend(tmp_path):
     #
     # Direction of the trend, from the bound in fgrnn.stability:
     #   cond <= ((1 + r) / (1 - r))^(T-2),
-    #   r = (alpha/beta) * max_t ||D_t u L1||_F^2.
+    #   r = |alpha/beta| * max_t ||D_t u L1||_F.
     # For the bound to stay finite and fixed as T grows, r must shrink
     # roughly like 1/T, so alpha/beta must fall (FastRNN: alpha = O(1/T),
     # beta ~ 1 - alpha).  With alpha ~ 1 - beta, which the second half of

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fgrnn.cells import (ModelParams, conv_family, input_terms,
+from fgrnn.cells import (ACTIVATIONS, ModelParams, conv_family, input_terms,
                          load_checkpoint, preactivation, readout,
-                         save_checkpoint, unroll)
+                         save_checkpoint, step_vjp, unroll)
 from fgrnn.errors import ContractViolation, NumericOverflow, ParseError
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
@@ -121,6 +121,49 @@ class TestFgrnnStep:
         p_perm.b[:] = p.b[perm]
         _, h_p = ref.fgrnn_step(p_perm, lap_p, h_prev[perm], x[perm])
         assert np.allclose(h_p, h[perm], atol=1e-9)
+
+
+class TestStepVjp:
+    """step_vjp(p, fam, v, act'(a), pre) is the gradient in h_prev of
+    <v, h> + <g, x_hat>: h is reference.fgrnn_step from h_prev, x_hat is
+    reference.readout of h_prev, and pre is g's pre_adjoint; without pre
+    the readout term is left out."""
+
+    @pytest.mark.parametrize("with_pre", [False, True], ids=["no pre", "pre"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("family", ["chebyshev", "first_order"])
+    def test_matches_finite_differences(self, family, width, activation,
+                                        with_pre):
+        n = 8
+        lap = knn_lap(30, n=n)
+        # a Chebyshev state is as wide as the frames; first-order is p wide
+        f = width if family == "chebyshev" else 2
+        p = make_params(family, n, f=f, p=width, activation=activation)
+        rng = np.random.default_rng(31)
+        p.theta[:] = rng.uniform(-1.0, 1.0, p.theta.size)
+        p.alpha, p.beta = 0.6, -0.3
+        h, v = rng.standard_normal((2, n, width))
+        x, g = rng.standard_normal((2, n, f))
+
+        def objective(h_prev):
+            out = np.sum(v * ref.fgrnn_step(p, lap, h_prev, x)[1])
+            if with_pre:
+                out += np.sum(g * ref.readout(p, lap, h_prev))
+            return out
+
+        fam = conv_family(p, lap)
+        dact = ACTIVATIONS[activation][1](ref.fgrnn_step(p, lap, h, x)[0])
+        pre = fam.pre_adjoint(p.V, g[None])[0] if with_pre else None
+        got = step_vjp(p, fam, v, dact, pre)
+        eps = 1e-6
+        fd = np.empty_like(h)
+        for idx in np.ndindex(h.shape):
+            hp, hm = h.copy(), h.copy()
+            hp[idx] += eps
+            hm[idx] -= eps
+            fd[idx] = (objective(hp) - objective(hm)) / (2 * eps)
+        np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-8)
 
 
 class TestPreactivation:

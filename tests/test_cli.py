@@ -5,8 +5,11 @@ are exercised exactly as a shell user would see them.
 """
 
 import gc
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fgrnn
 from fgrnn import cli, stability
 from fgrnn.cells import load_checkpoint, save_checkpoint
 from fgrnn.data import SyntheticConfig, load_frames
@@ -450,6 +454,47 @@ def test_overflowing_checkpoint_exit_code(small_dataset, small_checkpoint,
     assert not (tmp_path / "p.txt").exists()
 
 
+# one chain of commands, run by a child process in its working directory
+_CHAIN = """
+import sys
+from fgrnn import cli
+for argv in (
+        "gen-data --out-frames f.txt --out-graph g.txt n_nodes=512 "
+        "n_frames=10 seed=5",
+        "train --frames f.txt --graph g.txt --out-checkpoint fo.ckpt "
+        "--out-history fo.csv family=first_order p=3 epochs=1 t_w=4",
+        "train --frames f.txt --graph g.txt --out-checkpoint ch.ckpt "
+        "--out-history ch.csv family=chebyshev k=3 epochs=1 t_w=4",
+        "predict --checkpoint fo.ckpt --frames f.txt --graph g.txt "
+        "--horizon 3 --out p.txt",
+        "stability --graph g.txt --alpha 0,0.5 --beta 0.5 --T 4,6 "
+        "--w 1 --seed 2 --out s.csv"):
+    if cli.main(argv.split()) != 0:
+        sys.exit(f"failed: {argv}")
+"""
+
+
+def test_artifacts_match_across_blas_thread_counts(tmp_path):
+    # criterion 9 across processes: at 512 nodes OpenBLAS splits the dense
+    # products of the stability sweep over its threads
+    artifacts = {}
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        path = [str(Path(fgrnn.__file__).parents[1]),
+                os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run([sys.executable, "-c", _CHAIN], cwd=work,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        artifacts[threads] = {path.name: path.read_bytes()
+                              for path in sorted(work.iterdir())}
+    assert len(artifacts["1"]) == 8
+    assert artifacts["1"] == artifacts["2"]
+
+
 def test_graph_and_frames_of_different_sizes(small_dataset, small_checkpoint,
                                              tmp_path, capsys):
     frames, _ = small_dataset
@@ -458,7 +503,7 @@ def test_graph_and_frames_of_different_sizes(small_dataset, small_checkpoint,
     assert cli.main(["eval", "--checkpoint", small_checkpoint, "--frames",
                      frames, "--graph", str(graph)]) == 2
     assert capsys.readouterr().err == (
-        "error: graph has 17 nodes but frames have 16\n")
+        f"error: graph {graph} has 17 nodes but frames {frames} have 16\n")
 
 
 @pytest.mark.filterwarnings("error")

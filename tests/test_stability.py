@@ -4,13 +4,14 @@ import threading
 import numpy as np
 import pytest
 
-from fgrnn import stability
-from fgrnn.cells import ACTIVATIONS
+from fgrnn import cli, stability
+from fgrnn.cells import (ACTIVATIONS, conv_family, input_terms, step_vjp,
+                         unroll)
 from fgrnn.errors import ContractViolation, NumericOverflow
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.stability import (condition_bound, jacobian_product,
                              scalar_cell_params, stability_sweep, sweep_csv,
-                             step_jacobian, _forward_activation_derivs)
+                             _forward_activation_derivs)
 
 from .reference import fgrnn_step, preactivation
 
@@ -25,43 +26,70 @@ def random_lap(seed, n=12):
     return build_laplacians(build_knn_graph(rng.standard_normal((n, 3)), 3))
 
 
+def step_factor(p, lap, h, x):
+    """(_step_factor of p at the state h and input x, its d), with d taken
+    from the reference pre-activation."""
+    act, deriv = ACTIVATIONS[p.activation]
+    d = deriv(act(preactivation(p, lap, h, x)))[:, 0]
+    n = lap.n_nodes
+    return stability._step_factor(np.empty((n, n)), p, float(p.U[0, 0]),
+                                  lap.first_order, d), d
+
+
+def vjp_jacobian(p, lap, d):
+    """step_vjp applied to each column of I, stacked as rows: J^T's
+    columns, transposed, which is J, the step factor."""
+    fam = conv_family(p, lap)
+    return np.stack([step_vjp(p, fam, e[:, None], d[:, None])[:, 0]
+                     for e in np.eye(lap.n_nodes)])
+
+
 class TestStepJacobian:
+    """The step factor alpha*u*(D L1) + beta*I, and step_vjp read as a
+    matrix, at states where it is known in closed form."""
+
     def test_relu_active(self):
         lap = random_lap(0)
         p = scalar_cell_params(u=0.8, n_nodes=12, b=5.0, activation="relu")
         h = np.abs(np.random.default_rng(0).standard_normal((12, 1))) * 0.1
         x = np.abs(np.random.default_rng(1).standard_normal((12, 1))) * 0.1
-        jac = step_jacobian(p, lap, h, x)
+        jac, d = step_factor(p, lap, h, x)
         expected = 1.0 * 0.8 * lap.first_order.to_dense()
         assert np.allclose(jac, expected)
+        assert np.allclose(vjp_jacobian(p, lap, d), expected)
 
     def test_alpha_zero(self):
         lap = random_lap(1)
         p = scalar_cell_params(u=1.0, n_nodes=12, alpha=0.0, beta=0.4)
-        jac = step_jacobian(p, lap, np.ones((12, 1)), np.ones((12, 1)))
+        jac, d = step_factor(p, lap, np.ones((12, 1)), np.ones((12, 1)))
         assert np.allclose(jac, 0.4 * np.eye(12))
+        assert np.allclose(vjp_jacobian(p, lap, d), 0.4 * np.eye(12))
 
     def test_tanh_at_zero(self):
         lap = random_lap(2)
         p = scalar_cell_params(u=0.5, n_nodes=12, activation="tanh",
                                alpha=0.9, beta=0.1)
-        jac = step_jacobian(p, lap, np.zeros((12, 1)), np.zeros((12, 1)))
+        jac, d = step_factor(p, lap, np.zeros((12, 1)), np.zeros((12, 1)))
         expected = 0.9 * 0.5 * lap.first_order.to_dense() + 0.1 * np.eye(12)
         assert np.allclose(jac, expected)
+        assert np.allclose(vjp_jacobian(p, lap, d), expected)
 
     def test_family_guard(self):
         from fgrnn.training import TrainConfig, init_params
         lap = random_lap(3)
         p = init_params(TrainConfig(family="chebyshev"), 12, 1)
-        with pytest.raises(ContractViolation):
-            step_jacobian(p, lap, np.zeros((12, 1)), np.zeros((12, 1)))
+        with pytest.raises(ContractViolation, match="first_order family"):
+            jacobian_product(p, lap, np.zeros((4, 12, 1)), [4])
 
     def test_non_finite_preactivation_raises(self):
         lap = random_lap(3)
         p = scalar_cell_params(u=0.5, n_nodes=12)
         p.b[:] = np.inf
-        with pytest.raises(NumericOverflow):
-            step_jacobian(p, lap, np.zeros((12, 1)), np.zeros((12, 1)))
+        with pytest.raises(NumericOverflow, match="step 1"):
+            jacobian_product(p, lap, np.zeros((4, 12, 1)), [4])
+        fam = conv_family(p, lap)
+        with pytest.raises(NumericOverflow, match="step 1"):
+            list(unroll(p, fam, input_terms(p, fam, np.zeros((4, 12, 1)))))
 
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
     def test_matches_numerical_jacobian(self, activation):
@@ -71,7 +99,7 @@ class TestStepJacobian:
         rng = np.random.default_rng(5)
         h = rng.standard_normal((8, 1)) * 0.3
         x = rng.standard_normal((8, 1)) * 0.3
-        jac = step_jacobian(p, lap, h, x)
+        jac, _ = step_factor(p, lap, h, x)
         eps = 1e-6
         for j in range(8):
             hp, hm = h.copy(), h.copy()
@@ -157,9 +185,9 @@ class TestConditionBound:
         lap = build_laplacians(Graph(2, ((0, 1, 1.0),)))
         p = scalar_cell_params(u=1.0, n_nodes=2, b=5.0, activation="relu",
                                alpha=0.5, beta=1.0)
-        # relu-active: D = I, ||u L1||_F^2 = 4 for the K2 first-order
-        # operator (all-ones 2x2), so r = 0.5 * 4 / 1 = 2 -> vacuous;
-        # scale u so that r = 0.5: u^2 * 4 * 0.5 = 0.5 -> u = 0.5
+        # relu-active: D = I, ||u L1||_F = 2u for the K2 first-order
+        # operator (all-ones 2x2), so at u = 1, r = (0.5 / 1) * 2 = 1 ->
+        # vacuous; scale u so that r = 0.5: 0.5 * 2u = 0.5 -> u = 0.5
         p = scalar_cell_params(u=0.5, n_nodes=2, b=5.0, activation="relu",
                                alpha=0.5, beta=1.0)
         d_list = [np.ones(2)] * 4
@@ -175,6 +203,43 @@ class TestConditionBound:
         lap = random_lap(11)
         p = scalar_cell_params(u=1.0, n_nodes=12, alpha=1.0, beta=0.0)
         assert condition_bound(p, [np.ones(12)], lap, 4) is None
+
+
+class TestBoundDominates:
+    """cond <= ((1 + r)/(1 - r))^(T-2), r = |alpha/beta| max_t ||D_t u L1||_F,
+    wherever r < 1, on both signs of alpha and beta."""
+
+    @pytest.mark.parametrize("args", [
+        # r = (alpha/beta) max ||.||_F^2 put this cond of 1.03287 under a
+        # "bound" of 1.02600
+        ["--activation", "relu", "--alpha", "0.1", "--beta", "0.5",
+         "--T", "4"],
+        # a signed ratio read as low as 0.68, below any condition number
+        ["--alpha=-0.5,0.5", "--beta", "0.5", "--T", "4,8"],
+    ], ids=["same sign", "opposite sign"])
+    def test_cli_rows(self, tmp_path, args):
+        out = tmp_path / "s.csv"
+        assert cli.main(["stability", "--n-nodes", "12", "--u", "0.05",
+                         "--w", "1", "--out", str(out)] + args) == 0
+        for line in out.read_text().splitlines()[1:]:
+            *_, cond, bound = line.split(",")
+            assert bound != "nan"
+            assert float(cond) <= float(bound) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_grid(self, activation):
+        g = build_knn_graph(np.random.default_rng(15).standard_normal((12, 3)), 3)
+        checked = 0
+        for u, w in ((0.05, 1.0), (0.3, 0.0)):
+            base = scalar_cell_params(u=u, n_nodes=12, w=w,
+                                      activation=activation)
+            rows = stability_sweep(g, base, [-1.0, -0.1, 0.1, 1.0],
+                                   [-1.0, -0.5, 0.5, 1.0], [4, 8, 12], seed=7)
+            for r in rows:
+                if r.bound is not None:
+                    assert r.condition_number <= r.bound * (1 + 1e-12)
+                    checked += 1
+        assert checked >= 24
 
 
 class TestSweep:
@@ -234,7 +299,7 @@ def _reference_rows(g, base, alpha_grid, beta_grid, t_grid, seed):
                 if beta != 0.0:
                     worst = max(float(np.sum((d[:, None] * (u * op)) ** 2))
                                 for d in d_list)
-                    r = (alpha / beta) * worst
+                    r = abs(alpha / beta) * math.sqrt(worst)
                     if r < 1.0:
                         bound = ((1.0 + r) / (1.0 - r)) ** (horizon - 2)
                 rows.append((alpha, beta, horizon, float(svals[0]),
@@ -357,7 +422,8 @@ class TestSweepThread:
 class TestFactorBuilder:
     """The step factor and the Frobenius terms are built from the sparse
     operator; they must be the floats, zero signs included, of the dense
-    formulas alpha*u*(d*op) + beta*I and sum((d*(u*op))**2)."""
+    formulas alpha*u*(d*op) + beta*I and sum((d*(u*op))**2), and the
+    factor is step_vjp's matrix to a few ulp."""
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
     @pytest.mark.parametrize("u,alpha,beta", [(0.8, 0.6, 0.4), (-0.8, 0.6, 0.4),
@@ -370,16 +436,21 @@ class TestFactorBuilder:
         rng = np.random.default_rng(14)
         h, x = rng.standard_normal((12, 1)), rng.standard_normal((12, 1)) * 3
         op = lap.first_order.to_dense()
-        act, deriv = ACTIVATIONS[activation]
-        d = deriv(act(preactivation(p, lap, h, x)))[:, 0]
+        got, d = step_factor(p, lap, h, x)
         want = p.alpha * u * (d[:, None] * op) + p.beta * np.eye(12)
-        got = step_jacobian(p, lap, h, x)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        vjp = vjp_jacobian(p, lap, d)
+        if activation == "relu" or alpha * u == 0.0:
+            # act' of 0 or 1, or no operator term: the same products
+            assert np.array_equal(vjp, got)
+        else:
+            # the two round alpha, u, act' and op's products in other orders
+            assert np.max(np.abs(vjp - got)) <= 2 * np.spacing(np.abs(got).max())
         if beta != 0.0:
             worst = max(float(np.sum((dt[:, None] * (u * op)) ** 2))
                         for dt in (d, d * 0.5))
-            r = (alpha / beta) * worst
+            r = abs(alpha / beta) * math.sqrt(worst)
             want_bound = ((1 + r) / (1 - r)) ** 2 if r < 1.0 else None
             assert condition_bound(p, [d, d * 0.5], lap, 4) == want_bound
 
@@ -400,8 +471,8 @@ def _width_two_cell():
 
 
 @pytest.mark.parametrize("call,fragment", [
-    (lambda: step_jacobian(_width_two_cell(), random_lap(12),
-                           np.zeros((12, 2)), np.zeros((12, 1))),
+    (lambda: jacobian_product(_width_two_cell(), random_lap(12),
+                              np.zeros((4, 12, 1)), [4]),
      "hidden width 1"),
     (lambda: condition_bound(scalar_cell_params(u=0.5, n_nodes=2049), [],
                              build_laplacians(Graph(2049, ())), 4),

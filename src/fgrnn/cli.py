@@ -41,27 +41,31 @@ from .training import (TrainConfig, count_params, history_csv, parse_config,
                        parse_key_values, train)
 
 
-def _config_values(path, pairs):
-    """{key: text} from the --config file's key = value lines and the
-    command line's key=value pairs, which win."""
-    values = {}
-    for pair in pairs or []:
+def _config(args, cls):
+    """(cfg, given): the cls that args' --config file and key=value pairs
+    set, the pairs winning, and the keys set in either. Each key keeps its
+    source through the merge, the file and its line or the command line,
+    so that parse_config names the place of a key it refuses."""
+    given = {}
+    for pair in args.overrides or []:
         if "=" not in pair:
             raise ContractViolation(f"override {pair!r} is not key=value")
         key, _, val = pair.partition("=")
-        values[key.strip()] = val.strip()
-    if path:
-        text = read_text(path)
-        with in_file(path):
-            values = {**parse_key_values(text), **values}
-    return values
+        given[key.strip()] = (val.strip(), "command line", None)
+    if args.config:
+        text = read_text(args.config)
+        with in_file(args.config):
+            given = {**{key: (val, args.config, line) for key, (val, line)
+                        in parse_key_values(text).items()}, **given}
+    cfg = parse_config({key: val for key, (val, _, _) in given.items()}, cls,
+                       {key: where for key, (_, *where) in given.items()})
+    return cfg, given.keys()
 
 
 # --- gen-data ----------------------------------------------------------------
 
 def cmd_gen_data(args):
-    cfg = parse_config(_config_values(args.config, args.overrides),
-                       datamod.SyntheticConfig)
+    cfg, _ = _config(args, datamod.SyntheticConfig)
     seq, graph = datamod.generate_synthetic(cfg)
     datamod.save_frames(seq, args.out_frames)
     save_graph(graph, args.out_graph)
@@ -114,12 +118,11 @@ def _resume(path, graph, n_features, cfg, given):
 
 
 def cmd_train(args):
-    values = _config_values(args.config, args.overrides)
-    cfg = parse_config(values, TrainConfig)
+    cfg, given = _config(args, TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
     _need_frames(args.frames, seq, 2, "cannot be split into train and test "
                  "frames; train needs 2 or more")
-    resume = (_resume(args.resume, graph, seq.n_features, cfg, values)
+    resume = (_resume(args.resume, graph, seq.n_features, cfg, given)
               if args.resume else None)
     run = train(cfg, seq, graph, resume)
     save_checkpoint(run.final_params, args.out_checkpoint, graph,
@@ -253,8 +256,7 @@ def cmd_sweep_t(args):
         raise ContractViolation(f"--T values must be >= 1, got {min(t_list)}")
     if args.seeds < 1:
         raise ContractViolation(f"--seeds must be >= 1, got {args.seeds}")
-    base = parse_config(_config_values(args.config, args.overrides),
-                        TrainConfig)
+    base, _ = _config(args, TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
     _need_frames(args.frames, seq, 2, "cannot be split into train and test "
                  "frames; sweep-T needs 2 or more")

@@ -5,11 +5,37 @@ the two operations here: sparse-times-dense products and power iteration
 for the dominant eigenvalue. The stability module's Jacobian products
 are dense; their factors are written from a matrix's stored entries.
 
-A product is a gather, one flat multiply and one segment sum. Each matrix
-caches, per column count f, a plan: every stored term's output slot and
-its value repeated f times. The plan fixes which terms meet in which slot
-and in what order, so the result is the same, bit for bit, as summing
-values[k] * x[col_k, j] per row in stored order.
+A product is one gather, one multiply and one reduce over a slot-major
+layout. Each matrix keeps, once, a (width, n_rows) column table: slot s
+of row i names the column of the row's s-th stored entry, and a row
+with fewer entries pads its slots with its first column (column 0 if it
+has none). Per column count f of a block (below) it caches a plan: the
+entries' values in the same layout, repeated f times, with 0.0 in the
+pads. The kernel
+gathers x through the table into a (width, n_rows, f) array, multiplies
+it in place by the plan and adds the slots with np.add.reduce over axis
+0 from +0.0. That reduce adds one slot after another, so each output's
+terms meet in stored order; the pads come last and each adds 0.0 * x,
+a zero of either sign, to a sum that started at +0.0, which changes no
+finite sum. For finite x the result is bit for bit that of summing
+values[k] * x[col_k, j] per row in stored order, as np.add.at does;
+spmm's docstring says what an inf or nan gives. Pads read x itself,
+not a zero row appended to it, as that would copy x on every product.
+
+The width is capped at twice the mean row length, so no plan holds more
+than 16 * nnz * f bytes however skewed the rows are; the entries past
+the cap (a hub row's tail) are added afterwards with np.add.at, which
+adds in index order and so keeps every sum in stored order. A product
+by a 1-row matrix is added with np.add.at alone: numpy reduces a lone
+contiguous run pairwise, not in order, and a 1-row block of one column
+is such a run.
+
+A wide x is gathered a block of columns at a time, each block's copy
+at most _BLOCK_BYTES, so a product's scratch memory does not grow with
+f. Columns never meet, so blocks change no bit. At the paper's N=1502
+the training's steps stacked side by side (30 columns) run in blocks of
+4, each with a plan of 4 columns, where one 30-column product would
+hold a 3.2 MB copy and cache a 3.2 MB plan.
 
 All arithmetic is float64; the finite-difference gradient checks in the
 training module are unreachable in single precision.
@@ -35,9 +61,13 @@ class SparseMatrix:
     values: np.ndarray       # float64, length nnz
     # row index of each stored entry, precomputed for vectorized products
     _row_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    # spmm's plan per column count f it has seen: (slots, weights), where
-    # entry k's j-th term lands in flat slot row_k * f + j and is scaled by
-    # weights[k * f + j] = values[k]
+    # spmm's slot-major layout, built on the first product: the column
+    # table and the values per slot, the entries past the width cap and
+    # the rows with no entries (see _layout)
+    _layout: tuple = field(init=False, repr=False, compare=False,
+                           default=None)
+    # spmm's plan per block width f it has seen: the (width, n_rows, f)
+    # weights, padded[s, i] repeated f times, multiplied into the gather
     _slots: dict = field(init=False, repr=False, compare=False,
                          default_factory=dict)
 
@@ -105,14 +135,71 @@ class SparseMatrix:
         return out
 
 
+def _layout(a: SparseMatrix):
+    """(table, padded, tail, empty), spmm's layout of a, built once.
+
+    table and padded are (width, n_rows): slot s of row i holds the column
+    and the value of the row's s-th stored entry, or the row's first
+    column and 0.0 past its end. width is the longest row, capped at twice
+    the mean row length (so 8 * width * n_rows <= 16 * nnz); tail is the
+    (rows, cols, values) of the entries past the cap, in stored order, and
+    empty the rows with no entries.
+    """
+    if a._layout is None:
+        rows = a._row_ids
+        counts = np.diff(a.row_offsets)
+        slot = np.arange(a.nnz) - a.row_offsets[rows]
+        width = min(int(counts.max()), 2 * a.nnz // a.n_rows)
+        head = slot < width
+        full = counts > 0
+        first = np.zeros(a.n_rows, dtype=np.int64)
+        first[full] = a.col_indices[a.row_offsets[:-1][full]]
+        table = np.repeat(first[None], width, axis=0)
+        table[slot[head], rows[head]] = a.col_indices[head]
+        padded = np.zeros((width, a.n_rows))
+        padded[slot[head], rows[head]] = a.values[head]
+        tail = ~head
+        object.__setattr__(a, "_layout", (
+            table, padded,
+            (rows[tail], a.col_indices[tail], a.values[tail, None]),
+            np.flatnonzero(counts == 0)))
+    return a._layout
+
+
+# bytes of gathered terms per block of columns; a block's plan is as big
+_BLOCK_BYTES = 1 << 19
+
+
+def _gather_reduce(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
+    """The product of the head of a's layout, built, by x: the gather,
+    the multiply by the plan for x's column count and the reduce."""
+    table, padded, _, _ = a._layout
+    f = x.shape[1]
+    weights = a._slots.get(f)
+    if weights is None:
+        weights = a._slots[f] = np.repeat(padded[:, :, None], f, axis=2)
+    terms = x.take(table, axis=0)
+    terms *= weights
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
 def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse @ dense product; x may be (n,) or (n, f).
 
-    Gathers the rows of x that the stored entries name (a copy, so x is
-    never written), multiplies the copy in place by the plan's weights
-    and adds each output slot's terms in stored order from 0.0 with one
-    bincount. Every term is values[k] * x[col_k, j] and every sum runs in
-    the same order, so the result does not depend on x's memory layout.
+    Gathers x through the layout's column table (a copy, so x is never
+    written), multiplies the copy in place by the plan's weights and adds
+    the slots in order from +0.0, a block of columns at a time when x is
+    wide (see the module docstring). Every term is
+    values[k] * x[col_k, j] and every sum runs in stored order, so the
+    result does not depend on x's memory layout, and for finite x it is
+    bit for bit the scatter-add's.
+
+    Non-finite x: the outputs that are inf or nan are exactly those that
+    the scatter-add makes inf or nan, since a pad reads only a column its
+    row already reads, and a row with no entries gives +0.0 whatever x
+    holds. Where a row shorter than the width reads ±inf in its first
+    column, its pads add 0.0 * inf, so that output is nan where the
+    scatter-add may give ±inf.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -124,17 +211,25 @@ def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     f = x.shape[1]
     if a.nnz == 0 or f == 0:
         out = np.zeros((a.n_rows, f))
+    elif a.n_rows == 1:
+        # numpy would add a 1-column block's terms pairwise, not in order
+        out = np.zeros((1, f))
+        np.add.at(out, a._row_ids, a.values[:, None] * x[a.col_indices])
     else:
-        plan = a._slots.get(f)
-        if plan is None:
-            plan = a._slots[f] = (
-                (a._row_ids[:, None] * f + np.arange(f)).ravel(),
-                np.repeat(a.values, f))
-        slots, weights = plan
-        terms = x.take(a.col_indices, axis=0).ravel()
-        terms *= weights
-        out = np.bincount(slots, weights=terms,
-                          minlength=a.n_rows * f).reshape(a.n_rows, f)
+        table, _, (rows, cols, vals), empty = _layout(a)
+        step = max(1, _BLOCK_BYTES // max(1, table.nbytes))
+        if f <= step:
+            out = _gather_reduce(a, x)
+        else:
+            out = np.empty((a.n_rows, f))
+            for j in range(0, f, step):
+                # a reduce straight into the strided out is twice as slow
+                out[:, j:j + step] = _gather_reduce(
+                    a, np.ascontiguousarray(x[:, j:j + step]))
+        if len(rows):
+            np.add.at(out, rows, vals * x[cols])
+        if len(empty):
+            out[empty] = 0.0
     return out[:, 0] if squeeze else out
 
 

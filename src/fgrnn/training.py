@@ -48,7 +48,8 @@ only the step count and the two moments. train resumes from a
 checkpoint's (params, train_state), and the TrainRun it returns knows its
 first epoch and its checkpoint's training block (TrainRun.train_state).
 parse_config reads a config dataclass from the one {key: text} dict that
-the CLI merges from its --config file and its command line.
+the CLI merges from its --config file and its command line, and names
+the file and line, or the command line, of a key it refuses.
 """
 
 from __future__ import annotations
@@ -315,9 +316,9 @@ class TrainConfig:
 
 
 def parse_key_values(text: str) -> dict:
-    """{key: value} from 'key = value' lines; '#' starts a comment. A key
-    set twice raises ParseError at its second line."""
-    values, first = {}, {}
+    """{key: (value, line)} from 'key = value' lines; '#' starts a comment.
+    A key set twice raises ParseError at its second line."""
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -326,33 +327,34 @@ def parse_key_values(text: str) -> dict:
             raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, val = line.partition("=")
         key = key.strip()
-        if key in first:
+        if key in values:
             raise ParseError(f"config key {key!r} set twice, first at line "
-                             f"{first[key]}", line=lineno)
-        values[key], first[key] = val.strip(), lineno
+                             f"{values[key][1]}", line=lineno)
+        values[key] = (val.strip(), lineno)
     return values
 
 
-def parse_config(values: dict, cls):
+def parse_config(values: dict, cls, sources=None):
     """A cls, any config dataclass, from {key: text value}.
 
     Each value is read as the type of its field's default: int, float or
     str. An unknown key or a value that does not convert raises ParseError
-    naming the key; cls itself checks the ranges and raises
-    ContractViolation.
+    naming the key and, when sources maps the key to a (path, line) pair,
+    that place; cls itself checks the ranges and raises ContractViolation.
     """
     kinds = {f.name: type(f.default) for f in fields(cls)}
     kwargs = {}
     for key, val in values.items():
+        path, line = (sources or {}).get(key, (None, None))
         if key not in kinds:
-            raise ParseError(f"unknown config key {key!r}")
+            raise ParseError(f"unknown config key {key!r}", line, path)
         kind = kinds[key]
         try:
             kwargs[key] = kind(val)
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise ParseError(f"config key {key!r} must be {expected}, "
-                             f"got {val!r}") from None
+                             f"got {val!r}", line, path) from None
     return cls(**kwargs)
 
 

@@ -148,6 +148,34 @@ def test_train_config_bad_line_names_the_file(small_dataset, tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("epochs = 1\nepoghs = 2\n", 2, "unknown config key 'epoghs'"),
+    ("# one epoch\nepochs = x\n", 2,
+     "config key 'epochs' must be an integer, got 'x'"),
+])
+def test_config_file_key_refused_at_its_line(small_dataset, tmp_path, capsys,
+                                             text, line, message):
+    frames, graph = small_dataset
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(text)
+    argv = ["train", "--frames", frames, "--graph", graph,
+            "--out-checkpoint", str(tmp_path / "c"),
+            "--out-history", str(tmp_path / "h")]
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line {line}: {message}\n"
+    # the same key on the command line is refused there, and a command-line
+    # value of a key replaces the file's, place included
+    key, _, val = text.splitlines()[-1].partition(" = ")
+    assert cli.main([*argv, f"{key}={val}"]) == 2
+    assert capsys.readouterr().err == f"error: command line: {message}\n"
+    cfg.write_text("epochs = x\n")
+    assert cli.main([*argv, "--config", str(cfg), "epochs=y"]) == 2
+    assert capsys.readouterr().err == (
+        "error: command line: config key 'epochs' must be an integer, "
+        "got 'y'\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_params_command(capsys):
     cases = [
         (["params", "chebyshev", "--n", "1502", "--k", "3"], 3015),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fgrnn.sparse
+from fgrnn.data import SyntheticConfig, generate_synthetic
 from fgrnn.errors import ContractViolation
 from fgrnn.graph import Graph, build_laplacians
 from fgrnn.sparse import SparseMatrix, power_iteration, spmm
@@ -98,7 +99,7 @@ def add_at_reference(a, x):
 
 
 class TestSpmmMatchesScatterAdd:
-    """The segment-sum kernel adds every output's terms in stored-entry
+    """The slot-major kernel adds every output's terms in stored-entry
     order, as np.add.at does, so the two agree bit for bit."""
 
     @pytest.mark.parametrize("seed", range(12))
@@ -190,6 +191,109 @@ class TestSpmmMatchesScatterAdd:
         assert first.tobytes() == again.tobytes()
         assert first.tobytes() == add_at_reference(a, x3).tobytes()
         assert wide.tobytes() == add_at_reference(a, x30).tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 21))
+    def test_every_row_width_and_output_count(self, width):
+        # numpy reduces a lone contiguous run of 8 or more terms pairwise,
+        # not in order; with terms of many magnitudes a different order
+        # changes the last bits, so every shape must still add in order
+        rng = np.random.default_rng(900 + width)
+        n_cols = width + 3
+        for n_outputs in range(1, 9):
+            for n_rows in (d for d in range(1, 9) if n_outputs % d == 0):
+                cols = np.concatenate([
+                    np.sort(rng.choice(n_cols, width, replace=False))
+                    for _ in range(n_rows)])
+                vals = (rng.standard_normal(n_rows * width)
+                        * 10.0 ** rng.uniform(-6, 6, n_rows * width))
+                a = SparseMatrix(n_rows, n_cols,
+                                 np.arange(n_rows + 1) * width, cols, vals)
+                x = rng.standard_normal((n_cols, n_outputs // n_rows))
+                assert (spmm(a, x).tobytes()
+                        == add_at_reference(a, x).tobytes())
+        # a 1 x n matrix times a vector: one output
+        row = SparseMatrix.from_dense(vals[None, :width])
+        v = rng.standard_normal(width)
+        assert (spmm(row, v).tobytes()
+                == add_at_reference(row, v[:, None])[:, 0].tobytes())
+
+    @pytest.mark.parametrize("f", [1, 3, 30])
+    def test_hub_row(self, f):
+        # a star: row 0 stores every column, the others two entries each;
+        # padding to the widest row would make the plan n x n x f
+        n = 1502
+        rng = np.random.default_rng(7)
+        leaves = np.arange(1, n)
+        a = SparseMatrix.from_coo(
+            n, n, np.concatenate([np.arange(n), np.zeros(n - 1), leaves]),
+            np.concatenate([np.arange(n), leaves, np.zeros(n - 1)]),
+            rng.standard_normal(3 * n - 2))
+        x = rng.standard_normal((n, f))
+        assert spmm(a, x).tobytes() == add_at_reference(a, x).tobytes()
+        assert all(w.nbytes <= 16 * a.nnz * w.shape[2]
+                   for w in a._slots.values())
+        table, padded, tail, _ = fgrnn.sparse._layout(a)
+        assert table.nbytes + padded.nbytes <= 32 * a.nnz
+        assert len(tail[0]) == n - table.shape[0]
+
+    @pytest.mark.parametrize("block_cols", [1, 2, 3])
+    def test_column_blocks(self, monkeypatch, block_cols):
+        # a wide x runs a block of columns at a time, the last block short
+        rng = np.random.default_rng(11)
+        for n_rows in (1, 2, 3, 17):
+            a = random_csr(rng, n_rows, 20, 0.6)
+            table = fgrnn.sparse._layout(a)[0]
+            monkeypatch.setattr(fgrnn.sparse, "_BLOCK_BYTES",
+                                block_cols * table.nbytes)
+            for f in range(1, 11):
+                x = (rng.standard_normal((20, f))
+                     * 10.0 ** rng.uniform(-6, 6, (20, f)))
+                assert (spmm(a, x).tobytes()
+                        == add_at_reference(a, x).tobytes())
+                assert (spmm(a, x.T.copy().T).tobytes()
+                        == add_at_reference(a, x).tobytes())
+            assert all(w.shape[2] <= block_cols for w in a._slots.values())
+
+    def test_wide_product_scratch_is_bounded(self):
+        # the training's 10 steps of 3 features, stacked, at the paper's N
+        _, graph = generate_synthetic(
+            SyntheticConfig(n_nodes=1502, n_frames=2, base_shape="cylinder"))
+        op = build_laplacians(graph).first_order
+        x = np.random.default_rng(12).standard_normal((1502, 30))
+        assert spmm(op, x).tobytes() == add_at_reference(op, x).tobytes()
+        assert 1 < len(op._slots)
+        assert all(w.nbytes <= fgrnn.sparse._BLOCK_BYTES
+                   for w in op._slots.values())
+
+    @pytest.mark.parametrize("shape", ["ring", "grid", "cylinder"])
+    @pytest.mark.parametrize("n", [16, 128, 1502])
+    def test_package_operators(self, shape, n):
+        _, graph = generate_synthetic(
+            SyntheticConfig(n_nodes=n, n_frames=2, base_shape=shape))
+        laps = build_laplacians(graph)
+        rng = np.random.default_rng(n)
+        for op in (laps.laplacian, laps.scaled, laps.first_order):
+            for f in (1, 3, 30):
+                x = rng.standard_normal((n, f))
+                assert (spmm(op, x).tobytes()
+                        == add_at_reference(op, x).tobytes())
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input(self, bad):
+        # row 0 is shorter than the width and reads the bad value in its
+        # first column, row 1 stores nothing, row 2 never reads column 0
+        a = SparseMatrix(4, 4, np.array([0, 2, 2, 5, 9]),
+                         np.array([0, 2, 1, 2, 3, 0, 1, 2, 3]),
+                         np.arange(1.0, 10.0))
+        x = np.arange(8.0).reshape(4, 2) + 1.0
+        x[0, 0] = bad
+        with np.errstate(invalid="ignore"):
+            got, want = spmm(a, x), add_at_reference(a, x)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        finite = np.isfinite(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+        assert got[1].tobytes() == np.zeros(2).tobytes()
+        assert not np.isfinite(got[[0, 3], 0]).any()
 
 
 class TestPowerIteration:

@@ -443,8 +443,10 @@ class TestConfigParsing:
 
     def test_file_and_overrides(self):
         text = "family = chebyshev\nk = 5\n# comment\nlr = 0.5\n"
-        cfg = parse_config({**parse_key_values(text), "lr": "0.25",
-                            "epochs": "2"}, TrainConfig)
+        values = {key: val for key, (val, _) in parse_key_values(text).items()}
+        assert parse_key_values(text)["lr"] == ("0.5", 4)
+        cfg = parse_config({**values, "lr": "0.25", "epochs": "2"},
+                           TrainConfig)
         assert cfg.family == "chebyshev" and cfg.k == 5
         assert cfg.lr == 0.25 and cfg.epochs == 2
 

@@ -198,10 +198,10 @@ def unroll(p: ModelParams, fam, terms, feedback: int = 0):
 def step_vjp(p: ModelParams, fam, v: np.ndarray, dact: np.ndarray,
              pre: np.ndarray | None = None) -> np.ndarray:
     """dJ/dh_{t-1} from v = dJ/dh_t, the reverse of one unroll step:
-    U-adjoint(alpha * v * act'(a_t)) + beta * v, where dact is act'(a_t).
-    pre is the readout's share of dJ/dh_{t-1} (one step of pre_adjoint),
-    which the first-order family adds before its one sparse product."""
-    return fam.adjoint((p.U, p.alpha * v * dact), pre) + p.beta * v
+    adjoint(pre + pre_adjoint(U, alpha * v * dact)) + beta * v, dact being
+    act'(a_t) and pre the readout's share (a step of pre_adjoint) or None."""
+    mixed = fam.pre_adjoint(p.U, p.alpha * v * dact)
+    return fam.adjoint(mixed if pre is None else pre + mixed) + p.beta * v
 
 
 # --- checkpoint IO ---------------------------------------------------------

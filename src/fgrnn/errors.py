@@ -13,7 +13,12 @@ from dataclasses import fields
 
 
 class ContractViolation(ValueError):
-    """An operation was called with inputs that break its preconditions."""
+    """An operation was called with inputs that break its preconditions;
+    key is the config key of a value check_config refused, else None."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class NumericOverflow(FloatingPointError):
@@ -32,10 +37,14 @@ class ParseError(ValueError):
         self.message, self.line, self.path = message, line, path
 
     def __str__(self):
-        text = self.message
-        if self.line is not None:
-            text = f"line {self.line}: {text}"
-        return text if self.path is None else f"{self.path}: {text}"
+        return placed(self.message, self.line, self.path)
+
+
+def placed(message, line=None, path=None) -> str:
+    """message as `path: line N: message`, each prefix present when known."""
+    if line is not None:
+        message = f"line {line}: {message}"
+    return message if path is None else f"{path}: {message}"
 
 
 @contextmanager
@@ -68,7 +77,8 @@ def decode_text(raw: bytes, path) -> str:
 
 
 def check_config(cfg, ranges):
-    """Raise ContractViolation naming the first bad key of the dataclass cfg.
+    """Raise ContractViolation naming the first bad key of the dataclass cfg,
+    in its message and as its key.
 
     A float field must be finite; then each (key, test, requirement) row
     of ranges must hold.
@@ -77,8 +87,8 @@ def check_config(cfg, ranges):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ContractViolation(
-                f"config key {f.name!r} must be finite, got {value!r}")
+                f"config key {f.name!r} must be finite, got {value!r}", f.name)
     for key, ok, requirement in ranges:
         if not ok(getattr(cfg, key)):
             raise ContractViolation(f"config key {key!r} must be {requirement}, "
-                                    f"got {getattr(cfg, key)!r}")
+                                    f"got {getattr(cfg, key)!r}", key)

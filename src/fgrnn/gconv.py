@@ -10,16 +10,16 @@ Two filter families:
 Both operators are symmetric in the node dimension, which is what makes
 the backward formulas below exact.
 
-Each family is written once, as three primitives (ChebFamily,
+Each family is written once, as primitives (ChebFamily,
 FirstOrderFamily): basis(x) holds every sparse product of a convolution
 of x ([T_0 x .. T_{K-1} x], or [L1 x]); combine(c, basis) gives its value
 and coeff_grad(c, basis, upstream) its coefficient gradient, both without
 a sparse product, where c is the filter's trainable array (Chebyshev
-coefficients or first-order weights). pre_adjoint begins the transposed
-convolution of a whole stack of steps' upstreams at once, and adjoint
-finishes one step of it, adding the transposed convolution of at most
-one more upstream. The convolutions below are built on them, and BPTT
-keeps the bases of its forward pass to reuse in reverse (see
+coefficients or first-order weights). conv(c)^T g is
+adjoint(pre_adjoint(c, g)), where pre_adjoint is the part that may be
+summed across upstreams. pre_adjoint and coeff_grad (which sums) take one
+step or a (T, N, F) stack. The convolutions below are built on them, and
+BPTT keeps the bases of its forward pass to reuse in reverse (see
 training.bptt).
 """
 
@@ -112,27 +112,17 @@ class ChebFamily:
     def coeff_grad(coeffs: np.ndarray, basis: np.ndarray,
                    upstream: np.ndarray) -> np.ndarray:
         """d<upstream, combine(coeffs, basis)>/d coeffs, shape (K,)."""
-        return np.tensordot(basis, upstream, axes=2)
+        return np.tensordot(basis, upstream, axes=upstream.ndim)
 
-    def pre_adjoint(self, coeffs: np.ndarray, upstreams: np.ndarray) -> np.ndarray:
-        """conv(coeffs)^T g for every g of a (T, N, F) stack, in one product.
+    def pre_adjoint(self, coeffs: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """conv(coeffs)^T g, a stack's in one product per order: T_k(Ls)
+        is symmetric, so conv^T is the filter itself."""
+        basis = over_steps(self.basis, g) if g.ndim == 3 else self.basis(g)
+        return self.combine(coeffs, basis)
 
-        A Chebyshev adjoint needs no other upstream to finish it, so each
-        step of the result is already the whole adjoint of its upstream.
-        """
-        return self.combine(coeffs, over_steps(self.basis, upstreams))
-
-    def adjoint(self, pair, pre: np.ndarray | None = None) -> np.ndarray:
-        """pre + conv(c)^T g for pair = (c, g), or pre alone when pair is
-        None; pre is one step of pre_adjoint, or None.
-
-        T_k(Ls) is symmetric, so conv^T is the filter itself.
-        """
-        if pair is None:
-            return pre
-        c, g = pair
-        part = self.combine(c, self.basis(g))
-        return part if pre is None else pre + part
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """x: pre_adjoint leaves nothing of a Chebyshev adjoint to do."""
+        return x
 
 
 class FirstOrderFamily:
@@ -156,25 +146,19 @@ class FirstOrderFamily:
     def coeff_grad(weights: np.ndarray, basis: np.ndarray,
                    upstream: np.ndarray) -> np.ndarray:
         """d<upstream, combine(weights, basis)>/d weights, shape (F_in, F_out)."""
-        return basis[0].T @ upstream
+        rows = basis[0].reshape(-1, basis.shape[-1])
+        return rows.T @ upstream.reshape(-1, upstream.shape[-1])
 
     @staticmethod
-    def pre_adjoint(weights: np.ndarray, upstreams: np.ndarray) -> np.ndarray:
-        """g W^T for every g of a (T, N, F_out) stack, with no sparse product.
+    def pre_adjoint(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """g W^T, the adjoint short of op, which acts once on the sum of all
+        of a step's upstreams (see adjoint)."""
+        return g @ weights.T
 
-        op must act once on the sum of all of a step's upstreams (see
-        adjoint), so this is the adjoint short of that product.
-        """
-        return upstreams @ weights.T
-
-    def adjoint(self, pair, pre: np.ndarray | None = None) -> np.ndarray:
-        """op (pre + g W^T) for pair = (W, g), or op pre when pair is None,
-        in one sparse product; pre is one step of pre_adjoint, or None."""
-        mixed = pre
-        if pair is not None:
-            w, g = pair
-            mixed = g @ w.T if pre is None else pre + g @ w.T
-        return spmm(self.op, mixed)
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """op x, the one sparse product of an adjoint: x is one step's
+        pre_adjoint or a sum of them."""
+        return spmm(self.op, x)
 
 
 def cheb_conv(lap: LaplacianSet, x: np.ndarray, f: ChebFilter) -> np.ndarray:
@@ -194,7 +178,7 @@ def cheb_conv_backward(lap: LaplacianSet, x: np.ndarray, f: ChebFilter,
     if upstream.shape != x.shape:
         raise ContractViolation("cheb_conv_backward: upstream shape mismatch")
     fam = ChebFamily(lap, f.order)
-    return (fam.adjoint((f.coeffs, upstream)),
+    return (fam.adjoint(fam.pre_adjoint(f.coeffs, upstream)),
             fam.coeff_grad(f.coeffs, fam.basis(x), upstream))
 
 
@@ -218,6 +202,6 @@ def first_order_conv_backward(lap: LaplacianSet, x: np.ndarray,
     if upstream.shape != (x.shape[0], t.weights.shape[1]):
         raise ContractViolation("first_order_conv_backward: upstream shape mismatch")
     fam = FirstOrderFamily(lap)
-    return (fam.adjoint((t.weights, upstream)),
+    return (fam.adjoint(fam.pre_adjoint(t.weights, upstream)),
             fam.coeff_grad(t.weights, fam.basis(x), upstream))
 

@@ -202,6 +202,8 @@ def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     scatter-add may give ±inf.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ContractViolation(f"spmm: x of shape {x.shape} is not 1-D or 2-D")
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]

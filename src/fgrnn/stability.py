@@ -211,12 +211,11 @@ def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
 
 
 def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
-                       activation: str = "relu", alpha: float = 1.0,
-                       beta: float = 0.0) -> ModelParams:
-    """Convenience constructor for the width-1 diagnostic cell: one
-    feature, input weight w, recurrent weight u, zero readout."""
+                       activation: str = "relu") -> ModelParams:
+    """The width-1 diagnostic cell: one feature, input weight w, recurrent
+    weight u, zero readout, alpha = 1 and beta = 0."""
     return ModelParams(
-        "first_order", [[w]], [[u]], [[0.0]], alpha=alpha, beta=beta,
+        "first_order", [[w]], [[u]], [[0.0]], alpha=1.0, beta=0.0,
         b=np.full(n_nodes, b), z=np.zeros(n_nodes), activation=activation)
 
 

@@ -12,8 +12,8 @@ everything else in a window is one stacked operation. Per step:
   * forward (cells.unroll): the pre-activation from the step's input term
     and combine(U, basis(h_{t-1})), then h_t, then the basis of h_t, which
     serves both the readout at t and the recurrent term at t+1;
-  * reverse (cells.step_vjp): dJ/dh_t = the readout's share + the
-    U-adjoint of alpha * dJ/dh_{t+1} * act'(a_{t+1}) + beta * dJ/dh_{t+1}.
+  * reverse (cells.step_vjp): dJ/dh_t = adjoint(the readout's share + the
+    U pre_adjoint of alpha dJ/dh_{t+1} act'(a_{t+1})) + beta dJ/dh_{t+1}.
 Once per window:
   * act'(a_t) of every step from the stacked h_tilde_t = act(a_t), which
     dJ/dalpha reads too, and after the reverse loop every dJ/da_t from it;
@@ -23,13 +23,13 @@ Once per window:
   * the readout x_hat = combine(V, basis(h_t)) + z and the step losses of
     every step, with one product by L for the regularizer and its
     gradient when lambda_reg > 0;
-  * the readout upstream's adjoint (gconv pre_adjoint): for Chebyshev one
-    stacked basis of every step's dJ/dx_hat; for first-order
-    dJ/dx_hat V^T, which each step adds to its dJ/da_{t+1} U^T before its
-    one sparse product, as a single adjoint of both upstreams would;
-  * the coefficient gradients of W, U and V, read from the stored bases
-    with no sparse product. dJ/dx of the input branch, which no parameter
-    needs, is never formed.
+  * the readout's share of every step's dJ/dh_t, pre_adjoint(V, dJ/dx_hat)
+    of the stack: for Chebyshev the whole adjoint, one stacked product per
+    order; for first-order dJ/dx_hat V^T, which each step adds to its
+    dJ/da_{t+1} U^T before its one sparse product (gconv adjoint);
+  * the coefficient gradients of W, U and V, each coeff_grad of a stack
+    of stored bases, with no sparse product. dJ/dx of the input branch,
+    which no parameter needs, is never formed.
 spmm treats columns independently, so every stacked product gives each
 step bit for bit what a product of its own would. A window of T steps
 makes (K-1)(1 + 2T) sparse products with Chebyshev filters of order K and
@@ -63,7 +63,8 @@ import numpy as np
 from .cells import (ACTIVATIONS, FAMILIES, ModelParams, conv_family,
                     input_terms, readout, step_vjp, unroll)
 from .data import FrameSequence, split_train_test
-from .errors import ContractViolation, NumericOverflow, ParseError, check_config
+from .errors import (ContractViolation, NumericOverflow, ParseError,
+                     check_config, placed)
 from .gconv import over_steps
 from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import spmm
@@ -120,11 +121,6 @@ def _step_losses(x_hats: np.ndarray, targets: np.ndarray, lap: LaplacianSet,
     return losses, d_xhat
 
 
-def _merge_steps(arr: np.ndarray) -> np.ndarray:
-    """(..., T, N, F) -> (..., T*N, F), to sum a gradient over all steps."""
-    return arr.reshape(arr.shape[:-3] + (-1, arr.shape[-1]))
-
-
 def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
          lambda_reg: float = 0.0):
     """Exact gradients of the summed step losses (_step_losses) over one
@@ -155,7 +151,7 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     # the readout upstream's share of every dJ/dh_t at once
     readout_adj = fam.pre_adjoint(p.V, d_xhat)
     # dJ/dh_t, last step first: the last h_t feeds the readout alone
-    g_h = [fam.adjoint(None, readout_adj[-1])]
+    g_h = [fam.adjoint(readout_adj[-1])]
     for t in reversed(range(t_w - 1)):
         g_h.append(step_vjp(p, fam, g_h[-1], dact[t + 1], readout_adj[t]))
     g_h = g_h[::-1]
@@ -168,10 +164,9 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     # every coefficient gradient is read from the stored bases
     states = np.stack([step.h for step in steps])
     grad = p.like(np.empty_like(p.theta))
-    grad.W[...] = fam.coeff_grad(p.W, _merge_steps(bx), _merge_steps(g_a))
-    grad.U[...] = fam.coeff_grad(p.U, _merge_steps(bh[:, :-1]),
-                                 _merge_steps(g_a[1:]))
-    grad.V[...] = fam.coeff_grad(p.V, _merge_steps(bh), _merge_steps(d_xhat))
+    grad.W[...] = fam.coeff_grad(p.W, bx, g_a)
+    grad.U[...] = fam.coeff_grad(p.U, bh[:, :-1], g_a[1:])
+    grad.V[...] = fam.coeff_grad(p.V, bh, d_xhat)
     grad.alpha = np.sum(g_h * h_tildes)
     grad.beta = np.sum(g_h[1:] * states[:-1])
     grad.b[...] = g_a.sum(axis=(0, 2))
@@ -340,12 +335,14 @@ def parse_config(values: dict, cls, sources=None):
     Each value is read as the type of its field's default: int, float or
     str. An unknown key or a value that does not convert raises ParseError
     naming the key and, when sources maps the key to a (path, line) pair,
-    that place; cls itself checks the ranges and raises ContractViolation.
+    that place. cls itself checks the ranges and raises ContractViolation,
+    which is raised again with the place of the key it names.
     """
+    sources = sources or {}
     kinds = {f.name: type(f.default) for f in fields(cls)}
     kwargs = {}
     for key, val in values.items():
-        path, line = (sources or {}).get(key, (None, None))
+        path, line = sources.get(key, (None, None))
         if key not in kinds:
             raise ParseError(f"unknown config key {key!r}", line, path)
         kind = kinds[key]
@@ -355,7 +352,14 @@ def parse_config(values: dict, cls, sources=None):
             expected = "an integer" if kind is int else "a number"
             raise ParseError(f"config key {key!r} must be {expected}, "
                              f"got {val!r}", line, path) from None
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ContractViolation as exc:
+        if exc.key not in sources:
+            raise
+        path, line = sources[exc.key]
+        exc.args = (placed(str(exc), line, path),)
+        raise
 
 
 def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:

@@ -147,8 +147,8 @@ def test_criterion_6_residual_stabilization():
     # pure residual: the product is the identity
     max_cond_dev = 0.0
     for t in (4, 8, 12):
-        p = scalar_cell_params(u=0.8, n_nodes=n, activation="tanh",
-                               alpha=0.0, beta=1.0)
+        p = scalar_cell_params(u=0.8, n_nodes=n, activation="tanh")
+        p.alpha, p.beta = 0.0, 1.0
         rep = jacobian_product(p, lap, frames, [t])[0]
         max_cond_dev = max(max_cond_dev, abs(rep.condition_number - 1.0))
     # wherever the closed-form bound is finite it must dominate

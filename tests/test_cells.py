@@ -154,7 +154,7 @@ class TestStepVjp:
 
         fam = conv_family(p, lap)
         dact = ACTIVATIONS[activation][1](ref.fgrnn_step(p, lap, h, x)[0])
-        pre = fam.pre_adjoint(p.V, g[None])[0] if with_pre else None
+        pre = fam.pre_adjoint(p.V, g) if with_pre else None
         got = step_vjp(p, fam, v, dact, pre)
         eps = 1e-6
         fd = np.empty_like(h)

@@ -176,6 +176,35 @@ def test_config_file_key_refused_at_its_line(small_dataset, tmp_path, capsys,
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("command,text,message", [
+    ("gen-data", "n_nodes = 12\nn_frames = -1\n",
+     "config key 'n_frames' must be >= 1, got -1"),
+    ("train", "epochs = 1\nlr = -0.5\n",
+     "config key 'lr' must be > 0, got -0.5"),
+    ("train", "epochs = 1\nlr = nan\n",
+     "config key 'lr' must be finite, got nan"),
+], ids=["gen-data range", "train range", "train non-finite"])
+def test_config_value_out_of_range_refused_at_its_line(
+        small_dataset, tmp_path, capsys, command, text, message):
+    frames, graph = small_dataset
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, *{
+        "gen-data": ["--out-frames", str(out), "--out-graph",
+                     str(tmp_path / "g")],
+        "train": ["--frames", frames, "--graph", graph, "--out-checkpoint",
+                  str(out), "--out-history", str(tmp_path / "h")],
+    }[command]]
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: {message}\n"
+    # on the command line, the value is refused there
+    override = text.splitlines()[-1].replace(" = ", "=")
+    assert cli.main([*argv, "--config", str(cfg), override]) == 2
+    assert capsys.readouterr().err == f"error: command line: {message}\n"
+    assert not out.exists()
+
+
 def test_params_command(capsys):
     cases = [
         (["params", "chebyshev", "--n", "1502", "--k", "3"], 3015),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fgrnn.errors import ContractViolation
-from fgrnn.gconv import (ChebFamily, ChebFilter, FeatureTransform, cheb_conv,
-                         cheb_conv_backward, first_order_conv,
-                         first_order_conv_backward)
+from fgrnn.gconv import (ChebFamily, ChebFilter, FeatureTransform,
+                         FirstOrderFamily, cheb_conv, cheb_conv_backward,
+                         first_order_conv, first_order_conv_backward,
+                         over_steps)
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.sparse import spmm
 
@@ -83,6 +84,52 @@ class TestChebBasis:
         got = ChebFamily(lap, order).basis(x)
         assert got.shape == expected.shape == (order,) + shape
         assert got.tobytes() == expected.tobytes()
+
+
+def family_and_coeffs(family, size, rng, lap):
+    """A family on lap and its trainable array: Chebyshev of order size,
+    or first-order with size x size weights."""
+    if family == "chebyshev":
+        return ChebFamily(lap, size), rng.standard_normal(size)
+    return FirstOrderFamily(lap), rng.standard_normal((size, size))
+
+
+class TestAdjointContract:
+    """conv(c)^T g is adjoint(pre_adjoint(c, g)); pre_adjoint and
+    coeff_grad take one step or a (T, N, F) stack, bit for bit alike."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["chebyshev", "first_order"])
+    def test_stack_pre_adjoint_matches_each_step(self, family, size):
+        rng = np.random.default_rng(size)
+        fam, c = family_and_coeffs(family, size, rng, knn_lap(11))
+        stack = rng.standard_normal((4, 10, size))
+        got = fam.pre_adjoint(c, stack)
+        assert got.shape == stack.shape
+        for t in range(len(stack)):
+            assert got[t].tobytes() == fam.pre_adjoint(c, stack[t]).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["chebyshev", "first_order"])
+    def test_stack_coeff_grad_is_the_flattened_one(self, family, size):
+        # a stack's gradient is that of its steps flattened into one;
+        # bases[:, :-1] is not contiguous
+        rng = np.random.default_rng(10 + size)
+        fam, c = family_and_coeffs(family, size, rng, knn_lap(12))
+        states = rng.standard_normal((5, 10, size))
+        bases = np.ascontiguousarray(over_steps(fam.basis, states))
+        upstream = rng.standard_normal((5, 10, size))
+        for b, g in ((bases, upstream), (bases[:, :-1], upstream[1:])):
+            flat = fam.coeff_grad(c, b.reshape(b.shape[:-3] + (-1, size)),
+                                  g.reshape(-1, size))
+            assert fam.coeff_grad(c, b, g).tobytes() == flat.tobytes()
+
+    def test_adjoint_takes_one_array(self):
+        lap = knn_lap(13)
+        x = np.random.default_rng(13).standard_normal((10, 2))
+        assert ChebFamily(lap, 3).adjoint(x) is x
+        assert (FirstOrderFamily(lap).adjoint(x).tobytes()
+                == spmm(lap.first_order, x).tobytes())
 
 
 class TestChebBackward:

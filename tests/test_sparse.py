@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,13 @@ class TestSpmm:
         a = SparseMatrix.identity(3)
         with pytest.raises(ContractViolation):
             spmm(a, np.ones((4, 2)))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 3), (2, 4, 3), ()],
+                             ids=["3-D", "3-D, rows unlike", "0-D"])
+    def test_x_of_other_dimensions_refused(self, shape):
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"x of shape {shape} is not")):
+            spmm(SparseMatrix.identity(4), np.ones(shape))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_dense_product(self, seed):

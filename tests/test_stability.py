@@ -60,15 +60,16 @@ class TestStepJacobian:
 
     def test_alpha_zero(self):
         lap = random_lap(1)
-        p = scalar_cell_params(u=1.0, n_nodes=12, alpha=0.0, beta=0.4)
+        p = scalar_cell_params(u=1.0, n_nodes=12)
+        p.alpha, p.beta = 0.0, 0.4
         jac, d = step_factor(p, lap, np.ones((12, 1)), np.ones((12, 1)))
         assert np.allclose(jac, 0.4 * np.eye(12))
         assert np.allclose(vjp_jacobian(p, lap, d), 0.4 * np.eye(12))
 
     def test_tanh_at_zero(self):
         lap = random_lap(2)
-        p = scalar_cell_params(u=0.5, n_nodes=12, activation="tanh",
-                               alpha=0.9, beta=0.1)
+        p = scalar_cell_params(u=0.5, n_nodes=12, activation="tanh")
+        p.alpha, p.beta = 0.9, 0.1
         jac, d = step_factor(p, lap, np.zeros((12, 1)), np.zeros((12, 1)))
         expected = 0.9 * 0.5 * lap.first_order.to_dense() + 0.1 * np.eye(12)
         assert np.allclose(jac, expected)
@@ -95,7 +96,8 @@ class TestStepJacobian:
     def test_matches_numerical_jacobian(self, activation):
         lap = random_lap(4, n=8)
         p = scalar_cell_params(u=0.7, n_nodes=8, w=0.3, b=0.1,
-                               activation=activation, alpha=0.6, beta=0.4)
+                               activation=activation)
+        p.alpha, p.beta = 0.6, 0.4
         rng = np.random.default_rng(5)
         h = rng.standard_normal((8, 1)) * 0.3
         x = rng.standard_normal((8, 1)) * 0.3
@@ -115,7 +117,8 @@ class TestStepJacobian:
 class TestJacobianProduct:
     def test_identity_product(self):
         lap = random_lap(6)
-        p = scalar_cell_params(u=1.0, n_nodes=12, alpha=0.0, beta=1.0)
+        p = scalar_cell_params(u=1.0, n_nodes=12)
+        p.alpha, p.beta = 0.0, 1.0
         frames = np.random.default_rng(6).standard_normal((8, 12, 1))
         rep = jacobian_product(p, lap, frames, [8])[0]
         assert rep.condition_number == 1.0
@@ -147,16 +150,16 @@ class TestJacobianProduct:
         rng = np.random.default_rng(9)
         frames = rng.standard_normal((10, 10, 1)) * 0.5
         for alpha in (0.01, 0.05):
-            p = scalar_cell_params(u=0.5, n_nodes=10, activation="tanh",
-                                   alpha=alpha, beta=1.0)
+            p = scalar_cell_params(u=0.5, n_nodes=10, activation="tanh")
+            p.alpha, p.beta = alpha, 1.0
             rep = jacobian_product(p, lap, frames, [8])[0]
             if rep.bound is not None:
                 assert rep.condition_number <= rep.bound * (1 + 1e-9)
 
     def test_one_report_per_horizon(self):
         lap = random_lap(10, n=10)
-        p = scalar_cell_params(u=0.5, n_nodes=10, activation="tanh",
-                               alpha=0.5, beta=0.5)
+        p = scalar_cell_params(u=0.5, n_nodes=10, activation="tanh")
+        p.alpha, p.beta = 0.5, 0.5
         frames = np.random.default_rng(10).standard_normal((8, 10, 1))
         reps = jacobian_product(p, lap, frames, [4, 6, 6, 8])
         assert [r.horizon for r in reps] == [4, 6, 6, 8]
@@ -175,7 +178,8 @@ class TestJacobianProduct:
 class TestConditionBound:
     def test_alpha_zero(self):
         lap = random_lap(10)
-        p = scalar_cell_params(u=1.0, n_nodes=12, alpha=0.0, beta=1.0)
+        p = scalar_cell_params(u=1.0, n_nodes=12)
+        p.alpha, p.beta = 0.0, 1.0
         d_list = _forward_activation_derivs(
             p, lap, np.zeros((4, 12, 1)), 4)
         assert condition_bound(p, d_list, lap, 4) == 1.0
@@ -183,25 +187,26 @@ class TestConditionBound:
     def test_half_ratio_arithmetic(self):
         # engineered r = 0.5 at T = 4 gives ((1.5)/(0.5))^2 = 9
         lap = build_laplacians(Graph(2, ((0, 1, 1.0),)))
-        p = scalar_cell_params(u=1.0, n_nodes=2, b=5.0, activation="relu",
-                               alpha=0.5, beta=1.0)
+        p = scalar_cell_params(u=1.0, n_nodes=2, b=5.0, activation="relu")
+        p.alpha, p.beta = 0.5, 1.0
         # relu-active: D = I, ||u L1||_F = 2u for the K2 first-order
         # operator (all-ones 2x2), so at u = 1, r = (0.5 / 1) * 2 = 1 ->
         # vacuous; scale u so that r = 0.5: 0.5 * 2u = 0.5 -> u = 0.5
-        p = scalar_cell_params(u=0.5, n_nodes=2, b=5.0, activation="relu",
-                               alpha=0.5, beta=1.0)
+        p = scalar_cell_params(u=0.5, n_nodes=2, b=5.0, activation="relu")
+        p.alpha, p.beta = 0.5, 1.0
         d_list = [np.ones(2)] * 4
         assert condition_bound(p, d_list, lap, 4) == pytest.approx(9.0)
 
     def test_vacuous_when_r_large(self):
         lap = build_laplacians(Graph(2, ((0, 1, 1.0),)))
-        p = scalar_cell_params(u=2.0, n_nodes=2, b=5.0, activation="relu",
-                               alpha=1.0, beta=1.0)
+        p = scalar_cell_params(u=2.0, n_nodes=2, b=5.0, activation="relu")
+        p.alpha, p.beta = 1.0, 1.0
         assert condition_bound(p, [np.ones(2)], lap, 4) is None
 
     def test_beta_zero_undefined(self):
         lap = random_lap(11)
-        p = scalar_cell_params(u=1.0, n_nodes=12, alpha=1.0, beta=0.0)
+        p = scalar_cell_params(u=1.0, n_nodes=12)
+        p.alpha, p.beta = 1.0, 0.0
         assert condition_bound(p, [np.ones(12)], lap, 4) is None
 
 
@@ -431,8 +436,8 @@ class TestFactorBuilder:
                                               (0.0, 1.0, 1.0)])
     def test_matches_the_dense_formulas(self, activation, u, alpha, beta):
         lap = random_lap(14)
-        p = scalar_cell_params(u=u, n_nodes=12, w=1.0, activation=activation,
-                               alpha=alpha, beta=beta)
+        p = scalar_cell_params(u=u, n_nodes=12, w=1.0, activation=activation)
+        p.alpha, p.beta = alpha, beta
         rng = np.random.default_rng(14)
         h, x = rng.standard_normal((12, 1)), rng.standard_normal((12, 1)) * 3
         op = lap.first_order.to_dense()

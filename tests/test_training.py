@@ -459,8 +459,9 @@ class TestConfigParsing:
         ("t_w", 0), ("split", 1.5), ("activation", "softsign"),
         ("seed", -1), ("lr_decay", float("inf")), ("init_scale", float("nan"))])
     def test_ranges_checked_at_construction(self, key, value):
-        with pytest.raises(ContractViolation, match=f"'{key}'"):
+        with pytest.raises(ContractViolation, match=f"'{key}'") as info:
             TrainConfig(**{key: value})
+        assert info.value.key == key
 
     def test_reads_any_config_dataclass(self):
         from fgrnn.errors import ParseError

@@ -42,7 +42,12 @@ from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
 from .gconv import ChebFamily, FirstOrderFamily
 from .graph import Graph, LaplacianSet
 
-FAMILIES = ("chebyshev", "first_order")
+# family: (the config key that sizes its filters, the shapes of W, U and V
+# at that size s for F features)
+FAMILIES = {
+    "chebyshev": ("k", lambda s, f: [(s,)] * 3),
+    "first_order": ("p", lambda s, f: [(f, s), (s, s), (s, f)]),
+}
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -277,13 +282,14 @@ def load_checkpoint(path, graph: Graph, n_features: int):
     line that is not one of the entries save_checkpoint writes or repeats
     one, an array block that does not match its header or holds a
     non-finite value, a b or z block of more than one row, a W, U or V
-    block of no value, a Chebyshev U or V of another order than W, a
-    missing entry, an unknown family or activation, a node-operator entry
-    other than 0 (the entry is optional; L1 is the only node operator), a
-    non-finite alpha or beta, a negative epoch or adam_step, or Adam
-    moments of another length than the parameters. The file's
-    graph_checksum must be graph.checksum(), and b, z and first-order W,
-    U and V must fit its N nodes and the n_features features.
+    block of no value, a Chebyshev W, U or V of more than one row, a
+    Chebyshev U or V of another order than W, a missing entry, an unknown
+    family or activation, a node-operator entry other than 0 (the entry is
+    optional; L1 is the only node operator), a non-finite alpha or beta, a
+    negative epoch or adam_step, or Adam moments of another length than
+    the parameters. The file's graph_checksum must be graph.checksum(),
+    and b, z and first-order W, U and V must fit its N nodes and the
+    n_features features.
     """
     lines = read_text(path).splitlines()
     with in_file(path):
@@ -295,10 +301,14 @@ def _check_shapes(arrays, where, family, n_nodes, n_features):
     features."""
     need = {"b": (1, n_nodes), "z": (1, n_nodes)}
     if family == "first_order":
-        width = arrays["W"].shape[1]
-        need.update(W=(n_features, width), U=(width, width),
-                    V=(width, n_features))
+        shapes = FAMILIES[family][1](arrays["W"].shape[1], n_features)
+        need.update(zip("WUV", shapes))
     else:
+        for name in ("W", "U", "V"):
+            if arrays[name].shape[0] != 1:
+                raise ParseError(
+                    f"{name}: expected 1 row of Chebyshev coefficients, got "
+                    f"{arrays[name].shape[0]}", line=where[name])
         order = arrays["W"].size
         for name in ("U", "V"):
             if arrays[name].size != order:

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import data as datamod
 from . import training
-from .cells import (ACTIVATIONS, conv_family, input_terms, load_checkpoint,
-                    readout, save_checkpoint, unroll)
+from .cells import (ACTIVATIONS, FAMILIES, conv_family, input_terms,
+                    load_checkpoint, readout, save_checkpoint, unroll)
 from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
                      read_text)
 from .graph import build_laplacians, load_graph, save_graph
@@ -98,11 +98,8 @@ def _resume(path, graph, n_features, cfg, given):
     command line or in --config, must agree with the checkpoint, and so
     must the rate cfg's lr and lr_decay give its last epoch."""
     p, state = load_checkpoint(path, graph, n_features)
-    model = {"family": p.conv_family, "activation": p.activation}
-    if p.conv_family == "chebyshev":
-        model["k"] = len(p.W)
-    else:
-        model["p"] = p.W.shape[1]
+    model = {"family": p.conv_family, "activation": p.activation,
+             FAMILIES[p.conv_family][0]: p.W.shape[-1]}
     for key, value in model.items():
         if key in given and getattr(cfg, key) != value:
             raise ContractViolation(
@@ -201,6 +198,10 @@ def _parse_grid(text, flag, cast=float):
     if not all(math.isfinite(v) for v in vals):
         raise ContractViolation(
             f"{flag}: grid values must be finite, got {text!r}")
+    for k, v in enumerate(vals):
+        if v in vals[:k]:
+            raise ContractViolation(
+                f"{flag}: grid value {v!r} given twice in {text!r}")
     return vals
 
 
@@ -250,8 +251,6 @@ def cmd_params(args):
 
 def cmd_sweep_t(args):
     t_list = _parse_grid(args.T, "--T", int)
-    if len(set(t_list)) != len(t_list):
-        raise ContractViolation("duplicate T values in sweep list")
     if min(t_list) < 1:
         raise ContractViolation(f"--T values must be >= 1, got {min(t_list)}")
     if args.seeds < 1:

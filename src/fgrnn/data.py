@@ -1,4 +1,4 @@
-"""Synthetic dynamic point clouds, frame-sequence file IO, dataset splits.
+"""Synthetic dynamic point clouds and frame-sequence file IO.
 
 Frame file format: header line `gfrm 1 N F T` (N >= 1, F >= 1, T >= 0),
 then T blocks of N lines with F space-separated decimals each; blank
@@ -295,14 +295,3 @@ def _load_frames_slow(raw_lines) -> np.ndarray:
                              line=ln_no) from None
     return frames
 
-
-def split_train_test(seq: FrameSequence, ratio: float):
-    """Chronological split at floor(ratio * T); train gets the prefix."""
-    if not 0.0 < ratio < 1.0:
-        raise ContractViolation("split ratio must be in (0, 1)")
-    if seq.n_frames < 2:
-        raise ContractViolation("need at least 2 frames to split")
-    cut = int(math.floor(ratio * seq.n_frames))
-    if cut == 0 or cut == seq.n_frames:
-        raise ContractViolation("split produces an empty partition")
-    return FrameSequence(seq.frames[:cut]), FrameSequence(seq.frames[cut:])

@@ -162,8 +162,8 @@ def load_graph(path) -> Graph:
 
 
 def _parse_graph(lines):
-    """(N, edges) of an edge-list file: an 'N M' header, M 'i j w' lines
-    and then only blank lines; ParseError names the line."""
+    """(N, edges) of an edge-list file: an 'N M' header (N >= 1), M 'i j w'
+    lines and then only blank lines; ParseError names the line."""
     if not lines:
         raise ParseError("empty graph file", line=1)
     head = lines[0].split()
@@ -175,6 +175,8 @@ def _parse_graph(lines):
         raise ParseError(f"expected integers 'N M', got {lines[0]!r}", line=1) from None
     if n < 0 or m < 0:
         raise ParseError(f"expected non-negative 'N M', got {lines[0]!r}", line=1)
+    if n < 1:
+        raise ParseError(f"need N >= 1 nodes, got {lines[0]!r}", line=1)
     if len(lines) < m + 1:
         raise ParseError(f"expected {m} edges, found {len(lines) - 1}", line=len(lines))
     edges = []

@@ -62,7 +62,7 @@ import numpy as np
 
 from .cells import (ACTIVATIONS, FAMILIES, ModelParams, conv_family,
                     input_terms, readout, step_vjp, unroll)
-from .data import FrameSequence, split_train_test
+from .data import FrameSequence
 from .errors import (ContractViolation, NumericOverflow, ParseError,
                      check_config, placed)
 from .gconv import over_steps
@@ -239,14 +239,14 @@ def count_params(family: str, n: int, k: int = 0, p: int = 0) -> int:
     """Trainable-parameter counts per filter family (N nodes)."""
     if n < 1:
         raise ContractViolation("count_params: n must be positive")
-    if family == "chebyshev":
-        if k < 1:
-            raise ContractViolation("count_params: chebyshev needs K >= 1")
-        return 3 * k + 2 * n + 2
-    if family == "first_order":
-        if p < 1:
-            raise ContractViolation("count_params: first_order needs P >= 1")
-        return 3 * p * p + 2 * n + 2
+    if family in FAMILIES:
+        # the paper's table counts first-order weights at F = P
+        key, shapes = FAMILIES[family]
+        size = {"k": k, "p": p}[key]
+        if size < 1:
+            raise ContractViolation(
+                f"count_params: {family} needs {key.upper()} >= 1")
+        return sum(math.prod(s) for s in shapes(size, size)) + 2 * n + 2
     if family == "dense":
         return 3 * n * n + 2 * n + 2
     if family == "lstm_dense":
@@ -366,13 +366,9 @@ def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
     """Small symmetric filter init; alpha = beta = 0.5; zero biases."""
     rng = np.random.default_rng(cfg.seed)
     s = cfg.init_scale
-    if cfg.family == "chebyshev":
-        shapes = [cfg.k] * 3
-    elif cfg.family == "first_order":
-        shapes = [(n_features, cfg.p), (cfg.p, cfg.p), (cfg.p, n_features)]
-    else:
-        raise ContractViolation(f"init_params: unknown family {cfg.family!r}")
-    w, u, v = (rng.uniform(-s, s, size=shape) for shape in shapes)
+    key, shapes = FAMILIES[cfg.family]
+    w, u, v = (rng.uniform(-s, s, size=shape)
+               for shape in shapes(getattr(cfg, key), n_features))
     return ModelParams(
         cfg.family, w, u, v, alpha=0.5, beta=0.5, b=np.zeros(n_nodes),
         z=np.zeros(n_nodes), activation=cfg.activation)
@@ -384,7 +380,6 @@ class TrainRun:
     epoch_losses: list          # (train_loss, test_loss) per epoch run
     alpha_history: list
     beta_history: list
-    lr_history: list
     final_params: ModelParams
     adam: AdamState
     epochs_done: int            # the resumed checkpoint's epochs included
@@ -440,7 +435,9 @@ def evaluate(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
 @np.errstate(over="ignore", invalid="ignore")
 def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
           resume: tuple | None = None) -> TrainRun:
-    """Windowed BPTT + Adam over the chronological training partition.
+    """Windowed BPTT + Adam over the training partition, the first
+    floor(cfg.split * T) of dataset's T frames; each epoch's losses score
+    them and the test frames after them (evaluate).
 
     resume is a checkpoint's (params, train_state), as load_checkpoint
     returns them: the run goes on from that epoch, Adam step and moments,
@@ -449,11 +446,11 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     activation). Raises ContractViolation if cfg.split leaves fewer than
     2 training frames.
     """
-    train_frames = split_train_test(dataset, cfg.split)[0].frames
-    if len(train_frames) < 2:
+    n_train = math.floor(cfg.split * dataset.n_frames)
+    if n_train < 2:
         raise ContractViolation(
-            f"config key 'split' = {cfg.split!r} leaves {len(train_frames)} "
-            f"of {dataset.n_frames} frames to train on; a window needs 2")
+            f"config key 'split' = {cfg.split!r} leaves {n_train} of "
+            f"{dataset.n_frames} frames to train on; a window needs 2")
     lap = build_laplacians(g)
     if resume is None:
         p = init_params(cfg, dataset.n_nodes, dataset.n_features)
@@ -463,35 +460,34 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
         adam = AdamState(p.theta.size, state["adam_step"],
                          state["adam_m"].copy(), state["adam_v"].copy())
         epochs_done = state["epoch"]
-    windows = _windows(len(train_frames), cfg.t_w, cfg.effective_stride)
+    windows = _windows(n_train, cfg.t_w, cfg.effective_stride)
 
-    epoch_losses, alphas, betas, lrs = [], [], [], []
+    epoch_losses, alphas, betas = [], [], []
     aborted = False
     try:
         for epoch in range(epochs_done, epochs_done + cfg.epochs):
             lr = cfg.rate(epoch + 1)
             for s, e in windows:
-                _, grad = bptt(p, lap, train_frames[s:e], cfg.lambda_reg)
+                _, grad = bptt(p, lap, dataset.frames[s:e], cfg.lambda_reg)
                 adam_step(adam, p, grad, lr)
-            train_loss, test_loss = evaluate(p, lap, dataset.frames,
-                                             len(train_frames))
-            epoch_losses.append((train_loss, test_loss))
+            epoch_losses.append(evaluate(p, lap, dataset.frames, n_train))
             alphas.append(p.alpha)
             betas.append(p.beta)
-            lrs.append(lr)
             epochs_done = epoch + 1
     except NumericOverflow:
         # abort with partial history; caller decides how to report
         aborted = True
-    return TrainRun(cfg, epoch_losses, alphas, betas, lrs, p, adam,
-                    epochs_done, aborted)
+    return TrainRun(cfg, epoch_losses, alphas, betas, p, adam, epochs_done,
+                    aborted)
 
 
 def history_csv(run: TrainRun) -> str:
-    """The run's epochs as CSV rows, numbered on from run.first_epoch."""
+    """The run's epochs as CSV rows, numbered on from run.first_epoch,
+    each with the rate train gave it (run.cfg.rate)."""
     lines = ["epoch,train_loss,test_loss,alpha,beta,lr"]
     for i, (tr, te) in enumerate(run.epoch_losses):
-        lines.append(f"{run.first_epoch + i + 1},{tr:.17g},{te:.17g},"
+        epoch = run.first_epoch + i + 1
+        lines.append(f"{epoch},{tr:.17g},{te:.17g},"
                      f"{run.alpha_history[i]:.17g},"
-                     f"{run.beta_history[i]:.17g},{run.lr_history[i]:.17g}")
+                     f"{run.beta_history[i]:.17g},{run.cfg.rate(epoch):.17g}")
     return "\n".join(lines) + "\n"

@@ -349,6 +349,21 @@ class TestCheckpoint:
                 f"order K$")):
             load_checkpoint(path, self.graph, 3)
 
+    @pytest.mark.parametrize("key", ["W", "U", "V"])
+    def test_chebyshev_filters_are_one_row(self, tmp_path, key):
+        # the three coefficients of a 1 x 3 block, one to a line
+        p = make_params("chebyshev", 10)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, path, self.graph, train_state(p))
+        lines = path.read_text().splitlines()
+        at = lines.index(f"{key} 1 3")
+        lines[at:at + 2] = [f"{key} 3 1"] + lines[at + 1].split()
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=(
+                f"^{path}: line {at + 1}: {key}: expected 1 row of Chebyshev "
+                f"coefficients, got 3$")):
+            load_checkpoint(path, self.graph, 3)
+
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: lines[:5] + ["seed 3"] + lines[5:],
          "line 6: unknown entry 'seed'"),

@@ -728,6 +728,24 @@ def test_stability_bad_grid():
     assert cli.main(["stability", "--alpha", "0,oops"]) == 2
 
 
+@pytest.mark.parametrize("flag,value,repeated", [
+    ("--alpha", "0.5,1,0.5", "0.5"),
+    ("--beta", "1,1.0", "1.0"),
+    ("--T", "4,8,4", "4"),
+])
+def test_stability_refuses_a_repeated_grid_value(tmp_path, capsys, flag,
+                                                 value, repeated):
+    # a repeated value would write the same sweep rows twice
+    argv = ["stability", "--n-nodes", "8", "--alpha", "0.5", "--beta", "1",
+            "--T", "4"]
+    argv[argv.index(flag) + 1] = value
+    out = tmp_path / "s.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag}: grid value {repeated} given twice in {value!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--alpha", "nan"),
     ("--alpha", "0,inf"),
@@ -783,6 +801,7 @@ def test_stability_checks_n_before_building_anything(tmp_path, capsys,
     ("x 1\n", "line 1: expected integers 'N M'"),
     ("3 1.5\n0 1 1\n", "line 1: expected integers 'N M'"),
     ("-3 0\n", "line 1: expected non-negative"),
+    ("0 0\n", "line 1: need N >= 1 nodes, got '0 0'"),
     ("3 2\n0 1 1\nx 1 1\n", "line 3: expected integers i j"),
     ("3 1\n0 2 heavy\n", "line 2: expected integers i j"),
     ("3 1\n0 1 nan\n", "positive and finite"),

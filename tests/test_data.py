@@ -7,7 +7,7 @@ import pytest
 
 from fgrnn import data
 from fgrnn.data import (FrameSequence, SyntheticConfig, generate_synthetic,
-                        load_frames, save_frames, split_train_test)
+                        load_frames, save_frames)
 from fgrnn.errors import ContractViolation, ParseError
 
 from .reference import traced_peak, whole_file_frames
@@ -357,45 +357,10 @@ def test_traced_peak_refuses_to_nest():
         tracemalloc.stop()
 
 
-class TestSplit:
-    def test_paper_split(self):
-        seq = FrameSequence(np.zeros((573, 2, 1)))
-        train, test = split_train_test(seq, 0.8)
-        assert train.n_frames == 458 and test.n_frames == 115
-
-    def test_even_split(self):
-        seq = FrameSequence(np.arange(10)[:, None, None] * 1.0)
-        train, test = split_train_test(seq, 0.5)
-        assert train.n_frames == 5 and test.n_frames == 5
-
-    def test_minimal(self):
-        seq = FrameSequence(np.zeros((2, 2, 1)))
-        train, test = split_train_test(seq, 0.8)
-        assert train.n_frames == 1 and test.n_frames == 1
-
-    def test_partition_properties(self):
-        seq = FrameSequence(np.arange(17)[:, None, None] * 1.0)
-        train, test = split_train_test(seq, 0.6)
-        rejoined = np.concatenate([train.frames, test.frames])
-        assert np.array_equal(rejoined, seq.frames)
-
-    def test_bad_ratio(self):
-        seq = FrameSequence(np.zeros((10, 2, 1)))
-        with pytest.raises(ContractViolation):
-            split_train_test(seq, 1.0)
-
-    def test_empty_partition(self):
-        seq = FrameSequence(np.zeros((3, 2, 1)))
-        with pytest.raises(ContractViolation):
-            split_train_test(seq, 0.01)
-
-
 @pytest.mark.parametrize("call,fragment", [
     (lambda: FrameSequence(np.zeros((4, 3))), r"\(T, N, F\)"),
     (lambda: FrameSequence(np.full((2, 3, 1), np.nan)), "non-finite"),
-    (lambda: split_train_test(FrameSequence(np.zeros((1, 2, 1))), 0.5),
-     "at least 2 frames"),
-], ids=["2-D frames", "nan frames", "one frame to split"])
+], ids=["2-D frames", "nan frames"])
 def test_guards(call, fragment):
     with pytest.raises(ContractViolation, match=fragment):
         call()

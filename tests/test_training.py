@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fgrnn.sparse
+from fgrnn import training
 from fgrnn.cells import ModelParams
 from fgrnn.data import FrameSequence, SyntheticConfig, generate_synthetic
 from fgrnn.errors import ContractViolation, NumericOverflow
@@ -391,7 +392,11 @@ class TestTrainLoop:
         seq, g = self.small_dataset(5)
         run = train(TrainConfig(epochs=4, t_w=5, seed=5), seq, g)
         assert len(run.epoch_losses) == len(run.alpha_history) == 4
-        assert len(run.beta_history) == len(run.lr_history) == 4
+        assert len(run.beta_history) == 4
+        # one history row per epoch, each at the rate train gave it
+        rows = [row.split(",") for row in history_csv(run).splitlines()[1:]]
+        assert [(int(r[0]), float(r[-1])) for r in rows] == [
+            (e, run.cfg.rate(e)) for e in range(1, 5)]
 
     def test_resume_continues_the_run(self):
         # 2 epochs, then 2 more from (params, train_state), match 4 at once
@@ -401,7 +406,9 @@ class TestTrainLoop:
         assert half.first_epoch == 0
         state = half.train_state
         assert state["epoch"] == 2 and state["adam_step"] == half.adam.step
-        assert state["lr"] == half.lr_history[-1]
+        assert state["lr"] == half.cfg.rate(2)
+        assert float(history_csv(half).splitlines()[-1].split(",")[-1]) == \
+            state["lr"]
         rest = train(TrainConfig(epochs=2, t_w=5, seed=6), seq, g,
                      resume=(half.final_params, state))
         assert rest.first_epoch == 2 and rest.epochs_done == 4
@@ -422,6 +429,40 @@ class TestTrainLoop:
         with pytest.raises(ContractViolation,
                            match=r"^config key 'split' = 0.4 leaves 1 of 3"):
             train(TrainConfig(epochs=1, split=0.4), three, g)
+
+    @pytest.mark.parametrize("n_frames,split,n_train", [
+        (573, 0.8, 458), (10, 0.5, 5), (17, 0.6, 10)])
+    def test_cuts_at_floor_of_split_times_frames(self, monkeypatch, n_frames,
+                                                 split, n_train):
+        # feature 1 of frame t is t / 1000, so a window names its frames
+        rng = np.random.default_rng(n_frames)
+        pts = rng.standard_normal((6, 1))
+        g = build_knn_graph(np.hstack([pts, np.zeros((6, 2))]), 2)
+        t = np.arange(n_frames)[:, None, None]
+        frames = np.concatenate([pts * np.cos(0.1 * t),
+                                 np.broadcast_to(t / 1000.0, (n_frames, 6, 1))],
+                                axis=2)
+        read = []
+
+        def recording_bptt(p, lap, window, lambda_reg):
+            read.extend(np.rint(window[:, 0, 1] * 1000).astype(int).tolist())
+            return bptt(p, lap, window, lambda_reg)
+
+        monkeypatch.setattr(training, "bptt", recording_bptt)
+        run = train(TrainConfig(epochs=1, t_w=4, split=split, seed=1),
+                    FrameSequence(frames), g)
+        assert sorted(set(read)) == list(range(n_train))
+        lap = build_laplacians(g)
+        assert run.epoch_losses[0] == evaluate(run.final_params, lap, frames,
+                                               n_train)
+
+    @pytest.mark.parametrize("n_frames,split", [(1, 0.5), (3, 0.01)])
+    def test_split_leaving_no_training_frame_is_refused(self, n_frames, split):
+        seq, g = self.small_dataset()
+        with pytest.raises(ContractViolation, match=(
+                rf"^config key 'split' = {split} leaves 0 of {n_frames} ")):
+            train(TrainConfig(epochs=1, split=split),
+                  FrameSequence(seq.frames[:n_frames]), g)
 
     def test_overflow_aborts_without_a_numpy_warning(self):
         # the package finds the non-finite pre-activation itself; numpy
@@ -456,7 +497,7 @@ class TestConfigParsing:
             parse_config({"bogus": "1"}, TrainConfig)
 
     @pytest.mark.parametrize("key,value", [
-        ("t_w", 0), ("split", 1.5), ("activation", "softsign"),
+        ("t_w", 0), ("split", 1.5), ("split", 1.0), ("activation", "softsign"),
         ("seed", -1), ("lr_decay", float("inf")), ("init_scale", float("nan"))])
     def test_ranges_checked_at_construction(self, key, value):
         with pytest.raises(ContractViolation, match=f"'{key}'") as info:

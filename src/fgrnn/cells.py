@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
                      read_text)
 from .gconv import ChebFamily, FirstOrderFamily
-from .graph import Graph, LaplacianSet
+from .graph import Graph, LaplacianSet, build_laplacians
 
 # family: (the config key that sizes its filters, the shapes of W, U and V
 # at that size s for F features)
@@ -128,6 +128,12 @@ def conv_family(p: ModelParams, lap: LaplacianSet):
     if p.conv_family == "chebyshev":
         return ChebFamily(lap, len(p.W))
     return FirstOrderFamily(lap)
+
+
+def laplacians_for(p: ModelParams, g: Graph) -> LaplacianSet:
+    """The Laplacians of g for p's family: a first-order model leaves the
+    scaled Laplacian, and lambda_max's power iteration, unmade."""
+    return build_laplacians(g, scaled=p.conv_family == "chebyshev")
 
 
 def preactivation(p: ModelParams, fam, wx: np.ndarray,

@@ -31,10 +31,11 @@ import numpy as np
 from . import data as datamod
 from . import training
 from .cells import (ACTIVATIONS, FAMILIES, conv_family, input_terms,
-                    load_checkpoint, readout, save_checkpoint, unroll)
+                    laplacians_for, load_checkpoint, readout,
+                    save_checkpoint, unroll)
 from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
-                     read_text)
-from .graph import build_laplacians, load_graph, save_graph
+                     place_keys, read_text)
+from .graph import load_graph, save_graph
 from .stability import (check_node_count, scalar_cell_params, stability_sweep,
                         sweep_csv)
 from .training import (TrainConfig, count_params, history_csv, parse_config,
@@ -42,10 +43,11 @@ from .training import (TrainConfig, count_params, history_csv, parse_config,
 
 
 def _config(args, cls):
-    """(cfg, given): the cls that args' --config file and key=value pairs
-    set, the pairs winning, and the keys set in either. Each key keeps its
-    source through the merge, the file and its line or the command line,
-    so that parse_config names the place of a key it refuses."""
+    """(cfg, sources): the cls that args' --config file and key=value pairs
+    set, the pairs winning, and {key: (path, line)} of the keys set in
+    either. Each key keeps its source through the merge, the file and its
+    line or the command line (line None), so that parse_config, and
+    place_keys after it, name the place of a key they refuse."""
     given = {}
     for pair in args.overrides or []:
         if "=" not in pair:
@@ -57,16 +59,21 @@ def _config(args, cls):
         with in_file(args.config):
             given = {**{key: (val, args.config, line) for key, (val, line)
                         in parse_key_values(text).items()}, **given}
+    sources = {key: (path, line) for key, (_, path, line) in given.items()}
     cfg = parse_config({key: val for key, (val, _, _) in given.items()}, cls,
-                       {key: where for key, (_, *where) in given.items()})
-    return cfg, given.keys()
+                       sources)
+    return cfg, sources
 
 
 # --- gen-data ----------------------------------------------------------------
 
 def cmd_gen_data(args):
-    cfg, _ = _config(args, datamod.SyntheticConfig)
-    seq, graph = datamod.generate_synthetic(cfg)
+    cfg, sources = _config(args, datamod.SyntheticConfig)
+    try:
+        seq, graph = datamod.generate_synthetic(cfg)
+    except ContractViolation as exc:  # a value so large the frames overflow
+        place_keys(exc, sources)
+        raise
     datamod.save_frames(seq, args.out_frames)
     save_graph(graph, args.out_graph)
     print(f"wrote {args.out_frames} ({seq.n_frames} frames, {seq.n_nodes} nodes) "
@@ -83,6 +90,17 @@ def _load_inputs(frames_path, graph_path):
         raise ContractViolation(f"graph {graph_path} has {graph.n_nodes} nodes "
                                 f"but frames {frames_path} have {seq.n_nodes}")
     return seq, graph
+
+
+def _train(path, cfg, seq, graph, resume=None):
+    """train(cfg, seq, graph, resume), with the frame file at path named in
+    front of a refusal of cfg.split: its frames are too few to split."""
+    try:
+        return train(cfg, seq, graph, resume)
+    except ContractViolation as exc:
+        if exc.key == "split":
+            exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _need_frames(path, seq, need, why):
@@ -121,7 +139,7 @@ def cmd_train(args):
                  "frames; train needs 2 or more")
     resume = (_resume(args.resume, graph, seq.n_features, cfg, given)
               if args.resume else None)
-    run = train(cfg, seq, graph, resume)
+    run = _train(args.frames, cfg, seq, graph, resume)
     save_checkpoint(run.final_params, args.out_checkpoint, graph,
                     run.train_state)
     csv = history_csv(run)
@@ -146,7 +164,7 @@ def cmd_eval(args):
     _need_frames(args.frames, seq, 2,
                  "hold no transition to score; eval needs 2 or more")
     p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
-    lap = build_laplacians(graph)
+    lap = laplacians_for(p, graph)
     losses = training.teacher_forced_losses(p, lap, seq.frames)
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
     out = "\n".join(lines) + "\n"
@@ -167,7 +185,7 @@ def cmd_predict(args):
         _need_frames(args.frames, seq, 1, "leave no input step to feed back "
                      f"from; predict --horizon {args.horizon} needs 1 or more")
     p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
-    fam = conv_family(p, build_laplacians(graph))
+    fam = conv_family(p, laplacians_for(p, graph))
     # horizon 1 is teacher forced: one prediction per input frame but the
     # last. A longer horizon consumes every frame, then feeds its
     # predictions back; it keeps the prediction after the last frame and
@@ -267,7 +285,7 @@ def cmd_sweep_t(args):
             # number of Adam updates under the same learning-rate schedule
             cfg = replace(base, t_w=t_w, stride=base.stride or min(t_list),
                           seed=base.seed + s)
-            run = train(cfg, seq, graph)
+            run = _train(args.frames, cfg, seq, graph)
             if run.aborted:
                 print(f"T={t_w} seed={cfg.seed}: training aborted: numeric "
                       f"overflow", file=sys.stderr)

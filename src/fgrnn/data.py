@@ -116,7 +116,7 @@ def _finite(value, *keys: str):
     if not np.isfinite(value).all():
         names = " and ".join(repr(key) for key in keys)
         raise ContractViolation(f"config {names} too large: the generated "
-                                f"frames overflow")
+                                f"frames overflow", *keys)
     return value
 
 
@@ -127,7 +127,8 @@ def generate_synthetic(cfg: SyntheticConfig):
     (FrameSequence with F=3, kNN graph of the first frame with k=6).
 
     A finite config value so large that an angle or a frame overflows
-    raises ContractViolation naming its key."""
+    raises ContractViolation naming its key, or the two keys whose sum
+    overflowed, in its message and its keys."""
     rng = np.random.default_rng(cfg.seed)
     base = _base_points(cfg)
     n, t_total = cfg.n_nodes, cfg.n_frames

@@ -13,12 +13,20 @@ from dataclasses import fields
 
 
 class ContractViolation(ValueError):
-    """An operation was called with inputs that break its preconditions;
-    key is the config key of a value check_config refused, else None."""
+    """An operation was called with inputs that break its preconditions.
 
-    def __init__(self, message, key=None):
+    keys are the config keys whose values it refuses, each named in the
+    message: the one key check_config refused, or those whose size made
+    generated frames overflow; () elsewhere. key is the one key of a
+    refusal that names one, else None."""
+
+    def __init__(self, message, *keys):
         super().__init__(message)
-        self.key = key
+        self.keys = keys
+
+    @property
+    def key(self):
+        return self.keys[0] if len(self.keys) == 1 else None
 
 
 class NumericOverflow(FloatingPointError):
@@ -45,6 +53,26 @@ def placed(message, line=None, path=None) -> str:
     if line is not None:
         message = f"line {line}: {message}"
     return message if path is None else f"{path}: {message}"
+
+
+def place_keys(exc: ContractViolation, sources: dict):
+    """Write into exc's message where each config key it names was set;
+    sources maps a key to its (path, line), line None for a place without
+    lines such as `command line`. A refusal of one key reads
+    `path: line N: message`, as placed writes it; a refusal of more keys
+    names each key's place after the key (`'noise_std' (cfg.txt: line 3)`).
+    A key not in sources, one left at its default, has no place."""
+    message = str(exc)
+    if exc.key in sources:
+        path, line = sources[exc.key]
+        message = placed(message, line, path)
+    elif len(exc.keys) > 1:
+        for key in exc.keys:
+            if key in sources:
+                path, line = sources[key]
+                where = path if line is None else f"{path}: line {line}"
+                message = message.replace(repr(key), f"{key!r} ({where})", 1)
+    exc.args = (message,)
 
 
 @contextmanager

@@ -111,8 +111,9 @@ class ChebFamily:
     @staticmethod
     def coeff_grad(coeffs: np.ndarray, basis: np.ndarray,
                    upstream: np.ndarray) -> np.ndarray:
-        """d<upstream, combine(coeffs, basis)>/d coeffs, shape (K,)."""
-        return np.tensordot(basis, upstream, axes=upstream.ndim)
+        """d<upstream, combine(coeffs, basis)>/d coeffs, shape (K,): one
+        matrix-vector product of the flattened basis and upstream."""
+        return np.dot(basis.reshape(len(basis), -1), upstream.reshape(-1))
 
     def pre_adjoint(self, coeffs: np.ndarray, g: np.ndarray) -> np.ndarray:
         """conv(coeffs)^T g, a stack's in one product per order: T_k(Ls)

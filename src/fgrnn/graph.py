@@ -6,6 +6,9 @@ set bundles the three operators the convolution layers need:
     L   = I - D^{-1/2} A D^{-1/2}          (spectrum in [0, 2])
     Ls  = 2 L / lambda_max - I             (spectrum in [-1, 1])
     L1  = I + D^{-1/2} A D^{-1/2} = 2I - L (single-hop operator)
+
+Only Chebyshev filters read Ls, and lambda_max takes a power iteration,
+so a set can leave both to their first read (build_laplacians' scaled).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,15 +65,36 @@ class Graph:
 
 @dataclass(frozen=True)
 class LaplacianSet:
+    """L and L1, and on first read lambda_max and Ls, from one power
+    iteration on L per set: only Chebyshev filters read Ls, so a
+    first-order run never iterates."""
+
     laplacian: SparseMatrix    # L
-    scaled: SparseMatrix       # 2L/lambda_max - I
     first_order: SparseMatrix  # 2I - L
-    lambda_max: float
-    lambda_max_converged: bool = True
 
     @property
     def n_nodes(self) -> int:
         return self.laplacian.n_rows
+
+    @cached_property
+    def _power_iteration(self):
+        return power_iteration(self.laplacian)
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self._power_iteration[0])
+
+    @property
+    def lambda_max_converged(self) -> bool:
+        return self._power_iteration[1]
+
+    @cached_property
+    def scaled(self) -> SparseMatrix:
+        """2L/lambda_max - I, on L's sparsity pattern (diagonal included)."""
+        lap, lam = self.laplacian, self._power_iteration[0]
+        diag_mask = (lap._row_ids == lap.col_indices).astype(np.float64)
+        return SparseMatrix(lap.n_rows, lap.n_cols, lap.row_offsets,
+                            lap.col_indices, 2.0 * lap.values / lam - diag_mask)
 
 
 # rows of the distance matrix held at once by build_knn_graph; a block's
@@ -112,8 +137,12 @@ def build_knn_graph(points: np.ndarray, k: int) -> Graph:
     return Graph(n, edges)
 
 
-def build_laplacians(g: Graph) -> LaplacianSet:
+def build_laplacians(g: Graph, scaled: bool = True) -> LaplacianSet:
     """Normalized Laplacian plus its scaled and first-order variants.
+
+    scaled=False leaves the scaled Laplacian and lambda_max, one power
+    iteration, to their first read, so that a caller of first-order
+    filters alone never makes them.
 
     Isolated nodes use the convention D^{-1/2}[i,i] = 0, so their
     Laplacian row is the identity row. Every diagonal entry of L is then
@@ -133,14 +162,14 @@ def build_laplacians(g: Graph) -> LaplacianSet:
         cols += [j, i]
         vals += [a, a]
     lap = SparseMatrix.from_coo(n, n, rows, cols, vals)
-    lam, converged = power_iteration(lap)
-    # scaled and first-order share L's sparsity pattern (diagonal included)
+    # L1 shares L's sparsity pattern (diagonal included)
     diag_mask = (lap._row_ids == lap.col_indices).astype(np.float64)
-    scaled_vals = 2.0 * lap.values / lam - diag_mask
-    first_vals = 2.0 * diag_mask - lap.values
-    scaled = SparseMatrix(n, n, lap.row_offsets, lap.col_indices, scaled_vals)
-    first = SparseMatrix(n, n, lap.row_offsets, lap.col_indices, first_vals)
-    return LaplacianSet(lap, scaled, first, float(lam), converged)
+    first = SparseMatrix(n, n, lap.row_offsets, lap.col_indices,
+                         2.0 * diag_mask - lap.values)
+    laps = LaplacianSet(lap, first)
+    if scaled:
+        laps.scaled  # read once, so made now
+    return laps
 
 
 def save_graph(g: Graph, path):

@@ -239,7 +239,7 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
     if not (len(alpha_grid) and len(beta_grid) and len(t_grid)):
         raise ContractViolation("stability_sweep: grids must be non-empty")
     check_node_count(g.n_nodes)
-    lap = build_laplacians(g)
+    lap = build_laplacians(g, scaled=False)  # first-order: no lambda_max
     rng = np.random.default_rng(seed)
     n_feat = base_params.W.shape[0]
     frames = rng.standard_normal((max(t_grid), g.n_nodes, n_feat))

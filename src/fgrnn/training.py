@@ -17,9 +17,11 @@ everything else in a window is one stacked operation. Per step:
 Once per window:
   * act'(a_t) of every step from the stacked h_tilde_t = act(a_t), which
     dJ/dalpha reads too, and after the reverse loop every dJ/da_t from it;
-  * one product over the column-stacked input frames gives the input
-    bases, and with them the input terms combine(W, basis(x_t)), of every
-    step;
+  * the input bases of every step, and with them the input terms
+    combine(W, basis(x_t)): train carries them from window to window
+    (_with_input_bases), and a window's one product over its
+    column-stacked input frames covers only the frames it adds to those
+    of the window before; bptt called without them makes them all;
   * the readout x_hat = combine(V, basis(h_t)) + z and the step losses of
     every step, with one product by L for the regularizer and its
     gradient when lambda_reg > 0;
@@ -34,7 +36,11 @@ spmm treats columns independently, so every stacked product gives each
 step bit for bit what a product of its own would. A window of T steps
 makes (K-1)(1 + 2T) sparse products with Chebyshev filters of order K and
 1 + 2T first-order ones (about 2(K-1) and 2 per transition), plus one when
-lambda_reg > 0. teacher_forced_losses, the one forward-only loss pass (of
+lambda_reg > 0. Of those, the K-1 (or 1) input-basis products are narrower
+in train, over the frames a window adds, and a window that adds none, at
+the end of the training frames, makes none: in each epoch of train,
+each training input frame gets its bases once, however far the windows
+overlap. teacher_forced_losses, the one forward-only loss pass (of
 evaluate, eval and the finite-difference check), streams its frames one at
 a time through cells.input_terms instead, so it holds no window-sized
 stacks. Both passes score through one step loss, _step_losses (bptt a
@@ -61,12 +67,12 @@ from functools import partial
 import numpy as np
 
 from .cells import (ACTIVATIONS, FAMILIES, ModelParams, conv_family,
-                    input_terms, readout, step_vjp, unroll)
+                    input_terms, laplacians_for, readout, step_vjp, unroll)
 from .data import FrameSequence
 from .errors import (ContractViolation, NumericOverflow, ParseError,
-                     check_config, placed)
+                     check_config, place_keys)
 from .gconv import over_steps
-from .graph import Graph, LaplacianSet, build_laplacians
+from .graph import Graph, LaplacianSet
 from .sparse import spmm
 
 
@@ -122,24 +128,32 @@ def _step_losses(x_hats: np.ndarray, targets: np.ndarray, lap: LaplacianSet,
 
 
 def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
-         lambda_reg: float = 0.0):
+         lambda_reg: float = 0.0, bases: np.ndarray | None = None):
     """Exact gradients of the summed step losses (_step_losses) over one
     window (the plain prediction loss when lambda_reg is 0).
 
     window is a (T_w+1, N, F) array; step t consumes frame t and is
-    scored against frame t+1. Returns (loss, gradient), the gradient laid
-    out as p (p.like): grad.theta is dJ/dtheta, grad.W is dJ/dW, and so on.
+    scored against frame t+1. bases, when given, is
+    over_steps(fam.basis, window[:-1]) of p's family, the input bases that
+    train carries from window to window; None makes them here. Returns
+    (loss, gradient), the gradient laid out as p (p.like): grad.theta is
+    dJ/dtheta, grad.W is dJ/dW, and so on.
     """
     window = np.asarray(window, dtype=np.float64)
     t_w = window.shape[0] - 1
     if t_w < 1:
         raise ContractViolation("bptt: window needs at least 2 frames")
     fam = conv_family(p, lap)
+    if bases is None:
+        bases = over_steps(fam.basis, window[:-1])
+    elif bases.shape[1:] != window[:-1].shape:
+        raise ContractViolation(f"bptt: bases of shape {bases.shape} for "
+                                f"input frames {window[:-1].shape}")
 
     # bx[:, t] is the basis of input frame t and bh[:, t] that of h_t; the
     # input terms, the readouts and the losses of every step are each made
     # at once, so that the unroll runs only the recurrence
-    bx = np.ascontiguousarray(over_steps(fam.basis, window[:-1]))
+    bx = np.ascontiguousarray(bases)
     steps = list(unroll(p, fam, fam.combine(p.W, bx)))
     bh = np.stack([step.basis for step in steps], axis=1)
     losses, d_xhat = _step_losses(readout(p, fam, bh), window[1:], lap,
@@ -336,7 +350,7 @@ def parse_config(values: dict, cls, sources=None):
     str. An unknown key or a value that does not convert raises ParseError
     naming the key and, when sources maps the key to a (path, line) pair,
     that place. cls itself checks the ranges and raises ContractViolation,
-    which is raised again with the place of the key it names.
+    which is raised again with the place of the key it names (place_keys).
     """
     sources = sources or {}
     kinds = {f.name: type(f.default) for f in fields(cls)}
@@ -355,10 +369,7 @@ def parse_config(values: dict, cls, sources=None):
     try:
         return cls(**kwargs)
     except ContractViolation as exc:
-        if exc.key not in sources:
-            raise
-        path, line = sources[exc.key]
-        exc.args = (placed(str(exc), line, path),)
+        place_keys(exc, sources)
         raise
 
 
@@ -410,6 +421,29 @@ def _windows(n_train: int, t_w: int, stride: int):
     return out
 
 
+def _with_input_bases(fam, frames: np.ndarray, windows):
+    """(s, e, bases) for each window (s, e) of _windows, bases being the
+    input bases bptt takes for frames[s:e].
+
+    Windows start and end in order, so a window's input frames s..e-2
+    begin with those it shares with the window before. Their bases are
+    taken from that window's, and one stacked product makes those of the
+    frames it adds, so each frame's bases are made once per call, however
+    far the windows overlap. spmm treats columns independently, so they
+    are bit for bit those of a product over the whole window. Only the
+    bases of the window yielded are held between windows.
+    """
+    bases, lo, hi = None, 0, 0  # bases of input frames lo..hi-1
+    for s, e in windows:
+        parts = [bases[:, s - lo:]] if s < hi else []
+        if max(s, hi) < e - 1:
+            parts.append(over_steps(fam.basis, frames[max(s, hi):e - 1]))
+        bases = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        del parts  # and with it the window before's bases
+        lo, hi = s, e - 1
+        yield s, e, bases
+
+
 def evaluate(p: ModelParams, lap: LaplacianSet, frames: np.ndarray,
              n_train: int):
     """(mean train transition loss, mean test transition loss) of one
@@ -450,8 +484,8 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     if n_train < 2:
         raise ContractViolation(
             f"config key 'split' = {cfg.split!r} leaves {n_train} of "
-            f"{dataset.n_frames} frames to train on; a window needs 2")
-    lap = build_laplacians(g)
+            f"{dataset.n_frames} frames to train on; a window needs 2",
+            "split")
     if resume is None:
         p = init_params(cfg, dataset.n_nodes, dataset.n_features)
         adam, epochs_done = AdamState(p.theta.size), 0
@@ -460,15 +494,19 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
         adam = AdamState(p.theta.size, state["adam_step"],
                          state["adam_m"].copy(), state["adam_v"].copy())
         epochs_done = state["epoch"]
+    lap = laplacians_for(p, g)
     windows = _windows(n_train, cfg.t_w, cfg.effective_stride)
+    fam = conv_family(p, lap)
 
     epoch_losses, alphas, betas = [], [], []
     aborted = False
     try:
         for epoch in range(epochs_done, epochs_done + cfg.epochs):
             lr = cfg.rate(epoch + 1)
-            for s, e in windows:
-                _, grad = bptt(p, lap, dataset.frames[s:e], cfg.lambda_reg)
+            for s, e, bases in _with_input_bases(fam, dataset.frames,
+                                                 windows):
+                _, grad = bptt(p, lap, dataset.frames[s:e], cfg.lambda_reg,
+                               bases=bases)
                 adam_step(adam, p, grad, lr)
             epoch_losses.append(evaluate(p, lap, dataset.frames, n_train))
             alphas.append(p.alpha)

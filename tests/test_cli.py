@@ -205,6 +205,37 @@ def test_config_value_out_of_range_refused_at_its_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("n_nodes = 12\nn_frames = 8\nnoise_std = 1e308\n",
+     "{here}: config 'noise_std' too large: the generated frames overflow"),
+    ("n_nodes = 12\nn_frames = 8\nrotation_rate = 1e308\n",
+     "{here}: config 'rotation_rate' too large: the generated frames "
+     "overflow"),
+    # each term is finite, their sum is not: the refusal names both keys,
+    # each with its own place
+    ("n_nodes = 12\nn_frames = 8\ndeformation_amplitude = 1e308\n"
+     "noise_std = 5e307\n",
+     "config 'deformation_amplitude' ({cfg}: line 3) and 'noise_std' "
+     "({here}) too large: the generated frames overflow"),
+], ids=["noise", "rotation", "two keys"])
+def test_overflowing_config_value_refused_at_its_line(tmp_path, capsys,
+                                                      text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    argv = ["gen-data", "--out-frames", str(tmp_path / "f"), "--out-graph",
+            str(tmp_path / "g"), "--config", str(cfg)]
+    last = len(text.splitlines())
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: " + message.format(
+        cfg=cfg, here=f"{cfg}: line {last}") + "\n"
+    # the last key, set on the command line too, is refused there
+    override = text.splitlines()[-1].replace(" = ", "=")
+    assert cli.main([*argv, override]) == 2
+    assert capsys.readouterr().err == "error: " + message.format(
+        cfg=cfg, here="command line") + "\n"
+    assert not (tmp_path / "f").exists() and not (tmp_path / "g").exists()
+
+
 def test_params_command(capsys):
     cases = [
         (["params", "chebyshev", "--n", "1502", "--k", "3"], 3015),
@@ -576,8 +607,32 @@ def test_train_split_without_two_training_frames(small_dataset, tmp_path,
                      "--out-history", str(tmp_path / "h"),
                      "split=0.4"]) == 2
     assert capsys.readouterr().err == (
-        "error: config key 'split' = 0.4 leaves 1 of 3 frames to train on; "
-        "a window needs 2\n")
+        f"error: {frames}: config key 'split' = 0.4 leaves 1 of 3 frames to "
+        f"train on; a window needs 2\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("split", [None, "0.99"])
+@pytest.mark.parametrize("command", ["train", "sweep-T"])
+def test_two_frames_are_too_few_to_split(small_dataset, tmp_path, capsys,
+                                        command, split):
+    # no split in (0, 1) leaves 2 of 2 frames to train on, so the split's
+    # refusal names the frame file
+    _, graph = small_dataset
+    frames = tmp_path.parent / f"{tmp_path.name}-two.txt"
+    frames.write_text("gfrm 1 16 3 2\n" + "0 0 0\n" * 32)
+    inputs = ["--frames", str(frames), "--graph", graph]
+    argv = {
+        "train": ["train", *inputs, "--out-checkpoint", str(tmp_path / "c"),
+                  "--out-history", str(tmp_path / "h")],
+        "sweep-T": ["sweep-T", *inputs, "--T", "2,3", "--out",
+                    str(tmp_path / "s")],
+    }[command] + ([f"split={split}"] if split else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {frames}: config key 'split' = {split or '0.8'} leaves 1 of "
+        f"2 frames to train on; a window needs 2\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -124,6 +124,21 @@ class TestAdjointContract:
                                   g.reshape(-1, size))
             assert fam.coeff_grad(c, b, g).tobytes() == flat.tobytes()
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_chebyshev_coeff_grad_is_the_tensordot(self, order):
+        # one matrix-vector product gives tensordot's bytes, for a
+        # contiguous stack, a non-contiguous slice of one, and one step
+        rng = np.random.default_rng(20 + order)
+        fam = ChebFamily(knn_lap(14), order)
+        c = rng.standard_normal(order)
+        bases = np.ascontiguousarray(
+            over_steps(fam.basis, rng.standard_normal((6, 10, 3))))
+        upstream = rng.standard_normal((6, 10, 3))
+        for b, g in ((bases, upstream), (bases[:, 1:], upstream[:-1]),
+                     (bases[:, 2], upstream[2])):
+            assert (fam.coeff_grad(c, b, g).tobytes()
+                    == np.tensordot(b, g, axes=g.ndim).tobytes())
+
     def test_adjoint_takes_one_array(self):
         lap = knn_lap(13)
         x = np.random.default_rng(13).standard_normal((10, 2))

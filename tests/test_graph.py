@@ -7,6 +7,7 @@ from fgrnn import graph
 from fgrnn.errors import ContractViolation, ParseError
 from fgrnn.graph import (Graph, build_knn_graph, build_laplacians, load_graph,
                          save_graph)
+from fgrnn.sparse import power_iteration
 
 from .reference import dense_eig_sym, traced_peak
 
@@ -117,6 +118,32 @@ def test_knn_memory_at_the_paper_size():
 
 
 class TestLaplacians:
+    def test_lambda_max_made_once(self, monkeypatch):
+        # one power iteration per set: in build_laplacians, or with
+        # scaled=False on the first read of any of lambda_max,
+        # lambda_max_converged and the scaled Laplacian
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return power_iteration(a)
+
+        monkeypatch.setattr(graph, "power_iteration", counted)
+        made = build_laplacians(random_knn_graph(4))
+        assert calls == [made.laplacian]
+        made.lambda_max, made.lambda_max_converged, made.scaled
+        calls.clear()
+        lap = build_laplacians(random_knn_graph(4), scaled=False)
+        assert calls == []
+        scaled = lap.scaled
+        assert calls == [lap.laplacian]
+        lam, converged = power_iteration(lap.laplacian)
+        assert (lap.lambda_max, lap.lambda_max_converged) == (lam, converged)
+        assert lap.scaled is scaled and len(calls) == 1
+        diag = np.diag(np.ones(lap.n_nodes))
+        assert (scaled.to_dense().tobytes()
+                == (2.0 * lap.laplacian.to_dense() / lam - diag).tobytes())
+
     def test_k2(self):
         lap = build_laplacians(Graph(2, ((0, 1, 1.0),)))
         assert np.allclose(lap.laplacian.to_dense(), [[1, -1], [-1, 1]])

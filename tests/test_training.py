@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 
 import fgrnn.sparse
-from fgrnn import training
+from fgrnn import graph, stability, training
 from fgrnn.cells import ModelParams
 from fgrnn.data import FrameSequence, SyntheticConfig, generate_synthetic
-from fgrnn.errors import ContractViolation, NumericOverflow
+from fgrnn.errors import ContractViolation, NumericOverflow, place_keys
 from fgrnn.gconv import FirstOrderFamily
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import (AdamState, TrainConfig, adam_step, bptt,
@@ -444,9 +445,9 @@ class TestTrainLoop:
                                 axis=2)
         read = []
 
-        def recording_bptt(p, lap, window, lambda_reg):
+        def recording_bptt(p, lap, window, lambda_reg, bases=None):
             read.extend(np.rint(window[:, 0, 1] * 1000).astype(int).tolist())
-            return bptt(p, lap, window, lambda_reg)
+            return bptt(p, lap, window, lambda_reg, bases)
 
         monkeypatch.setattr(training, "bptt", recording_bptt)
         run = train(TrainConfig(epochs=1, t_w=4, split=split, seed=1),
@@ -455,6 +456,111 @@ class TestTrainLoop:
         lap = build_laplacians(g)
         assert run.epoch_losses[0] == evaluate(run.final_params, lap, frames,
                                                n_train)
+
+    @pytest.mark.parametrize("lambda_reg", [0.0, 0.3])
+    @pytest.mark.parametrize("family,k", [
+        ("chebyshev", 1), ("chebyshev", 2), ("chebyshev", 3),
+        ("first_order", 3)])
+    @pytest.mark.parametrize("stride", [1, 3, 4, 5, 7])  # t_w = 5
+    def test_matches_a_loop_of_bptt_without_bases(self, stride, family, k,
+                                                  lambda_reg):
+        # train hands each window the input bases it carries from the
+        # window before; a loop in which bptt makes every window's bases
+        # itself must give the same bytes
+        seq, g = self.small_dataset(7)
+        cfg = TrainConfig(family=family, k=k, t_w=5, stride=stride,
+                          epochs=2, lambda_reg=lambda_reg, seed=7)
+        run = train(cfg, seq, g)
+        lap = build_laplacians(g)
+        p = init_params(cfg, seq.n_nodes, seq.n_features)
+        adam = AdamState(p.theta.size)
+        n_train = math.floor(cfg.split * seq.n_frames)
+        losses, alphas, betas = [], [], []
+        for epoch in range(cfg.epochs):
+            for s in range(0, n_train - 1, stride):
+                window = seq.frames[s:min(s + cfg.t_w + 1, n_train)]
+                _, grad = bptt(p, lap, window, lambda_reg)
+                adam_step(adam, p, grad, cfg.rate(epoch + 1))
+            losses.append(evaluate(p, lap, seq.frames, n_train))
+            alphas.append(p.alpha)
+            betas.append(p.beta)
+        assert not run.aborted
+        assert (run.epoch_losses, run.alpha_history, run.beta_history) == (
+            losses, alphas, betas)
+        assert run.adam.step == adam.step
+        for got, want in ((run.final_params.theta, p.theta),
+                          (run.adam.first_moment, adam.first_moment),
+                          (run.adam.second_moment, adam.second_moment)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family,k", [
+        ("chebyshev", 2), ("chebyshev", 3), ("first_order", 3)])
+    @pytest.mark.parametrize("stride", [1, 2, 4])  # t_w = 4
+    def test_each_input_basis_made_once_per_epoch(self, monkeypatch, stride,
+                                                  family, k):
+        # feature 1 of frame t is t / 1000, so a product names its frames.
+        # Every input frame of the training partition, 0 .. n_train - 2,
+        # gets its bases from one product, whatever the overlap of the
+        # windows: K - 1 (Chebyshev) or 1 (first-order) products of F
+        # columns a frame. At stride t_w no window shares an input frame
+        # with another, and the windows make what they made each on their
+        # own before they shared bases
+        n_frames, n_train = 23, 18
+        rng = np.random.default_rng(n_frames)
+        pts = rng.standard_normal((8, 2))
+        g = build_knn_graph(np.hstack([pts, np.zeros((8, 1))]), 2)
+        t = np.arange(n_frames)[:, None, None]
+        frames = np.concatenate(
+            [pts[:, :1] * np.cos(0.1 * t), np.broadcast_to(
+                t / 1000.0, (n_frames, 8, 1)), pts[:, 1:] * np.sin(0.1 * t)],
+            axis=2)
+        real_over_steps, real_spmm = training.over_steps, fgrnn.sparse.spmm
+        read, columns, inside = [], [], []
+
+        def recording(fn, steps):
+            read.extend(np.rint(steps[:, 0, 1] * 1000).astype(int).tolist())
+            inside.append(1)
+            try:
+                return real_over_steps(fn, steps)
+            finally:
+                inside.pop()
+
+        def counted(a, x):
+            if inside:
+                columns.append(x.shape[1])
+            return real_spmm(a, x)
+
+        monkeypatch.setattr(training, "over_steps", recording)
+        for name, mod in list(sys.modules.items()):
+            if ((name == "fgrnn" or name.startswith("fgrnn."))
+                    and getattr(mod, "spmm", None) is real_spmm):
+                monkeypatch.setattr(mod, "spmm", counted)
+        train(TrainConfig(family=family, k=k, t_w=4, stride=stride,
+                          epochs=1, seed=3), FrameSequence(frames), g)
+        assert read == list(range(n_train - 1))
+        per_frame = k - 1 if family == "chebyshev" else 1
+        assert sum(columns) == per_frame * 3 * (n_train - 1)
+        if stride == 4:
+            assert sum(e - s - 1 for s, e in training._windows(
+                n_train, 4, 4)) == n_train - 1
+
+    @pytest.mark.parametrize("family,runs", [
+        ("first_order", 0), ("chebyshev", 1)])
+    def test_power_iteration_only_for_chebyshev(self, monkeypatch, family,
+                                                runs):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return fgrnn.sparse.power_iteration(a)
+
+        monkeypatch.setattr(graph, "power_iteration", counted)
+        seq, g = self.small_dataset(8)
+        train(TrainConfig(family=family, epochs=1, t_w=5, seed=8), seq, g)
+        assert len(calls) == runs
+        base = stability.scalar_cell_params(u=1.0, n_nodes=seq.n_nodes)
+        stability.stability_sweep(g, base, [0.5], [0.5], [4])
+        assert len(calls) == runs
 
     @pytest.mark.parametrize("n_frames,split", [(1, 0.5), (3, 0.01)])
     def test_split_leaving_no_training_frame_is_refused(self, n_frames, split):
@@ -516,6 +622,16 @@ class TestConfigParsing:
             parse_config({"lr": "0.1"}, SyntheticConfig)
         with pytest.raises(ContractViolation, match="'n_frames'"):
             parse_config({"n_frames": "0"}, SyntheticConfig)
+
+    def test_place_keys_leaves_a_default_key_unplaced(self):
+        # a refusal of two keys names each one's place after it; a key
+        # left at its default has none
+        exc = ContractViolation("config 'a' and 'b' too large", "a", "b")
+        place_keys(exc, {"b": ("c.cfg", 4), "z": ("command line", None)})
+        assert str(exc) == "config 'a' and 'b' (c.cfg: line 4) too large"
+        exc = ContractViolation("config 'a' and 'b' too large", "a", "b")
+        place_keys(exc, {"a": ("command line", None)})
+        assert str(exc) == "config 'a' (command line) and 'b' too large"
 
     def test_unconvertible_value_names_its_key(self):
         from fgrnn.errors import ParseError

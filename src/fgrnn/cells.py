@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
                      read_text)
 from .gconv import ChebFamily, FirstOrderFamily
-from .graph import Graph, LaplacianSet, build_laplacians
+from .graph import Graph, LaplacianSet
 
 # family: (the config key that sizes its filters, the shapes of W, U and V
 # at that size s for F features)
@@ -68,12 +68,13 @@ class ModelParams:
     """The trainable set {W, U, V, alpha, beta, b, z} as one flat vector.
 
     theta holds W, U, V, alpha, beta, b and z in that order, the order of a
-    checkpoint's Adam moments too. W, U and V are Chebyshev coefficients
-    (K each, one order for all three) or first-order weights (F x p, p x p,
-    p x F); b and z hold one value per node. They are views into theta,
-    bound once, and alpha and beta read and write their slots as Python
-    floats. like(vec) lays the same views over another vector of theta's
-    size: a gradient, or a copy to perturb.
+    checkpoint's Adam moments too. W, U and V have the shapes FAMILIES gives
+    at s, the size of W's last axis (K or p), and F, its first: K
+    coefficients each, or F x p, p x p and p x F. b and z hold one value
+    per node each (fits). They are views into theta, bound once, and alpha
+    and beta read and write their slots as Python floats. like(vec) lays
+    the same views over another vector of theta's size: a gradient, or a
+    copy to perturb.
     """
 
     def __init__(self, conv_family: str, W, U, V, alpha: float, beta: float,
@@ -83,25 +84,30 @@ class ModelParams:
         if activation not in ACTIVATIONS:
             raise ContractViolation(f"unknown activation {activation!r}")
         self.conv_family, self.activation = conv_family, activation
-        filters = [np.asarray(a, dtype=np.float64) for a in (W, U, V)]
-        if conv_family == "chebyshev":
-            filters = [a.ravel() for a in filters]
-            orders = [a.size for a in filters]
-            if min(orders) < 1 or len(set(orders)) > 1:
-                raise ContractViolation(
-                    f"Chebyshev W, U and V need one order K >= 1, got "
-                    f"{orders[0]}, {orders[1]} and {orders[2]}")
-        elif any(a.ndim != 2 for a in filters):
-            raise ContractViolation("first-order weights must be 2-D")
-        biases = [np.asarray(a, dtype=np.float64).ravel() for a in (b, z)]
-        self._shapes = ([a.shape for a in filters] + [(), ()]
-                        + [a.shape for a in biases])
-        self._bind(np.concatenate([a.ravel() for a in filters]
-                                  + [[alpha, beta]] + biases))
+        arrays = [np.asarray(a, dtype=np.float64) for a in (W, U, V, b, z)]
+        self._shapes = [a.shape for a in arrays]  # of W, U, V, b and z
+        w, nodes = self._shapes[0], self._shapes[3]
+        if not self.fits(nodes[0] if nodes else 0, w[0] if w else 0):
+            raise ContractViolation(
+                f"{conv_family} W, U, V, b and z of shapes "
+                f"{', '.join(map(str, self._shapes))}: need a non-empty W, "
+                f"U and V of the shapes FAMILIES gives at W's shape, and b "
+                f"and z of one value per node each")
+        flat = [a.ravel() for a in arrays]
+        self._bind(np.concatenate(flat[:3] + [[alpha, beta]] + flat[3:]))
+
+    def fits(self, n_nodes: int, n_features: int) -> bool:
+        """Whether this model runs on frames of n_nodes nodes and
+        n_features features: W is not empty, W, U and V have FAMILIES'
+        shapes at s, the size of W's last axis, and b and z hold n_nodes
+        values each."""
+        w = self._shapes[0]
+        need = FAMILIES[self.conv_family][1](w[-1] if w else 0, n_features)
+        return math.prod(w) > 0 and self._shapes == need + [(n_nodes,)] * 2
 
     def _bind(self, theta: np.ndarray):
         self.theta, views, off = theta, [], 0
-        for shape in self._shapes:
+        for shape in self._shapes[:3] + [(), ()] + self._shapes[3:]:
             size = math.prod(shape)
             views.append(theta[off:off + size].reshape(shape))
             off += size
@@ -128,12 +134,6 @@ def conv_family(p: ModelParams, lap: LaplacianSet):
     if p.conv_family == "chebyshev":
         return ChebFamily(lap, len(p.W))
     return FirstOrderFamily(lap)
-
-
-def laplacians_for(p: ModelParams, g: Graph) -> LaplacianSet:
-    """The Laplacians of g for p's family: a first-order model leaves the
-    scaled Laplacian, and lambda_max's power iteration, unmade."""
-    return build_laplacians(g, scaled=p.conv_family == "chebyshev")
 
 
 def preactivation(p: ModelParams, fam, wx: np.ndarray,
@@ -287,48 +287,35 @@ def load_checkpoint(path, graph: Graph, n_features: int):
     Raises ParseError naming the file and line for a truncated file, a
     line that is not one of the entries save_checkpoint writes or repeats
     one, an array block that does not match its header or holds a
-    non-finite value, a b or z block of more than one row, a W, U or V
-    block of no value, a Chebyshev W, U or V of more than one row, a
-    Chebyshev U or V of another order than W, a missing entry, an unknown
+    non-finite value, a W block of no value, a missing entry, an unknown
     family or activation, a node-operator entry other than 0 (the entry is
     optional; L1 is the only node operator), a non-finite alpha or beta, a
     negative epoch or adam_step, or Adam moments of another length than
-    the parameters. The file's graph_checksum must be graph.checksum(),
-    and b, z and first-order W, U and V must fit its N nodes and the
-    n_features features.
+    the parameters. The file's graph_checksum must be graph.checksum(), and
+    each of W, U, V, b and z must be, in 2-D, the shape ModelParams takes
+    at W's column count, the graph's N and n_features (_check_shapes).
     """
     lines = read_text(path).splitlines()
     with in_file(path):
         return _parse_checkpoint(lines, graph, n_features)
 
 
-def _check_shapes(arrays, where, family, n_nodes, n_features):
-    """ParseError at the first array that does not fit N nodes and F
-    features."""
-    need = {"b": (1, n_nodes), "z": (1, n_nodes)}
-    if family == "first_order":
-        shapes = FAMILIES[family][1](arrays["W"].shape[1], n_features)
-        need.update(zip("WUV", shapes))
-    else:
-        for name in ("W", "U", "V"):
-            if arrays[name].shape[0] != 1:
-                raise ParseError(
-                    f"{name}: expected 1 row of Chebyshev coefficients, got "
-                    f"{arrays[name].shape[0]}", line=where[name])
-        order = arrays["W"].size
-        for name in ("U", "V"):
-            if arrays[name].size != order:
-                raise ParseError(
-                    f"{name}: {arrays[name].size} Chebyshev coefficients, "
-                    f"but W has {order}: W, U and V share one order K",
-                    line=where[name])
+def _check_shapes(arrays, where, family, n_nodes, n_features) -> dict:
+    """{name: shape} of b and z (N values) and W, U and V (FAMILIES' at W's
+    column count) once each block, as written in 2-D, has that shape; else
+    ParseError at the first that does not."""
+    key, shapes = FAMILIES[family]
+    size = arrays["W"].shape[1]
+    need = dict(zip("bzWUV", [(n_nodes,)] * 2 + shapes(size, n_features)))
     for name, shape in need.items():
-        got = arrays[name].shape
-        if got != shape:
+        got, block = arrays[name].shape, (1,) * (2 - len(shape)) + shape
+        if got != block:
             raise ParseError(
                 f"checkpoint {name} is {got[0]} x {got[1]}, but N={n_nodes} "
-                f"nodes and F={n_features} features need {shape[0]} x "
-                f"{shape[1]}", line=where[name])
+                f"nodes and F={n_features} features need {block[0]} x "
+                f"{block[1]} in a {family} model of {key.upper()}={size}, "
+                f"W's column count", line=where[name])
+    return need
 
 
 def _parse_checkpoint(lines, graph, n_features):
@@ -385,24 +372,20 @@ def _parse_checkpoint(lines, graph, n_features):
         if key in scalars and scalars[key] not in allowed:
             raise ParseError(f"{key} must be one of {', '.join(allowed)}, "
                              f"got {scalars[key]!r}", line=where[key])
-    for key in ("b", "z"):
-        if arrays[key].shape[0] != 1:
-            raise ParseError(f"{key}: expected 1 row of per-node values, got "
-                             f"{arrays[key].shape[0]}", line=where[key])
-    for key in ("W", "U", "V"):
-        if arrays[key].size == 0:
-            raise ParseError(f"{key}: a filter needs at least one "
-                             f"coefficient", line=where[key])
+    if arrays["W"].size == 0:  # W's column count sizes every filter
+        raise ParseError("W: a filter needs at least one coefficient",
+                         line=where["W"])
     if scalars["graph_checksum"] != graph.checksum():
         raise ParseError(
             f"graph_checksum {scalars['graph_checksum']} is not the "
             f"graph's {graph.checksum()}: the checkpoint was trained on "
             f"another graph", line=where["graph_checksum"])
-    _check_shapes(arrays, where, scalars["family"], graph.n_nodes, n_features)
+    need = _check_shapes(arrays, where, scalars["family"], graph.n_nodes,
+                         n_features)
     p = ModelParams(
-        scalars["family"], arrays["W"], arrays["U"], arrays["V"],
-        alpha=number("alpha"), beta=number("beta"), b=arrays["b"],
-        z=arrays["z"], activation=scalars["activation"])
+        scalars["family"], alpha=number("alpha"), beta=number("beta"),
+        activation=scalars["activation"],
+        **{name: arrays[name].reshape(shape) for name, shape in need.items()})
     for key in ("adam_m", "adam_v"):
         if arrays[key].size != p.theta.size:
             raise ParseError(f"{key}: {arrays[key].size} values for "

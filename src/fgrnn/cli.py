@@ -31,11 +31,10 @@ import numpy as np
 from . import data as datamod
 from . import training
 from .cells import (ACTIVATIONS, FAMILIES, conv_family, input_terms,
-                    laplacians_for, load_checkpoint, readout,
-                    save_checkpoint, unroll)
+                    load_checkpoint, readout, save_checkpoint, unroll)
 from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
                      place_keys, read_text)
-from .graph import load_graph, save_graph
+from .graph import build_laplacians, load_graph, save_graph
 from .stability import (check_node_count, scalar_cell_params, stability_sweep,
                         sweep_csv)
 from .training import (TrainConfig, count_params, history_csv, parse_config,
@@ -164,7 +163,7 @@ def cmd_eval(args):
     _need_frames(args.frames, seq, 2,
                  "hold no transition to score; eval needs 2 or more")
     p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
-    lap = laplacians_for(p, graph)
+    lap = build_laplacians(graph, scaled=False)
     losses = training.teacher_forced_losses(p, lap, seq.frames)
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
     out = "\n".join(lines) + "\n"
@@ -185,7 +184,7 @@ def cmd_predict(args):
         _need_frames(args.frames, seq, 1, "leave no input step to feed back "
                      f"from; predict --horizon {args.horizon} needs 1 or more")
     p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
-    fam = conv_family(p, laplacians_for(p, graph))
+    fam = conv_family(p, build_laplacians(graph, scaled=False))
     # horizon 1 is teacher forced: one prediction per input frame but the
     # last. A longer horizon consumes every frame, then feeds its
     # predictions back; it keeps the prediction after the last frame and

@@ -88,7 +88,7 @@ class ChebFamily:
     """
 
     def __init__(self, lap: LaplacianSet, order: int):
-        self.scaled = lap.scaled
+        self.scaled = lap.scaled if order > 1 else None  # K=1: no product
         self.order = order
 
     def basis(self, x: np.ndarray) -> np.ndarray:

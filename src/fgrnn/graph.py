@@ -7,8 +7,8 @@ set bundles the three operators the convolution layers need:
     Ls  = 2 L / lambda_max - I             (spectrum in [-1, 1])
     L1  = I + D^{-1/2} A D^{-1/2} = 2I - L (single-hop operator)
 
-Only Chebyshev filters read Ls, and lambda_max takes a power iteration,
-so a set can leave both to their first read (build_laplacians' scaled).
+Only Chebyshev filters of order K >= 2 read Ls and its lambda_max, one
+power iteration, so a set can leave both to their first read.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Graph:
 @dataclass(frozen=True)
 class LaplacianSet:
     """L and L1, and on first read lambda_max and Ls, from one power
-    iteration on L per set: only Chebyshev filters read Ls, so a
-    first-order run never iterates."""
+    iteration on L per set: only Chebyshev filters of K >= 2 read Ls, so
+    a first-order or K = 1 run never iterates."""
 
     laplacian: SparseMatrix    # L
     first_order: SparseMatrix  # 2I - L
@@ -141,8 +141,8 @@ def build_laplacians(g: Graph, scaled: bool = True) -> LaplacianSet:
     """Normalized Laplacian plus its scaled and first-order variants.
 
     scaled=False leaves the scaled Laplacian and lambda_max, one power
-    iteration, to their first read, so that a caller of first-order
-    filters alone never makes them.
+    iteration, to their first read, which only Chebyshev filters of order
+    K >= 2 make: train, eval, predict and the stability sweep build so.
 
     Isolated nodes use the convention D^{-1/2}[i,i] = 0, so their
     Laplacian row is the identity row. Every diagonal entry of L is then

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import ACTIVATIONS, ModelParams, conv_family, input_terms, unroll
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericOverflow
 from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import SparseMatrix
 
@@ -108,11 +108,15 @@ def _frobenius_terms(out: np.ndarray, u: float, op: SparseMatrix,
 
 
 def _bound(p: ModelParams, worst: float, horizon: int) -> float | None:
-    """The bound from worst = max_t ||D_t u L1||_F^2 (beta != 0)."""
+    """The bound from worst = max_t ||D_t u L1||_F^2 (beta != 0); inf when
+    it is too large for a float, still an upper bound."""
     r = abs(p.alpha / p.beta) * math.sqrt(worst)
     if r >= 1.0:
         return None
-    return ((1.0 + r) / (1.0 - r)) ** (horizon - 2)
+    try:
+        return ((1.0 + r) / (1.0 - r)) ** (horizon - 2)
+    except OverflowError:
+        return math.inf
 
 
 def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
@@ -194,6 +198,10 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons,
 
 def _report(p: ModelParams, horizon: int, product: np.ndarray,
             bound: float | None) -> StabilityReport:
+    # min and max propagate nan, and make no N x N temporary
+    if not (math.isfinite(product.min()) and math.isfinite(product.max())):
+        raise NumericOverflow(f"stability: non-finite Jacobian product at "
+                              f"alpha={p.alpha!r}, beta={p.beta!r}, T={horizon}")
     svals = np.linalg.svd(product, compute_uv=False)
     sigma_max, sigma_min = float(svals[0]), float(svals[-1])
     cond = sigma_max / sigma_min if sigma_min > 0.0 else math.inf

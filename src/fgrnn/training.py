@@ -43,9 +43,10 @@ each training input frame gets its bases once, however far the windows
 overlap. teacher_forced_losses, the one forward-only loss pass (of
 evaluate, eval and the finite-difference check), streams its frames one at
 a time through cells.input_terms instead, so it holds no window-sized
-stacks. Both passes score through one step loss, _step_losses (bptt a
-window's stack of steps, teacher_forced_losses a stack of one per step),
-which refuses predictions and targets of different shapes, and both
+stacks. Each pass first refuses frames that the model does not fit
+(_check_fit, before any step), so its predictions have the targets'
+shape. Both score through one step loss, _step_losses (bptt a window's
+stack of steps, teacher_forced_losses a stack of one per step), and both
 refuse a non-finite step loss through one check.
 
 Adam's decay rates and epsilon are module constants; train passes
@@ -67,12 +68,12 @@ from functools import partial
 import numpy as np
 
 from .cells import (ACTIVATIONS, FAMILIES, ModelParams, conv_family,
-                    input_terms, laplacians_for, readout, step_vjp, unroll)
+                    input_terms, readout, step_vjp, unroll)
 from .data import FrameSequence
 from .errors import (ContractViolation, NumericOverflow, ParseError,
                      check_config, place_keys)
 from .gconv import over_steps
-from .graph import Graph, LaplacianSet
+from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import spmm
 
 
@@ -86,12 +87,22 @@ def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
     The forward-only pass of evaluate, eval and the finite-difference
     check. Each step is scored by _step_losses as a stack of one, its
     gradient dropped, so bptt's loss over a window is their sum."""
+    _check_fit(p, frames, "teacher_forced_losses")
     fam = conv_family(p, lap)
     steps = unroll(p, fam, input_terms(p, fam, frames[:-1]))
     return _finite_losses([
         _step_losses(readout(p, fam, step.basis)[None], x[None], lap,
                      lambda_reg)[0].item()
         for step, x in zip(steps, frames[1:])])
+
+
+def _check_fit(p: ModelParams, frames: np.ndarray, caller: str):
+    """Refuses, naming both shapes, (T, N, F) frames that p does not fit."""
+    if frames.ndim != 3 or not p.fits(*frames.shape[1:]):
+        raise ContractViolation(
+            f"{caller}: frames of shape {frames.shape} do not fit the "
+            f"{p.conv_family} model's W, U, V, b and z of shapes "
+            f"{', '.join(str(a.shape) for a in (p.W, p.U, p.V, p.b, p.z))}")
 
 
 def _finite_losses(losses: list) -> list:
@@ -112,9 +123,6 @@ def _step_losses(x_hats: np.ndarray, targets: np.ndarray, lap: LaplacianSet,
     gradient; applied to the ground truth it would be a constant. One
     product by L serves the regularizer of every step and its gradient.
     """
-    if x_hats.shape != targets.shape:
-        raise ContractViolation(f"step loss: predictions of shape "
-                                f"{x_hats.shape}, targets {targets.shape}")
     if lambda_reg < 0:
         raise ContractViolation("lambda_reg must be >= 0")
     d = x_hats - targets
@@ -143,6 +151,7 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     t_w = window.shape[0] - 1
     if t_w < 1:
         raise ContractViolation("bptt: window needs at least 2 frames")
+    _check_fit(p, window, "bptt")
     fam = conv_family(p, lap)
     if bases is None:
         bases = over_steps(fam.basis, window[:-1])
@@ -494,7 +503,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
         adam = AdamState(p.theta.size, state["adam_step"],
                          state["adam_m"].copy(), state["adam_v"].copy())
         epochs_done = state["epoch"]
-    lap = laplacians_for(p, g)
+    lap = build_laplacians(g, scaled=False)  # made on a Chebyshev read
     windows = _windows(n_train, cfg.t_w, cfg.effective_stride)
     fam = conv_family(p, lap)
 

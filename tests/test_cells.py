@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -316,14 +318,20 @@ class TestCheckpoint:
         assert other.checksum() in str(exc.value)
 
     def test_v_must_end_in_ws_features(self, tmp_path):
-        p = ModelParams("first_order", np.ones((3, 2)), np.ones((2, 2)),
-                        np.ones((2, 4)), 0.5, 0.5, np.zeros(10), np.zeros(10))
+        # ModelParams refuses a 2 x 4 V beside a 3 x 2 W, so the saved
+        # 2 x 3 V gets a fourth column in the file
+        p = make_params("first_order", 10, p=2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(p, path, self.graph, train_state(p))
-        v_line = path.read_text().splitlines().index("V 2 4") + 1
+        lines = path.read_text().splitlines()
+        at = lines.index("V 2 3")
+        lines[at:at + 3] = ["V 2 4"] + [row + " 1" for row in
+                                         lines[at + 1:at + 3]]
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=(
-                f"^{path}: line {v_line}: checkpoint V is 2 x 4, but N=10 "
-                f"nodes and F=3 features need 2 x 3$")):
+                f"^{path}: line {at + 1}: checkpoint V is 2 x 4, but N=10 "
+                f"nodes and F=3 features need 2 x 3 in a first_order model "
+                f"of P=2, W's column count$")):
             load_checkpoint(path, self.graph, 3)
 
     def test_not_a_checkpoint_file(self, tmp_path):
@@ -344,15 +352,18 @@ class TestCheckpoint:
         lines[at:at + 2] = [f"{key} 1 {len(values.split())}", values]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=(
-                f"^{path}: line {at + 1}: {key}: {len(values.split())} "
-                f"Chebyshev coefficients, but W has 3: W, U and V share one "
-                f"order K$")):
+                f"^{path}: line {at + 1}: checkpoint {key} is 1 x "
+                f"{len(values.split())}, but N=10 nodes and F=3 features "
+                f"need 1 x 3 in a chebyshev model of K=3, W's column "
+                f"count$")):
             load_checkpoint(path, self.graph, 3)
 
     @pytest.mark.parametrize("key", ["W", "U", "V"])
     def test_chebyshev_filters_are_one_row(self, tmp_path, key):
-        # the three coefficients of a 1 x 3 block, one to a line
+        # the three coefficients of a 1 x 3 block, one to a line; W's
+        # column count, 1, is then the order K
         p = make_params("chebyshev", 10)
+        k = 1 if key == "W" else 3
         path = tmp_path / "model.ckpt"
         save_checkpoint(p, path, self.graph, train_state(p))
         lines = path.read_text().splitlines()
@@ -360,8 +371,9 @@ class TestCheckpoint:
         lines[at:at + 2] = [f"{key} 3 1"] + lines[at + 1].split()
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=(
-                f"^{path}: line {at + 1}: {key}: expected 1 row of Chebyshev "
-                f"coefficients, got 3$")):
+                f"^{path}: line {at + 1}: checkpoint {key} is 3 x 1, but "
+                f"N=10 nodes and F=3 features need 1 x {k} in a chebyshev "
+                f"model of K={k}, W's column count$")):
             load_checkpoint(path, self.graph, 3)
 
     @pytest.mark.parametrize("edit,message", [
@@ -388,13 +400,57 @@ class TestCheckpoint:
     (("dense", [[1.0]], [[1.0]], [[1.0]]), {}, "unknown family"),
     (("first_order", [[1.0]], [[1.0]], [[1.0]]), {"activation": "softsign"},
      "unknown activation"),
-    (("chebyshev", [], [0.5], [0.5]), {}, "K >= 1"),
+    (("chebyshev", [], [0.5], [0.5]), {},
+     r"^chebyshev W, U, V, b and z of shapes \(0,\), .*: need a non-empty W"),
     (("chebyshev", [0.5, 0.1], [0.5], [0.5, 0.1]), {},
-     "one order K >= 1, got 2, 1 and 2"),
-    (("first_order", [1.0], [[1.0]], [[1.0]]), {}, "2-D"),
+     r"^chebyshev W, U, V, b and z of shapes \(2,\), \(1,\), \(2,\), "),
+    (("first_order", [1.0], [[1.0]], [[1.0]]), {},
+     r"^first_order W, U, V, b and z of shapes \(1,\), \(1, 1\), "),
 ], ids=["family", "activation", "chebyshev K 0", "chebyshev mixed orders",
         "first_order 1-D"])
 def test_model_params_guards(args, kwargs, fragment):
     with pytest.raises(ContractViolation, match=fragment):
         ModelParams(*args, alpha=0.5, beta=0.5, b=np.zeros(2), z=np.zeros(2),
                     **kwargs)
+
+
+# W, U, V, b and z, each off the shapes that FAMILIES gives at W's last axis
+# and first axis, or b and z of unequal length
+OFF_THE_TABLE = {
+    "first_order U 3 x 3 beside W 3 x 2": (
+        "first_order", (3, 2), (3, 3), (2, 3), (10,), (10,)),
+    "first_order V of p x F' with F' != F": (
+        "first_order", (3, 2), (2, 2), (2, 4), (10,), (10,)),
+    "chebyshev orders that differ": (
+        "chebyshev", (3,), (2,), (3,), (10,), (10,)),
+    "chebyshev W of 2 x 2": ("chebyshev", (2, 2), (4,), (4,), (10,), (10,)),
+    "b of 7 nodes beside z of 10": (
+        "chebyshev", (3,), (3,), (3,), (7,), (10,)),
+    "b of one row": ("first_order", (3, 2), (2, 2), (2, 3), (1, 10), (10,)),
+    "chebyshev K 0": ("chebyshev", (0,), (0,), (0,), (10,), (10,)),
+    "first_order p 0": ("first_order", (3, 0), (0, 0), (0, 3), (10,), (10,)),
+    "first_order F 0": ("first_order", (0, 2), (2, 2), (2, 0), (10,), (10,)),
+}
+
+
+@pytest.mark.parametrize("family,w,u,v,b,z", OFF_THE_TABLE.values(),
+                         ids=OFF_THE_TABLE.keys())
+def test_model_params_takes_only_the_table_shapes(family, w, u, v, b, z):
+    shapes = ", ".join(map(str, (w, u, v, b, z)))
+    with pytest.raises(ContractViolation, match=(
+            rf"^{family} W, U, V, b and z of shapes "
+            rf"{re.escape(shapes)}: need a non-empty W, U and V of the "
+            rf"shapes FAMILIES gives at W's shape, and b and z of one value "
+            rf"per node each$")):
+        ModelParams(family, np.ones(w), np.ones(u), np.ones(v), 0.5, 0.5,
+                    np.ones(b), np.ones(z))
+
+
+@pytest.mark.parametrize("family,n,f", [
+    ("chebyshev", 10, 3), ("chebyshev", 1, 2), ("first_order", 10, 3),
+    ("first_order", 1, 1)])
+def test_a_model_fits_only_its_own_frames(family, n, f):
+    p = make_params(family, n, f=f)
+    assert p.fits(n, f) and not p.fits(n + 1, f)
+    # a Chebyshev filter keeps each frame's feature count
+    assert p.fits(n, f + 1) == (family == "chebyshev")

@@ -801,6 +801,31 @@ def test_stability_refuses_a_repeated_grid_value(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,rc,err,row", [
+    (["--beta", "1e40", "--T", "12"], 3,
+     "numeric failure: stability: non-finite Jacobian product at "
+     "alpha=0.0, beta=1e+40, T=12\n", None),
+    (["--beta", "1e160", "--T", "4"], 3,
+     "numeric failure: stability: non-finite Jacobian product at "
+     "alpha=0.0, beta=1e+160, T=4\n", None),
+    (["--T", "800", "--alpha", "0.2", "--beta", "1", "--w", "1", "--bias",
+      "1"], 0, "", "0.20000000000000001,1,800,4.0754209273710536e+116,0,"
+     "inf,inf"),
+], ids=["beta 1e40", "beta 1e160", "T 800"])
+def test_stability_overflow(tmp_path, capsys, args, rc, err, row):
+    # a product that overflows exits 3 naming its grid point (it used to
+    # end in the SVD's LinAlgError, or write nan rows); a bound too large
+    # for a float is written as inf (it used to raise OverflowError)
+    out = tmp_path / "s.csv"
+    assert cli.main(["stability", "--n-nodes", "8", *args,
+                     "--out", str(out)]) == rc
+    assert capsys.readouterr().err == err
+    if row is None:
+        assert not out.exists()
+    else:
+        assert out.read_text().splitlines()[1:] == [row]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--alpha", "nan"),
     ("--alpha", "0,inf"),
@@ -948,7 +973,8 @@ def _mutate_checkpoint(lines, case):
         values = lines[at["b"] + 1].split()
         rows = [" ".join(values[:8]), " ".join(values[8:])]
         lines = lines[:at["b"]] + ["b 2 8"] + rows + lines[at["b"] + 2:]
-        return lines, f"line {at['b'] + 1}: b: expected 1 row"
+        return lines, (f"line {at['b'] + 1}: checkpoint b is 2 x 8, but N=16 "
+                       f"nodes and F=3 features need 1 x 16")
     if case == "W rows":  # W is F x p = 3 x 2
         lines[at["W"]] = "W 2 2"
         del lines[at["W"] + 3]
@@ -1026,11 +1052,17 @@ def test_resume_bad_checkpoint_shape(small_dataset, small_checkpoint, tmp_path,
     assert f"error: {bad}: " in err
 
 
-@pytest.mark.parametrize("header,row", [
-    ("W 0 3", None), ("W 1 0", ""), ("U 0 3", None), ("V 1 0", "")],
+@pytest.mark.parametrize("header,row,message", [
+    ("W 0 3", None, "W: a filter needs at least one coefficient"),
+    ("W 1 0", "", "W: a filter needs at least one coefficient"),
+    ("U 0 3", None, "checkpoint U is 0 x 3, but N=16 nodes and F=3 features "
+     "need 1 x 3 in a chebyshev model of K=3, W's column count"),
+    ("V 1 0", "", "checkpoint V is 1 x 0, but N=16 nodes and F=3 features "
+     "need 1 x 3 in a chebyshev model of K=3, W's column count")],
     ids=["W 0 3", "W 1 0", "U 0 3", "V 1 0"])
 def test_chebyshev_filter_without_a_coefficient(
-        small_dataset, cheb_checkpoint, tmp_path, capsys, header, row):
+        small_dataset, cheb_checkpoint, tmp_path, capsys, header, row,
+        message):
     frames, graph = small_dataset
     key = header.split()[0]
     lines = Path(cheb_checkpoint).read_text().splitlines()
@@ -1040,9 +1072,7 @@ def test_chebyshev_filter_without_a_coefficient(
     bad.write_text("\n".join(lines) + "\n")
     assert cli.main(["eval", "--checkpoint", str(bad), "--frames", frames,
                      "--graph", graph]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {bad}: line {at + 1}: {key}: a filter needs at least one "
-        f"coefficient\n")
+    assert capsys.readouterr().err == f"error: {bad}: line {at + 1}: {message}\n"
 
 
 def _resume(frames, graph, ckpt, out_dir, name, *extra):

@@ -197,6 +197,14 @@ class TestConditionBound:
         d_list = [np.ones(2)] * 4
         assert condition_bound(p, d_list, lap, 4) == pytest.approx(9.0)
 
+    def test_bound_too_large_for_a_float_is_inf(self):
+        # r = 0.5: ((1.5) / (0.5)) ** (T - 2) is 9 at T = 4, 3 ** 1998 at
+        # T = 2000, past the largest float
+        p = scalar_cell_params(u=1.0, n_nodes=2)
+        p.alpha, p.beta = 0.5, 1.0
+        assert stability._bound(p, 1.0, 4) == 9.0
+        assert stability._bound(p, 1.0, 2000) == math.inf
+
     def test_vacuous_when_r_large(self):
         lap = build_laplacians(Graph(2, ((0, 1, 1.0),)))
         p = scalar_cell_params(u=2.0, n_nodes=2, b=5.0, activation="relu")

@@ -7,7 +7,6 @@ import pytest
 
 import fgrnn.sparse
 from fgrnn import graph, stability, training
-from fgrnn.cells import ModelParams
 from fgrnn.data import FrameSequence, SyntheticConfig, generate_synthetic
 from fgrnn.errors import ContractViolation, NumericOverflow, place_keys
 from fgrnn.gconv import FirstOrderFamily
@@ -78,17 +77,36 @@ class TestLosses:
             brute, abs=1e-12)
 
     def test_shape_mismatch(self):
-        # a first-order V of p x 1 reads out 1 feature for frames of 3:
-        # both passes refuse it before broadcasting can score it
-        p = make_params("first_order", 10, p=2)
-        p = ModelParams("first_order", p.W, p.U, np.ones((2, 1)), 0.5, 0.5,
-                        p.b, p.z)
+        # a first-order model for 1 feature reads out 1 feature, and frames
+        # of 3 would score it by broadcasting: both passes refuse them
+        p = make_params("first_order", 10, f=1, p=2)
         frames = np.random.default_rng(0).standard_normal((4, 10, 3))
-        for loss_pass, shapes in ((teacher_forced_losses,
-                                   r"\(1, 10, 1\), targets \(1, 10, 3\)"),
-                                  (bptt, r"\(3, 10, 1\), targets \(3, 10, 3\)")):
-            with pytest.raises(ContractViolation, match=shapes):
+        for loss_pass in (teacher_forced_losses, bptt):
+            with pytest.raises(ContractViolation, match=(
+                    rf"^{loss_pass.__name__}: frames of shape \(4, 10, 3\) "
+                    rf"do not fit the first_order model's W, U, V, b and z "
+                    rf"of shapes \(1, 2\), \(2, 2\), \(2, 1\), \(10,\), "
+                    rf"\(10,\)$")):
                 loss_pass(p, knn_lap(0), frames)
+
+    @pytest.mark.parametrize("family,n,f", [
+        ("chebyshev", 1, 3), ("chebyshev", 7, 3), ("first_order", 1, 3),
+        ("first_order", 7, 3), ("first_order", 10, 2)],
+        ids=["chebyshev 1 node", "chebyshev 7 nodes", "first_order 1 node",
+             "first_order 7 nodes", "first_order F=2"])
+    def test_passes_refuse_frames_the_model_does_not_fit(self, family, n, f):
+        # a model for n nodes and f features, on 10-node frames of 3: a
+        # 1-node model used to score them silently through broadcasting
+        p = make_params(family, n, f=f)
+        frames = np.random.default_rng(0).standard_normal((4, 10, 3))
+        assert not p.fits(10, 3) and p.fits(n, f)
+        for loss_pass in (teacher_forced_losses, bptt):
+            with pytest.raises(ContractViolation, match=(
+                    rf"^{loss_pass.__name__}: frames of shape \(4, 10, 3\) "
+                    rf"do not fit the {family} model's .*\({n},\)$")):
+                loss_pass(p, knn_lap(0), frames)
+        with pytest.raises(ContractViolation, match="do not fit"):
+            evaluate(p, knn_lap(0), frames, 2)
 
     def test_regularizer_zero_lambda(self):
         # bit for bit the written-out sum of squares, for both families
@@ -544,10 +562,13 @@ class TestTrainLoop:
             assert sum(e - s - 1 for s, e in training._windows(
                 n_train, 4, 4)) == n_train - 1
 
-    @pytest.mark.parametrize("family,runs", [
-        ("first_order", 0), ("chebyshev", 1)])
-    def test_power_iteration_only_for_chebyshev(self, monkeypatch, family,
+    @pytest.mark.parametrize("family,k,runs", [
+        ("first_order", 3, 0), ("chebyshev", 3, 1), ("chebyshev", 1, 0)],
+        ids=["first_order-0", "chebyshev-1", "chebyshev-k1-0"])
+    def test_power_iteration_only_for_chebyshev(self, monkeypatch, family, k,
                                                 runs):
+        # a Chebyshev filter of order 1 makes no product by the scaled
+        # Laplacian, so it makes no lambda_max either
         calls = []
 
         def counted(a):
@@ -556,7 +577,8 @@ class TestTrainLoop:
 
         monkeypatch.setattr(graph, "power_iteration", counted)
         seq, g = self.small_dataset(8)
-        train(TrainConfig(family=family, epochs=1, t_w=5, seed=8), seq, g)
+        train(TrainConfig(family=family, k=k, epochs=1, t_w=5, seed=8), seq,
+              g)
         assert len(calls) == runs
         base = stability.scalar_cell_params(u=1.0, n_nodes=seq.n_nodes)
         stability.stability_sweep(g, base, [0.5], [0.5], [4])

@@ -22,10 +22,13 @@ one step (training.bptt's), all built on conv_family's primitives.
 
 A checkpoint holds exactly what train writes: the parameters, the
 checksum of the graph they were trained on and the training block (epoch,
-Adam step, rate and moments), each entry once, as _ENTRIES lists them.
-save_checkpoint and load_checkpoint both take the graph, and
-load_checkpoint is the one place that checks that binding: a checkpoint
-trained on another graph fails at its graph_checksum line.
+Adam step, rate and moments), each entry once. _ENTRIES is the one
+statement of that layout: save_checkpoint writes the entries by walking
+it, and load_checkpoint reads them by walking it in the same order, so a
+line other than the next entry save_checkpoint writes is refused where it
+stands. Both take the graph, and load_checkpoint is the one place that
+checks that binding: a checkpoint trained on another graph fails at its
+graph_checksum line.
 """
 
 from __future__ import annotations
@@ -217,53 +220,44 @@ def step_vjp(p: ModelParams, fam, v: np.ndarray, dact: np.ndarray,
 
 # --- checkpoint IO ---------------------------------------------------------
 
-def _write_array(fh, name, arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-    for row in arr:
-        fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+# every entry of a checkpoint, in the order save_checkpoint writes them and
+# load_checkpoint reads them: True for a 'name rows cols' array block,
+# False for a 'name value' line. Each is required but use_plain_laplacian.
+_ENTRIES = (
+    ("family", False), ("activation", False),
+    ("use_plain_laplacian", False), ("graph_checksum", False),
+    ("alpha", False), ("beta", False),
+    ("W", True), ("U", True), ("V", True), ("b", True), ("z", True),
+    ("epoch", False), ("adam_step", False), ("lr", False),
+    ("adam_m", True), ("adam_v", True),
+)
 
 
 def save_checkpoint(p: ModelParams, path, graph: Graph, train_state: dict):
     """Plain-text checkpoint of p, trained on graph, with its training
     block; round-trips exactly at 17 significant digits."""
+    values = {"family": p.conv_family, "activation": p.activation,
+              # the format's node-operator entry; L1 is the only operator
+              "use_plain_laplacian": 0, "graph_checksum": graph.checksum(),
+              "alpha": p.alpha, "beta": p.beta, **train_state,
+              **{name: getattr(p, name) for name in "WUVbz"}}
     with open(path, "w") as fh:
         fh.write("fgrnn-checkpoint 1\n")
-        fh.write(f"family {p.conv_family}\n")
-        fh.write(f"activation {p.activation}\n")
-        # the format's node-operator entry; L1 is the only operator
-        fh.write("use_plain_laplacian 0\n")
-        fh.write(f"graph_checksum {graph.checksum()}\n")
-        fh.write(f"alpha {p.alpha:.17g}\n")
-        fh.write(f"beta {p.beta:.17g}\n")
-        for name in ("W", "U", "V", "b", "z"):
-            _write_array(fh, name, getattr(p, name))
-        fh.write(f"epoch {train_state['epoch']}\n")
-        fh.write(f"adam_step {train_state['adam_step']}\n")
-        fh.write(f"lr {train_state['lr']:.17g}\n")
-        _write_array(fh, "adam_m", train_state["adam_m"])
-        _write_array(fh, "adam_v", train_state["adam_v"])
+        for name, is_array in _ENTRIES:
+            value = values[name]
+            if is_array:
+                arr = np.atleast_2d(np.asarray(value, dtype=np.float64))
+                fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
+                for row in arr:
+                    fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            elif isinstance(value, float):
+                fh.write(f"{name} {value:.17g}\n")
+            else:
+                fh.write(f"{name} {value}\n")
 
 
-# every entry save_checkpoint writes, in its order: True for a 'name rows
-# cols' array block, False for a 'key value' line. Each is read once, and
-# each is required but use_plain_laplacian.
-_ENTRIES = {
-    "family": False, "activation": False, "use_plain_laplacian": False,
-    "graph_checksum": False, "alpha": False, "beta": False,
-    "W": True, "U": True, "V": True, "b": True, "z": True,
-    "epoch": False, "adam_step": False, "lr": False,
-    "adam_m": True, "adam_v": True,
-}
-
-
-def _read_array(lines, k):
-    """The array whose 'name rows cols' header is lines[k]."""
-    name, rows, cols = lines[k].split()
-    if not (rows.isdecimal() and cols.isdecimal()):
-        raise ParseError(f"expected '{name} rows cols', got {lines[k]!r}",
-                         line=k + 1)
-    rows, cols = int(rows), int(cols)
+def _read_array(lines, k, name, rows, cols):
+    """The rows x cols array name whose header is lines[k]."""
     if k + 1 + rows > len(lines):
         raise ParseError(f"{name}: header promises {rows} rows, the file ends "
                          f"after {len(lines) - k - 1}", line=k + 1)
@@ -285,15 +279,16 @@ def load_checkpoint(path, graph: Graph, n_features: int):
     training.train's resume takes with the parameters.
 
     Raises ParseError naming the file and line for a truncated file, a
-    line that is not one of the entries save_checkpoint writes or repeats
-    one, an array block that does not match its header or holds a
-    non-finite value, a W block of no value, a missing entry, an unknown
-    family or activation, a node-operator entry other than 0 (the entry is
-    optional; L1 is the only node operator), a non-finite alpha or beta, a
-    negative epoch or adam_step, or Adam moments of another length than
-    the parameters. The file's graph_checksum must be graph.checksum(), and
-    each of W, U, V, b and z must be, in 2-D, the shape ModelParams takes
-    at W's column count, the graph's N and n_features (_check_shapes).
+    line other than the next entry save_checkpoint writes (the entries
+    come in _ENTRIES' order, and the file ends after adam_v), an array
+    block that does not match its header or holds a non-finite value, a W
+    block of no value, an unknown family or activation, a node-operator
+    entry other than 0 (the entry is optional; L1 is the only node
+    operator), a non-finite alpha or beta, a negative epoch or adam_step,
+    or Adam moments of another length than the parameters. The file's
+    graph_checksum must be graph.checksum(), and each of W, U, V, b and z
+    must be, in 2-D, the shape ModelParams takes at W's column count, the
+    graph's N and n_features (_check_shapes).
     """
     lines = read_text(path).splitlines()
     with in_file(path):
@@ -323,32 +318,28 @@ def _parse_checkpoint(lines, graph, n_features):
         raise ParseError("not a checkpoint file", line=1)
     scalars, arrays, where = {}, {}, {}
     k = 1
-    while k < len(lines):
-        parts = lines[k].split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"expected 'key value' or 'name rows cols', "
-                             f"got {lines[k]!r}", line=k + 1)
-        name = parts[0]
-        if name not in _ENTRIES:
-            raise ParseError(f"unknown entry {name!r}", line=k + 1)
-        if name in where:
-            raise ParseError(f"{name} given twice, first at line "
-                             f"{where[name]}", line=k + 1)
-        if _ENTRIES[name] != (len(parts) == 3):
-            form = "rows cols" if _ENTRIES[name] else "value"
+    for name, is_array in _ENTRIES:
+        parts = lines[k].split() if k < len(lines) else []
+        if name == "use_plain_laplacian" and parts[:1] != [name]:
+            continue  # optional on read, so that a writer may drop it
+        if k == len(lines):
+            raise ParseError(f"the file ends without a {name!r} entry",
+                             line=k)
+        if (parts[:1] != [name] or len(parts) != 2 + is_array
+                or is_array and not "".join(parts[1:]).isdecimal()):
+            form = "rows cols" if is_array else "value"
             raise ParseError(f"expected '{name} {form}', got {lines[k]!r}",
                              line=k + 1)
         where[name] = k + 1
-        if _ENTRIES[name]:
-            arrays[name] = _read_array(lines, k)
+        if is_array:
+            arrays[name] = _read_array(lines, k, name, *map(int, parts[1:]))
             k += arrays[name].shape[0] + 1
         else:
             scalars[name] = parts[1]
             k += 1
-    for name in _ENTRIES:
-        if name not in where and name != "use_plain_laplacian":
-            raise ParseError(f"the file ends without a {name!r} entry",
-                             line=len(lines))
+    if k < len(lines):
+        raise ParseError(f"expected the end of the file after adam_v, got "
+                         f"{lines[k]!r}", line=k + 1)
 
     def number(key, cast=float):
         try:

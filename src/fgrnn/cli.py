@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out-frames", required=True)
     g.add_argument("--out-graph", required=True)
     g.add_argument("overrides", nargs="*", metavar="key=value")
-    g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model")
     t.add_argument("--config")
@@ -327,14 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--resume", help="checkpoint to continue from")
     t.add_argument("--append-history", action="store_true")
     t.add_argument("overrides", nargs="*", metavar="key=value")
-    t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="per-transition loss of a checkpoint")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--frames", required=True)
     e.add_argument("--graph", required=True)
     e.add_argument("--out")
-    e.set_defaults(func=cmd_eval)
 
     pr = sub.add_parser("predict", help="one-step or rolled-out predictions")
     pr.add_argument("--checkpoint", required=True)
@@ -342,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--graph", required=True)
     pr.add_argument("--horizon", type=int, default=1)
     pr.add_argument("--out", required=True)
-    pr.set_defaults(func=cmd_predict)
 
     st = sub.add_parser("stability", help="Jacobian-product stability sweep")
     st.add_argument("--graph")
@@ -357,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=sorted(ACTIVATIONS))
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--out")
-    st.set_defaults(func=cmd_stability)
 
     pa = sub.add_parser("params", help="trainable-parameter count")
     pa.add_argument("family", choices=["chebyshev", "first_order", "dense",
@@ -365,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--n", type=int, required=True)
     pa.add_argument("--k", type=int, default=0)
     pa.add_argument("--p", type=int, default=0)
-    pa.set_defaults(func=cmd_params)
 
     sw = sub.add_parser(
         "sweep-T", help="train one model per window length",
@@ -381,17 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seeds", type=int, default=1)
     sw.add_argument("--out")
     sw.add_argument("overrides", nargs="*", metavar="key=value")
-    sw.set_defaults(func=cmd_sweep_t)
     return top
 
 
+# built once: argparse links its parsers and actions in cycles, which only
+# the cyclic collector frees
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # each subcommand runs cmd_<name>, looked up at call time, so that a
+    # wrapper put in the module's place of a cmd_ function is the one called
+    run = globals()["cmd_" + args.command.lower().replace("-", "_")]
     # the package checks finiteness itself and reports it by exit code 3
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return run(args)
     except (ParseError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

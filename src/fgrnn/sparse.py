@@ -118,22 +118,6 @@ class SparseMatrix:
         offsets = np.cumsum(offsets)
         return SparseMatrix(n_rows, n_cols, offsets, cols, vals)
 
-    @staticmethod
-    def from_dense(a) -> "SparseMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        rows, cols = np.nonzero(np.abs(a) > 0.0)
-        return SparseMatrix.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
-
-    @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return SparseMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self._row_ids, self.col_indices] = self.values
-        return out
-
 
 def _layout(a: SparseMatrix):
     """(table, padded, tail, empty), spmm's layout of a, built once.

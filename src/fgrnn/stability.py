@@ -119,6 +119,9 @@ def _bound(p: ModelParams, worst: float, horizon: int) -> float | None:
         return math.inf
 
 
+# the functions a caller enters check finiteness themselves and raise
+# NumericOverflow, or call the bound vacuous, instead of numpy warning first
+@np.errstate(over="ignore", invalid="ignore")
 def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
                     horizon: int) -> float | None:
     """Closed-form condition-number bound; None when vacuous (r >= 1 or
@@ -209,6 +212,7 @@ def _report(p: ModelParams, horizon: int, product: np.ndarray,
                            horizon)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
                      horizons) -> list:
     """One StabilityReport per T in the ascending list `horizons`: the
@@ -227,6 +231,7 @@ def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
         b=np.full(n_nodes, b), z=np.zeros(n_nodes), activation=activation)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
                     beta_grid, t_grid, seed: int = 0):
     """One StabilityReport per (alpha, beta, T) grid point, lexicographic,

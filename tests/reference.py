@@ -9,7 +9,8 @@ step_loss is one step's loss written out, with a dense Laplacian, the
 reference for training's one loss. whole_file_frames is the frame
 reader's fast path as one np.loadtxt over a whole file's bytes, the
 reference for the block reader. traced_peak measures the memory a call
-takes.
+takes. sparse_from_dense, sparse_identity and to_dense convert between
+the package's CSR matrices and dense arrays.
 """
 
 import io
@@ -23,6 +24,27 @@ from fgrnn.data import _SLOW_ONLY, _frame_header
 from fgrnn.errors import ContractViolation, NumericOverflow
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
 from fgrnn.graph import LaplacianSet
+from fgrnn.sparse import SparseMatrix
+
+
+def sparse_from_dense(a) -> SparseMatrix:
+    """The CSR matrix of a's nonzero entries."""
+    a = np.asarray(a, dtype=np.float64)
+    rows, cols = np.nonzero(np.abs(a) > 0.0)
+    return SparseMatrix.from_coo(a.shape[0], a.shape[1], rows, cols,
+                                 a[rows, cols])
+
+
+def sparse_identity(n: int) -> SparseMatrix:
+    idx = np.arange(n, dtype=np.int64)
+    return SparseMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx,
+                        np.ones(n))
+
+
+def to_dense(a: SparseMatrix) -> np.ndarray:
+    out = np.zeros((a.n_rows, a.n_cols))
+    out[a._row_ids, a.col_indices] = a.values
+    return out
 
 
 def dense_eig_sym(a: np.ndarray):
@@ -55,7 +77,7 @@ def spectral_conv_oracle(lap: LaplacianSet, x: np.ndarray, f: ChebFilter) -> np.
     if n > 64:
         raise ContractViolation("spectral_conv_oracle: n <= 64 only")
     x = np.asarray(x, dtype=np.float64)
-    eigvals, eigvecs = dense_eig_sym(lap.scaled.to_dense())
+    eigvals, eigvecs = dense_eig_sym(to_dense(lap.scaled))
     # scalar Chebyshev recurrence on each eigenvalue
     response = np.full(n, f.coeffs[0])
     if f.order > 1:
@@ -106,7 +128,7 @@ def step_loss(x_hat: np.ndarray, x: np.ndarray, lap: LaplacianSet = None,
     loss = float(np.sum(d * d))
     if lambda_reg:
         loss += lambda_reg * float(
-            np.trace(x_hat.T @ lap.laplacian.to_dense() @ x_hat))
+            np.trace(x_hat.T @ to_dense(lap.laplacian) @ x_hat))
     return loss
 
 

@@ -22,7 +22,8 @@ from fgrnn.stability import (jacobian_product, scalar_cell_params,
 from fgrnn.training import (TrainConfig, count_params,
                             finite_difference_check, init_params, train)
 
-from .reference import dense_eig_sym, spectral_conv_oracle, step_loss
+from .reference import (dense_eig_sym, spectral_conv_oracle, step_loss,
+                        to_dense)
 
 
 def report(num, ok, detail):
@@ -103,10 +104,10 @@ def test_criterion_4_laplacian_spectrum():
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(4, 33))
         lap = knn_lap(rng, n)
-        l_dense = lap.laplacian.to_dense()
+        l_dense = to_dense(lap.laplacian)
         eigs, _ = dense_eig_sym(l_dense)
         lo, hi = min(lo, eigs.min()), max(hi, eigs.max())
-        resid = lap.first_order.to_dense() + l_dense - 2.0 * np.eye(n)
+        resid = to_dense(lap.first_order) + l_dense - 2.0 * np.eye(n)
         worst_identity = max(worst_identity, np.max(np.abs(resid)))
     ok = lo >= -1e-10 and hi <= 2.0 + 1e-10 and worst_identity <= 1e-14
     assert report(4, ok, f"spectrum [{lo:.3g}, {hi:.6g}], "
@@ -120,7 +121,7 @@ def test_criterion_5_jacobian_power_law():
     g = ring_graph(n)
     lap = build_laplacians(g)
     p = scalar_cell_params(u=u, n_nodes=n, b=10.0, activation="relu")
-    eigs, _ = dense_eig_sym(lap.first_order.to_dense())
+    eigs, _ = dense_eig_sym(to_dense(lap.first_order))
     lam = float(np.max(np.abs(eigs)))
     rng = np.random.default_rng(5)
     frames = 0.01 * np.abs(rng.standard_normal((12, n, 1)))

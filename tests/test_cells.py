@@ -1,17 +1,21 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fgrnn.cells import (ACTIVATIONS, ModelParams, conv_family, input_terms,
-                         load_checkpoint, preactivation, readout,
+from fgrnn.cells import (_ENTRIES, ACTIVATIONS, ModelParams, conv_family,
+                         input_terms, load_checkpoint, preactivation, readout,
                          save_checkpoint, step_vjp, unroll)
+from fgrnn.data import load_frames
 from fgrnn.errors import ContractViolation, NumericOverflow, ParseError
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
-from fgrnn.graph import Graph, build_knn_graph, build_laplacians
+from fgrnn.graph import Graph, build_knn_graph, build_laplacians, load_graph
 from fgrnn.training import TrainConfig, init_params
 
 from . import reference as ref
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_params(family, n, f=3, p=3, k=3, seed=0, **kw):
@@ -376,24 +380,58 @@ class TestCheckpoint:
                 f"model of K={k}, W's column count$")):
             load_checkpoint(path, self.graph, 3)
 
+    # a first_order model of p = 3 on 10 nodes: alpha at line 6, beta at
+    # line 7, and adam_v, of 49 moments, the last two of 30 lines
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: lines[:5] + ["seed 3"] + lines[5:],
-         "line 6: unknown entry 'seed'"),
+         "line 6: expected 'alpha value', got 'seed 3'"),
         (lambda lines: lines[:6] + ["alpha 0.5"] + lines[6:],
-         "line 7: alpha given twice, first at line 6"),
+         "line 7: expected 'beta value', got 'alpha 0.5'"),
+        (lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
+         "line 6: expected 'alpha value', got 'beta 0.5'"),
         (lambda lines: lines + lines[-2:],
-         "given twice, first at line"),
+         "line 31: expected the end of the file after adam_v, got "
+         "'adam_v 1 49'"),
         (lambda lines: lines[:1] + ["family chebyshev 3"] + lines[2:],
-         "line 2: expected 'family value'"),
-    ], ids=["unknown", "repeated scalar", "repeated array", "array form"])
+         "line 2: expected 'family value', got 'family chebyshev 3'"),
+    ], ids=["unknown", "repeated scalar", "alpha and beta swapped",
+            "repeated array", "array form"])
     def test_only_the_written_entries_once(self, tmp_path, edit, message):
+        # each entry is read where save_checkpoint writes it, so a line
+        # that is not the next entry is refused at that line
         p = make_params("first_order", 10)
         path = tmp_path / "model.ckpt"
         save_checkpoint(p, path, self.graph, train_state(p))
         lines = edit(path.read_text().splitlines())
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=f"^{path}: .*{message}"):
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(f'{path}: {message}')}$"):
             load_checkpoint(path, self.graph, 3)
+
+    @pytest.mark.parametrize("family", ["chebyshev", "first_order"])
+    def test_entries_are_written_in_table_order(self, tmp_path, family):
+        p = make_params(family, 10)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, path, self.graph, train_state(p))
+        lines = path.read_text().splitlines()
+        heads, k = [], 1
+        while k < len(lines):
+            parts = lines[k].split()
+            heads.append((parts[0], len(parts) == 3))
+            k += 1 + (int(parts[1]) if len(parts) == 3 else 0)
+        assert lines[0] == "fgrnn-checkpoint 1"
+        assert heads == list(_ENTRIES)
+
+    @pytest.mark.parametrize("name,prefix", [
+        ("compat_epoch1.ckpt", "compat"), ("compat_epoch2.ckpt", "compat"),
+        ("cheb_epoch2.ckpt", "cheb"), ("cheb_reg_epoch2.ckpt", "cheb")])
+    def test_fixtures_resave_byte_identical(self, tmp_path, name, prefix):
+        graph = load_graph(DATA / f"{prefix}_graph.txt")
+        n_features = load_frames(DATA / f"{prefix}_frames.txt").frames.shape[2]
+        p, state = load_checkpoint(DATA / name, graph, n_features)
+        path = tmp_path / name
+        save_checkpoint(p, path, graph, state)
+        assert path.read_bytes() == (DATA / name).read_bytes()
 
 
 @pytest.mark.parametrize("args,kwargs,fragment", [

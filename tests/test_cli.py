@@ -4,6 +4,7 @@ Everything goes through cli.main(argv) so exit codes and file outputs
 are exercised exactly as a shell user would see them.
 """
 
+import argparse
 import gc
 import os
 import re
@@ -933,12 +934,20 @@ def _mutate_checkpoint(lines, case):
     if case == "truncated":
         return lines[:at["U"] + 2], f"line {at['U'] + 1}: U: header promises 2 rows"
     if case == "truncated scalars":
-        return lines[:3], "'graph_checksum'"
-    if case.startswith("no "):
+        return lines[:3], "line 3: the file ends without a 'graph_checksum' entry"
+    if case.startswith("no "):  # refused where the entry belongs
         key = case[3:]
         head = lines[at[key]].split()
         block = 1 + int(head[1]) if len(head) == 3 else 1
-        return lines[:at[key]] + lines[at[key] + block:], f"{key!r}"
+        form = "rows cols" if len(head) == 3 else "value"
+        lines = lines[:at[key]] + lines[at[key] + block:]
+        return lines, (f"line {at[key] + 1}: expected '{key} {form}', got "
+                       f"{lines[at[key]]!r}")
+    if case == "alpha beta swapped":
+        alpha, beta = at["alpha"], at["beta"]
+        lines[alpha], lines[beta] = lines[beta], lines[alpha]
+        return lines, (f"line {at['alpha'] + 1}: expected 'alpha value', got "
+                       f"{lines[at['alpha']]!r}")
     if case in ("alpha nan", "beta inf", "alpha abc"):
         key, value = case.split()
         lines[at[key]] = f"{key} {value}"
@@ -956,14 +965,15 @@ def _mutate_checkpoint(lines, case):
         lines[at["U"]] = "U two 2"
         return lines, f"line {at['U'] + 1}: expected 'U rows cols'"
     if case == "stray line":
-        return lines[:2] + ["hello"] + lines[2:], "line 3: expected 'key value'"
+        return (lines[:2] + ["hello"] + lines[2:],
+                "line 3: expected 'activation value', got 'hello'")
     if case == "unknown entry":
-        return lines[:2] + ["k 3"] + lines[2:], "line 3: unknown entry 'k'"
-    if case == "repeated W":  # the second W block would replace the first
+        return (lines[:2] + ["k 3"] + lines[2:],
+                "line 3: expected 'activation value', got 'k 3'")
+    if case == "repeated W":  # a second W block where U belongs
         block = lines[at["W"]:at["U"]]
         return (lines[:at["U"]] + block + lines[at["U"]:],
-                f"line {at['U'] + 1}: W given twice, first at line "
-                f"{at['W'] + 1}")
+                f"line {at['U'] + 1}: expected 'U rows cols', got 'W 3 2'")
     if case in ("b short", "z short"):  # 15 of the graph's 16 nodes
         key = case[0]
         lines[at[key]] = f"{key} 1 15"
@@ -1014,7 +1024,8 @@ def _mutate_checkpoint(lines, case):
 @pytest.mark.parametrize("case", [
     "truncated", "truncated scalars", "no W", "no U", "no V", "no b", "no z",
     "no alpha", "no beta", "no family", "no epoch", "no lr", "no adam_m",
-    "unknown entry", "repeated W", "alpha nan", "beta inf", "alpha abc",
+    "unknown entry", "repeated W", "alpha beta swapped", "alpha nan",
+    "beta inf", "alpha abc",
     "rows over header", "ragged row", "cols over header", "bad header",
     "stray line", "b short", "z short", "b two rows", "W rows", "U rows",
     "V cols", "W nan", "b nan", "z inf", "adam_m short", "use_plain_laplacian 7",
@@ -1380,3 +1391,38 @@ def test_readme_examples_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: fgrnn "
                         f"{shlex.join(argv)}")
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    made, real = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert cli.main(["params", "first_order", "--n", "16", "--p", "2"]) == 0
+    assert made == []
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+# each subcommand's function, and the least argv that reaches it
+COMMANDS = {
+    "cmd_gen_data": ["gen-data", "--out-frames", "f", "--out-graph", "g"],
+    "cmd_train": ["train", "--frames", "f", "--graph", "g",
+                  "--out-checkpoint", "c", "--out-history", "h"],
+    "cmd_eval": ["eval", "--checkpoint", "c", "--frames", "f", "--graph", "g"],
+    "cmd_predict": ["predict", "--checkpoint", "c", "--frames", "f",
+                    "--graph", "g", "--out", "o"],
+    "cmd_stability": ["stability"],
+    "cmd_params": ["params", "chebyshev", "--n", "4"],
+    "cmd_sweep_t": ["sweep-T", "--frames", "f", "--graph", "g", "--T", "4"],
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_main_runs_the_cmd_function_bound_at_call_time(monkeypatch, name):
+    # a wrapper set on the module, as a tracer installs one, is called
+    monkeypatch.setattr(cli, name, lambda args: (args.command, 7))
+    assert cli.main(COMMANDS[name]) == (COMMANDS[name][0], 7)

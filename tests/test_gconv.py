@@ -9,7 +9,7 @@ from fgrnn.gconv import (ChebFamily, ChebFilter, FeatureTransform,
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.sparse import spmm
 
-from .reference import spectral_conv_oracle
+from .reference import spectral_conv_oracle, to_dense
 
 
 def knn_lap(seed, n=10, k=3):
@@ -30,7 +30,7 @@ class TestChebConv:
     def test_order_two_is_scaled_laplacian(self):
         x = np.random.default_rng(1).standard_normal((2, 2))
         out = cheb_conv(K2_LAP, x, ChebFilter([0.0, 1.0]))
-        assert np.allclose(out, K2_LAP.scaled.to_dense() @ x, atol=1e-12)
+        assert np.allclose(out, to_dense(K2_LAP.scaled) @ x, atol=1e-12)
 
     def test_second_polynomial_on_k2(self):
         # T_2 = 2 Ls^2 - I = I for the K2 scaled Laplacian

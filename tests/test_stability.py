@@ -13,7 +13,7 @@ from fgrnn.stability import (condition_bound, jacobian_product,
                              scalar_cell_params, stability_sweep, sweep_csv,
                              _forward_activation_derivs)
 
-from .reference import fgrnn_step, preactivation
+from .reference import fgrnn_step, preactivation, to_dense
 
 
 def ring_graph(n):
@@ -54,7 +54,7 @@ class TestStepJacobian:
         h = np.abs(np.random.default_rng(0).standard_normal((12, 1))) * 0.1
         x = np.abs(np.random.default_rng(1).standard_normal((12, 1))) * 0.1
         jac, d = step_factor(p, lap, h, x)
-        expected = 1.0 * 0.8 * lap.first_order.to_dense()
+        expected = 1.0 * 0.8 * to_dense(lap.first_order)
         assert np.allclose(jac, expected)
         assert np.allclose(vjp_jacobian(p, lap, d), expected)
 
@@ -71,7 +71,7 @@ class TestStepJacobian:
         p = scalar_cell_params(u=0.5, n_nodes=12, activation="tanh")
         p.alpha, p.beta = 0.9, 0.1
         jac, d = step_factor(p, lap, np.zeros((12, 1)), np.zeros((12, 1)))
-        expected = 0.9 * 0.5 * lap.first_order.to_dense() + 0.1 * np.eye(12)
+        expected = 0.9 * 0.5 * to_dense(lap.first_order) + 0.1 * np.eye(12)
         assert np.allclose(jac, expected)
         assert np.allclose(vjp_jacobian(p, lap, d), expected)
 
@@ -287,7 +287,7 @@ def _reference_rows(g, base, alpha_grid, beta_grid, t_grid, seed):
     forward pass, product of the last T-2 step Jacobians, SVD and bound."""
     lap = build_laplacians(g)
     frames = np.random.default_rng(seed).standard_normal((max(t_grid), g.n_nodes, 1))
-    op = lap.first_order.to_dense()
+    op = to_dense(lap.first_order)
     u = base.U[0, 0]
     eye = np.eye(g.n_nodes)
     rows = []
@@ -448,7 +448,7 @@ class TestFactorBuilder:
         p.alpha, p.beta = alpha, beta
         rng = np.random.default_rng(14)
         h, x = rng.standard_normal((12, 1)), rng.standard_normal((12, 1)) * 3
-        op = lap.first_order.to_dense()
+        op = to_dense(lap.first_order)
         got, d = step_factor(p, lap, h, x)
         want = p.alpha * u * (d[:, None] * op) + p.beta * np.eye(12)
         assert np.array_equal(got, want)
@@ -506,3 +506,26 @@ def _width_two_cell():
 def test_guards(call, fragment):
     with pytest.raises(ContractViolation, match=fragment):
         call()
+
+
+class TestOverflowIsTheLibrarysOwn:
+    """A library call that overflows raises NumericOverflow, or calls the
+    bound vacuous, without numpy warning first (the suite turns a numpy
+    RuntimeWarning into an error)."""
+
+    def test_jacobian_product(self):
+        p = scalar_cell_params(u=0.5, n_nodes=8)
+        p.alpha, p.beta = 0.0, 1e160
+        window = np.ones((4, 8, 1))
+        with pytest.raises(NumericOverflow, match="non-finite Jacobian product"):
+            jacobian_product(p, build_laplacians(ring_graph(8)), window, [4])
+
+    def test_stability_sweep(self):
+        with pytest.raises(NumericOverflow, match="non-finite Jacobian product"):
+            stability_sweep(ring_graph(8), scalar_cell_params(0.5, 8), [0.0],
+                            [1e160], [4])
+
+    def test_condition_bound(self):
+        p = scalar_cell_params(u=1e200, n_nodes=12)
+        p.alpha, p.beta = 1.0, 1.0
+        assert condition_bound(p, [np.ones(12)], random_lap(11), 4) is None

@@ -10,15 +10,19 @@ is x_hat = conv(h; V) + z 1^T in the same filter family. Biases b and z
 are per-node and broadcast across feature columns. ModelParams keeps the
 whole trainable set in one flat vector theta, with named views.
 
-unroll is the forward pass: training, evaluation, prediction and the
-stability diagnostics all run the recurrence through it, from the zero
-state. It takes each step's input term and leaves the readout to its
-callers, so that a window's input terms and readouts can each be made in
-one stacked operation around the per-step loop. A step keeps h_tilde, h
-and the basis of h; act' is written in act's output, so h_tilde is all it
-needs. preactivation is the one pre-activation of a step,
-readout(p, fam, step.basis) the one readout, and step_vjp the reverse of
-one step (training.bptt's), all built on conv_family's primitives.
+advance is the one forward step: from the previous Step, or from the zero
+state, and a step's input term, it runs only the recurrence. A step keeps
+h_tilde, h and the basis of h; act' is written in act's output, so
+h_tilde is all it needs. unroll is advance over a sequence of input terms
+from the zero state: training, evaluation, prediction and the stability
+diagnostics all run the recurrence through it, and leave the readout to
+their callers, so that a window's input terms and readouts can each be
+made in one stacked operation around the per-step loop. rollout is the
+one place a prediction becomes the next input: from a carried Step, it
+feeds each readout back as the input of the next step. preactivation is
+the one pre-activation of a step, readout(p, fam, step.basis) the one
+readout, and step_vjp the reverse of one step (training.bptt's), all
+built on conv_family's primitives.
 
 A checkpoint holds exactly what train writes: the parameters, the
 checksum of the graph they were trained on and the training block (epoch,
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import copy
 import math
-from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -166,47 +169,51 @@ def input_terms(p: ModelParams, fam, frames):
 
 
 class Step(NamedTuple):
-    """One step of unroll; its prediction is readout(p, fam, basis)."""
+    """One step of advance; its prediction is readout(p, fam, basis)."""
 
     h_tilde: np.ndarray  # act(a) of the pre-activation a; act' reads it
     h: np.ndarray        # alpha * h_tilde + beta * h_prev
     basis: np.ndarray    # basis of h: readout at this step, recurrence at the next
 
 
-def unroll(p: ModelParams, fam, terms, feedback: int = 0):
-    """The forward recurrence from the zero state, one Step per input.
+def advance(p: ModelParams, fam, wx: np.ndarray, prev: Step | None) -> Step:
+    """The step after prev (None: the zero state) on the input term wx: h
+    and the one basis of h, for this step's readout and the next step's
+    recurrent term. The zero state adds no recurrent term, no spmm."""
+    a = preactivation(p, fam, wx, None if prev is None else prev.basis)
+    h_tilde = ACTIVATIONS[p.activation][0](a)
+    h = p.alpha * h_tilde + p.beta * (np.zeros(wx.shape) if prev is None
+                                      else prev.h)
+    return Step(h_tilde, h, fam.basis(h))
 
-    fam is conv_family(p, lap), and terms yields each step's input term
-    combine(W, basis(x_t)): a stack made in one product for a whole window
-    (training.bptt), or input_terms(p, fam, frames) for callers that
-    stream. After them come `feedback` more steps, each fed the previous
-    step's prediction. The zero state adds no recurrent term and no sparse
-    product at the first step.
 
-    Per step this runs only the recurrence: the pre-activation from the
-    input term and basis(h_{t-1}), h_t, and one basis of h_t, which serves
-    both the recurrent term at t+1 and the readout at t. The readout
-    itself is left to the caller (readout of one step's basis, or of a
-    stack of bases); unroll reads out only the steps it feeds back.
-    """
-    act = ACTIVATIONS[p.activation][0]
-    alpha, beta = p.alpha, p.beta
-    h = bh = None
-    for t, wx in enumerate(chain(terms, repeat(None, feedback))):
-        if wx is None:
-            if t == 0:
-                raise ContractViolation("unroll: feedback needs an input step")
-            wx = fam.combine(p.W, fam.basis(readout(p, fam, bh)))
-        if h is None:
-            h = np.zeros(wx.shape)
+def unroll(p: ModelParams, fam, terms):
+    """advance from the zero state, one Step per input term combine(W,
+    basis(x_t)) of terms: a stack made in one product for a window
+    (training.bptt), or input_terms(p, fam, frames) streamed. The readout
+    is the caller's; NumericOverflow names the step that overflowed."""
+    step = None
+    for t, wx in enumerate(terms):
         try:
-            a = preactivation(p, fam, wx, bh)
+            step = advance(p, fam, wx, step)
         except NumericOverflow as exc:
             raise NumericOverflow(f"step {t + 1}: {exc}") from None
-        h_tilde = act(a)
-        h = alpha * h_tilde + beta * h
-        bh = fam.basis(h)
-        yield Step(h_tilde, h, bh)
+        yield step
+
+
+def rollout(p: ModelParams, fam, last: Step, horizon: int):
+    """horizon predictions: readout(last), then the readout of each step
+    fed the prediction before it, and no step after the last prediction;
+    NumericOverflow names the fed-back step that overflowed."""
+    for k in range(horizon):
+        if k:
+            try:
+                last = advance(p, fam, fam.combine(p.W, fam.basis(x_hat)),
+                               last)
+            except NumericOverflow as exc:
+                raise NumericOverflow(f"fed-back step {k}: {exc}") from None
+        x_hat = readout(p, fam, last.basis)
+        yield x_hat
 
 
 def step_vjp(p: ModelParams, fam, v: np.ndarray, dact: np.ndarray,

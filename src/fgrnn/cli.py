@@ -24,14 +24,14 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 
 from . import data as datamod
 from . import training
 from .cells import (ACTIVATIONS, FAMILIES, conv_family, input_terms,
-                    load_checkpoint, readout, save_checkpoint, unroll)
+                    load_checkpoint, readout, rollout, save_checkpoint,
+                    unroll)
 from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
                      place_keys, read_text)
 from .graph import build_laplacians, load_graph, save_graph
@@ -102,6 +102,18 @@ def _train(path, cfg, seq, graph, resume=None):
         raise
 
 
+def _write_out(path, text, rows=None):
+    """Writes text to the file at path, or to stdout when path is unset;
+    a file of `rows` rows, when given, is named in a line on stdout."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        if rows is not None:
+            print(f"wrote {rows} rows to {path}")
+    else:
+        sys.stdout.write(text)
+
+
 def _need_frames(path, seq, need, why):
     """Refuses a frame file of fewer than `need` frames, naming the file;
     `why` ends the message."""
@@ -134,8 +146,6 @@ def _resume(path, graph, n_features, cfg, given):
 def cmd_train(args):
     cfg, given = _config(args, TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
-    _need_frames(args.frames, seq, 2, "cannot be split into train and test "
-                 "frames; train needs 2 or more")
     resume = (_resume(args.resume, graph, seq.n_features, cfg, given)
               if args.resume else None)
     run = _train(args.frames, cfg, seq, graph, resume)
@@ -166,12 +176,7 @@ def cmd_eval(args):
     lap = build_laplacians(graph, scaled=False)
     losses = training.teacher_forced_losses(p, lap, seq.frames)
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_out(args.out, "\n".join(lines) + "\n")
     print(f"mean transition loss: {float(np.mean(losses)):.17g}")
     return 0
 
@@ -185,16 +190,15 @@ def cmd_predict(args):
                      f"from; predict --horizon {args.horizon} needs 1 or more")
     p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     fam = conv_family(p, build_laplacians(graph, scaled=False))
-    # horizon 1 is teacher forced: one prediction per input frame but the
-    # last. A longer horizon consumes every frame, then feeds its
-    # predictions back; it keeps the prediction after the last frame and
-    # the fed-back ones.
-    inputs = seq.frames[:-1] if args.horizon == 1 else seq.frames
-    steps = unroll(p, fam, input_terms(p, fam, inputs),
-                   feedback=args.horizon - 1)
-    if args.horizon > 1:
-        steps = islice(steps, max(len(inputs) - 1, 0), None)
-    preds = [readout(p, fam, step.basis) for step in steps]
+    if args.horizon == 1:
+        # teacher forced: one prediction per input frame but the last
+        preds = [readout(p, fam, step.basis) for step in
+                 unroll(p, fam, input_terms(p, fam, seq.frames[:-1]))]
+    else:
+        # rolled out from the step after every frame, holding no other
+        for last in unroll(p, fam, input_terms(p, fam, seq.frames)):
+            pass
+        preds = list(rollout(p, fam, last, args.horizon))
     frames = (np.stack(preds) if preds
               else np.zeros((0, seq.n_nodes, seq.n_features)))
     out_seq = datamod.FrameSequence(frames)
@@ -249,13 +253,7 @@ def cmd_stability(args):
     base = scalar_cell_params(u=args.u, n_nodes=graph.n_nodes, w=args.w,
                               b=args.bias, activation=args.activation)
     rows = stability_sweep(graph, base, alphas, betas, horizons, seed=args.seed)
-    csv = sweep_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(csv)
+    _write_out(args.out, sweep_csv(rows), len(rows))
     return 0
 
 
@@ -274,8 +272,6 @@ def cmd_sweep_t(args):
         raise ContractViolation(f"--seeds must be >= 1, got {args.seeds}")
     base, _ = _config(args, TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
-    _need_frames(args.frames, seq, 2, "cannot be split into train and test "
-                 "frames; sweep-T needs 2 or more")
     lines = ["T,seed,final_alpha,final_beta,test_loss"]
     for t_w in t_list:
         for s in range(args.seeds):
@@ -294,13 +290,7 @@ def cmd_sweep_t(args):
             lines.append(f"{t_w},{cfg.seed},{run.final_params.alpha:.17g},"
                          f"{run.final_params.beta:.17g},"
                          f"{run.epoch_losses[-1][1]:.17g}")
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
-        print(f"wrote {len(lines) - 1} rows to {args.out}")
-    else:
-        sys.stdout.write(csv)
+    _write_out(args.out, "\n".join(lines) + "\n", len(lines) - 1)
     return 0
 
 

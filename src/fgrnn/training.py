@@ -9,7 +9,7 @@ differences in the test suite.
 
 BPTT runs the recurrence, and only the recurrence, one step at a time;
 everything else in a window is one stacked operation. Per step:
-  * forward (cells.unroll): the pre-activation from the step's input term
+  * forward (cells.advance): the pre-activation from the step's input term
     and combine(U, basis(h_{t-1})), then h_t, then the basis of h_t, which
     serves both the readout at t and the recurrent term at t+1;
   * reverse (cells.step_vjp): dJ/dh_t = adjoint(the readout's share + the
@@ -97,12 +97,17 @@ def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
 
 
 def _check_fit(p: ModelParams, frames: np.ndarray, caller: str):
-    """Refuses, naming both shapes, (T, N, F) frames that p does not fit."""
+    """Refuses, naming both shapes, (T, N, F) frames that p does not fit,
+    then frames of no transition to score (T < 2)."""
     if frames.ndim != 3 or not p.fits(*frames.shape[1:]):
         raise ContractViolation(
             f"{caller}: frames of shape {frames.shape} do not fit the "
             f"{p.conv_family} model's W, U, V, b and z of shapes "
             f"{', '.join(str(a.shape) for a in (p.W, p.U, p.V, p.b, p.z))}")
+    if len(frames) < 2:
+        raise ContractViolation(f"{caller}: frames of shape {frames.shape} "
+                                f"hold no transition; a pass needs at least "
+                                f"2 frames")
 
 
 def _finite_losses(losses: list) -> list:
@@ -148,9 +153,6 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     dJ/dtheta, grad.W is dJ/dW, and so on.
     """
     window = np.asarray(window, dtype=np.float64)
-    t_w = window.shape[0] - 1
-    if t_w < 1:
-        raise ContractViolation("bptt: window needs at least 2 frames")
     _check_fit(p, window, "bptt")
     fam = conv_family(p, lap)
     if bases is None:
@@ -175,7 +177,7 @@ def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
     readout_adj = fam.pre_adjoint(p.V, d_xhat)
     # dJ/dh_t, last step first: the last h_t feeds the readout alone
     g_h = [fam.adjoint(readout_adj[-1])]
-    for t in reversed(range(t_w - 1)):
+    for t in reversed(range(len(steps) - 1)):
         g_h.append(step_vjp(p, fam, g_h[-1], dact[t + 1], readout_adj[t]))
     g_h = g_h[::-1]
     # dJ/da_t a step at a time, then stacked: made by one product over the

@@ -4,7 +4,8 @@ dense_eig_sym and spectral_conv_oracle evaluate the Chebyshev filter in the
 frequency domain with LAPACK's eigensolver, sharing no code with the
 Chebyshev recurrence. conv_apply, preactivation, fgrnn_step and readout
 are the cell one step at a time on cheb_conv / first_order_conv, the
-reference that cells.unroll and cells.readout must match bit for bit.
+reference that cells.unroll, cells.rollout and cells.readout must match
+bit for bit.
 step_loss is one step's loss written out, with a dense Laplacian, the
 reference for training's one loss. whole_file_frames is the frame
 reader's fast path as one np.loadtxt over a whole file's bytes, the

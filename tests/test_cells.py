@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fgrnn.cells import (_ENTRIES, ACTIVATIONS, ModelParams, conv_family,
-                         input_terms, load_checkpoint, preactivation, readout,
-                         save_checkpoint, step_vjp, unroll)
+from fgrnn import cells
+from fgrnn.cells import (_ENTRIES, ACTIVATIONS, ModelParams, advance,
+                         conv_family, input_terms, load_checkpoint,
+                         preactivation, readout, rollout, save_checkpoint,
+                         step_vjp, unroll)
 from fgrnn.data import load_frames
 from fgrnn.errors import ContractViolation, NumericOverflow, ParseError
 from fgrnn.gconv import ChebFilter, FeatureTransform, cheb_conv, first_order_conv
@@ -189,21 +191,21 @@ class TestPreactivation:
 
 class TestUnroll:
     @staticmethod
-    def reference(p, lap, frames, h, feedback):
+    def reference(p, lap, frames, h, fed_back):
         """(h_tilde, h, x_hat) per step from a chain of fgrnn_step and
         readout: every frame, then each prediction fed back."""
         out, x = [], None
-        for t in range(len(frames) + feedback):
+        for t in range(len(frames) + fed_back):
             x = frames[t] if t < len(frames) else x
             h_tilde, h = ref.fgrnn_step(p, lap, h, x)
             x = ref.readout(p, lap, h)
             out.append((h_tilde, h, x))
         return out
 
-    @pytest.mark.parametrize("feedback", [0, 3])
+    @pytest.mark.parametrize("fed_back", [0, 3])
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("case", ["chebyshev", "first_order"])
-    def test_matches_fgrnn_step_chain(self, case, warm, feedback):
+    def test_matches_fgrnn_step_chain(self, case, warm, fed_back):
         lap = knn_lap(20, n=12)
         p = make_params(case, 12, seed=20)
         rng = np.random.default_rng(21)
@@ -219,22 +221,45 @@ class TestUnroll:
             h0 = ref.fgrnn_step(p, lap, h0, x)[1]
         fam = conv_family(p, lap)
         inputs = np.concatenate([earlier, frames])
-        got = list(unroll(p, fam, input_terms(p, fam, inputs),
-                          feedback))[len(earlier):]
-        want = self.reference(p, lap, frames, h0, feedback)
-        assert len(got) == len(want) == 5 + feedback
+        got = list(unroll(p, fam, input_terms(p, fam, inputs)))[len(earlier):]
+        want = self.reference(p, lap, frames, h0, fed_back)
+        assert len(got) == 5 and len(want) == 5 + fed_back
         for step, (h_tilde, h, x_hat) in zip(got, want):
             assert np.array_equal(step.h_tilde, h_tilde)
             assert np.array_equal(step.h, h)
             assert np.array_equal(step.basis, fam.basis(h))
             assert np.array_equal(readout(p, fam, step.basis), x_hat)
+        # the rollout from the carried last step: its own prediction, then
+        # those of the fed-back steps
+        preds = list(rollout(p, fam, got[-1], 1 + fed_back))
+        assert len(preds) == 1 + fed_back
+        for pred, (_, _, x_hat) in zip(preds, want[4:]):
+            assert np.array_equal(pred, x_hat)
 
-    def test_feedback_needs_an_input_step(self):
-        lap = knn_lap(22)
-        p = make_params("first_order", 10)
-        fam = conv_family(p, lap)
-        with pytest.raises(ContractViolation):
-            list(unroll(p, fam, [], feedback=2))
+    @pytest.mark.parametrize("horizon", [0, 1, 4])
+    def test_rollout_makes_no_step_after_its_last_prediction(
+            self, monkeypatch, horizon):
+        p = make_params("first_order", 10, seed=22)
+        fam = conv_family(p, knn_lap(22))
+        last = advance(p, fam, np.ones((10, 3)), None)
+        made = []
+        monkeypatch.setattr(cells, "advance",
+                            lambda *args: made.append(1) or advance(*args))
+        assert len(list(rollout(p, fam, last, horizon))) == horizon
+        assert len(made) == max(horizon - 1, 0)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_rollout_names_the_fed_back_step_that_overflows(self):
+        p = make_params("first_order", 10, seed=23)
+        fam = conv_family(p, knn_lap(23))
+        last = advance(p, fam, np.ones((10, 3)), None)
+        # the first prediction is finite, the input term made from it not
+        p.z[:], p.W[...] = 1e3, 1e308
+        preds = rollout(p, fam, last, 3)
+        assert np.isfinite(next(preds)).all()
+        with pytest.raises(NumericOverflow, match=(
+                "^fed-back step 1: non-finite pre-activation$")):
+            next(preds)
 
 
 class TestReadout:

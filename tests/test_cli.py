@@ -22,9 +22,10 @@ import fgrnn
 from fgrnn import cli, stability
 from fgrnn.cells import load_checkpoint, save_checkpoint
 from fgrnn.data import SyntheticConfig, load_frames
-from fgrnn.graph import load_graph
+from fgrnn.graph import build_laplacians, load_graph
 from fgrnn.training import TrainConfig, train
 
+from . import reference as ref
 from .reference import step_loss
 
 
@@ -439,15 +440,27 @@ def test_eval_and_predict_agree(small_dataset, tmp_path):
 
 
 def test_predict_rollout_horizon(small_dataset, tmp_path):
+    # the prediction after the last frame, then two more, each fed the one
+    # before: a chain of the reference's fgrnn_step and readout, bit for bit
     frames, graph = small_dataset
-    _, ckpt, _ = _train(frames, graph, tmp_path, "roll")
-    out = str(tmp_path / "roll.txt")
-    assert cli.main(["predict", "--checkpoint", ckpt, "--frames", frames,
-                     "--graph", graph, "--horizon", "3", "--out", out]) == 0
-    preds = load_frames(out)
-    seq = load_frames(frames)
-    assert preds.frames.shape == (3, seq.n_nodes, seq.n_features)
-    assert np.all(np.isfinite(preds.frames))
+    seq, g = load_frames(frames), load_graph(graph)
+    lap = build_laplacians(g)
+    for family in ("chebyshev", "first_order"):
+        _, ckpt, _ = _train(frames, graph, tmp_path, family,
+                            f"family={family}")
+        out = str(tmp_path / f"{family}.txt")
+        assert cli.main(["predict", "--checkpoint", ckpt, "--frames", frames,
+                         "--graph", graph, "--horizon", "3", "--out",
+                         out]) == 0
+        p, _ = load_checkpoint(ckpt, g, seq.n_features)
+        h = np.zeros(ref.conv_apply(p, lap, seq.frames[0], p.W).shape)
+        for x in seq.frames:
+            h = ref.fgrnn_step(p, lap, h, x)[1]
+        want = [ref.readout(p, lap, h)]
+        for _ in range(2):
+            h = ref.fgrnn_step(p, lap, h, want[-1])[1]
+            want.append(ref.readout(p, lap, h))
+        assert np.array_equal(load_frames(out).frames, np.stack(want))
 
 
 def test_train_unknown_config_key(small_dataset, tmp_path):
@@ -685,8 +698,8 @@ def test_training_on_too_few_frames_names_the_frame_file(
     }[command]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: {frames}: {n_frames} frame(s) cannot be split into train "
-        f"and test frames; {command} needs 2 or more\n")
+        f"error: {frames}: config key 'split' = 0.8 leaves 0 of {n_frames} "
+        f"frames to train on; a window needs 2\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -737,6 +737,15 @@ def test_saturated_sigmoid_is_exact_and_silent():
 
 @pytest.mark.parametrize("call,fragment", [
     (lambda p, lap, w: bptt(p, lap, w[:1]), "at least 2 frames"),
+    # teacher_forced_losses used to return [] here, which sum() reads as a
+    # loss of 0
+    *[(lambda p, lap, w, n=n: teacher_forced_losses(p, lap, w[:n]),
+       rf"^teacher_forced_losses: frames of shape \({n}, 10, 3\) hold no "
+       rf"transition; a pass needs at least 2 frames$") for n in (0, 1)],
+    # the bases of every frame of the window, its target included
+    (lambda p, lap, w: bptt(p, lap, w, bases=np.zeros((2, 3, 10, 3))),
+     r"^bptt: bases of shape \(2, 3, 10, 3\) for input frames "
+     r"\(2, 10, 3\)$"),
     (lambda p, lap, w: finite_difference_check(p, lap, w, step=0.0), "step"),
     (lambda p, lap, w: finite_difference_check(p, lap, w, step=-1e-5), "step"),
     (lambda p, lap, w: adam_step(AdamState(p.theta.size + 1), p,
@@ -749,7 +758,8 @@ def test_saturated_sigmoid_is_exact_and_silent():
      "lambda_reg must be >= 0"),
     (lambda p, lap, w: bptt(p, lap, w, lambda_reg=-0.5),
      "lambda_reg must be >= 0"),
-], ids=["bptt one frame", "fd step 0", "fd step < 0", "adam size",
+], ids=["bptt one frame", "loss no frame", "loss one frame",
+        "bptt bases of every frame", "fd step 0", "fd step < 0", "adam size",
         "count n 0", "count first_order p 0", "count lstm_gcn k 0",
         "loss lambda < 0", "bptt lambda < 0"])
 def test_guards(call, fragment):

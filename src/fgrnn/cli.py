@@ -91,17 +91,6 @@ def _load_inputs(frames_path, graph_path):
     return seq, graph
 
 
-def _train(path, cfg, seq, graph, resume=None):
-    """train(cfg, seq, graph, resume), with the frame file at path named in
-    front of a refusal of cfg.split: its frames are too few to split."""
-    try:
-        return train(cfg, seq, graph, resume)
-    except ContractViolation as exc:
-        if exc.key == "split":
-            exc.args = (f"{path}: {exc}",)
-        raise
-
-
 def _write_out(path, text, rows=None):
     """Writes text to the file at path, or to stdout when path is unset;
     a file of `rows` rows, when given, is named in a line on stdout."""
@@ -114,13 +103,6 @@ def _write_out(path, text, rows=None):
         sys.stdout.write(text)
 
 
-def _need_frames(path, seq, need, why):
-    """Refuses a frame file of fewer than `need` frames, naming the file;
-    `why` ends the message."""
-    if seq.n_frames < need:
-        raise ContractViolation(f"{path}: {seq.n_frames} frame(s) {why}")
-
-
 def _resume(path, graph, n_features, cfg, given):
     """The (params, train_state) of the checkpoint at path, for a train
     run of cfg on graph. Each model key in given, the keys set on the
@@ -129,17 +111,18 @@ def _resume(path, graph, n_features, cfg, given):
     p, state = load_checkpoint(path, graph, n_features)
     model = {"family": p.conv_family, "activation": p.activation,
              FAMILIES[p.conv_family][0]: p.W.shape[-1]}
-    for key, value in model.items():
-        if key in given and getattr(cfg, key) != value:
+    with in_file(path):
+        for key, value in model.items():
+            if key in given and getattr(cfg, key) != value:
+                raise ContractViolation(
+                    f"config key {key!r} is {getattr(cfg, key)!r}, but the "
+                    f"checkpoint's model has {value!r}")
+        rate = cfg.rate(state["epoch"])
+        if rate != state["lr"]:
             raise ContractViolation(
-                f"{path}: config key {key!r} is {getattr(cfg, key)!r}, but "
-                f"the checkpoint's model has {value!r}")
-    rate = cfg.rate(state["epoch"])
-    if rate != state["lr"]:
-        raise ContractViolation(
-            f"{path}: config keys 'lr' = {cfg.lr!r} and 'lr_decay' = "
-            f"{cfg.lr_decay!r} give rate {rate!r} at the checkpoint's epoch "
-            f"{state['epoch']}, but its lr is {state['lr']!r}")
+                f"config keys 'lr' = {cfg.lr!r} and 'lr_decay' = "
+                f"{cfg.lr_decay!r} give rate {rate!r} at the checkpoint's "
+                f"epoch {state['epoch']}, but its lr is {state['lr']!r}")
     return p, state
 
 
@@ -148,7 +131,8 @@ def cmd_train(args):
     seq, graph = _load_inputs(args.frames, args.graph)
     resume = (_resume(args.resume, graph, seq.n_features, cfg, given)
               if args.resume else None)
-    run = _train(args.frames, cfg, seq, graph, resume)
+    with in_file(args.frames):
+        run = train(cfg, seq, graph, resume)
     save_checkpoint(run.final_params, args.out_checkpoint, graph,
                     run.train_state)
     csv = history_csv(run)
@@ -170,11 +154,10 @@ def cmd_train(args):
 
 def cmd_eval(args):
     seq, graph = _load_inputs(args.frames, args.graph)
-    _need_frames(args.frames, seq, 2,
-                 "hold no transition to score; eval needs 2 or more")
     p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     lap = build_laplacians(graph, scaled=False)
-    losses = training.teacher_forced_losses(p, lap, seq.frames)
+    with in_file(args.frames):
+        losses = training.teacher_forced_losses(p, lap, seq.frames)
     lines = ["t,loss"] + [f"{t + 1},{v:.17g}" for t, v in enumerate(losses)]
     _write_out(args.out, "\n".join(lines) + "\n")
     print(f"mean transition loss: {float(np.mean(losses)):.17g}")
@@ -185,9 +168,10 @@ def cmd_predict(args):
     if args.horizon < 1:
         raise ContractViolation(f"--horizon must be >= 1, got {args.horizon}")
     seq, graph = _load_inputs(args.frames, args.graph)
-    if args.horizon > 1:
-        _need_frames(args.frames, seq, 1, "leave no input step to feed back "
-                     f"from; predict --horizon {args.horizon} needs 1 or more")
+    if args.horizon > 1 and seq.n_frames == 0:
+        raise ContractViolation(
+            f"{args.frames}: 0 frame(s) leave no input step to feed back "
+            f"from; predict --horizon {args.horizon} needs 1 or more")
     p, _ = load_checkpoint(args.checkpoint, graph, seq.n_features)
     fam = conv_family(p, build_laplacians(graph, scaled=False))
     if args.horizon == 1:
@@ -280,7 +264,8 @@ def cmd_sweep_t(args):
             # number of Adam updates under the same learning-rate schedule
             cfg = replace(base, t_w=t_w, stride=base.stride or min(t_list),
                           seed=base.seed + s)
-            run = _train(args.frames, cfg, seq, graph)
+            with in_file(args.frames):
+                run = train(cfg, seq, graph)
             if run.aborted:
                 print(f"T={t_w} seed={cfg.seed}: training aborted: numeric "
                       f"overflow", file=sys.stderr)

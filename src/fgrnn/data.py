@@ -175,8 +175,8 @@ def load_frames(path) -> FrameSequence:
         frames = _load_frames_fast(src)
         if frames is None:
             src.seek(0)
-            lines = decode_text(src.read(), path).splitlines()
             with in_file(path):
+                lines = decode_text(src.read()).splitlines()
                 frames = _load_frames_slow(lines)
                 rows = frames.reshape(-1, frames.shape[2])
                 finite = np.isfinite(rows).all(axis=1)

@@ -4,7 +4,8 @@ every file parser, and the config range check.
 The CLI maps them to its exit codes: a ParseError (a file or config value
 that does not parse) or a ContractViolation (a value out of range, a bad
 flag, or inputs that do not fit together) exits 2 with an `error: ...`
-line, and a NumericOverflow exits 3.
+line, and a NumericOverflow exits 3. in_file is the one way a refusal
+names its file: file readers and the CLI's library calls run inside it.
 """
 
 import math
@@ -77,31 +78,37 @@ def place_keys(exc: ContractViolation, sources: dict):
 
 @contextmanager
 def in_file(path):
-    """Name `path` in every ParseError raised inside the block."""
+    """Name `path` in a refusal raised inside the block: a ParseError takes
+    it as its path, and a ContractViolation's message becomes
+    `path: message`, its keys unchanged. The exception raised is the one
+    raised inside; any other passes untouched."""
     try:
         yield
     except ParseError as exc:
         exc.path = path
+        raise
+    except ContractViolation as exc:
+        exc.args = (f"{path}: {exc}",)
         raise
 
 
 def read_text(path) -> str:
     """The UTF-8 text of the file at path. A byte that does not decode is a
     ParseError naming the file and the line it is on."""
-    with open(path, "rb") as fh:
-        return decode_text(fh.read(), path)
+    with open(path, "rb") as fh, in_file(path):
+        return decode_text(fh.read())
 
 
-def decode_text(raw: bytes, path) -> str:
-    """The UTF-8 text of raw, the bytes of the file at path, as read_text
-    reads them."""
+def decode_text(raw: bytes) -> str:
+    """The UTF-8 text of raw, a file's bytes, as read_text reads them; a
+    ParseError names the line, and in_file the file."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the text before the bad byte decodes; its line breaks count lines
         line = len((raw[:exc.start].decode("utf-8") + "?").splitlines())
         raise ParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8",
-                         line=line, path=path) from None
+                         line=line) from None
 
 
 def check_config(cfg, ranges):

@@ -423,13 +423,10 @@ class TrainRun:
 
 
 def _windows(n_train: int, t_w: int, stride: int):
-    starts = list(range(0, max(n_train - 1, 0), stride))
-    out = []
-    for s in starts:
-        end = min(s + t_w + 1, n_train)
-        if end - s >= 2:
-            out.append((s, end))
-    return out
+    # train refuses n_train < 2 and TrainConfig t_w < 1, so every window
+    # holds at least 2 frames
+    return [(s, min(s + t_w + 1, n_train))
+            for s in range(0, n_train - 1, stride)]
 
 
 def _with_input_bases(fam, frames: np.ndarray, windows):
@@ -489,7 +486,8 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     and updates params in place. Without it the run starts from
     init_params, the one reader of cfg's model keys (family, k, p and
     activation). Raises ContractViolation if cfg.split leaves fewer than
-    2 training frames.
+    2 training frames. An overflow aborts the run with the parameters and
+    Adam state of the last epoch it completed, or those it started from.
     """
     n_train = math.floor(cfg.split * dataset.n_frames)
     if n_train < 2:
@@ -513,6 +511,8 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     aborted = False
     try:
         for epoch in range(epochs_done, epochs_done + cfg.epochs):
+            done = (p.theta.copy(), adam.step, adam.first_moment.copy(),
+                    adam.second_moment.copy())
             lr = cfg.rate(epoch + 1)
             for s, e, bases in _with_input_bases(fam, dataset.frames,
                                                  windows):
@@ -524,7 +524,8 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
             betas.append(p.beta)
             epochs_done = epoch + 1
     except NumericOverflow:
-        # abort with partial history; caller decides how to report
+        # abort at the last completed epoch; caller decides how to report
+        p.theta[...], adam.step, adam.first_moment, adam.second_moment = done
         aborted = True
     return TrainRun(cfg, epoch_losses, alphas, betas, p, adam, epochs_done,
                     aborted)

@@ -22,6 +22,8 @@ import fgrnn
 from fgrnn import cli, stability
 from fgrnn.cells import load_checkpoint, save_checkpoint
 from fgrnn.data import SyntheticConfig, load_frames
+from fgrnn.errors import (ContractViolation, NumericOverflow, ParseError,
+                          in_file)
 from fgrnn.graph import build_laplacians, load_graph
 from fgrnn.training import TrainConfig, train
 
@@ -651,18 +653,60 @@ def test_two_frames_are_too_few_to_split(small_dataset, tmp_path, capsys,
 
 
 @pytest.mark.filterwarnings("error")
-def test_eval_one_frame_names_the_frame_file(small_dataset, small_checkpoint,
-                                             tmp_path, capsys):
+@pytest.mark.parametrize("n_frames", [0, 1])
+def test_eval_too_few_frames_names_the_frame_file(
+        small_dataset, small_checkpoint, tmp_path, capsys, n_frames):
+    # the library's 2-frame rule (training._check_fit), named by in_file
     _, graph = small_dataset
-    one = tmp_path / "one.txt"
-    one.write_text("gfrm 1 16 3 1\n" + "0 0 0\n" * 16)
+    few = tmp_path / "few.txt"
+    few.write_text(f"gfrm 1 16 3 {n_frames}\n" + "0 0 0\n" * 16 * n_frames)
     out = tmp_path / "e.csv"
     assert cli.main(["eval", "--checkpoint", small_checkpoint, "--frames",
-                     str(one), "--graph", graph, "--out", str(out)]) == 2
+                     str(few), "--graph", graph, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {one}: 1 frame(s) hold no transition to score; eval needs "
-        f"2 or more\n")
+        f"error: {few}: teacher_forced_losses: frames of shape "
+        f"({n_frames}, 16, 3) hold no transition; a pass needs at least 2 "
+        f"frames\n")
     assert not out.exists()
+
+
+def test_in_file_names_the_file_in_a_refusal_only():
+    refusal = ContractViolation("config 'a' and 'b' too large", "a", "b")
+    with pytest.raises(ContractViolation) as info:
+        with in_file("f.txt"):
+            raise refusal
+    assert info.value is refusal and refusal.keys == ("a", "b")
+    assert str(refusal) == "f.txt: config 'a' and 'b' too large"
+    with pytest.raises(ParseError) as info:
+        with in_file("f.txt"):
+            raise ParseError("expected 3 values", line=4)
+    assert info.value.path == "f.txt"
+    assert str(info.value) == "f.txt: line 4: expected 3 values"
+    for other in (NumericOverflow("step 1: non-finite loss"),
+                  FileNotFoundError(2, "No such file", "g.txt")):
+        text = str(other)
+        with pytest.raises(type(other)) as info:
+            with in_file("f.txt"):
+                raise other
+        assert info.value is other and str(other) == text
+
+
+def test_aborted_train_writes_the_last_completed_epoch(tmp_path):
+    # lr=1.7e308 overflows in the first epoch, so the checkpoint holds the
+    # state the run started from, the one epochs=0 writes, and eval reads it
+    frames, graph = str(tmp_path / "f.txt"), str(tmp_path / "g.txt")
+    assert cli.main(["gen-data", "--out-frames", frames, "--out-graph", graph,
+                     "n_nodes=16", "n_frames=12"]) == 0
+    for epochs, code in ((3, 3), (0, 0)):
+        assert cli.main(["train", "--frames", frames, "--graph", graph,
+                         "--out-checkpoint", str(tmp_path / f"{epochs}.ckpt"),
+                         "--out-history", str(tmp_path / f"{epochs}.csv"),
+                         f"epochs={epochs}", "t_w=3", "lr=1.7e308",
+                         "init_scale=1"]) == code
+    aborted = tmp_path / "3.ckpt"
+    assert aborted.read_bytes() == (tmp_path / "0.ckpt").read_bytes()
+    assert cli.main(["eval", "--checkpoint", str(aborted), "--frames", frames,
+                     "--graph", graph, "--out", str(tmp_path / "e.csv")]) == 0
 
 
 def test_eval_overflowing_readout_exit_code(small_dataset, small_checkpoint,

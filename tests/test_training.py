@@ -604,6 +604,35 @@ class TestTrainLoop:
         assert [str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("failing_window", [0, 1])
+    def test_overflow_leaves_the_last_completed_epoch(self, monkeypatch,
+                                                      failing_window):
+        # an overflow in epoch 2, at its first window or after one of its
+        # Adam steps, leaves theta and Adam's step and moments, bit for
+        # bit, as a run of 1 epoch leaves them
+        seq, g = self.small_dataset(4)
+        cfg = TrainConfig(epochs=3, t_w=4, seed=4)
+        once = train(TrainConfig(epochs=1, t_w=4, seed=4), seq, g)
+        n_windows = len(training._windows(math.floor(cfg.split * 30), 4, 4))
+        real_bptt, calls = training.bptt, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == n_windows + 1 + failing_window:
+                raise NumericOverflow("non-finite gradient in window")
+            return real_bptt(*args, **kwargs)
+
+        monkeypatch.setattr(training, "bptt", failing)
+        run = train(cfg, seq, g)
+        assert run.aborted and run.epochs_done == 1
+        assert len(run.epoch_losses) == 1
+        assert run.final_params.theta.tobytes() == \
+            once.final_params.theta.tobytes()
+        assert run.adam.step == once.adam.step == n_windows
+        for moment in ("first_moment", "second_moment"):
+            assert getattr(run.adam, moment).tobytes() == \
+                getattr(once.adam, moment).tobytes()
+
 
 class TestConfigParsing:
     def test_defaults(self):

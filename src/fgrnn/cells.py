@@ -291,11 +291,11 @@ def load_checkpoint(path, graph: Graph, n_features: int):
     block that does not match its header or holds a non-finite value, a W
     block of no value, an unknown family or activation, a node-operator
     entry other than 0 (the entry is optional; L1 is the only node
-    operator), a non-finite alpha or beta, a negative epoch or adam_step,
-    or Adam moments of another length than the parameters. The file's
-    graph_checksum must be graph.checksum(), and each of W, U, V, b and z
-    must be, in 2-D, the shape ModelParams takes at W's column count, the
-    graph's N and n_features (_check_shapes).
+    operator), a non-finite alpha or beta, a negative epoch, adam_step or
+    adam_v value, or Adam moments of another length than the parameters.
+    The file's graph_checksum must be graph.checksum(), and each of W, U,
+    V, b and z must be, in 2-D, the shape ModelParams takes at W's column
+    count, the graph's N and n_features (_check_shapes).
     """
     lines = read_text(path).splitlines()
     with in_file(path):
@@ -388,6 +388,8 @@ def _parse_checkpoint(lines, graph, n_features):
         if arrays[key].size != p.theta.size:
             raise ParseError(f"{key}: {arrays[key].size} values for "
                              f"{p.theta.size} parameters", line=where[key])
+    if (arrays["adam_v"] < 0).any():  # a mean of squares, under a sqrt
+        raise ParseError("adam_v: values must be >= 0", line=where["adam_v"])
     train_state = {
         "epoch": count("epoch"),
         "adam_step": count("adam_step"),

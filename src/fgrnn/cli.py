@@ -185,6 +185,9 @@ def cmd_predict(args):
         preds = list(rollout(p, fam, last, args.horizon))
     frames = (np.stack(preds) if preds
               else np.zeros((0, seq.n_nodes, seq.n_features)))
+    bad = [k for k, frame in enumerate(frames) if not np.isfinite(frame).all()]
+    if bad:  # the model's overflow, not a fault of the input frames
+        raise NumericOverflow(f"predicted frame {bad[0] + 1}: non-finite value")
     out_seq = datamod.FrameSequence(frames)
     datamod.save_frames(out_seq, args.out)
     print(f"wrote {len(preds)} predicted frames to {args.out}")

@@ -15,10 +15,12 @@ array is a few blocks, not the file. It takes the file only if the
 blocks yield exactly N*T rows of F finite values. Anything else,
 including every malformed file, a `nan` or `inf` and numbers
 `np.loadtxt` does not read (`1_0`, non-ASCII digits), goes to the
-per-line parser, the only code that raises a ParseError naming the line;
-it rereads the bytes of the same open file. A pipe is read into memory
-first, as it cannot be read twice. save_frames writes one frame at a
-time with a repeated `%.17g` format.
+per-line parser, which rereads the bytes of the same open file. It is
+the only code that raises a ParseError naming the line: once the count
+of data lines is right, it refuses the first bad line in file order, a
+non-finite value included. A pipe is read into memory first, as it
+cannot be read twice. save_frames writes one frame at a time with a
+repeated `%.17g` format.
 """
 
 from __future__ import annotations
@@ -170,20 +172,12 @@ def save_frames(seq: FrameSequence, path):
 
 
 def load_frames(path) -> FrameSequence:
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, in_file(path):
         src = fh if fh.seekable() else io.BytesIO(fh.read())
         frames = _load_frames_fast(src)
         if frames is None:
             src.seek(0)
-            with in_file(path):
-                lines = decode_text(src.read()).splitlines()
-                frames = _load_frames_slow(lines)
-                rows = frames.reshape(-1, frames.shape[2])
-                finite = np.isfinite(rows).all(axis=1)
-                if not finite.all():
-                    lineno, line = _data_lines(lines)[1 + int(np.argmin(finite))]
-                    raise ParseError(f"expected finite values, got {line!r}",
-                                     line=lineno)
+            frames = _load_frames_slow(decode_text(src.read()).splitlines())
     return FrameSequence(frames)
 
 
@@ -263,16 +257,11 @@ def _load_frames_fast(fh):
     return out.reshape(t_total, n, f)
 
 
-def _data_lines(raw_lines):
-    """(line number, line) of each line that is not blank or a comment."""
-    return [(k + 1, ln) for k, ln in enumerate(raw_lines)
-            if ln.strip() and not ln.lstrip().startswith("#")]
-
-
 def _load_frames_slow(raw_lines) -> np.ndarray:
     """(T, N, F) frames of a frame file's lines, parsed one by one;
     ParseError names the line."""
-    lines = _data_lines(raw_lines)
+    lines = [(k + 1, ln) for k, ln in enumerate(raw_lines)
+             if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ParseError("empty frame file", line=1)
     lineno, head = lines[0]
@@ -290,9 +279,12 @@ def _load_frames_slow(raw_lines) -> np.ndarray:
         if len(vals) != f:
             raise ParseError(f"expected {f} values, found {len(vals)}", line=ln_no)
         try:
-            frames[k // n, k % n] = [float(v) for v in vals]
+            row = [float(v) for v in vals]
         except ValueError:
             raise ParseError(f"expected {f} numbers, got {ln!r}",
                              line=ln_no) from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"expected finite values, got {ln!r}", line=ln_no)
+        frames[k // n, k % n] = row
     return frames
 

@@ -27,6 +27,7 @@ from .sparse import SparseMatrix, power_iteration
 def _edge_problem(edges, n_nodes):
     """(position, reason) of the first edge a graph cannot hold, or None."""
     seen = set()
+    degree = [0.0] * n_nodes  # summed as Graph.degrees sums; inf, not a warning
     for k, (i, j, w) in enumerate(edges):
         if not (0 <= i < j < n_nodes):
             return k, f"bad edge ({i}, {j}): need 0 <= i < j < {n_nodes}"
@@ -35,6 +36,11 @@ def _edge_problem(edges, n_nodes):
         if (i, j) in seen:
             return k, f"duplicate edge ({i}, {j})"
         seen.add((i, j))
+        for node in (i, j):
+            degree[node] += w
+            if degree[node] == math.inf:
+                return k, (f"edge ({i}, {j}) makes the weighted degree of "
+                           f"node {node} overflow")
     return None
 
 

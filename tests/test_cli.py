@@ -805,6 +805,30 @@ def test_predict_one_frame_writes_no_frames(small_dataset, small_checkpoint,
     assert load_frames(out).frames.shape == (0, 16, 3)
 
 
+@pytest.mark.parametrize("horizon", ["1", "3"])
+def test_predict_overflow_is_a_numeric_failure(small_dataset, small_checkpoint,
+                                               tmp_path, capsys, horizon):
+    # V and z so large that the readout overflows: the model fails, exit 3,
+    # and the input frames are not blamed
+    frames, graph = small_dataset
+    lines = Path(small_checkpoint).read_text().splitlines()
+    at = {line.split()[0]: k for k, line in enumerate(lines)}
+    for key in ("V", "z"):
+        for k in range(at[key] + 1, at[key] + 1 + int(lines[at[key]].split()[1])):
+            lines[k] = " ".join(["1.7e308"] * len(lines[k].split()))
+    big = tmp_path / "big.ckpt"
+    big.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "p.txt"
+    assert cli.main(["predict", "--checkpoint", str(big), "--frames", frames,
+                     "--graph", graph, "--horizon", horizon,
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    if horizon == "1":
+        assert err == "numeric failure: predicted frame 1: non-finite value\n"
+    assert not out.exists()
+
+
 def test_stability_csv(tmp_path):
     out = str(tmp_path / "sweep.csv")
     rc = cli.main(["stability", "--n-nodes", "12", "--alpha", "0,0.5",
@@ -951,6 +975,8 @@ def test_stability_checks_n_before_building_anything(tmp_path, capsys,
      "line 3: expected 1 edges, found more: '1 2 1.0'"),
     ("3 1\n0 1 1.0\n\n \ngarbage here\n",
      "line 5: expected 1 edges, found more: 'garbage here'"),
+    ("3 2\n0 1 1e308\n1 2 1e308\n",
+     "line 3: edge (1, 2) makes the weighted degree of node 1 overflow"),
 ])
 def test_bad_graph_exit_code(tmp_path, capsys, text, fragment):
     path = tmp_path / "g.txt"
@@ -1071,6 +1097,11 @@ def _mutate_checkpoint(lines, case):
         key, value = case.split()
         lines[at[key]] = case
         return lines, f"line {at[key] + 1}: {key} must be >= 0, got {value}"
+    if case == "adam_v negative":  # sqrt(v_hat) of a negative v is nan
+        values = lines[at["adam_v"] + 1].split()
+        values[0] = "-1"
+        lines[at["adam_v"] + 1] = " ".join(values)
+        return lines, f"line {at['adam_v'] + 1}: adam_v: values must be >= 0"
     if case in ("use_plain_laplacian 7", "family dense", "activation softsign"):
         key, value = case.split()
         lines[at[key]] = case
@@ -1086,7 +1117,8 @@ def _mutate_checkpoint(lines, case):
     "rows over header", "ragged row", "cols over header", "bad header",
     "stray line", "b short", "z short", "b two rows", "W rows", "U rows",
     "V cols", "W nan", "b nan", "z inf", "adam_m short", "use_plain_laplacian 7",
-    "family dense", "activation softsign", "epoch -3", "adam_step -1"])
+    "family dense", "activation softsign", "epoch -3", "adam_step -1",
+    "adam_v negative"])
 def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
                                   capsys, case):
     frames, graph = small_dataset
@@ -1102,7 +1134,8 @@ def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
 
 
 @pytest.mark.parametrize("case", ["b short", "W rows", "adam_m short",
-                                  "epoch -3", "adam_step -1"])
+                                  "epoch -3", "adam_step -1",
+                                  "adam_v negative"])
 def test_resume_bad_checkpoint_shape(small_dataset, small_checkpoint, tmp_path,
                                      capsys, case):
     frames, graph = small_dataset

@@ -144,6 +144,20 @@ class TestFrameIO:
             load_frames(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text,line,got", [
+        ("gfrm 1 2 2 2\n1 2\nnan 4\n5 6\n7\n", 3, "nan 4"),
+        ("gfrm 1 2 2 1\n1 2\n3 1e999\n", 3, "3 1e999"),  # float() reads inf
+    ], ids=["nan before a short row", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, text, line, got):
+        # refused at its own line, before any later bad line is read
+        path = tmp_path / "f.gfrm"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_frames(path)
+        assert (err.value.line, err.value.path) == (line, path)
+        assert str(err.value) == (f"{path}: line {line}: expected finite "
+                                  f"values, got {got!r}")
+
     def test_random_bits_round_trip(self, tmp_path):
         # every bit pattern of a finite double, subnormals and -0.0 included
         rng = np.random.default_rng(11)

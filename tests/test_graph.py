@@ -204,6 +204,9 @@ class TestEdgeListIO:
         for w in (math.nan, math.inf):
             with pytest.raises(ContractViolation):
                 Graph(2, ((0, 1, w),))
+        # finite weights whose sum at node 1 overflows: D^{-1/2} would read 0
+        with pytest.raises(ContractViolation, match="degree of node 1 overflow"):
+            Graph(3, ((0, 1, 1e308), (1, 2, 1e308)))
 
     @pytest.mark.parametrize("text,line", [
         ("3 x\n", 1), ("-1 0\n", 1), ("3 2\n0 1 1\nx 1 1\n", 3),
@@ -222,6 +225,8 @@ class TestEdgeListIO:
         ("3 3\n0 1 1\n1 2 1\n0 1 2\n", 4, "duplicate edge (0, 1)"),
         ("3 2\n0 1 1\n0 2 -1\n", 3, "positive and finite"),
         ("3 1\n0 2 inf\n", 2, "positive and finite"),
+        ("3 2\n0 1 1e308\n1 2 1e308\n", 3,
+         "edge (1, 2) makes the weighted degree of node 1 overflow"),
     ])
     def test_bad_edge_names_its_line(self, tmp_path, text, line, fragment):
         path = tmp_path / "g.edges"

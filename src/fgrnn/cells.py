@@ -28,11 +28,11 @@ A checkpoint holds exactly what train writes: the parameters, the
 checksum of the graph they were trained on and the training block (epoch,
 Adam step, rate and moments), each entry once. _ENTRIES is the one
 statement of that layout: save_checkpoint writes the entries by walking
-it, and load_checkpoint reads them by walking it in the same order, so a
-line other than the next entry save_checkpoint writes is refused where it
-stands. Both take the graph, and load_checkpoint is the one place that
-checks that binding: a checkpoint trained on another graph fails at its
-graph_checksum line.
+it, and load_checkpoint reads and checks them in one walk in the same
+order, so a line other than the next entry save_checkpoint writes, or an
+entry of a bad value, is refused where it stands. Both take the graph,
+and load_checkpoint is the one place that checks that binding: a
+checkpoint trained on another graph fails at its graph_checksum line.
 """
 
 from __future__ import annotations
@@ -285,46 +285,86 @@ def load_checkpoint(path, graph: Graph, n_features: int):
     that runs on graph with n_features features; train_state is what
     training.train's resume takes with the parameters.
 
-    Raises ParseError naming the file and line for a truncated file, a
-    line other than the next entry save_checkpoint writes (the entries
-    come in _ENTRIES' order, and the file ends after adam_v), an array
-    block that does not match its header or holds a non-finite value, a W
-    block of no value, an unknown family or activation, a node-operator
-    entry other than 0 (the entry is optional; L1 is the only node
-    operator), a non-finite alpha or beta, a negative epoch, adam_step or
-    adam_v value, or Adam moments of another length than the parameters.
-    The file's graph_checksum must be graph.checksum(), and each of W, U,
-    V, b and z must be, in 2-D, the shape ModelParams takes at W's column
-    count, the graph's N and n_features (_check_shapes).
+    One pass over _ENTRIES reads each entry and checks it at its own line,
+    given the entries before it (_entry), so the ParseError names the file
+    and the first bad line in file order: a truncated file, a line other
+    than the next entry save_checkpoint writes (the file ends after
+    adam_v), an array block that does not match its header or holds a
+    non-finite value, or a value _entry refuses. The node-operator entry
+    use_plain_laplacian is optional.
     """
     lines = read_text(path).splitlines()
     with in_file(path):
         return _parse_checkpoint(lines, graph, n_features)
 
 
-def _check_shapes(arrays, where, family, n_nodes, n_features) -> dict:
-    """{name: shape} of b and z (N values) and W, U and V (FAMILIES' at W's
-    column count) once each block, as written in 2-D, has that shape; else
-    ParseError at the first that does not."""
-    key, shapes = FAMILIES[family]
-    size = arrays["W"].shape[1]
-    need = dict(zip("bzWUV", [(n_nodes,)] * 2 + shapes(size, n_features)))
-    for name, shape in need.items():
-        got, block = arrays[name].shape, (1,) * (2 - len(shape)) + shape
-        if got != block:
-            raise ParseError(
-                f"checkpoint {name} is {got[0]} x {got[1]}, but N={n_nodes} "
-                f"nodes and F={n_features} features need {block[0]} x "
-                f"{block[1]} in a {family} model of {key.upper()}={size}, "
-                f"W's column count", line=where[name])
-    return need
+# the allowed values of the entries that name a choice; L1 is the only
+# node operator
+_CHOICES = {"family": FAMILIES, "activation": ACTIVATIONS,
+            "use_plain_laplacian": ("0",)}
+
+
+def _entry(name, value, got, graph, n_features):
+    """The entry name's value, read from value (a 'name value' line's text
+    or a block's array) and checked given got, the entries before it;
+    ContractViolation if it breaks its rule. family, activation and
+    use_plain_laplacian are one of _CHOICES; graph_checksum is
+    graph.checksum(); alpha, beta and lr are finite numbers, epoch and
+    adam_step integers >= 0; W is not empty, and each of W, U, V, b and z
+    is, in 2-D, the shape ModelParams takes at W's column count, the
+    graph's N and n_features; adam_m and adam_v hold one value per
+    parameter, and adam_v none below 0."""
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ContractViolation(f"{name} must be one of "
+                                f"{', '.join(_CHOICES[name])}, got {value!r}")
+    if name == "graph_checksum" and value != graph.checksum():
+        raise ContractViolation(
+            f"graph_checksum {value} is not the graph's {graph.checksum()}: "
+            f"the checkpoint was trained on another graph")
+    if name in ("alpha", "beta", "lr", "epoch", "adam_step"):
+        cast = int if name in ("epoch", "adam_step") else float
+        try:  # an int too large for a double overflows in isfinite
+            number = cast(value)
+            finite = math.isfinite(number)
+        except (ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise ContractViolation(f"{name} must be a finite number, got "
+                                    f"{value!r}")
+        if cast is int and number < 0:
+            raise ContractViolation(f"{name} must be >= 0, got {number}")
+        return number
+    if name == "W" and value.size == 0:  # W's column count sizes every filter
+        raise ContractViolation("W: a filter needs at least one coefficient")
+    if name in "WUVbz":
+        key, shapes = FAMILIES[got["family"]]
+        # W's column count, read from the block itself at W
+        size, n = got.get("W", value).shape[-1], graph.n_nodes
+        shape = dict(zip("WUVbz", shapes(size, n_features) + [(n,)] * 2))[name]
+        block = (1,) * (2 - len(shape)) + shape
+        if value.shape != block:
+            raise ContractViolation(
+                f"checkpoint {name} is {value.shape[0]} x {value.shape[1]}, "
+                f"but N={n} nodes and F={n_features} features need "
+                f"{block[0]} x {block[1]} in a {got['family']} model of "
+                f"{key.upper()}={size}, W's column count")
+        return value.reshape(shape)
+    if name in ("adam_m", "adam_v"):
+        size = sum(got[block].size for block in "WUVbz") + 2  # alpha, beta
+        if value.size != size:
+            raise ContractViolation(f"{name}: {value.size} values for {size} "
+                                    f"parameters")
+        # adam_v is a mean of squares, under a sqrt
+        if name == "adam_v" and (value < 0).any():
+            raise ContractViolation("adam_v: values must be >= 0")
+        return value.ravel()
+    return value
 
 
 def _parse_checkpoint(lines, graph, n_features):
     if not lines or lines[0] != "fgrnn-checkpoint 1":
         raise ParseError("not a checkpoint file", line=1)
-    scalars, arrays, where = {}, {}, {}
-    k = 1
+    got, k = {}, 1
     for name, is_array in _ENTRIES:
         parts = lines[k].split() if k < len(lines) else []
         if name == "use_plain_laplacian" and parts[:1] != [name]:
@@ -337,64 +377,17 @@ def _parse_checkpoint(lines, graph, n_features):
             form = "rows cols" if is_array else "value"
             raise ParseError(f"expected '{name} {form}', got {lines[k]!r}",
                              line=k + 1)
-        where[name] = k + 1
-        if is_array:
-            arrays[name] = _read_array(lines, k, name, *map(int, parts[1:]))
-            k += arrays[name].shape[0] + 1
-        else:
-            scalars[name] = parts[1]
-            k += 1
+        value = (_read_array(lines, k, name, *map(int, parts[1:]))
+                 if is_array else parts[1])
+        try:
+            got[name] = _entry(name, value, got, graph, n_features)
+        except ContractViolation as exc:
+            raise ParseError(str(exc), line=k + 1) from None
+        k += 1 + (len(value) if is_array else 0)
     if k < len(lines):
         raise ParseError(f"expected the end of the file after adam_v, got "
                          f"{lines[k]!r}", line=k + 1)
-
-    def number(key, cast=float):
-        try:
-            value = cast(scalars[key])
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ParseError(f"{key} must be a finite number, got "
-                             f"{scalars[key]!r}", line=where[key])
-        return value
-
-    def count(key):
-        value = number(key, int)
-        if value < 0:
-            raise ParseError(f"{key} must be >= 0, got {value}",
-                             line=where[key])
-        return value
-
-    for key, allowed in (("family", FAMILIES), ("activation", ACTIVATIONS),
-                         ("use_plain_laplacian", ("0",))):
-        if key in scalars and scalars[key] not in allowed:
-            raise ParseError(f"{key} must be one of {', '.join(allowed)}, "
-                             f"got {scalars[key]!r}", line=where[key])
-    if arrays["W"].size == 0:  # W's column count sizes every filter
-        raise ParseError("W: a filter needs at least one coefficient",
-                         line=where["W"])
-    if scalars["graph_checksum"] != graph.checksum():
-        raise ParseError(
-            f"graph_checksum {scalars['graph_checksum']} is not the "
-            f"graph's {graph.checksum()}: the checkpoint was trained on "
-            f"another graph", line=where["graph_checksum"])
-    need = _check_shapes(arrays, where, scalars["family"], graph.n_nodes,
-                         n_features)
-    p = ModelParams(
-        scalars["family"], alpha=number("alpha"), beta=number("beta"),
-        activation=scalars["activation"],
-        **{name: arrays[name].reshape(shape) for name, shape in need.items()})
-    for key in ("adam_m", "adam_v"):
-        if arrays[key].size != p.theta.size:
-            raise ParseError(f"{key}: {arrays[key].size} values for "
-                             f"{p.theta.size} parameters", line=where[key])
-    if (arrays["adam_v"] < 0).any():  # a mean of squares, under a sqrt
-        raise ParseError("adam_v: values must be >= 0", line=where["adam_v"])
-    train_state = {
-        "epoch": count("epoch"),
-        "adam_step": count("adam_step"),
-        "lr": number("lr"),
-        "adam_m": arrays["adam_m"].ravel(),
-        "adam_v": arrays["adam_v"].ravel(),
-    }
-    return p, train_state
+    p = ModelParams(got["family"], got["W"], got["U"], got["V"], got["alpha"],
+                    got["beta"], got["b"], got["z"], got["activation"])
+    return p, {key: got[key]
+               for key in ("epoch", "adam_step", "lr", "adam_m", "adam_v")}

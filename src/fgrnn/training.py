@@ -301,7 +301,8 @@ _CONFIG_RANGES = (
      f"one of {', '.join(ACTIVATIONS)}"),
     ("lambda_reg", lambda v: v >= 0, ">= 0"),
     ("seed", lambda v: v >= 0, ">= 0"),
-    ("init_scale", lambda v: v >= 0, ">= 0"),
+    ("init_scale", lambda v: v >= 0 and math.isfinite(2 * v),
+     ">= 0, and finite when doubled"),
 )
 
 
@@ -387,7 +388,7 @@ def parse_config(values: dict, cls, sources=None):
 def init_params(cfg: TrainConfig, n_nodes: int, n_features: int) -> ModelParams:
     """Small symmetric filter init; alpha = beta = 0.5; zero biases."""
     rng = np.random.default_rng(cfg.seed)
-    s = cfg.init_scale
+    s = cfg.init_scale + 0.0  # -0.0 draws as 0.0, every other float as is
     key, shapes = FAMILIES[cfg.family]
     w, u, v = (rng.uniform(-s, s, size=shape)
                for shape in shapes(getattr(cfg, key), n_features))

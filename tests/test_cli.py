@@ -512,6 +512,11 @@ def test_train_bad_override_syntax(small_dataset, tmp_path):
     # L1 is the only node operator, so no key selects one
     ("train", ["use_plain_laplacian=0"], "unknown config key 'use_plain_laplacian'"),
     ("train", ["use_plain_laplacian=1"], "unknown config key 'use_plain_laplacian'"),
+    # 2 * init_scale, the width of the init draw, must be finite too
+    ("train", ["init_scale=1e308"], "command line: config key 'init_scale' "
+     "must be >= 0, and finite when doubled, got 1e+308"),
+    ("train", ["init_scale=1.7976931348623157e308"], "'init_scale' must be"),
+    ("train", ["init_scale=8.98846567431158e307"], "'init_scale' must be"),
 ])
 def test_bad_input_exit_code(small_dataset, small_checkpoint, tmp_path, capsys,
                              command, extra, fragment):
@@ -707,6 +712,15 @@ def test_aborted_train_writes_the_last_completed_epoch(tmp_path):
     assert aborted.read_bytes() == (tmp_path / "0.ckpt").read_bytes()
     assert cli.main(["eval", "--checkpoint", str(aborted), "--frames", frames,
                      "--graph", graph, "--out", str(tmp_path / "e.csv")]) == 0
+
+
+def test_negative_zero_init_scale_trains_as_zero(small_dataset, tmp_path):
+    # -0.0 passes '>= 0'; the init draws it as 0.0, so no draw moves
+    frames, graph = small_dataset
+    runs = [_train(frames, graph, tmp_path, name, f"init_scale={value}")
+            for name, value in (("neg", "-0.0"), ("zero", "0"))]
+    assert [rc for rc, _, _ in runs] == [0, 0]
+    assert Path(runs[0][1]).read_bytes() == Path(runs[1][1]).read_bytes()
 
 
 def test_eval_overflowing_readout_exit_code(small_dataset, small_checkpoint,
@@ -1106,6 +1120,33 @@ def _mutate_checkpoint(lines, case):
         key, value = case.split()
         lines[at[key]] = case
         return lines, f"line {at[key] + 1}: {key} must be one of"
+    # two faults: the refusal names the first in file order
+    if case == "alpha nan, W abc":
+        lines[at["alpha"]] = "alpha nan"
+        lines[at["W"] + 1] = "abc " + lines[at["W"] + 1].split(" ", 1)[1]
+        return lines, (f"line {at['alpha'] + 1}: alpha must be a finite "
+                       f"number, got 'nan'")
+    if case == "epoch -1, adam_v -1":
+        lines[at["epoch"]] = "epoch -1"
+        values = lines[at["adam_v"] + 1].split()
+        values[0] = "-1"
+        lines[at["adam_v"] + 1] = " ".join(values)
+        return lines, f"line {at['epoch'] + 1}: epoch must be >= 0, got -1"
+    if case == "graph_checksum 0000, z 1 17":  # z's row holds 16 values
+        lines[at["graph_checksum"]] = "graph_checksum 0000"
+        lines[at["z"]] = "z 1 17"
+        return lines, (f"line {at['graph_checksum'] + 1}: graph_checksum "
+                       f"0000 is not the graph's")
+    if case == "W rows, b short":  # b first: deleting a W row moves it
+        lines[at["b"]] = "b 1 15"
+        lines[at["b"] + 1] = lines[at["b"] + 1].rsplit(" ", 1)[0]
+        lines[at["W"]] = "W 2 2"
+        del lines[at["W"] + 3]
+        return lines, f"line {at['W'] + 1}: checkpoint W is 2 x 2, but N=16"
+    if case == "epoch past a double":  # int() reads it, float() overflows
+        lines[at["epoch"]] = "epoch 1" + "0" * 400
+        return lines, (f"line {at['epoch'] + 1}: epoch must be a finite "
+                       f"number, got '1000")
     raise AssertionError(case)
 
 
@@ -1118,7 +1159,8 @@ def _mutate_checkpoint(lines, case):
     "stray line", "b short", "z short", "b two rows", "W rows", "U rows",
     "V cols", "W nan", "b nan", "z inf", "adam_m short", "use_plain_laplacian 7",
     "family dense", "activation softsign", "epoch -3", "adam_step -1",
-    "adam_v negative"])
+    "adam_v negative", "alpha nan, W abc", "epoch -1, adam_v -1",
+    "graph_checksum 0000, z 1 17", "W rows, b short", "epoch past a double"])
 def test_bad_checkpoint_exit_code(small_dataset, small_checkpoint, tmp_path,
                                   capsys, case):
     frames, graph = small_dataset

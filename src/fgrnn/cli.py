@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, predict, stability, params, sweep-T.
-Exit codes: 0 success, 1 I/O error, 2 config/usage error, 3 numeric
-failure.
+Exit codes: 0 success, 1 I/O error or out of memory, 2 config/usage
+error, 3 numeric failure.
 
 train writes its checkpoint with cells.save_checkpoint: the model, the
 graph's checksum and the run's training block. eval, predict and train
@@ -37,8 +37,8 @@ from .errors import (ContractViolation, NumericOverflow, ParseError, in_file,
 from .graph import build_laplacians, load_graph, save_graph
 from .stability import (check_node_count, scalar_cell_params, stability_sweep,
                         sweep_csv)
-from .training import (TrainConfig, count_params, history_csv, parse_config,
-                       parse_key_values, train)
+from .training import (COUNTED_FAMILIES, TrainConfig, count_params,
+                       history_csv, parse_config, parse_key_values, train)
 
 
 def _config(args, cls):
@@ -333,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--out")
 
     pa = sub.add_parser("params", help="trainable-parameter count")
-    pa.add_argument("family", choices=["chebyshev", "first_order", "dense",
-                                       "lstm_dense", "lstm_gcn"])
+    pa.add_argument("family", choices=COUNTED_FAMILIES)
     pa.add_argument("--n", type=int, required=True)
     pa.add_argument("--k", type=int, default=0)
     pa.add_argument("--p", type=int, default=0)
@@ -378,6 +377,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size numpy cannot allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

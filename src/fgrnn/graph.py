@@ -1,7 +1,9 @@
 """Graph construction and normalized Laplacian operators.
 
-A graph is an undirected positively-weighted edge list; the Laplacian
-set bundles the three operators the convolution layers need:
+A graph is an undirected positively-weighted edge list, checked in one
+walk that also sums each node's weighted degree (load_graph feeds it one
+parsed line at a time, so a file is refused at its first bad line); the
+Laplacian set bundles the three operators the convolution layers need:
 
     L   = I - D^{-1/2} A D^{-1/2}          (spectrum in [0, 2])
     Ls  = 2 L / lambda_max - I             (spectrum in [-1, 1])
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,41 +26,42 @@ from .errors import ContractViolation, ParseError, in_file, read_text
 from .sparse import SparseMatrix, power_iteration
 
 
-def _edge_problem(edges, n_nodes):
-    """(position, reason) of the first edge a graph cannot hold, or None."""
+def _checked(edges, n_nodes, degree):
+    """Each edge once checked against those before it, its weight summed into
+    degree ({node: weighted degree}, Python floats: an overflow is inf, no warning)."""
     seen = set()
-    degree = [0.0] * n_nodes  # summed as Graph.degrees sums; inf, not a warning
-    for k, (i, j, w) in enumerate(edges):
+    for i, j, w in edges:
         if not (0 <= i < j < n_nodes):
-            return k, f"bad edge ({i}, {j}): need 0 <= i < j < {n_nodes}"
+            raise ContractViolation(f"bad edge ({i}, {j}): need 0 <= i < j < {n_nodes}")
         if not 0 < w < math.inf:
-            return k, f"edge ({i}, {j}) weight must be positive and finite, got {w}"
+            raise ContractViolation(
+                f"edge ({i}, {j}) weight must be positive and finite, got {w}")
         if (i, j) in seen:
-            return k, f"duplicate edge ({i}, {j})"
+            raise ContractViolation(f"duplicate edge ({i}, {j})")
         seen.add((i, j))
         for node in (i, j):
-            degree[node] += w
+            degree[node] = degree.get(node, 0.0) + float(w)
             if degree[node] == math.inf:
-                return k, (f"edge ({i}, {j}) makes the weighted degree of "
-                           f"node {node} overflow")
-    return None
+                raise ContractViolation(f"edge ({i}, {j}) makes the weighted "
+                                        f"degree of node {node} overflow")
+        yield i, j, w
 
 
 @dataclass(frozen=True)
 class Graph:
     n_nodes: int
     edges: tuple  # of (i, j, w) with i < j, w > 0
+    # {node: weighted degree} of the nodes with an edge, summed by _checked
+    _degree: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        problem = _edge_problem(self.edges, self.n_nodes)
-        if problem:
-            raise ContractViolation(problem[1])
+        object.__setattr__(self, "_degree", {})
+        object.__setattr__(self, "edges", tuple(
+            _checked(self.edges, self.n_nodes, self._degree)))
 
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.n_nodes)
-        for i, j, w in self.edges:
-            d[i] += w
-            d[j] += w
+        d[list(self._degree)] = list(self._degree.values())
         return d
 
     def checksum(self) -> str:
@@ -138,9 +141,8 @@ def build_knn_graph(points: np.ndarray, k: int) -> Graph:
     # sorted and deduplicated by hand: np.unique's first call imports numpy.ma
     keys = np.sort(np.concatenate(keys))
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    edges = tuple(zip((keys // n).tolist(), (keys % n).tolist(),
-                      [1.0] * len(keys)))
-    return Graph(n, edges)
+    return Graph(n, zip((keys // n).tolist(), (keys % n).tolist(),
+                        [1.0] * len(keys)))
 
 
 def build_laplacians(g: Graph, scaled: bool = True) -> LaplacianSet:
@@ -186,19 +188,16 @@ def save_graph(g: Graph, path):
 
 
 def load_graph(path) -> Graph:
+    """The graph of an edge-list file: an 'N M' header (N >= 1), M 'i j w'
+    lines, then only blank lines. Graph checks each edge line as it is parsed,
+    so a ParseError names the first bad line; N allocates nothing."""
     lines = read_text(path).splitlines()
     with in_file(path):
-        n, edges = _parse_graph(lines)
-        try:
-            return Graph(n, edges)
-        except ContractViolation:  # name the line of the edge it rejected
-            k, reason = _edge_problem(edges, n)
-            raise ParseError(reason, line=k + 2) from None
+        return _parse_graph(lines)
 
 
 def _parse_graph(lines):
-    """(N, edges) of an edge-list file: an 'N M' header (N >= 1), M 'i j w'
-    lines and then only blank lines; ParseError names the line."""
+    """The Graph of an edge-list file's lines; ParseError names the line."""
     if not lines:
         raise ParseError("empty graph file", line=1)
     head = lines[0].split()
@@ -214,18 +213,26 @@ def _parse_graph(lines):
         raise ParseError(f"need N >= 1 nodes, got {lines[0]!r}", line=1)
     if len(lines) < m + 1:
         raise ParseError(f"expected {m} edges, found {len(lines) - 1}", line=len(lines))
-    edges = []
-    for k in range(m):
-        parts = lines[k + 1].split()
+    taken = []  # the number of each edge line Graph has taken
+    try:
+        return Graph(n, _parse_edges(lines, m, taken))
+    except ContractViolation as exc:  # at the edge of the last line taken
+        raise ParseError(str(exc), line=taken[-1]) from None
+
+
+def _parse_edges(lines, m, taken):
+    """Each edge line's (i, j, w), parsed when taken, its number put in taken."""
+    for k in range(1, m + 1):
+        taken.append(k + 1)
+        parts = lines[k].split()
         if len(parts) != 3:
-            raise ParseError("expected 'i j w'", line=k + 2)
-        try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            raise ParseError("expected 'i j w'", line=k + 1)
+        try:  # Graph's refusal of the edge is raised in Graph, never here
+            yield int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"expected integers i j and a number w, got "
-                             f"{lines[k + 1]!r}", line=k + 2) from None
+                             f"{lines[k]!r}", line=k + 1) from None
     for k in range(m + 1, len(lines)):
         if lines[k].strip():
             raise ParseError(f"expected {m} edges, found more: "
                              f"{lines[k]!r}", line=k + 1)
-    return n, tuple(edges)

@@ -25,10 +25,7 @@ not a zero row appended to it, as that would copy x on every product.
 The width is capped at twice the mean row length, so no plan holds more
 than 16 * nnz * f bytes however skewed the rows are; the entries past
 the cap (a hub row's tail) are added afterwards with np.add.at, which
-adds in index order and so keeps every sum in stored order. A product
-by a 1-row matrix is added with np.add.at alone: numpy reduces a lone
-contiguous run pairwise, not in order, and a 1-row block of one column
-is such a run.
+adds in index order and so keeps every sum in stored order.
 
 A wide x is gathered a block of columns at a time, each block's copy
 at most _BLOCK_BYTES, so a product's scratch memory does not grow with
@@ -125,15 +122,16 @@ def _layout(a: SparseMatrix):
     table and padded are (width, n_rows): slot s of row i holds the column
     and the value of the row's s-th stored entry, or the row's first
     column and 0.0 past its end. width is the longest row, capped at twice
-    the mean row length (so 8 * width * n_rows <= 16 * nnz); tail is the
-    (rows, cols, values) of the entries past the cap, in stored order, and
-    empty the rows with no entries.
+    the mean row length (so 8 * width * n_rows <= 16 * nnz), or 0 for at most
+    one row; tail is the (rows, cols, values) of the entries past the cap,
+    in stored order, and empty the rows with no entries.
     """
     if a._layout is None:
         rows = a._row_ids
         counts = np.diff(a.row_offsets)
         slot = np.arange(a.nnz) - a.row_offsets[rows]
-        width = min(int(counts.max()), 2 * a.nnz // a.n_rows)
+        # one row is all tail: numpy adds a lone contiguous run pairwise
+        width = min(int(counts.max()), 2 * a.nnz // a.n_rows) if a.n_rows > 1 else 0
         head = slot < width
         full = counts > 0
         first = np.zeros(a.n_rows, dtype=np.int64)
@@ -195,27 +193,20 @@ def spmm(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
         raise ContractViolation(
             f"spmm: inner dims {a.n_cols} vs {x.shape[0]}")
     f = x.shape[1]
-    if a.nnz == 0 or f == 0:
-        out = np.zeros((a.n_rows, f))
-    elif a.n_rows == 1:
-        # numpy would add a 1-column block's terms pairwise, not in order
-        out = np.zeros((1, f))
-        np.add.at(out, a._row_ids, a.values[:, None] * x[a.col_indices])
+    table, _, (rows, cols, vals), empty = _layout(a)
+    step = max(1, _BLOCK_BYTES // max(1, table.nbytes))
+    if f <= step:
+        out = _gather_reduce(a, x)
     else:
-        table, _, (rows, cols, vals), empty = _layout(a)
-        step = max(1, _BLOCK_BYTES // max(1, table.nbytes))
-        if f <= step:
-            out = _gather_reduce(a, x)
-        else:
-            out = np.empty((a.n_rows, f))
-            for j in range(0, f, step):
-                # a reduce straight into the strided out is twice as slow
-                out[:, j:j + step] = _gather_reduce(
-                    a, np.ascontiguousarray(x[:, j:j + step]))
-        if len(rows):
-            np.add.at(out, rows, vals * x[cols])
-        if len(empty):
-            out[empty] = 0.0
+        out = np.empty((a.n_rows, f))
+        for j in range(0, f, step):
+            # a reduce straight into the strided out is twice as slow
+            out[:, j:j + step] = _gather_reduce(
+                a, np.ascontiguousarray(x[:, j:j + step]))
+    if len(rows):
+        np.add.at(out, rows, vals * x[cols])
+    if len(empty):
+        out[empty] = 0.0
     return out[:, 0] if squeeze else out
 
 

@@ -260,27 +260,29 @@ def adam_step(state: AdamState, p: ModelParams, grad: ModelParams, lr: float):
 
 # --- parameter counting -------------------------------------------------------
 
+# the paper's baselines, counted but not trained: (size key or None, count(N, size))
+_BASELINES = {"dense": (None, lambda n, s: 3 * n * n + 2 * n + 2),
+              "lstm_dense": (None, lambda n, s: 8 * n * n + 4 * n),
+              "lstm_gcn": ("k", lambda n, s: 4 * n + 8 * s)}
+COUNTED_FAMILIES = (*FAMILIES, *_BASELINES)
+
+
 def count_params(family: str, n: int, k: int = 0, p: int = 0) -> int:
-    """Trainable-parameter counts per filter family (N nodes)."""
+    """Trainable-parameter count of a family of COUNTED_FAMILIES at N nodes."""
     if n < 1:
         raise ContractViolation("count_params: n must be positive")
     if family in FAMILIES:
-        # the paper's table counts first-order weights at F = P
         key, shapes = FAMILIES[family]
-        size = {"k": k, "p": p}[key]
-        if size < 1:
-            raise ContractViolation(
-                f"count_params: {family} needs {key.upper()} >= 1")
-        return sum(math.prod(s) for s in shapes(size, size)) + 2 * n + 2
-    if family == "dense":
-        return 3 * n * n + 2 * n + 2
-    if family == "lstm_dense":
-        return 8 * n * n + 4 * n
-    if family == "lstm_gcn":
-        if k < 1:
-            raise ContractViolation("count_params: lstm_gcn needs K >= 1")
-        return 4 * n + 8 * k
-    raise ContractViolation(f"count_params: unknown family {family!r}")
+        # the paper's table counts first-order weights at F = P
+        count = lambda n, s: sum(math.prod(x) for x in shapes(s, s)) + 2 * n + 2
+    elif family in _BASELINES:
+        key, count = _BASELINES[family]
+    else:
+        raise ContractViolation(f"count_params: unknown family {family!r}")
+    size = {"k": k, "p": p, None: 1}[key]
+    if size < 1:
+        raise ContractViolation(f"count_params: {family} needs {key.upper()} >= 1")
+    return count(n, size)
 
 
 # --- configuration and the training loop --------------------------------------

@@ -20,12 +20,12 @@ import pytest
 
 import fgrnn
 from fgrnn import cli, stability
-from fgrnn.cells import load_checkpoint, save_checkpoint
+from fgrnn.cells import FAMILIES, load_checkpoint, save_checkpoint
 from fgrnn.data import SyntheticConfig, load_frames
 from fgrnn.errors import (ContractViolation, NumericOverflow, ParseError,
                           in_file)
 from fgrnn.graph import build_laplacians, load_graph
-from fgrnn.training import TrainConfig, train
+from fgrnn.training import COUNTED_FAMILIES, TrainConfig, train
 
 from . import reference as ref
 from .reference import step_loss
@@ -255,6 +255,17 @@ def test_params_command(capsys):
 
 def test_params_rejects_missing_order():
     assert cli.main(["params", "chebyshev", "--n", "10"]) == 2
+
+
+def test_params_offers_every_counted_family(capsys):
+    # the trainable families of cells.FAMILIES, then the paper's baselines
+    assert COUNTED_FAMILIES == (*FAMILIES, "dense", "lstm_dense", "lstm_gcn")
+    command = next(a for a in cli._PARSER._actions if a.dest == "command")
+    family = next(a for a in command.choices["params"]._actions
+                  if a.dest == "family")
+    assert tuple(family.choices) == COUNTED_FAMILIES
+    for family in COUNTED_FAMILIES:
+        assert cli.main(["params", family, "--n", "4", "--k", "1", "--p", "1"]) == 0
 
 
 def test_train_writes_history_and_checkpoint(small_dataset, tmp_path):
@@ -991,6 +1002,11 @@ def test_stability_checks_n_before_building_anything(tmp_path, capsys,
      "line 5: expected 1 edges, found more: 'garbage here'"),
     ("3 2\n0 1 1e308\n1 2 1e308\n",
      "line 3: edge (1, 2) makes the weighted degree of node 1 overflow"),
+    # two faults: the first in file order is the one named
+    ("3 2\n0 0 1\n1 2 x\n", "line 2: bad edge (0, 0)"),
+    ("3 3\n0 1 1\n0 1 1\n1 2 1\nextra\n", "line 3: duplicate edge (0, 1)"),
+    ("3 2\n0 1 -1\n1 2\n",
+     "line 2: edge (0, 1) weight must be positive and finite, got -1.0"),
 ])
 def test_bad_graph_exit_code(tmp_path, capsys, text, fragment):
     path = tmp_path / "g.txt"
@@ -1558,3 +1574,20 @@ def test_main_runs_the_cmd_function_bound_at_call_time(monkeypatch, name):
     # a wrapper set on the module, as a tracer installs one, is called
     monkeypatch.setattr(cli, name, lambda args: (args.command, 7))
     assert cli.main(COMMANDS[name]) == (COMMANDS[name][0], 7)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_out_of_memory_exits_1(monkeypatch, capsys, tmp_path, name):
+    # a size numpy cannot allocate, as `stability --T 1000000000` asks for;
+    # raised here, since no test may ask for a real large allocation
+    def too_large(args):
+        raise MemoryError("Unable to allocate 238. GiB for an array with "
+                          "shape (1000000000, 32) and data type float64")
+
+    monkeypatch.setattr(cli, name, too_large)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(COMMANDS[name]) == 1
+    assert capsys.readouterr() == ("", "out of memory: Unable to allocate 238. "
+                                   "GiB for an array with shape (1000000000, "
+                                   "32) and data type float64\n")
+    assert list(tmp_path.iterdir()) == []

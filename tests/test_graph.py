@@ -227,6 +227,10 @@ class TestEdgeListIO:
         ("3 1\n0 2 inf\n", 2, "positive and finite"),
         ("3 2\n0 1 1e308\n1 2 1e308\n", 3,
          "edge (1, 2) makes the weighted degree of node 1 overflow"),
+        # two faults: the first in file order is the one named
+        ("3 2\n0 0 1\n1 2 x\n", 2, "bad edge (0, 0)"),
+        ("3 3\n0 1 1\n0 1 1\n1 2 1\nextra\n", 3, "duplicate edge (0, 1)"),
+        ("3 2\n0 1 -1\n1 2\n", 2, "positive and finite, got -1.0"),
     ])
     def test_bad_edge_names_its_line(self, tmp_path, text, line, fragment):
         path = tmp_path / "g.edges"
@@ -235,3 +239,18 @@ class TestEdgeListIO:
             load_graph(path)
         assert (err.value.line, err.value.path) == (line, path)
         assert fragment in str(err.value)
+
+    def test_header_n_allocates_nothing(self, tmp_path):
+        # N is checked by the commands that use the graph; the reader keeps
+        # a degree only for a node with an edge
+        path = tmp_path / "g.edges"
+        path.write_text("10000000 0\n")
+        g, peak = traced_peak(lambda: load_graph(path))
+        assert g.n_nodes == 10_000_000 and g.edges == ()
+        assert peak < 1e6
+
+    def test_edges_kept_as_a_tuple(self):
+        g = Graph(3, [(0, 1, 1.0)])
+        assert isinstance(g.edges, tuple)
+        assert g == Graph(3, ((0, 1, 1.0),))
+        assert np.array_equal(g.degrees(), [1.0, 1.0, 0.0])

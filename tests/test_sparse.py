@@ -136,6 +136,17 @@ class TestSpmmMatchesScatterAdd:
         x = np.ones((2, 5))
         assert np.array_equal(spmm(a, x), add_at_reference(a, x))
         assert np.array_equal(spmm(a, x[:, 0]), np.zeros(3))
+        # no rows, and a square matrix with no entries, by x of any width
+        # and a nan in every place: a row with no entries gives +0.0
+        for n_rows, n_cols in ((0, 0), (0, 5), (4, 4)):
+            a = SparseMatrix(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), np.zeros(0))
+            for f in (0, 1, 3):
+                x = np.full((n_cols, f), np.nan)
+                got, want = spmm(a, x), add_at_reference(a, x)
+                assert got.shape == want.shape == (n_rows, f)
+                assert got.tobytes() == want.tobytes()
+            assert spmm(a, np.full(n_cols, np.nan)).tobytes() == bytes(8 * n_rows)
 
     def test_no_columns(self):
         got = spmm(sparse_from_dense(np.eye(3)), np.zeros((3, 0)))
@@ -304,6 +315,14 @@ class TestSpmmMatchesScatterAdd:
         assert got[finite].tobytes() == want[finite].tobytes()
         assert got[1].tobytes() == np.zeros(2).tobytes()
         assert not np.isfinite(got[[0, 3], 0]).any()
+        # a 1-row matrix adds its entries in stored order, so it gives the
+        # scatter-add's inf or nan
+        row = SparseMatrix(1, 4, np.array([0, 3]), np.array([0, 2, 3]),
+                           np.array([1.0, -2.0, 3.0]))
+        with np.errstate(invalid="ignore"):
+            got, want = spmm(row, x), add_at_reference(row, x)
+        assert got.tobytes() == want.tobytes()
+        assert not np.isfinite(got[0, 0]) and np.isfinite(got[0, 1])
 
 
 class TestPowerIteration:

@@ -15,10 +15,12 @@ with ||E_t||_2 <= ||E_t||_F, so by Weyl its singular values lie in
 matching the convention used in the growth analysis.
 
 Each step factor is written into one N x N buffer straight from the
-sparse operator; no dense copy of the operator or of I is made.
-stability_sweep runs each product's SVD on one worker thread while the
-calling thread builds the next products, with the floats of
-jacobian_product run for each (alpha, beta) in turn.
+sparse operator; no dense copy of the operator or of I is made. A chain
+writes three N x N arrays: the factor and two products that it
+ping-pongs. stability_sweep runs each product's SVD on one worker thread,
+from its own copy of the product, while the calling thread builds the
+next products, with the floats of jacobian_product run for each
+(alpha, beta) in turn.
 """
 
 from __future__ import annotations
@@ -136,29 +138,7 @@ def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
     return _bound(p, max(terms), horizon)
 
 
-class _Workspace:
-    """The N x N arrays that chains write: the step-factor buffer and three
-    product slots, shared by every chain of a sweep. Arrays made afresh per
-    chain fragmented the heap: at N=512 the sweep's peak RSS stepped up by
-    about 2 MB after a few sweeps.
-
-    `held` is the product a chain handed out last. Its consumer may read it
-    on another thread until it resumes that chain after the next hand-out,
-    so until then the chain writes only the other two slots.
-    """
-
-    def __init__(self, n: int):
-        self.factor = np.empty((n, n))
-        self.slots = [np.empty((n, n)) for _ in range(3)]
-        self.held = None
-
-    def spare(self, busy=None) -> np.ndarray:
-        """A product slot that is neither `busy` nor held."""
-        return next(s for s in self.slots if s is not busy and s is not self.held)
-
-
-def _chain(p: ModelParams, lap: LaplacianSet, window, horizons,
-           work: _Workspace | None = None):
+def _chain(p: ModelParams, lap: LaplacianSet, window, horizons, work=None):
     """Yields (T, product, bound) for each T of the ascending list
     `horizons`: the product of the last T-2 step Jacobians and the
     closed-form bound (None when vacuous).
@@ -166,9 +146,10 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons,
     One forward pass runs to the largest T and one running product
     left-multiplies the step Jacobians in time order; each T's product of
     its last T-2 factors is read off on the way, so it is bitwise the
-    product a separate run to that T would make. A product yielded stays
-    unwritten until the chain is resumed after its next yield (see
-    _Workspace).
+    product a separate run to that T would make. The chain writes only the
+    N x N arrays of `work`, a (factor, product, spare) triple, made afresh
+    when it is None; a product yielded is not written until the chain is
+    resumed.
     """
     u = _check_scalar_cell(p, lap)
     frames = np.asarray(window, dtype=np.float64)
@@ -182,21 +163,19 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons,
         raise ContractViolation("stability: window shorter than T")
     op, n = conv_family(p, lap).op, lap.n_nodes
     d_list = _forward_activation_derivs(p, lap, frames, horizons[-1])
-    work = work or _Workspace(n)
-    terms = (_frobenius_terms(work.factor, u, op, d_list) if p.beta != 0.0
+    factor, product, spare = work or [np.empty((n, n)) for _ in range(3)]
+    terms = (_frobenius_terms(factor, u, op, d_list) if p.beta != 0.0
              else None)
-    product = work.spare()  # I, then left-multiplied by steps 3..T
-    product.fill(0.0)
+    product.fill(0.0)  # I, then left-multiplied by steps 3..T
     product.reshape(-1)[::n + 1] = 1.0
     done = 2
     for horizon in horizons:
         for d in d_list[done:horizon]:
-            product = np.matmul(_step_factor(work.factor, p, u, op, d), product,
-                                out=work.spare(product))
+            np.matmul(_step_factor(factor, p, u, op, d), product, out=spare)
+            product, spare = spare, product
         done = horizon
         bound = None if terms is None else _bound(p, max(terms[:horizon]), horizon)
         yield horizon, product, bound
-        work.held = product
 
 
 def _report(p: ModelParams, horizon: int, product: np.ndarray,
@@ -241,9 +220,9 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
     the next products (numpy's SVD and matmul release the GIL). The last
     SVD is resolved before the next is submitted, so at most one is in
     flight, the rows keep their order, and a chain's last SVD overlaps the
-    next chain's forward pass. The chains share one _Workspace, so the
-    sweep allocates its N x N arrays once. The worker is joined before the
-    sweep returns or raises.
+    next chain's forward pass. The worker reads only `read`, a copy of the
+    chain's product that is written after the last SVD is resolved. The
+    worker is joined before the sweep returns or raises.
     """
     # imported here: concurrent.futures loads logging, about 5 ms at start-up
     # that no other command needs
@@ -257,16 +236,21 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
     n_feat = base_params.W.shape[0]
     frames = rng.standard_normal((max(t_grid), g.n_nodes, n_feat))
     horizons = sorted(t_grid)
-    rows, last, work = [], None, _Workspace(g.n_nodes)
+    # the chains' (factor, product, spare) and the worker's read, made once:
+    # arrays made per chain fragmented the heap, and at N=512 the sweep's
+    # peak RSS stepped up by about 2 MB after a few sweeps
+    *work, read = [np.empty((g.n_nodes, g.n_nodes)) for _ in range(4)]
+    rows, last = [], None
     with ThreadPoolExecutor(max_workers=1) as worker:
         for alpha in sorted(alpha_grid):
             for beta in sorted(beta_grid):
                 p = base_params.like(base_params.theta.copy())
                 p.alpha, p.beta = alpha, beta
-                for point in _chain(p, lap, frames, horizons, work):
+                for horizon, product, bound in _chain(p, lap, frames, horizons, work):
                     if last is not None:
                         rows.append(last.result())
-                    last = worker.submit(_report, p, *point)
+                    np.copyto(read, product)  # the worker is done with read
+                    last = worker.submit(_report, p, horizon, read, bound)
         rows.append(last.result())
     return rows
 

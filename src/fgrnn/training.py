@@ -334,8 +334,11 @@ class TrainConfig:
     def rate(self, epochs_done: int) -> float:
         """The learning rate of the last of epochs_done epochs (lr when
         none ran): the rate train gives that epoch and its checkpoint
-        records."""
-        return self.lr * self.lr_decay ** max(epochs_done - 1, 0)
+        records; inf where the decay's power passes the largest float."""
+        try:
+            return self.lr * self.lr_decay ** max(epochs_done - 1, 0)
+        except OverflowError:
+            return math.inf
 
 
 def parse_key_values(text: str) -> dict:

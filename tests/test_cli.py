@@ -1286,6 +1286,40 @@ def test_resume_of_no_epochs_records_the_last_epochs_rate(small_dataset,
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_decay_past_the_largest_float_aborts_at_its_epoch(small_dataset,
+                                                            tmp_path):
+    # 1e300 ** 2 overflows at epoch 3, so its rate is inf: the run aborts
+    # there and keeps epochs 1 and 2
+    rc, ckpt, hist = _train(*small_dataset, tmp_path, "inf", "epochs=3",
+                            "lr=5e-324", "lr_decay=1e300")
+    assert rc == 3
+    rows = Path(hist).read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
+    assert float(rows[-1].split(",")[-1]) == 5e-324 * 1e300
+    assert "epoch 2\n" in Path(ckpt).read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_resume_at_an_overflowing_rate_is_refused(small_dataset, tmp_path,
+                                                  capsys):
+    frames, graph = small_dataset
+    rc, ckpt, _ = _train(frames, graph, tmp_path, "one", "epochs=1")
+    assert rc == 0
+    late = tmp_path / "late.ckpt"
+    late.write_text(Path(ckpt).read_text().replace("\nepoch 1\n",
+                                                   "\nepoch 400\n"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc, _ = _resume(frames, graph, late, out_dir, "r", "epochs=1",
+                    "lr_decay=10")
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {late}: config keys 'lr' = 0.01 and 'lr_decay' = 10.0 give "
+        f"rate inf at the checkpoint's epoch 400, but its lr is 0.01\n")
+    assert not any(out_dir.iterdir())
+
+
 COMPAT = Path(__file__).parent / "data"
 
 

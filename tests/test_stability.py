@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fgrnn.stability import (condition_bound, jacobian_product,
                              scalar_cell_params, stability_sweep, sweep_csv,
                              _forward_activation_derivs)
 
-from .reference import fgrnn_step, preactivation, to_dense
+from .reference import fgrnn_step, preactivation, to_dense, traced_peak
 
 
 def ring_graph(n):
@@ -380,6 +381,41 @@ class TestChain:
                 p.alpha, p.beta = alpha, beta
                 want += jacobian_product(p, lap, frames, sorted(horizons))
         assert rows == want
+
+    def test_the_worker_reads_no_array_a_chain_writes(self, monkeypatch):
+        # each SVD starts 20 ms late, while the chain takes its next two or
+        # more steps and the next chain starts; rows read off an array the
+        # chain writes would come out of a later product
+        g = build_knn_graph(np.random.default_rng(15).standard_normal((16, 3)), 3)
+        base = scalar_cell_params(u=0.6, n_nodes=16, w=1.0, b=0.1)
+        alphas, betas, horizons = [0.0, 0.7], [1.0], [3, 6, 9]
+        lap = build_laplacians(g, scaled=False)
+        frames = np.random.default_rng(7).standard_normal((9, 16, 1))
+        want = []
+        for alpha in alphas:
+            p = base.like(base.theta.copy())
+            p.alpha, p.beta = alpha, betas[0]
+            want += jacobian_product(p, lap, frames, horizons)
+        real = np.linalg.svd
+
+        def late(*args, **kwargs):
+            time.sleep(0.02)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", late)
+        assert stability_sweep(g, base, alphas, betas, horizons, seed=7) == want
+
+    def test_the_sweep_makes_its_arrays_once(self):
+        # four N x N arrays for the whole sweep, however many chains and
+        # points: the chain's factor and two products, and the worker's copy
+        n = 256
+        g = build_knn_graph(np.random.default_rng(16).standard_normal((n, 3)), 6)
+        base = scalar_cell_params(u=0.5, n_nodes=n, w=1.0)
+        stability_sweep(g, base, [0.5], [0.5], [4], seed=8)  # warm
+        rows, peak = traced_peak(lambda: stability_sweep(
+            g, base, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [4, 8, 12], seed=8))
+        assert len(rows) == 27
+        assert peak < 5.5 * n * n * 8
 
 
 def _sweep_args():

@@ -441,6 +441,12 @@ class TestTrainLoop:
         run = train(TrainConfig(epochs=0, lr=0.03), seq, g)
         assert run.train_state["lr"] == 0.03 and run.train_state["epoch"] == 0
 
+    def test_rate_past_the_largest_float_is_inf(self):
+        # Python's float ** raises OverflowError where * gives inf
+        assert TrainConfig(lr_decay=10.0).rate(400) == math.inf
+        assert TrainConfig(lr=5e-324, lr_decay=1e300).rate(3) == math.inf
+        assert TrainConfig(lr_decay=10.0).rate(300) == 0.01 * 10.0 ** 299
+
     @pytest.mark.filterwarnings("error")
     def test_split_leaving_one_training_frame_is_refused(self):
         seq, g = self.small_dataset()

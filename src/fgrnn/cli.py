@@ -257,16 +257,16 @@ def cmd_sweep_t(args):
         raise ContractViolation(f"--T values must be >= 1, got {min(t_list)}")
     if args.seeds < 1:
         raise ContractViolation(f"--seeds must be >= 1, got {args.seeds}")
-    base, _ = _config(args, TrainConfig)
+    base, given = _config(args, TrainConfig)
     seq, graph = _load_inputs(args.frames, args.graph)
+    # only T may vary: with stride unset, every T trains on the window
+    # starts of the smallest T, so each run makes the same number of Adam
+    # updates under the same learning-rate schedule
+    stride = base.stride if "stride" in given else min(t_list)
     lines = ["T,seed,final_alpha,final_beta,test_loss"]
     for t_w in t_list:
         for s in range(args.seeds):
-            # only T may vary: with stride unset, every T trains on the
-            # window starts of the smallest T, so each run makes the same
-            # number of Adam updates under the same learning-rate schedule
-            cfg = replace(base, t_w=t_w, stride=base.stride or min(t_list),
-                          seed=base.seed + s)
+            cfg = replace(base, t_w=t_w, stride=stride, seed=base.seed + s)
             with in_file(args.frames):
                 run = train(cfg, seq, graph)
             if run.aborted:
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--beta", default="0,0.5,1")
     st.add_argument("--T", default="4,8,12")
     st.add_argument("--u", type=float, default=1.0)
-    st.add_argument("--w", type=float, default=0.0)
+    st.add_argument("--w", type=float, default=1.0)
     st.add_argument("--bias", type=float, default=0.0)
     st.add_argument("--activation", default="relu",
                     choices=sorted(ACTIVATIONS))

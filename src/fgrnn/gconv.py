@@ -127,11 +127,13 @@ class ChebFamily:
 
 
 class FirstOrderFamily:
-    """First-order primitives: basis(x) is [L1 x], shape (1, N, F).
+    """First-order primitives: basis(x) is [L1 x], shape (order=1, N, F).
 
     The node operator op is L1 = I + D^{-1/2} A D^{-1/2}, the paper's
     single-hop operator.
     """
+
+    order = 1
 
     def __init__(self, lap: LaplacianSet):
         self.op = lap.first_order

@@ -149,7 +149,7 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons, work=None):
     product a separate run to that T would make. The chain writes only the
     N x N arrays of `work`, a (factor, product, spare) triple, made afresh
     when it is None; a product yielded is not written until the chain is
-    resumed.
+    resumed. An overflow of the forward pass names its alpha and beta.
     """
     u = _check_scalar_cell(p, lap)
     frames = np.asarray(window, dtype=np.float64)
@@ -162,7 +162,11 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons, work=None):
     if frames.shape[0] < horizons[-1]:
         raise ContractViolation("stability: window shorter than T")
     op, n = conv_family(p, lap).op, lap.n_nodes
-    d_list = _forward_activation_derivs(p, lap, frames, horizons[-1])
+    try:
+        d_list = _forward_activation_derivs(p, lap, frames, horizons[-1])
+    except NumericOverflow as exc:
+        raise NumericOverflow(f"stability: {exc} at alpha={p.alpha!r}, "
+                              f"beta={p.beta!r}") from None
     factor, product, spare = work or [np.empty((n, n)) for _ in range(3)]
     terms = (_frobenius_terms(factor, u, op, d_list) if p.beta != 0.0
              else None)
@@ -222,7 +226,8 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
     flight, the rows keep their order, and a chain's last SVD overlaps the
     next chain's forward pass. The worker reads only `read`, a copy of the
     chain's product that is written after the last SVD is resolved. The
-    worker is joined before the sweep returns or raises.
+    worker is joined before the sweep returns or raises, and the sweep
+    raises the failure of the first failing grid point.
     """
     # imported here: concurrent.futures loads logging, about 5 ms at start-up
     # that no other command needs
@@ -242,16 +247,20 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
     *work, read = [np.empty((g.n_nodes, g.n_nodes)) for _ in range(4)]
     rows, last = [], None
     with ThreadPoolExecutor(max_workers=1) as worker:
-        for alpha in sorted(alpha_grid):
-            for beta in sorted(beta_grid):
-                p = base_params.like(base_params.theta.copy())
-                p.alpha, p.beta = alpha, beta
-                for horizon, product, bound in _chain(p, lap, frames, horizons, work):
-                    if last is not None:
-                        rows.append(last.result())
-                    np.copyto(read, product)  # the worker is done with read
-                    last = worker.submit(_report, p, horizon, read, bound)
-        rows.append(last.result())
+        try:
+            for alpha in sorted(alpha_grid):
+                for beta in sorted(beta_grid):
+                    p = base_params.like(base_params.theta.copy())
+                    p.alpha, p.beta = alpha, beta
+                    for horizon, product, bound in _chain(p, lap, frames,
+                                                          horizons, work):
+                        if last is not None:
+                            rows.append(last.result())
+                        np.copyto(read, product)  # the worker is done with read
+                        last = worker.submit(_report, p, horizon, read, bound)
+        finally:  # the last row; if a chain raised, an earlier point's first
+            if last is not None:
+                rows.append(last.result())
     return rows
 
 

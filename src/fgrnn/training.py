@@ -47,7 +47,7 @@ stacks. Each pass first refuses frames that the model does not fit
 (_check_fit, before any step), so its predictions have the targets'
 shape. Both score through one step loss, _step_losses (bptt a window's
 stack of steps, teacher_forced_losses a stack of one per step), and both
-refuse a non-finite step loss through one check.
+refuse a non-finite step loss through one check, with no numpy warning.
 
 Adam's decay rates and epsilon are module constants; train passes
 adam_step the epoch's decayed rate on every step, so an AdamState holds
@@ -62,7 +62,7 @@ the file and line, or the command line, of a key it refuses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -79,6 +79,7 @@ from .sparse import spmm
 
 # --- the loss and BPTT --------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def teacher_forced_losses(p: ModelParams, lap: LaplacianSet,
                           frames: np.ndarray,
                           lambda_reg: float = 0.0) -> list:
@@ -140,24 +141,25 @@ def _step_losses(x_hats: np.ndarray, targets: np.ndarray, lap: LaplacianSet,
     return losses, d_xhat
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bptt(p: ModelParams, lap: LaplacianSet, window: np.ndarray,
          lambda_reg: float = 0.0, bases: np.ndarray | None = None):
     """Exact gradients of the summed step losses (_step_losses) over one
     window (the plain prediction loss when lambda_reg is 0).
 
     window is a (T_w+1, N, F) array; step t consumes frame t and is
-    scored against frame t+1. bases, when given, is
-    over_steps(fam.basis, window[:-1]) of p's family, the input bases that
-    train carries from window to window; None makes them here. Returns
-    (loss, gradient), the gradient laid out as p (p.like): grad.theta is
-    dJ/dtheta, grad.W is dJ/dW, and so on.
+    scored against frame t+1. bases, when given, is the (fam.order, T_w,
+    N, F) over_steps(fam.basis, window[:-1]) of p's family, the input bases
+    that train carries from window to window; None makes them here.
+    Returns (loss, gradient), the gradient laid out as p (p.like): grad.W
+    is dJ/dW, and so on. An overflow raises NumericOverflow, unwarned.
     """
     window = np.asarray(window, dtype=np.float64)
     _check_fit(p, window, "bptt")
     fam = conv_family(p, lap)
     if bases is None:
         bases = over_steps(fam.basis, window[:-1])
-    elif bases.shape[1:] != window[:-1].shape:
+    elif bases.shape != (fam.order,) + window[:-1].shape:
         raise ContractViolation(f"bptt: bases of shape {bases.shape} for "
                                 f"input frames {window[:-1].shape}")
 
@@ -230,23 +232,19 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    n_params: int
-    step: int = 0
-    first_moment: np.ndarray = field(default=None)
-    second_moment: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.first_moment is None:
-            self.first_moment = np.zeros(self.n_params)
-        if self.second_moment is None:
-            self.second_moment = np.zeros(self.n_params)
+    """Adam's step and moments: a checkpoint's adam_step, adam_m and adam_v.
+    adam_step rebinds the moments and never writes into them, so a
+    shallow copy (dataclasses.replace) is a snapshot, as train takes."""
+    step: int
+    first_moment: np.ndarray
+    second_moment: np.ndarray
 
 
 def adam_step(state: AdamState, p: ModelParams, grad: ModelParams, lr: float):
-    """One bias-corrected Adam update of p.theta at rate lr, in place;
-    returns (state, p). grad is laid out as p (see bptt)."""
+    """One bias-corrected Adam update of state and p.theta at rate lr, in
+    place. grad is laid out as p (see bptt), its size the moments'."""
     g = grad.theta
-    if len(g) != state.n_params:
+    if not g.shape == state.first_moment.shape == state.second_moment.shape:
         raise ContractViolation("adam_step: gradient size mismatch")
     state.step += 1
     state.first_moment = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * g
@@ -255,7 +253,6 @@ def adam_step(state: AdamState, p: ModelParams, grad: ModelParams, lr: float):
     m_hat = state.first_moment / (1.0 - ADAM_BETA1 ** state.step)
     v_hat = state.second_moment / (1.0 - ADAM_BETA2 ** state.step)
     p.theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return state, p
 
 
 # --- parameter counting -------------------------------------------------------
@@ -493,7 +490,8 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     init_params, the one reader of cfg's model keys (family, k, p and
     activation). Raises ContractViolation if cfg.split leaves fewer than
     2 training frames. An overflow aborts the run with the parameters and
-    Adam state of the last epoch it completed, or those it started from.
+    Adam state of the last epoch it completed, or those it started from:
+    each epoch snapshots a copy of theta and a shallow copy of AdamState.
     """
     n_train = math.floor(cfg.split * dataset.n_frames)
     if n_train < 2:
@@ -503,11 +501,11 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
             "split")
     if resume is None:
         p = init_params(cfg, dataset.n_nodes, dataset.n_features)
-        adam, epochs_done = AdamState(p.theta.size), 0
+        adam, epochs_done = AdamState(0, *np.zeros((2, p.theta.size))), 0
     else:
         p, state = resume
-        adam = AdamState(p.theta.size, state["adam_step"],
-                         state["adam_m"].copy(), state["adam_v"].copy())
+        adam = AdamState(state["adam_step"], state["adam_m"].copy(),
+                         state["adam_v"].copy())
         epochs_done = state["epoch"]
     lap = build_laplacians(g, scaled=False)  # made on a Chebyshev read
     windows = _windows(n_train, cfg.t_w, cfg.effective_stride)
@@ -517,8 +515,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
     aborted = False
     try:
         for epoch in range(epochs_done, epochs_done + cfg.epochs):
-            done = (p.theta.copy(), adam.step, adam.first_moment.copy(),
-                    adam.second_moment.copy())
+            done = p.theta.copy(), replace(adam)
             lr = cfg.rate(epoch + 1)
             for s, e, bases in _with_input_bases(fam, dataset.frames,
                                                  windows):
@@ -531,7 +528,7 @@ def train(cfg: TrainConfig, dataset: FrameSequence, g: Graph,
             epochs_done = epoch + 1
     except NumericOverflow:
         # abort at the last completed epoch; caller decides how to report
-        p.theta[...], adam.step, adam.first_moment, adam.second_moment = done
+        p.theta[...], adam = done
         aborted = True
     return TrainRun(cfg, epoch_losses, alphas, betas, p, adam, epochs_done,
                     aborted)

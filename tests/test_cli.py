@@ -615,6 +615,47 @@ def test_artifacts_match_across_blas_thread_counts(tmp_path):
     assert artifacts["1"] == artifacts["2"]
 
 
+# every command run through cli.main in one fresh interpreter; only
+# stability may load concurrent.futures (and with it logging), and none
+# numpy.ma
+_IMPORTS = """
+import sys
+from fgrnn import cli
+lazy = ("concurrent.futures", "numpy.ma")
+inputs = ["--frames", "f.txt", "--graph", "g.txt"]
+for argv in (
+        ["gen-data", "--out-frames", "f.txt", "--out-graph", "g.txt",
+         "n_nodes=12", "n_frames=20"],
+        ["train", *inputs, "--out-checkpoint", "fo.ckpt", "--out-history",
+         "fo.csv", "p=2", "epochs=1"],
+        ["train", *inputs, "--out-checkpoint", "ch.ckpt", "--out-history",
+         "ch.csv", "family=chebyshev", "k=3", "epochs=1"],
+        ["eval", "--checkpoint", "fo.ckpt", *inputs, "--out", "e.csv"],
+        ["predict", "--checkpoint", "ch.ckpt", *inputs, "--out", "p1.txt"],
+        ["predict", "--checkpoint", "fo.ckpt", *inputs, "--horizon", "3",
+         "--out", "p3.txt"],
+        ["params", "lstm_gcn", "--n", "12", "--k", "3"],
+        ["sweep-T", *inputs, "--T", "2,3", "p=2", "epochs=1", "--out",
+         "s.csv"],
+        ["stability", "--n-nodes", "8", "--T", "4", "--out", "st.csv"]):
+    if cli.main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+    print(argv[0], *[m for m in lazy if m in sys.modules], file=sys.stderr)
+"""
+
+
+def test_commands_leave_lazy_modules_unloaded(tmp_path):
+    path = [str(Path(fgrnn.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", _IMPORTS], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "gen-data", "train", "train", "eval", "predict", "predict", "params",
+        "sweep-T", "stability concurrent.futures"]
+
+
 def test_graph_and_frames_of_different_sizes(small_dataset, small_checkpoint,
                                              tmp_path, capsys):
     frames, _ = small_dataset
@@ -931,6 +972,34 @@ def test_stability_overflow(tmp_path, capsys, args, rc, err, row):
         assert not out.exists()
     else:
         assert out.read_text().splitlines()[1:] == [row]
+
+
+@pytest.mark.parametrize("alphas,err", [
+    ("0,0.5,1", "non-finite Jacobian product at alpha=0.0, beta=1e+40, T=12"),
+    ("0.5", "step 10: non-finite pre-activation at alpha=0.5, beta=1e+40"),
+], ids=["product first", "forward pass"])
+def test_stability_names_its_first_failing_point(tmp_path, capsys, alphas,
+                                                 err):
+    # alpha=0's T=12 product overflows, then alpha=0.5's forward pass; the
+    # forward error used to escape, naming no grid point, while alpha=0's
+    # waited in the worker
+    out = tmp_path / "s.csv"
+    assert cli.main(["stability", "--n-nodes", "8", "--alpha", alphas,
+                     "--beta", "1e40", "--T", "12", "--w", "1",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numeric failure: stability: {err}\n"
+    assert not out.exists()
+
+
+def test_stability_default_cell_depends_on_alpha(tmp_path):
+    # with the old default --w 0 the relu state never left 0, so every
+    # step factor was beta I and each alpha wrote the same rows
+    out = tmp_path / "s.csv"
+    assert cli.main(["stability", "--T", "4,8", "--alpha", "0.5,1",
+                     "--beta", "0,0.5", "--out", str(out)]) == 0
+    rows = [line.split(",", 1) for line in out.read_text().splitlines()[1:]]
+    assert [alpha for alpha, _ in rows] == ["0.5"] * 4 + ["1"] * 4
+    assert all(a != b for (_, a), (_, b) in zip(rows[:4], rows[4:]))
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -1403,6 +1472,25 @@ def test_sweep_t_equal_updates_per_T(small_dataset, tmp_path, monkeypatch):
     seen = _sweep_t_updates(monkeypatch, frames, graph,
                             str(tmp_path / "b.csv"), "stride=2")
     assert seen == {t: [(2, 2 * 12)] * 2 for t in (3, 5, 8)}
+
+
+def test_sweep_t_honours_stride_0(tmp_path):
+    # stride=0 means stride = t_w, as in train; sweep-T used to read it as
+    # unset and train every T on the smallest T's stride
+    frames, graph = str(tmp_path / "f.txt"), str(tmp_path / "g.txt")
+    assert cli.main(["gen-data", "--out-frames", frames, "--out-graph", graph,
+                     "n_nodes=12", "n_frames=30"]) == 0
+    keys = ["p=2", "epochs=2", "stride=0"]
+    sweep, history = tmp_path / "s.csv", tmp_path / "h.csv"
+    assert cli.main(["sweep-T", "--frames", frames, "--graph", graph,
+                     "--T", "3,6", "--out", str(sweep), *keys]) == 0
+    assert cli.main(["train", "--frames", frames, "--graph", graph,
+                     "--out-checkpoint", str(tmp_path / "c"),
+                     "--out-history", str(history), "t_w=6", *keys]) == 0
+    _, _, alpha, beta, test = sweep.read_text().splitlines()[2].split(",")
+    _, _, want_test, want_alpha, want_beta, _ = (
+        history.read_text().splitlines()[-1].split(","))
+    assert (alpha, beta, test) == (want_alpha, want_beta, want_test)
 
 
 def test_sweep_t_duplicate_T(small_dataset, tmp_path):

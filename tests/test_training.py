@@ -9,7 +9,8 @@ import fgrnn.sparse
 from fgrnn import graph, stability, training
 from fgrnn.data import FrameSequence, SyntheticConfig, generate_synthetic
 from fgrnn.errors import ContractViolation, NumericOverflow, place_keys
-from fgrnn.gconv import FirstOrderFamily
+from fgrnn.cells import conv_family
+from fgrnn.gconv import FirstOrderFamily, over_steps
 from fgrnn.graph import Graph, build_knn_graph, build_laplacians
 from fgrnn.training import (AdamState, TrainConfig, adam_step, bptt,
                             count_params, evaluate, finite_difference_check,
@@ -303,7 +304,7 @@ class TestBptt:
 
 class TestAdam:
     def make(self, n):
-        return AdamState(n)
+        return AdamState(0, np.zeros(n), np.zeros(n))
 
     def test_zero_gradient_fixed_point(self):
         lap = knn_lap(11)
@@ -497,7 +498,7 @@ class TestTrainLoop:
         run = train(cfg, seq, g)
         lap = build_laplacians(g)
         p = init_params(cfg, seq.n_nodes, seq.n_features)
-        adam = AdamState(p.theta.size)
+        adam = AdamState(0, *np.zeros((2, p.theta.size)))
         n_train = math.floor(cfg.split * seq.n_frames)
         losses, alphas, betas = [], [], []
         for epoch in range(cfg.epochs):
@@ -783,8 +784,9 @@ def test_saturated_sigmoid_is_exact_and_silent():
      r"\(2, 10, 3\)$"),
     (lambda p, lap, w: finite_difference_check(p, lap, w, step=0.0), "step"),
     (lambda p, lap, w: finite_difference_check(p, lap, w, step=-1e-5), "step"),
-    (lambda p, lap, w: adam_step(AdamState(p.theta.size + 1), p,
-                                 p.like(np.zeros_like(p.theta)), 0.1),
+    (lambda p, lap, w: adam_step(
+        AdamState(0, *np.zeros((2, p.theta.size + 1))), p,
+        p.like(np.zeros_like(p.theta)), 0.1),
      "size mismatch"),
     (lambda p, lap, w: count_params("chebyshev", 0, k=3), "n must be positive"),
     (lambda p, lap, w: count_params("first_order", 10, p=0), "P >= 1"),
@@ -801,3 +803,41 @@ def test_guards(call, fragment):
     p = make_params("first_order", 10)
     with pytest.raises(ContractViolation, match=fragment):
         call(p, knn_lap(32), np.zeros((3, 10, 3)))
+
+
+@pytest.mark.parametrize("model,other", [
+    (("first_order", 2), ("chebyshev", 3)),
+    (("chebyshev", 3), ("chebyshev", 2)),
+    (("chebyshev", 2), ("chebyshev", 3)),
+], ids=["first_order given K=3", "K=3 given K=2", "K=2 given K=3"])
+def test_bptt_refuses_bases_of_another_family(model, other):
+    # only the bases' trailing shape was checked: a first-order model
+    # scored K=3 bases silently, a K=3 model given K=2 bases raised
+    # IndexError and a K=2 model given K=3 bases ValueError
+    lap = knn_lap(33, n=16)
+    window = np.random.default_rng(33).standard_normal((5, 16, 3))
+    p, q = (make_params(family, 16, p=size, k=size)
+            for family, size in (model, other))
+    bases = over_steps(conv_family(q, lap).basis, window[:-1])
+    with pytest.raises(ContractViolation,
+                       match=rf"^bptt: bases of shape \({len(bases)}, 4, 16, "
+                             rf"3\) for input frames \(4, 16, 3\)$"):
+        bptt(p, lap, window, bases=bases)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda p, lap, w: bptt(p, lap, w),
+    lambda p, lap, w: teacher_forced_losses(p, lap, w),
+    lambda p, lap, w: evaluate(p, lap, w, 3),
+    lambda p, lap, w: finite_difference_check(p, lap, w),
+], ids=["bptt", "teacher_forced_losses", "evaluate",
+        "finite_difference_check"])
+def test_the_passes_overflow_without_a_numpy_warning(call):
+    # each used to warn "overflow encountered in matmul" first, which the
+    # warnings filter raised in place of NumericOverflow
+    p = make_params("first_order", 16, p=2)
+    p.theta[...] = 1e200
+    window = np.random.default_rng(34).standard_normal((5, 16, 3))
+    with pytest.raises(NumericOverflow):
+        call(p, knn_lap(34, n=16), window)

@@ -11,16 +11,23 @@ closed-form bound
 
 which is finite only for r < 1: each factor is beta (I + (alpha/beta) E_t)
 with ||E_t||_2 <= ||E_t||_F, so by Weyl its singular values lie in
-[|beta| (1 - r), |beta| (1 + r)]. The product is taken over T-2 factors,
+[|beta| (1 - r), |beta| (1 + r)]. At alpha = 0 every factor is beta I,
+r = 0 and the bound is 1. The product is taken over T-2 factors,
 matching the convention used in the growth analysis.
 
 Each step factor is written into one N x N buffer straight from the
 sparse operator; no dense copy of the operator or of I is made. A chain
 writes three N x N arrays: the factor and two products that it
-ping-pongs. stability_sweep runs each product's SVD on one worker thread,
-from its own copy of the product, while the calling thread builds the
-next products, with the floats of jacobian_product run for each
-(alpha, beta) in turn.
+ping-pongs. A factor is diagonal when every entry it stores off the
+diagonal is zero, as at alpha * u = 0 or on a dead relu state; while the
+product and each factor are diagonal, the chain scales the product's
+rows: each entry takes the value a matrix product gives it, which adds
+only zeros to its one non-zero term, though a zero may differ in sign. A
+product whose non-zeros all lie on its diagonal has their magnitudes as
+its singular values, read off with no SVD. stability_sweep runs each
+other product's SVD on one worker thread, from its own copy of the
+product, while the calling thread builds the next products, with the
+floats of jacobian_product run for each (alpha, beta) in turn.
 """
 
 from __future__ import annotations
@@ -69,20 +76,24 @@ def _check_scalar_cell(p: ModelParams, lap: LaplacianSet):
 
 
 def _step_factor(out: np.ndarray, p: ModelParams, u: float, op: SparseMatrix,
-                 d: np.ndarray) -> np.ndarray:
+                 d: np.ndarray) -> bool:
     """Writes alpha * u * (D op) + beta * I into the N x N buffer out, straight
-    from the sparse operator op, and returns out.
+    from the sparse operator op, and returns whether it is diagonal: whether
+    every entry it stores off the diagonal is zero (nan is not), an O(nnz)
+    test that holds at alpha * u = 0 and where D is 0 on every row op
+    stores off the diagonal, as for a dead relu state.
 
     Each entry is the float of the dense formula: act' >= +0, so where op
     stores nothing that formula gives (alpha*u)*0.0 + beta*0.0 too.
     """
     s = p.alpha * u
-    rows = op._row_ids
+    rows, cols = op._row_ids, op.col_indices
+    values = s * (d[rows] * op.values)
     out.fill(s * 0.0)
-    out[rows, op.col_indices] = s * (d[rows] * op.values)
+    out[rows, cols] = values
     out += p.beta * 0.0
     out.reshape(-1)[::out.shape[0] + 1] += p.beta
-    return out
+    return not np.any(values[rows != cols])
 
 
 def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
@@ -111,8 +122,10 @@ def _frobenius_terms(out: np.ndarray, u: float, op: SparseMatrix,
 
 def _bound(p: ModelParams, worst: float, horizon: int) -> float | None:
     """The bound from worst = max_t ||D_t u L1||_F^2 (beta != 0); inf when
-    it is too large for a float, still an upper bound."""
-    r = abs(p.alpha / p.beta) * math.sqrt(worst)
+    it is too large for a float, still an upper bound. At alpha = 0 every
+    factor is beta * I and r = 0, so worst is not read: one that overflowed
+    would make r = 0 * inf = nan."""
+    r = abs(p.alpha / p.beta) * math.sqrt(worst) if p.alpha != 0.0 else 0.0
     if r >= 1.0:
         return None
     try:
@@ -168,18 +181,38 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons, work=None):
         raise NumericOverflow(f"stability: {exc} at alpha={p.alpha!r}, "
                               f"beta={p.beta!r}") from None
     factor, product, spare = work or [np.empty((n, n)) for _ in range(3)]
-    terms = (_frobenius_terms(factor, u, op, d_list) if p.beta != 0.0
-             else None)
+    # _bound reads no terms at alpha = 0, and none is made there
+    terms = (_frobenius_terms(factor, u, op, d_list)
+             if p.alpha != 0.0 and p.beta != 0.0 else [])
     product.fill(0.0)  # I, then left-multiplied by steps 3..T
     product.reshape(-1)[::n + 1] = 1.0
-    done = 2
+    diagonal, done = True, 2
     for horizon in horizons:
         for d in d_list[done:horizon]:
-            np.matmul(_step_factor(factor, p, u, op, d), product, out=spare)
+            diagonal = _step_factor(factor, p, u, op, d) and diagonal
+            if diagonal:  # diag(f) @ product is product's rows scaled by f
+                np.multiply(np.diagonal(factor)[:, None], product, out=spare)
+            else:
+                np.matmul(factor, product, out=spare)
             product, spare = spare, product
         done = horizon
-        bound = None if terms is None else _bound(p, max(terms[:horizon]), horizon)
+        bound = (None if p.beta == 0.0
+                 else _bound(p, max(terms[:horizon], default=0.0), horizon))
         yield horizon, product, bound
+
+
+def _singular_values(product: np.ndarray) -> np.ndarray:
+    """product's singular values, descending. A product whose non-zeros all
+    lie on its diagonal has their magnitudes as its singular values; they
+    are read off, with no SVD and no N x N temporary. They are the floats
+    LAPACK's SVD returns: it bidiagonalizes a diagonal matrix with
+    reflections that are all I, and only sorts the magnitudes, unless it
+    first rescales a matrix whose largest entry is above about 2^457 or
+    below about 2^-457."""
+    diag = np.diagonal(product)
+    if np.count_nonzero(product) == np.count_nonzero(diag):
+        return np.sort(np.abs(diag))[::-1]
+    return np.linalg.svd(product, compute_uv=False)
 
 
 def _report(p: ModelParams, horizon: int, product: np.ndarray,
@@ -188,7 +221,7 @@ def _report(p: ModelParams, horizon: int, product: np.ndarray,
     if not (math.isfinite(product.min()) and math.isfinite(product.max())):
         raise NumericOverflow(f"stability: non-finite Jacobian product at "
                               f"alpha={p.alpha!r}, beta={p.beta!r}, T={horizon}")
-    svals = np.linalg.svd(product, compute_uv=False)
+    svals = _singular_values(product)
     sigma_max, sigma_min = float(svals[0]), float(svals[-1])
     cond = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
     return StabilityReport(sigma_max, sigma_min, cond, bound, p.alpha, p.beta,
@@ -200,15 +233,20 @@ def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
                      horizons) -> list:
     """One StabilityReport per T in the ascending list `horizons`: the
     extreme singular values of the product of the last T-2 step
-    Jacobians, and the closed-form bound. Reads the chain in order, one
-    SVD per T on the calling thread."""
+    Jacobians, and the closed-form bound. Reads the chain in order, on the
+    calling thread: one SVD per T, or none for a product whose non-zeros
+    all lie on its diagonal, whose singular values are read off it."""
     return [_report(p, *point) for point in _chain(p, lap, window, horizons)]
 
 
-def scalar_cell_params(u: float, n_nodes: int, w: float = 0.0, b: float = 0.0,
+def scalar_cell_params(u: float, n_nodes: int, w: float = 1.0, b: float = 0.0,
                        activation: str = "relu") -> ModelParams:
     """The width-1 diagnostic cell: one feature, input weight w, recurrent
-    weight u, zero readout, alpha = 1 and beta = 0."""
+    weight u, zero readout, alpha = 1 and beta = 0.
+
+    w = 0 gives a cell that sees no input; with relu and b = 0 its state
+    stays 0 from the zero state, so every D_t is 0, every step factor is
+    beta * I and alpha changes no row of a sweep."""
     return ModelParams(
         "first_order", [[w]], [[u]], [[0.0]], alpha=1.0, beta=0.0,
         b=np.full(n_nodes, b), z=np.zeros(n_nodes), activation=activation)
@@ -220,14 +258,15 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
     """One StabilityReport per (alpha, beta, T) grid point, lexicographic,
     on a fixed synthetic window drawn from the given seed.
 
-    Each product's SVD runs on one worker thread while this thread builds
-    the next products (numpy's SVD and matmul release the GIL). The last
-    SVD is resolved before the next is submitted, so at most one is in
-    flight, the rows keep their order, and a chain's last SVD overlaps the
-    next chain's forward pass. The worker reads only `read`, a copy of the
-    chain's product that is written after the last SVD is resolved. The
-    worker is joined before the sweep returns or raises, and the sweep
-    raises the failure of the first failing grid point.
+    Each product's SVD, or the read-off of a diagonal one, runs on one
+    worker thread while this thread builds the next products (numpy's SVD
+    and matmul release the GIL). The last SVD is resolved before the next
+    is submitted, so at most one is in flight, the rows keep their order,
+    and a chain's last SVD overlaps the next chain's forward pass. The
+    worker reads only `read`, a copy of the chain's product that is
+    written after the last SVD is resolved. The worker is joined before
+    the sweep returns or raises, and the sweep raises the failure of the
+    first failing grid point.
     """
     # imported here: concurrent.futures loads logging, about 5 ms at start-up
     # that no other command needs

@@ -120,7 +120,7 @@ def test_criterion_5_jacobian_power_law():
     n, u = 12, 1.3
     g = ring_graph(n)
     lap = build_laplacians(g)
-    p = scalar_cell_params(u=u, n_nodes=n, b=10.0, activation="relu")
+    p = scalar_cell_params(u=u, n_nodes=n, w=0.0, b=10.0, activation="relu")
     eigs, _ = dense_eig_sym(to_dense(lap.first_order))
     lam = float(np.max(np.abs(eigs)))
     rng = np.random.default_rng(5)
@@ -148,12 +148,12 @@ def test_criterion_6_residual_stabilization():
     # pure residual: the product is the identity
     max_cond_dev = 0.0
     for t in (4, 8, 12):
-        p = scalar_cell_params(u=0.8, n_nodes=n, activation="tanh")
+        p = scalar_cell_params(u=0.8, n_nodes=n, w=0.0, activation="tanh")
         p.alpha, p.beta = 0.0, 1.0
         rep = jacobian_product(p, lap, frames, [t])[0]
         max_cond_dev = max(max_cond_dev, abs(rep.condition_number - 1.0))
     # wherever the closed-form bound is finite it must dominate
-    base = scalar_cell_params(u=0.3, n_nodes=n, activation="tanh")
+    base = scalar_cell_params(u=0.3, n_nodes=n, w=0.0, activation="tanh")
     rows = stability_sweep(g, base, [0.01, 0.05, 0.1], [0.5, 1.0],
                            [4, 8, 12], seed=6)
     checked, violations = 0, 0

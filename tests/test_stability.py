@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from fgrnn.stability import (condition_bound, jacobian_product,
                              _forward_activation_derivs)
 
 from .reference import fgrnn_step, preactivation, to_dense, traced_peak
+
+DATA = Path(__file__).parent / "data"
 
 
 def ring_graph(n):
@@ -32,9 +35,9 @@ def step_factor(p, lap, h, x):
     from the reference pre-activation."""
     act, deriv = ACTIVATIONS[p.activation]
     d = deriv(act(preactivation(p, lap, h, x)))[:, 0]
-    n = lap.n_nodes
-    return stability._step_factor(np.empty((n, n)), p, float(p.U[0, 0]),
-                                  lap.first_order, d), d
+    out = np.empty((lap.n_nodes, lap.n_nodes))
+    stability._step_factor(out, p, float(p.U[0, 0]), lap.first_order, d)
+    return out, d
 
 
 def vjp_jacobian(p, lap, d):
@@ -51,7 +54,8 @@ class TestStepJacobian:
 
     def test_relu_active(self):
         lap = random_lap(0)
-        p = scalar_cell_params(u=0.8, n_nodes=12, b=5.0, activation="relu")
+        p = scalar_cell_params(u=0.8, n_nodes=12, w=0.0, b=5.0,
+                               activation="relu")
         h = np.abs(np.random.default_rng(0).standard_normal((12, 1))) * 0.1
         x = np.abs(np.random.default_rng(1).standard_normal((12, 1))) * 0.1
         jac, d = step_factor(p, lap, h, x)
@@ -61,7 +65,7 @@ class TestStepJacobian:
 
     def test_alpha_zero(self):
         lap = random_lap(1)
-        p = scalar_cell_params(u=1.0, n_nodes=12)
+        p = scalar_cell_params(u=1.0, n_nodes=12, w=0.0)
         p.alpha, p.beta = 0.0, 0.4
         jac, d = step_factor(p, lap, np.ones((12, 1)), np.ones((12, 1)))
         assert np.allclose(jac, 0.4 * np.eye(12))
@@ -118,7 +122,7 @@ class TestStepJacobian:
 class TestJacobianProduct:
     def test_identity_product(self):
         lap = random_lap(6)
-        p = scalar_cell_params(u=1.0, n_nodes=12)
+        p = scalar_cell_params(u=1.0, n_nodes=12, w=0.0)
         p.alpha, p.beta = 0.0, 1.0
         frames = np.random.default_rng(6).standard_normal((8, 12, 1))
         rep = jacobian_product(p, lap, frames, [8])[0]
@@ -131,7 +135,8 @@ class TestJacobianProduct:
         n = 12
         g = ring_graph(n)
         lap = build_laplacians(g)
-        p = scalar_cell_params(u=1.0, n_nodes=n, b=10.0, activation="relu")
+        p = scalar_cell_params(u=1.0, n_nodes=n, w=0.0, b=10.0,
+                               activation="relu")
         frames = np.abs(np.random.default_rng(7).standard_normal((12, n, 1))) * 0.01
         t_steps = 12
         rep = jacobian_product(p, lap, frames, [t_steps])[0]
@@ -140,7 +145,8 @@ class TestJacobianProduct:
 
     def test_zero_recurrent_weight(self):
         lap = random_lap(8)
-        p = scalar_cell_params(u=0.0, n_nodes=12, b=5.0, activation="relu")
+        p = scalar_cell_params(u=0.0, n_nodes=12, w=0.0, b=5.0,
+                               activation="relu")
         frames = np.random.default_rng(8).standard_normal((6, 12, 1))
         rep = jacobian_product(p, lap, frames, [6])[0]
         assert rep.sigma_max == 0.0
@@ -151,7 +157,8 @@ class TestJacobianProduct:
         rng = np.random.default_rng(9)
         frames = rng.standard_normal((10, 10, 1)) * 0.5
         for alpha in (0.01, 0.05):
-            p = scalar_cell_params(u=0.5, n_nodes=10, activation="tanh")
+            p = scalar_cell_params(u=0.5, n_nodes=10, w=0.0,
+                                   activation="tanh")
             p.alpha, p.beta = alpha, 1.0
             rep = jacobian_product(p, lap, frames, [8])[0]
             if rep.bound is not None:
@@ -159,7 +166,7 @@ class TestJacobianProduct:
 
     def test_one_report_per_horizon(self):
         lap = random_lap(10, n=10)
-        p = scalar_cell_params(u=0.5, n_nodes=10, activation="tanh")
+        p = scalar_cell_params(u=0.5, n_nodes=10, w=0.0, activation="tanh")
         p.alpha, p.beta = 0.5, 0.5
         frames = np.random.default_rng(10).standard_normal((8, 10, 1))
         reps = jacobian_product(p, lap, frames, [4, 6, 6, 8])
@@ -197,6 +204,18 @@ class TestConditionBound:
         p.alpha, p.beta = 0.5, 1.0
         d_list = [np.ones(2)] * 4
         assert condition_bound(p, d_list, lap, 4) == pytest.approx(9.0)
+
+    def test_alpha_zero_with_an_overflowing_term(self):
+        # every factor is beta * I at alpha = 0, so r = 0 however large
+        # ||D_t u L1||_F^2 is, never 0 * inf = nan
+        p = scalar_cell_params(u=1e200, n_nodes=12)
+        p.alpha, p.beta = 0.0, 0.5
+        assert condition_bound(p, [np.ones(12)], random_lap(11), 4) == 1.0
+        assert stability._bound(p, math.inf, 4) == 1.0
+        g = build_knn_graph(np.random.default_rng(1).standard_normal((12, 3)), 3)
+        rows = stability_sweep(g, scalar_cell_params(u=1e200, n_nodes=12, w=1.0),
+                               [0.0], [0.5], [4], seed=1)
+        assert sweep_csv(rows).splitlines()[1] == "0,0.5,4,0.25,0.25,1,1"
 
     def test_bound_too_large_for_a_float_is_inf(self):
         # r = 0.5: ((1.5) / (0.5)) ** (T - 2) is 9 at T = 4, 3 ** 1998 at
@@ -259,21 +278,22 @@ class TestBoundDominates:
 class TestSweep:
     def test_single_point(self):
         g = ring_graph(8)
-        base = scalar_cell_params(u=1.0, n_nodes=8)
+        base = scalar_cell_params(u=1.0, n_nodes=8, w=0.0)
         rows = stability_sweep(g, base, [0.0], [1.0], [4], seed=0)
         assert len(rows) == 1
         assert rows[0].condition_number == 1.0
 
     def test_sigma_growth_in_t(self):
         g = ring_graph(10)
-        base = scalar_cell_params(u=1.0, n_nodes=10, b=10.0, activation="relu")
+        base = scalar_cell_params(u=1.0, n_nodes=10, w=0.0, b=10.0,
+                                  activation="relu")
         rows = stability_sweep(g, base, [1.0], [0.0], [4, 8, 12], seed=1)
         sigmas = [r.sigma_max for r in rows]
         assert sigmas[0] < sigmas[1] < sigmas[2]
 
     def test_lexicographic_order_and_csv(self):
         g = ring_graph(8)
-        base = scalar_cell_params(u=0.3, n_nodes=8)
+        base = scalar_cell_params(u=0.3, n_nodes=8, w=0.0)
         rows = stability_sweep(g, base, [1.0, 0.0], [0.5], [6, 4], seed=2)
         keys = [(r.alpha, r.beta, r.horizon) for r in rows]
         assert keys == sorted(keys)
@@ -281,6 +301,18 @@ class TestSweep:
         lines = csv.strip().splitlines()
         assert lines[0] == "alpha,beta,T,sigma_max,sigma_min,cond,bound_M"
         assert len(lines) == 5
+
+
+# written by `fgrnn stability --n-nodes 64` before any product was read
+# off its diagonal: the CLI's default grid, and the same grid on a dead cell
+@pytest.mark.parametrize("fixture,args", [
+    ("stability_default.csv", []),
+    ("stability_dead_cell.csv", ["--w", "0", "--bias", "0"])])
+def test_cli_sweep_keeps_its_bytes(tmp_path, fixture, args):
+    out = tmp_path / "s.csv"
+    assert cli.main(["stability", "--n-nodes", "64", "--out", str(out)]
+                    + args) == 0
+    assert out.read_bytes() == (DATA / fixture).read_bytes()
 
 
 def _reference_rows(g, base, alpha_grid, beta_grid, t_grid, seed):
@@ -361,7 +393,53 @@ class TestChain:
         rows = stability_sweep(g, base, [0.0, 0.5, 1.0], [0.5, 1.0], [12, 4, 8, 4],
                                seed=5)
         assert len(rows) == 3 * 2 * 4
-        assert calls == {"svd": len(rows), "unroll": 3 * 2}
+        # the alpha = 0 rows' products are beta^(T-2) I, read off their
+        # diagonal with no SVD
+        assert calls == {"svd": 2 * 2 * 4, "unroll": 3 * 2}
+
+    def test_a_dead_cell_makes_no_svd_and_no_matmul(self, monkeypatch):
+        # relu, w = 0, b = 0: the state stays 0, so D_t = 0 and every step
+        # factor is beta * I at every alpha
+        g = build_knn_graph(np.random.default_rng(17).standard_normal((14, 3)), 3)
+        base = scalar_cell_params(u=0.7, n_nodes=14, w=0.0, b=0.0)
+        grids = ([1.0, 0.0, -0.6], [0.3, -1.0, 0.0], [8, 3, 5])
+        want = _reference_rows(g, base, *grids, seed=9)
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        monkeypatch.setattr(np, "matmul", counted(np.matmul))
+        rows = stability_sweep(g, base, *grids, seed=9)
+        assert calls == []
+        assert [(r.alpha, r.beta, r.horizon, r.sigma_max, r.sigma_min,
+                 r.condition_number, r.bound) for r in rows] == want
+
+    @pytest.mark.parametrize("beta", [0.6, -0.7, -0.0])
+    def test_a_diagonal_start_then_dense_factors(self, beta):
+        # w = 1, b = 0 under relu: the negative frames leave the state dead,
+        # so steps 3 to 5 are beta * I, row-scaled; the positive frames
+        # after them wake it, and the chain goes on by matmul
+        n, horizons = 12, [4, 5, 7, 9]
+        lap = random_lap(18, n=n)
+        frames = np.abs(np.random.default_rng(18).standard_normal((9, n, 1)))
+        frames[:5] *= -1.0
+        p = scalar_cell_params(u=-0.4, n_nodes=n, w=1.0)
+        p.alpha, p.beta = 0.8, beta
+        op, product, want = to_dense(lap.first_order), np.eye(n), []
+        d_list = _forward_activation_derivs(p, lap, frames, horizons[-1])
+        assert not d_list[4].any() and d_list[5].all()
+        for t, d in enumerate(d_list[2:], start=3):
+            product = (0.8 * -0.4 * (d[:, None] * op) + beta * np.eye(n)) @ product
+            if t in horizons:
+                svals = np.linalg.svd(product, compute_uv=False)
+                want.append((float(svals[0]), float(svals[-1])))
+        assert [(r.sigma_max, r.sigma_min)
+                for r in jacobian_product(p, lap, frames, horizons)] == want
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
     def test_rows_are_the_sequential_chains_reports(self, activation):
@@ -432,7 +510,9 @@ class TestSweepThread:
         assert len(stability_sweep(*_sweep_args(), seed=1)) == 12
         assert threading.enumerate() == before
 
-    @pytest.mark.parametrize("k", [1, 2, 7, 12])
+    # the grid's 8 SVDs, first, second, middle and last: its 4 alpha = 0
+    # rows are read off their diagonal
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_svd_error_mid_grid_propagates(self, monkeypatch, k):
         calls, real = [], np.linalg.svd
 
@@ -504,6 +584,47 @@ class TestFactorBuilder:
             assert condition_bound(p, [d, d * 0.5], lap, 4) == want_bound
 
 
+class TestDiagonalReadOff:
+    """A product whose non-zeros all lie on its diagonal has its singular
+    values read off that diagonal: the floats LAPACK's SVD gives, with no
+    SVD."""
+
+    @pytest.mark.parametrize("diag", [
+        [0.25, 0.25, 0.25], [3.0, -0.0, -7.5, 0.0, 1e-300, -2.0, 7.5],
+        [-1.0, 2.0, -3.0, 4.0], [0.0, 0.0], [5e-324, -1e130, 0.1, 1.0 / 3.0]],
+        ids=["constant", "zeros and signs", "mixed signs", "all zero",
+             "extremes"])
+    def test_equals_lapacks_svd(self, monkeypatch, diag):
+        product = np.diag(diag)
+        want = np.linalg.svd(product, compute_uv=False)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        got = stability._singular_values(product)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_exact_where_lapack_rescales(self):
+        diag = np.array([3.0, -1.0, 0.0, 2.5]) * 2.0 ** -600
+        got = stability._singular_values(np.diag(diag))
+        assert list(got) == [3.0 * 2.0 ** -600, 2.5 * 2.0 ** -600,
+                             2.0 ** -600, 0.0]
+
+    @pytest.mark.parametrize("at", [(0, 1), (3, 2)], ids=["above", "below"])
+    def test_one_entry_off_the_diagonal_takes_the_svd(self, monkeypatch, at):
+        product = np.diag([2.0, 1.0, 0.0, 4.0])
+        product[at] = 1e-300
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        got = stability._singular_values(product)
+        assert calls == [1]
+        assert np.array_equal(got, real(product, compute_uv=False))
+
+
 def test_sweep_checks_n_before_building_the_laplacians(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("built the Laplacians before checking N")
@@ -550,7 +671,7 @@ class TestOverflowIsTheLibrarysOwn:
     RuntimeWarning into an error)."""
 
     def test_jacobian_product(self):
-        p = scalar_cell_params(u=0.5, n_nodes=8)
+        p = scalar_cell_params(u=0.5, n_nodes=8, w=0.0)
         p.alpha, p.beta = 0.0, 1e160
         window = np.ones((4, 8, 1))
         with pytest.raises(NumericOverflow, match="non-finite Jacobian product"):
@@ -558,8 +679,8 @@ class TestOverflowIsTheLibrarysOwn:
 
     def test_stability_sweep(self):
         with pytest.raises(NumericOverflow, match="non-finite Jacobian product"):
-            stability_sweep(ring_graph(8), scalar_cell_params(0.5, 8), [0.0],
-                            [1e160], [4])
+            stability_sweep(ring_graph(8), scalar_cell_params(0.5, 8, w=0.0),
+                            [0.0], [1e160], [4])
 
     def test_condition_bound(self):
         p = scalar_cell_params(u=1e200, n_nodes=12)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -136,11 +137,15 @@ def cmd_train(args):
     save_checkpoint(run.final_params, args.out_checkpoint, graph,
                     run.train_state)
     csv = history_csv(run)
-    with open(args.out_history, "a" if args.append_history else "w") as fh:
+    with open(args.out_history, "ab+" if args.append_history else "wb") as fh:
         if fh.tell():
-            # appending to a history that already has its header
+            # appending to a history that already has its header; the rows
+            # start on a new line even if its last line has no newline
+            fh.seek(-1, os.SEEK_END)
             csv = csv.split("\n", 1)[1]
-        fh.write(csv)
+            if fh.read(1) != b"\n":
+                csv = "\n" + csv
+        fh.write(csv.encode())
     for i, (tr, te) in enumerate(run.epoch_losses):
         print(f"epoch {run.first_epoch + i + 1}: train {tr:.6g} test {te:.6g} "
               f"alpha {run.alpha_history[i]:.4f} beta {run.beta_history[i]:.4f}")

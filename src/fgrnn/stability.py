@@ -19,15 +19,15 @@ Each step factor is written into one N x N buffer straight from the
 sparse operator; no dense copy of the operator or of I is made. A chain
 writes three N x N arrays: the factor and two products that it
 ping-pongs. A factor is diagonal when every entry it stores off the
-diagonal is zero, as at alpha * u = 0 or on a dead relu state; while the
-product and each factor are diagonal, the chain scales the product's
-rows: each entry takes the value a matrix product gives it, which adds
-only zeros to its one non-zero term, though a zero may differ in sign. A
-product whose non-zeros all lie on its diagonal has their magnitudes as
-its singular values, read off with no SVD. stability_sweep runs each
-other product's SVD on one worker thread, from its own copy of the
-product, while the calling thread builds the next products, with the
-floats of jacobian_product run for each (alpha, beta) in turn.
+diagonal is zero, as at alpha * u = 0 or on a dead relu state; while
+every factor is, the chain scales the product's rows: each entry takes
+the value a matrix product gives it, which adds only zeros to its one
+non-zero term, though a zero may differ in sign. It flags such a
+product, whose singular values are its diagonal's magnitudes, read off
+with no SVD; one diagonal only by cancellation takes its SVD.
+stability_sweep runs each product's report on one worker thread, from
+its own copy of the product, while the calling thread builds the next
+products, with the floats of jacobian_product run for each (alpha, beta).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .cells import ACTIVATIONS, ModelParams, conv_family, input_terms, unroll
 from .errors import ContractViolation, NumericOverflow
 from .graph import Graph, LaplacianSet, build_laplacians
 from .sparse import SparseMatrix
+from .training import _check_fit
 
 
 @dataclass
@@ -106,10 +107,14 @@ def _forward_activation_derivs(p: ModelParams, lap: LaplacianSet,
     return [act_deriv(step.h_tilde)[:, 0] for step in steps]
 
 
-def _frobenius_terms(out: np.ndarray, u: float, op: SparseMatrix,
-                     d_list) -> list:
+def _terms(out: np.ndarray, p: ModelParams, u: float, op: SparseMatrix,
+           d_list) -> list:
     """||D_t u op||_F^2 for each step t, each squared and summed in the
-    N x N buffer out, as np.sum((d[:, None] * (u * dense_op)) ** 2) does."""
+    N x N buffer out, as np.sum((d[:, None] * (u * dense_op)) ** 2) does;
+    none at beta = 0, where the bound is vacuous, or at alpha = 0, where
+    r = 0 (one that overflowed would make r = 0 * inf = nan)."""
+    if p.alpha == 0.0 or p.beta == 0.0:
+        return []
     rows, uv = op._row_ids, u * op.values
     terms = []
     for d in d_list:
@@ -120,12 +125,13 @@ def _frobenius_terms(out: np.ndarray, u: float, op: SparseMatrix,
     return terms
 
 
-def _bound(p: ModelParams, worst: float, horizon: int) -> float | None:
-    """The bound from worst = max_t ||D_t u L1||_F^2 (beta != 0); inf when
-    it is too large for a float, still an upper bound. At alpha = 0 every
-    factor is beta * I and r = 0, so worst is not read: one that overflowed
-    would make r = 0 * inf = nan."""
-    r = abs(p.alpha / p.beta) * math.sqrt(worst) if p.alpha != 0.0 else 0.0
+def _bound(p: ModelParams, terms, horizon: int) -> float | None:
+    """The bound, r from the largest of _terms' terms (none gives r = 0);
+    None when vacuous (beta = 0 or r >= 1), inf when it is too large for a
+    float, still an upper bound."""
+    if p.beta == 0.0:
+        return None
+    r = abs(p.alpha / p.beta) * math.sqrt(max(terms, default=0.0))
     if r >= 1.0:
         return None
     try:
@@ -144,17 +150,16 @@ def condition_bound(p: ModelParams, d_list, lap: LaplacianSet,
     u = _check_scalar_cell(p, lap)
     if horizon < 2:
         raise ContractViolation("condition_bound: need T >= 2")
-    if p.beta == 0.0:
-        return None
     n = lap.n_nodes
-    terms = _frobenius_terms(np.empty((n, n)), u, conv_family(p, lap).op, d_list)
-    return _bound(p, max(terms), horizon)
+    op = conv_family(p, lap).op
+    return _bound(p, _terms(np.empty((n, n)), p, u, op, d_list), horizon)
 
 
 def _chain(p: ModelParams, lap: LaplacianSet, window, horizons, work=None):
-    """Yields (T, product, bound) for each T of the ascending list
-    `horizons`: the product of the last T-2 step Jacobians and the
-    closed-form bound (None when vacuous).
+    """Yields (T, product, bound, diagonal) for each T of the ascending
+    list `horizons`: the product of the last T-2 step Jacobians, the
+    closed-form bound (None when vacuous) and whether every one of those
+    factors is diagonal, so that the product is too.
 
     One forward pass runs to the largest T and one running product
     left-multiplies the step Jacobians in time order; each T's product of
@@ -162,10 +167,12 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons, work=None):
     product a separate run to that T would make. The chain writes only the
     N x N arrays of `work`, a (factor, product, spare) triple, made afresh
     when it is None; a product yielded is not written until the chain is
-    resumed. An overflow of the forward pass names its alpha and beta.
+    resumed. A window the cell does not fit is refused as training's is;
+    an overflow of the forward pass names its alpha and beta.
     """
     u = _check_scalar_cell(p, lap)
     frames = np.asarray(window, dtype=np.float64)
+    _check_fit(p, frames, "stability")
     horizons = list(horizons)
     if not horizons or horizons != sorted(horizons):
         raise ContractViolation(
@@ -181,9 +188,7 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons, work=None):
         raise NumericOverflow(f"stability: {exc} at alpha={p.alpha!r}, "
                               f"beta={p.beta!r}") from None
     factor, product, spare = work or [np.empty((n, n)) for _ in range(3)]
-    # _bound reads no terms at alpha = 0, and none is made there
-    terms = (_frobenius_terms(factor, u, op, d_list)
-             if p.alpha != 0.0 and p.beta != 0.0 else [])
+    terms = _terms(factor, p, u, op, d_list)
     product.fill(0.0)  # I, then left-multiplied by steps 3..T
     product.reshape(-1)[::n + 1] = 1.0
     diagonal, done = True, 2
@@ -196,33 +201,24 @@ def _chain(p: ModelParams, lap: LaplacianSet, window, horizons, work=None):
                 np.matmul(factor, product, out=spare)
             product, spare = spare, product
         done = horizon
-        bound = (None if p.beta == 0.0
-                 else _bound(p, max(terms[:horizon], default=0.0), horizon))
-        yield horizon, product, bound
-
-
-def _singular_values(product: np.ndarray) -> np.ndarray:
-    """product's singular values, descending. A product whose non-zeros all
-    lie on its diagonal has their magnitudes as its singular values; they
-    are read off, with no SVD and no N x N temporary. They are the floats
-    LAPACK's SVD returns: it bidiagonalizes a diagonal matrix with
-    reflections that are all I, and only sorts the magnitudes, unless it
-    first rescales a matrix whose largest entry is above about 2^457 or
-    below about 2^-457."""
-    diag = np.diagonal(product)
-    if np.count_nonzero(product) == np.count_nonzero(diag):
-        return np.sort(np.abs(diag))[::-1]
-    return np.linalg.svd(product, compute_uv=False)
+        yield horizon, product, _bound(p, terms[:horizon], horizon), diagonal
 
 
 def _report(p: ModelParams, horizon: int, product: np.ndarray,
-            bound: float | None) -> StabilityReport:
+            bound: float | None, diagonal: bool) -> StabilityReport:
+    """The report of one of _chain's points. A diagonal product's singular
+    values are its diagonal's magnitudes, read off with no SVD and no N x N
+    temporary: the floats LAPACK's SVD returns, as it bidiagonalizes a
+    diagonal matrix with reflections that are all I and only sorts the
+    magnitudes, unless it first rescales a matrix whose largest entry is
+    above about 2^457 or below about 2^-457."""
     # min and max propagate nan, and make no N x N temporary
     if not (math.isfinite(product.min()) and math.isfinite(product.max())):
         raise NumericOverflow(f"stability: non-finite Jacobian product at "
                               f"alpha={p.alpha!r}, beta={p.beta!r}, T={horizon}")
-    svals = _singular_values(product)
-    sigma_max, sigma_min = float(svals[0]), float(svals[-1])
+    svals = (np.abs(np.diagonal(product)) if diagonal
+             else np.linalg.svd(product, compute_uv=False))
+    sigma_max, sigma_min = float(svals.max()), float(svals.min())
     cond = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
     return StabilityReport(sigma_max, sigma_min, cond, bound, p.alpha, p.beta,
                            horizon)
@@ -234,8 +230,9 @@ def jacobian_product(p: ModelParams, lap: LaplacianSet, window,
     """One StabilityReport per T in the ascending list `horizons`: the
     extreme singular values of the product of the last T-2 step
     Jacobians, and the closed-form bound. Reads the chain in order, on the
-    calling thread: one SVD per T, or none for a product whose non-zeros
-    all lie on its diagonal, whose singular values are read off it."""
+    calling thread: one SVD per T, or none where the chain flags the
+    product diagonal (every factor is), whose singular values are read off
+    it. A window the cell does not fit is refused, as training refuses it."""
     return [_report(p, *point) for point in _chain(p, lap, window, horizons)]
 
 
@@ -258,9 +255,9 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
     """One StabilityReport per (alpha, beta, T) grid point, lexicographic,
     on a fixed synthetic window drawn from the given seed.
 
-    Each product's SVD, or the read-off of a diagonal one, runs on one
-    worker thread while this thread builds the next products (numpy's SVD
-    and matmul release the GIL). The last SVD is resolved before the next
+    Each product's SVD, or the read-off of one the chain flags diagonal,
+    runs on one worker thread while this thread builds the next products
+    (numpy's SVD and matmul release the GIL). The last SVD is resolved before the next
     is submitted, so at most one is in flight, the rows keep their order,
     and a chain's last SVD overlaps the next chain's forward pass. The
     worker reads only `read`, a copy of the chain's product that is
@@ -291,12 +288,13 @@ def stability_sweep(g: Graph, base_params: ModelParams, alpha_grid,
                 for beta in sorted(beta_grid):
                     p = base_params.like(base_params.theta.copy())
                     p.alpha, p.beta = alpha, beta
-                    for horizon, product, bound in _chain(p, lap, frames,
-                                                          horizons, work):
+                    for horizon, product, bound, diagonal in _chain(
+                            p, lap, frames, horizons, work):
                         if last is not None:
                             rows.append(last.result())
                         np.copyto(read, product)  # the worker is done with read
-                        last = worker.submit(_report, p, horizon, read, bound)
+                        last = worker.submit(_report, p, horizon, read, bound,
+                                             diagonal)
         finally:  # the last row; if a chain raised, an earlier point's first
             if last is not None:
                 rows.append(last.result())

@@ -333,6 +333,23 @@ def test_append_history_to_a_new_file_writes_its_header(
     assert fresh.read_text() == "epoch,train_loss,test_loss,alpha,beta,lr\n"
 
 
+def test_append_history_starts_its_rows_on_a_line_of_their_own(
+        small_dataset, small_checkpoint, tmp_path):
+    frames, graph = small_dataset
+    header = "epoch,train_loss,test_loss,alpha,beta,lr\n"
+    appended = tmp_path / "h2.csv"
+    appended.write_text(header + "1,1,1,1,1,1")  # no final newline
+    fresh = tmp_path / "h1.csv"
+    for hist in (appended, fresh):
+        assert cli.main(["train", "--frames", frames, "--graph", graph,
+                         "--resume", small_checkpoint, "--append-history",
+                         "--out-checkpoint", str(tmp_path / "r.ckpt"),
+                         "--out-history", str(hist), "epochs=1"]) == 0
+    row = fresh.read_text().split("\n", 1)[1]
+    assert row.startswith("2,") and row.count("\n") == 1
+    assert appended.read_text() == header + "1,1,1,1,1,1\n" + row
+
+
 @pytest.fixture(scope="module")
 def other_graph_dataset(tmp_path_factory):
     """A 16-node set whose kNN graph is not small_dataset's."""

@@ -184,12 +184,17 @@ class TestJacobianProduct:
 
 
 class TestConditionBound:
-    def test_alpha_zero(self):
+    def test_alpha_zero(self, monkeypatch):
+        def no_term(*args, **kwargs):
+            raise AssertionError("made a Frobenius term at alpha = 0")
+
         lap = random_lap(10)
         p = scalar_cell_params(u=1.0, n_nodes=12)
         p.alpha, p.beta = 0.0, 1.0
         d_list = _forward_activation_derivs(
             p, lap, np.zeros((4, 12, 1)), 4)
+        # r = 0 whatever the terms hold, and none is made
+        monkeypatch.setattr(np, "square", no_term)
         assert condition_bound(p, d_list, lap, 4) == 1.0
 
     def test_half_ratio_arithmetic(self):
@@ -210,8 +215,11 @@ class TestConditionBound:
         # ||D_t u L1||_F^2 is, never 0 * inf = nan
         p = scalar_cell_params(u=1e200, n_nodes=12)
         p.alpha, p.beta = 0.0, 0.5
-        assert condition_bound(p, [np.ones(12)], random_lap(11), 4) == 1.0
-        assert stability._bound(p, math.inf, 4) == 1.0
+        lap = random_lap(11)
+        assert condition_bound(p, [np.ones(12)], lap, 4) == 1.0
+        assert stability._terms(np.empty((12, 12)), p, 1e200, lap.first_order,
+                                [np.ones(12)]) == []
+        assert stability._bound(p, [], 4) == 1.0
         g = build_knn_graph(np.random.default_rng(1).standard_normal((12, 3)), 3)
         rows = stability_sweep(g, scalar_cell_params(u=1e200, n_nodes=12, w=1.0),
                                [0.0], [0.5], [4], seed=1)
@@ -222,8 +230,8 @@ class TestConditionBound:
         # T = 2000, past the largest float
         p = scalar_cell_params(u=1.0, n_nodes=2)
         p.alpha, p.beta = 0.5, 1.0
-        assert stability._bound(p, 1.0, 4) == 9.0
-        assert stability._bound(p, 1.0, 2000) == math.inf
+        assert stability._bound(p, [0.25, 1.0], 4) == 9.0
+        assert stability._bound(p, [1.0], 2000) == math.inf
 
     def test_vacuous_when_r_large(self):
         lap = build_laplacians(Graph(2, ((0, 1, 1.0),)))
@@ -585,9 +593,14 @@ class TestFactorBuilder:
 
 
 class TestDiagonalReadOff:
-    """A product whose non-zeros all lie on its diagonal has its singular
-    values read off that diagonal: the floats LAPACK's SVD gives, with no
-    SVD."""
+    """A product the chain flags diagonal has its singular values read off
+    its diagonal: the floats LAPACK's SVD gives, with no SVD. Any other
+    takes its SVD, even one diagonal by cancellation."""
+
+    p = scalar_cell_params(u=0.5, n_nodes=4)
+
+    def extremes(self, report):
+        return report.sigma_max, report.sigma_min
 
     @pytest.mark.parametrize("diag", [
         [0.25, 0.25, 0.25], [3.0, -0.0, -7.5, 0.0, 1e-300, -2.0, 7.5],
@@ -596,17 +609,23 @@ class TestDiagonalReadOff:
              "extremes"])
     def test_equals_lapacks_svd(self, monkeypatch, diag):
         product = np.diag(diag)
-        want = np.linalg.svd(product, compute_uv=False)
+        svals = np.linalg.svd(product, compute_uv=False)
+        want = (svals[0], svals[-1])
         monkeypatch.setattr(np.linalg, "svd", None)
-        got = stability._singular_values(product)
-        assert np.array_equal(got, want)
+        got = self.extremes(stability._report(self.p, 4, product, None, True))
+        assert got == want
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_exact_where_lapack_rescales(self):
-        diag = np.array([3.0, -1.0, 0.0, 2.5]) * 2.0 ** -600
-        got = stability._singular_values(np.diag(diag))
-        assert list(got) == [3.0 * 2.0 ** -600, 2.5 * 2.0 ** -600,
-                             2.0 ** -600, 0.0]
+    def test_exact_where_lapack_rescales(self, monkeypatch):
+        # alpha = 0: each of the 10 factors of T = 12 is 2^-100 I, so the
+        # product is 2^-1000 I, below where LAPACK would rescale it
+        p = scalar_cell_params(u=0.5, n_nodes=12, w=1.0)
+        p.alpha, p.beta = 0.0, 2.0 ** -100
+        frames = np.random.default_rng(19).standard_normal((12, 12, 1))
+        monkeypatch.setattr(np.linalg, "svd", None)
+        [r] = jacobian_product(p, random_lap(19), frames, [12])
+        assert (r.sigma_max, r.sigma_min, r.condition_number, r.bound) == (
+            2.0 ** -1000, 2.0 ** -1000, 1.0, 1.0)
 
     @pytest.mark.parametrize("at", [(0, 1), (3, 2)], ids=["above", "below"])
     def test_one_entry_off_the_diagonal_takes_the_svd(self, monkeypatch, at):
@@ -620,9 +639,41 @@ class TestDiagonalReadOff:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        got = stability._singular_values(product)
+        got = self.extremes(stability._report(self.p, 4, product, None, False))
+        svals = real(product, compute_uv=False)
         assert calls == [1]
-        assert np.array_equal(got, real(product, compute_uv=False))
+        assert got == (svals[0], svals[-1])
+
+    def test_a_product_zero_by_cancellation_takes_its_svd(self, monkeypatch):
+        # beta = 0 under relu: step 3 is live, so its factor is dense, and
+        # step 4 is dead, so its factor is 0 and the product from step 4 on
+        # is 0, though the chain does not flag it diagonal
+        n, horizons = 12, [3, 4, 5]
+        lap = random_lap(20, n=n)
+        frames = np.abs(np.random.default_rng(20).standard_normal((5, n, 1)))
+        frames[3:] = -10.0 - frames[3:]
+        p = scalar_cell_params(u=0.4, n_nodes=n, w=1.0)
+        p.alpha, p.beta = 1.0, 0.0
+        op, product, want = to_dense(lap.first_order), np.eye(n), []
+        d_list = _forward_activation_derivs(p, lap, frames, horizons[-1])
+        assert d_list[2].all() and not d_list[3].any()
+        for d in d_list[2:]:
+            product = (0.4 * (d[:, None] * op) + 0.0 * np.eye(n)) @ product
+            svals = np.linalg.svd(product, compute_uv=False)
+            want.append((float(svals[0]), float(svals[-1])))
+        assert want[1:] == [(0.0, 0.0)] * 2
+        calls = []
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rows = jacobian_product(p, lap, frames, horizons)
+        assert [self.extremes(r) for r in rows] == want
+        assert [r.condition_number for r in rows][1:] == [math.inf] * 2
+        assert calls == [1] * 3
 
 
 def test_sweep_checks_n_before_building_the_laplacians(monkeypatch):
@@ -658,8 +709,14 @@ def _width_two_cell():
                              [], [0.5], [4]), "grids must be non-empty"),
     (lambda: condition_bound(scalar_cell_params(u=0.5, n_nodes=12),
                              [np.ones(12)], random_lap(12), 1), "T >= 2"),
+    (lambda: jacobian_product(scalar_cell_params(u=0.5, n_nodes=12),
+                              random_lap(12), np.zeros((4, 12, 2)), [4]),
+     r"frames of shape \(4, 12, 2\) do not fit"),
+    (lambda: jacobian_product(scalar_cell_params(u=0.5, n_nodes=12),
+                              random_lap(12), np.zeros((4, 12)), [4]),
+     r"frames of shape \(4, 12\) do not fit"),
 ], ids=["width 2", "N 2049", "short window", "product T 1", "empty grid",
-        "bound T 1"])
+        "bound T 1", "two features", "2-D window"])
 def test_guards(call, fragment):
     with pytest.raises(ContractViolation, match=fragment):
         call()
